@@ -5,7 +5,9 @@ The chord boundary value problem (start on the matched start diagonal, end
 on the level diagonal) is solved by damped Newton on a shooting residual;
 the residual dimension equals the diagonal parameter dimension, so the
 finite-difference Jacobians stay small.  Batched initial conditions share
-one fixed-step RK4 sweep, which keeps multistart scans cheap.
+one fixed-step RK4 sweep, which keeps multistart scans cheap: all seeds ride
+each Newton sweep, and after Newton the paths of every converged seed come
+from one more batched sweep.
 """
 
 from __future__ import annotations
@@ -14,6 +16,8 @@ import csv
 import json
 import math
 from dataclasses import dataclass, field
+from functools import partial
+from itertools import combinations
 
 import numpy as np
 
@@ -76,7 +80,7 @@ class Chord:
 
 @dataclass(frozen=True)
 class SolveFailure:
-    reason: str  # "no-convergence" | "singular-jacobian" | "grid-misaligned"
+    reason: str  # "no-convergence" | "singular-jacobian" | "diverged" (non-finite) | "grid-misaligned"
     residual_norm: float = math.inf
     detail: str = ""
 
@@ -116,9 +120,12 @@ class OrbitSet:
 # integration
 
 
-def _rk4_final(field, z0: np.ndarray, n_steps: int) -> np.ndarray:
+def _rk4(field, z0: np.ndarray, n_steps: int, keep_path: bool = False) -> np.ndarray:
+    """Classical RK4 over [0, 1]: the end point, or with keep_path the
+    (n_steps + 1, *z0.shape) trajectory; shooting sweeps keep no buffer."""
     h = 1.0 / n_steps
     z = np.array(z0, dtype=float)
+    path = [z]
     for i in range(n_steps):
         t = i * h
         k1 = field(z, t)
@@ -126,32 +133,25 @@ def _rk4_final(field, z0: np.ndarray, n_steps: int) -> np.ndarray:
         k3 = field(z + 0.5 * h * k2, t + 0.5 * h)
         k4 = field(z + h * k3, t + h)
         z = z + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-    return z
+        if keep_path:
+            path.append(z)
+    return np.stack(path) if keep_path else z
 
 
-def _rk4_path(field, z0: np.ndarray, n_steps: int) -> np.ndarray:
-    h = 1.0 / n_steps
-    z = np.array(z0, dtype=float)
-    out = np.empty((n_steps + 1,) + z.shape)
-    out[0] = z
-    for i in range(n_steps):
-        t = i * h
-        k1 = field(z, t)
-        k2 = field(z + 0.5 * h * k1, t + 0.5 * h)
-        k3 = field(z + 0.5 * h * k2, t + 0.5 * h)
-        k4 = field(z + h * k3, t + h)
-        z = z + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        out[i + 1] = z
-    return out
+def integrate(ham, level: LevelStructure, z0, cfg: IntegratorConfig = IntegratorConfig()):
+    """RK4 trajectory of z' = X_K(z, t) over [0, 1].
 
-
-def integrate(ham, level: LevelStructure, z0, cfg: IntegratorConfig = IntegratorConfig()) -> DiscreteCurve:
-    """RK4 trajectory of z' = X_K(z, t) over [0, 1] from a single start point."""
+    z0 of shape (copies, dim) gives one DiscreteCurve; a batch of shape
+    (B, copies, dim) gives a list of B curves, one per row, from one sweep.
+    """
     z0 = np.asarray(z0, dtype=float)
-    traj = _rk4_path(lambda z, t: vector_field(ham, level, z, t), z0, cfg.n_steps)
+    batch = z0.reshape(-1, *z0.shape[-2:])
+    traj = _rk4(lambda z, t: vector_field(ham, level, z, t), batch, cfg.n_steps, keep_path=True)
     if not np.all(np.isfinite(traj)):
         raise FloatingPointError("trajectory overflowed")
-    return DiscreteCurve(level.space, level.level, level.space.normalize(traj), False)
+    rows = np.ascontiguousarray(np.moveaxis(level.space.normalize(traj), 1, 0))
+    curves = [DiscreteCurve(level.space, level.level, samples, False) for samples in rows]
+    return curves[0] if z0.ndim == 2 else curves
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +170,7 @@ def shoot_residual(ham, level: LevelStructure, params, cfg: IntegratorConfig = I
     """
     params = np.asarray(params, dtype=float)
     z0 = embed_diagonal_params(level, 0, params)
-    zT = _rk4_final(lambda z, t: vector_field(ham, level, z, t), z0, cfg.n_steps)
+    zT = _rk4(lambda z, t: vector_field(ham, level, z, t), z0, cfg.n_steps)
     out = np.empty_like(params)
     for i, (a, b) in enumerate(level.matching1):
         out[..., i, :] = level.space.wrapped_difference(zT[..., a, :], zT[..., b, :])
@@ -183,7 +183,16 @@ def _wrap_params(level: LevelStructure, flat: np.ndarray) -> np.ndarray:
     return flat
 
 
-_RUNNING, _CONVERGED, _SINGULAR, _STUCK = 0, 1, 2, 3
+_RUNNING, _CONVERGED, _SINGULAR, _STUCK, _DIVERGED = 0, 1, 2, 3, 4
+
+
+def _fd_jacobians(resid_fn, p: np.ndarray, h: float) -> np.ndarray:
+    """Central-difference Jacobians at every row of p from one batched call."""
+    nb, dim = p.shape
+    eye = np.eye(dim)
+    probes = np.concatenate([p[:, None, :] + h * eye, p[:, None, :] - h * eye], axis=1)
+    rr = resid_fn(probes.reshape(-1, dim)).reshape(nb, 2 * dim, dim)
+    return (rr[:, :dim, :] - rr[:, dim:, :]).transpose(0, 2, 1) / (2 * h)
 
 
 def _newton_batch(resid_fn, wrap_fn, seeds: np.ndarray, newton: NewtonConfig):
@@ -194,25 +203,25 @@ def _newton_batch(resid_fn, wrap_fn, seeds: np.ndarray, newton: NewtonConfig):
     same batched call, so the cost per iteration is one sweep.  Returns
     final parameters, residuals, per-seed status, and Jacobian condition
     estimates.  The iteration history of each seed matches what a scalar
-    solver would produce.
+    solver would produce.  A seed whose residual or Jacobian is not finite
+    is marked diverged and leaves the iteration.
     """
     p = np.array(seeds, dtype=float)
-    nb, dim = p.shape
     r = resid_fn(p)
-    status = np.full(nb, _RUNNING, dtype=int)
-    conds = np.full(nb, np.nan)
+    status = np.full(len(p), _RUNNING, dtype=int)
+    conds = np.full(len(p), np.nan)
     status[np.max(np.abs(r), axis=1) <= newton.tol] = _CONVERGED
-    eye = np.eye(dim)
+    status[~np.all(np.isfinite(r), axis=1)] = _DIVERGED
     for _ in range(newton.max_iter):
         active = np.flatnonzero(status == _RUNNING)
         if len(active) == 0:
             break
-        h = newton.fd_step
-        probes = np.concatenate([p[active][:, None, :] + h * eye, p[active][:, None, :] - h * eye], axis=1)
-        rr = resid_fn(probes.reshape(-1, dim)).reshape(len(active), 2 * dim, dim)
-        jac = (rr[:, :dim, :] - rr[:, dim:, :]).transpose(0, 2, 1) / (2 * h)
+        jac = _fd_jacobians(resid_fn, p[active], newton.fd_step)
         step_by_seed: dict[int, np.ndarray] = {}
         for i, a in enumerate(active):
+            if not np.all(np.isfinite(jac[i])):
+                status[a] = _DIVERGED
+                continue
             cond = float(np.linalg.cond(jac[i]))
             conds[a] = cond
             if not np.isfinite(cond) or cond > newton.cond_limit:
@@ -250,13 +259,40 @@ def _newton_batch(resid_fn, wrap_fn, seeds: np.ndarray, newton: NewtonConfig):
     # condition estimates for seeds that converged before any Jacobian was built
     fresh = np.flatnonzero((status == _CONVERGED) & ~np.isfinite(conds))
     if len(fresh):
-        h = newton.fd_step
-        probes = np.concatenate([p[fresh][:, None, :] + h * eye, p[fresh][:, None, :] - h * eye], axis=1)
-        rr = resid_fn(probes.reshape(-1, dim)).reshape(len(fresh), 2 * dim, dim)
-        jac = (rr[:, :dim, :] - rr[:, dim:, :]).transpose(0, 2, 1) / (2 * h)
+        jac = _fd_jacobians(resid_fn, p[fresh], newton.fd_step)
         for i, a in enumerate(fresh):
-            conds[a] = float(np.linalg.cond(jac[i]))
+            if np.all(np.isfinite(jac[i])):
+                conds[a] = float(np.linalg.cond(jac[i]))
     return p, r, status, conds
+
+
+def _solve_seeds(ham, level: LevelStructure, seeds: np.ndarray, newton: NewtonConfig, integ: IntegratorConfig) -> list:
+    """The one chord shooting path: batched Newton on the shooting residual
+    from every seed row, then the paths of all converged seeds in one
+    integrate sweep; returns a Chord or SolveFailure per seed."""
+    shape = (2 ** (level.level - 1), level.space.dim)
+
+    def resid(flat_batch):
+        batch = flat_batch.reshape(flat_batch.shape[0], *shape)
+        return shoot_residual(ham, level, batch, integ).reshape(flat_batch.shape[0], -1)
+
+    ps, rs, status, conds = _newton_batch(resid, partial(_wrap_params, level), seeds, newton)
+    params = ps.reshape(len(ps), *shape)
+    converged = np.flatnonzero(status == _CONVERGED)
+    z0 = embed_diagonal_params(level, 0, params[converged])
+    paths = iter(integrate(ham, level, z0, integ) if len(converged) else [])
+    results = []
+    for p, r, s, cond in zip(params, rs, status, conds):
+        norm = float(np.max(np.abs(r)))
+        if s == _CONVERGED:
+            results.append(Chord(p, next(paths), norm, float(cond)))
+        elif s == _SINGULAR:
+            results.append(SolveFailure("singular-jacobian", norm, f"cond {cond:.2e}"))
+        elif s == _DIVERGED:
+            results.append(SolveFailure("diverged", norm, "non-finite residual or Jacobian"))
+        else:
+            results.append(SolveFailure("no-convergence", norm))
+    return results
 
 
 def solve_chord(
@@ -266,31 +302,12 @@ def solve_chord(
     newton: NewtonConfig = NewtonConfig(),
     integ: IntegratorConfig = IntegratorConfig(),
 ):
-    """Damped Newton on the shooting residual; returns Chord or SolveFailure."""
-    shape = (2 ** (level.level - 1), level.space.dim)
+    """Damped Newton on the shooting residual from one seed, the one-seed
+    case of enumerate_chords; returns Chord or SolveFailure."""
     p = np.asarray(seed_params, dtype=float).reshape(-1)
     if p.size != _flat_dim(level):
         raise ValueError(f"seed must have {_flat_dim(level)} parameters")
-
-    def resid(flat_batch):
-        batch = flat_batch.reshape(flat_batch.shape[0], *shape)
-        return shoot_residual(ham, level, batch, integ).reshape(flat_batch.shape[0], -1)
-
-    def wrap(flat_batch):
-        return _wrap_params(level, flat_batch)
-
-    ps, rs, status, conds = _newton_batch(resid, wrap, p[None], newton)
-    return _chord_from_batch(ham, level, ps[0], rs[0], status[0], conds[0], shape, integ)
-
-
-def _chord_from_batch(ham, level, p, r, status, cond, shape, integ):
-    norm = float(np.max(np.abs(r)))
-    if status == _SINGULAR:
-        return SolveFailure("singular-jacobian", norm, f"cond {cond:.2e}")
-    if status != _CONVERGED:
-        return SolveFailure("no-convergence", norm)
-    path = integrate(ham, level, embed_diagonal_params(level, 0, p.reshape(shape)), integ)
-    return Chord(p.reshape(shape), path, norm, float(cond))
+    return _solve_seeds(ham, level, p[None], newton, integ)[0]
 
 
 def _chord_distance(a: Chord, b: Chord) -> float:
@@ -327,20 +344,9 @@ def enumerate_chords(
     separate cleanly, in which case counting is ill-posed.
     """
     seeds = _seed_grid(level, grid)
-    shape = (2 ** (level.level - 1), level.space.dim)
-
-    def resid(flat_batch):
-        batch = flat_batch.reshape(flat_batch.shape[0], *shape)
-        return shoot_residual(ham, level, batch, integ).reshape(flat_batch.shape[0], -1)
-
-    def wrap(flat_batch):
-        return _wrap_params(level, flat_batch)
-
-    ps, rs, status, conds = _newton_batch(resid, wrap, seeds, newton)
     chords: list[Chord] = []
     failures = {"no-convergence": 0, "singular-jacobian": 0}
-    for i in range(len(seeds)):
-        result = _chord_from_batch(ham, level, ps[i], rs[i], status[i], conds[i], shape, integ)
+    for result in _solve_seeds(ham, level, seeds, newton, integ):
         if isinstance(result, Chord):
             chords.append(result)
         else:
@@ -350,12 +356,8 @@ def enumerate_chords(
     for c in chords:
         if all(_chord_distance(c, k) > DEDUP_TOL for k in kept):
             kept.append(c)
-    n_solved = len(chords)
     singular_fraction = failures["singular-jacobian"] / max(len(seeds), 1)
-    min_separation = math.inf
-    for i in range(len(kept)):
-        for j in range(i + 1, len(kept)):
-            min_separation = min(min_separation, _chord_distance(kept[i], kept[j]))
+    min_separation = min((_chord_distance(a, b) for a, b in combinations(kept, 2)), default=math.inf)
     degenerate = (
         any(c.degenerate for c in kept)
         or singular_fraction > 0.25
@@ -363,7 +365,7 @@ def enumerate_chords(
     )
     diagnostics = {
         "seeds": len(seeds),
-        "solved": n_solved,
+        "solved": len(chords),
         "failures": failures,
         "singular_fraction": singular_fraction,
         "min_separation": None if math.isinf(min_separation) else min_separation,
@@ -548,7 +550,7 @@ def flow_fixed_points(
     pts = np.stack([m.ravel() for m in mesh], axis=-1)[:, None, :]  # (B, 1, dim)
 
     def displacement(z):
-        zT = _rk4_final(lambda w, t: vector_field(ham, level0, w, t), z, integ.n_steps)
+        zT = _rk4(lambda w, t: vector_field(ham, level0, w, t), z, integ.n_steps)
         return space.wrapped_difference(zT, z)
 
     disp = displacement(pts)
@@ -569,24 +571,17 @@ def flow_fixed_points(
     def resid(flat_batch):
         return displacement(flat_batch[:, None, :]).reshape(flat_batch.shape[0], -1)
 
-    def wrap(flat_batch):
-        return np.mod(flat_batch, 1.0)
-
-    ps, rs, status, conds = _newton_batch(resid, wrap, seeds, newton)
-    found: list[FixedPoint] = []
-    for i in range(len(seeds)):
-        if status[i] != _CONVERGED:
-            continue
-        p = ps[i]
-        loop_traj = _rk4_path(lambda w, t: vector_field(ham, level0, w, t), p[None, :], integ.n_steps)
-        loop = DiscreteCurve(space, 0, space.normalize(loop_traj), True)
-        found.append(FixedPoint(p, float(np.max(np.abs(rs[i]))), float(conds[i]), loop))
+    ps, rs, status, conds = _newton_batch(resid, partial(_wrap_params, level0), seeds, newton)
+    converged = np.flatnonzero(status == _CONVERGED)
+    paths = integrate(ham, level0, ps[converged, None, :], integ) if len(converged) else []
+    found = [
+        FixedPoint(ps[i], float(np.max(np.abs(rs[i]))), float(conds[i]), DiscreteCurve(space, 0, path.samples, True))
+        for i, path in zip(converged, paths)
+    ]
     found.sort(key=lambda fp: tuple(fp.point))
     kept: list[FixedPoint] = []
     for fp in found:
-        if all(
-            np.max(np.abs(space.wrapped_difference(fp.point, k.point))) > DEDUP_TOL for k in kept
-        ):
+        if all(np.max(np.abs(space.wrapped_difference(fp.point, k.point))) > DEDUP_TOL for k in kept):
             kept.append(fp)
     degenerate = any(fp.degenerate for fp in kept)
     return OrbitSet(

@@ -62,6 +62,29 @@ def test_chords_level_zero_chain_is_config_error(tmp_path, capsys):
     assert run(["chords", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_chords_diverging_plane_seeds_are_tallied(tmp_path, capsys):
+    """Seeds that overflow on a quartic plane Hamiltonian are tallied as
+    'diverged' instead of aborting the scan with a LinAlgError."""
+    quartic = {"kind": "poly", "terms": [[1, [4, 0]], [1, [0, 4]]]}
+    cfg = {
+        "space": {"half_dim": 1, "topology": "plane"},
+        "chain": {"steps": [{"kind": "halving"}]},
+        "hamiltonian": {
+            "kind": "lift",
+            "base": {"level": 0, "terms": [{"coeff": 1.0, "factors": [{"copy": 1, "space": quartic, "time": {"kind": "const"}}]}]},
+        },
+        "integrator": {"steps": 64},
+        "grid": {"points_per_dim": 4, "bounds": [[-50, 50], [-50, 50]]},
+    }
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert run(["chords", "--config", str(path), "--out", str(tmp_path / "o")]) in (0, 1)
+    summary = json.loads((tmp_path / "o" / "orbitset.json").read_text())
+    assert summary["failures"]["diverged"] == 16
+    assert summary["count"] == 0
+
+
 def test_delaygen_zero_preset(tmp_path, capsys):
     code = run(["delaygen", "--preset", "zero-K", "--out", str(tmp_path)])
     assert code == 0

@@ -1,6 +1,9 @@
+import json
+from fractions import Fraction as Fr
+from importlib import resources
+
 import numpy as np
 import pytest
-from fractions import Fraction as Fr
 
 from hamdelay.geometry import PhaseSpace, build_level, embed_diagonal_params
 from hamdelay.transforms import DiscreteCurve, TransformChain, resample, sup_distance
@@ -14,6 +17,7 @@ from hamdelay.hamiltonians import (
     TrigTime,
     lift,
 )
+from hamdelay.cli import ExperimentConfig
 from hamdelay.delaygen import generate
 from hamdelay.solvers import (
     Chord,
@@ -33,6 +37,8 @@ from hamdelay.solvers import (
     solve_periodic_delay,
     write_chord_csv,
     write_loop_csv,
+    _seed_grid,
+    _solve_seeds,
 )
 
 
@@ -161,6 +167,85 @@ def test_enumerate_deterministic(torus):
     for ca, cb in zip(a.members, b.members):
         assert np.array_equal(ca.params, cb.params)
         assert np.array_equal(ca.path.samples, cb.path.samples)
+
+
+def quartic_plane_K():
+    """Lifted x^4 + y^4: seeds far from the origin overflow within one RK4 sweep."""
+    H = StructuredHamiltonian(0, ((1.0, (Factor(0, PolySpatial(((1.0, (4, 0)), (1.0, (0, 4))))),)),))
+    return lift(H, TransformChain.standard(1))
+
+
+def test_enumerate_tallies_diverging_seeds(plane):
+    """Non-finite residuals end as tallied 'diverged' seeds, and the scan
+    still returns the chord at the origin from the one finite seed."""
+    lev = build_level(plane, 1)
+    grid = GridSpec(3, bounds=((-50.0, 50.0), (-50.0, 50.0)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        orbits = enumerate_chords(quartic_plane_K(), lev, grid, integ=IntegratorConfig(64))
+    d = orbits.diagnostics
+    assert isinstance(orbits, OrbitSet)
+    assert d["failures"]["diverged"] == 8
+    assert d["solved"] + sum(d["failures"].values()) == d["seeds"] == 9
+    assert orbits.count() == 1 and np.all(orbits.members[0].params == 0.0)
+
+
+def _preset_problem(name, steps, grid):
+    data = json.loads(resources.files("hamdelay.presets").joinpath(f"{name}.json").read_text())
+    cfg = ExperimentConfig.from_dict(data)
+    ham, _ = cfg.build_hamiltonian()
+    return ham, build_level(cfg.space, cfg.chain.level), GridSpec(grid), IntegratorConfig(steps)
+
+
+# small torus-morse-n1 and sum-n2 instances; Newton capped so stuck level-2 seeds stay cheap
+BATCH_CASES = [("torus-morse-n1", 32, 4), ("sum-n2", 8, 2)]
+BATCH_NEWTON = NewtonConfig(max_iter=12, min_damping=2.0**-8)
+
+
+@pytest.mark.parametrize("name,steps,grid", BATCH_CASES)
+def test_integrate_batch_matches_rows(name, steps, grid, rng):
+    ham, lev, _, integ = _preset_problem(name, steps, grid)
+    z0 = rng.random((5, lev.copies, lev.space.dim))
+    batch = integrate(ham, lev, z0, integ)
+    assert len(batch) == len(z0)
+    for row, curve in zip(z0, batch):
+        single = integrate(ham, lev, row, integ)
+        assert isinstance(single, DiscreteCurve) and not curve.is_loop
+        np.testing.assert_allclose(curve.samples, single.samples, rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("name,steps,grid", BATCH_CASES)
+def test_enumerate_paths_match_integrate(name, steps, grid):
+    ham, lev, spec, integ = _preset_problem(name, steps, grid)
+    orbits = enumerate_chords(ham, lev, spec, BATCH_NEWTON, integ)
+    assert orbits.count() >= 1
+    for chord in orbits.members:
+        single = integrate(ham, lev, embed_diagonal_params(lev, 0, chord.params), integ)
+        np.testing.assert_allclose(chord.path.samples, single.samples, rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("name,steps,grid", BATCH_CASES)
+def test_solve_chord_matches_enumerate_rows(name, steps, grid):
+    """solve_chord from each grid seed is the one-seed case of the batched
+    solve that enumerate_chords runs, seed by seed."""
+    ham, lev, spec, integ = _preset_problem(name, steps, grid)
+    seeds = _seed_grid(lev, spec)
+    rows = _solve_seeds(ham, lev, seeds, BATCH_NEWTON, integ)
+    singles = [solve_chord(ham, lev, seed, BATCH_NEWTON, integ) for seed in seeds]
+    for row, single in zip(rows, singles):
+        assert type(row) is type(single)
+        if isinstance(single, SolveFailure):
+            assert row.reason == single.reason
+            continue
+        np.testing.assert_allclose(row.params, single.params, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(row.residual_norm, single.residual_norm, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(row.path.samples, single.path.samples, rtol=0, atol=1e-13)
+    orbits = enumerate_chords(ham, lev, spec, BATCH_NEWTON, integ)
+    solved = [s for s in singles if isinstance(s, Chord)]
+    assert solved and orbits.diagnostics["solved"] == len(solved)
+    for reason, n in orbits.diagnostics["failures"].items():
+        assert n == sum(isinstance(s, SolveFailure) and s.reason == reason for s in singles)
+    for chord in orbits.members:
+        assert any(np.array_equal(chord.params, s.params) for s in solved)
 
 
 def test_plane_enumeration_needs_bounds(plane):
