@@ -38,7 +38,6 @@ from .hamiltonians import (
     TabulatedTime,
     Factor,
     StructuredHamiltonian,
-    LiftedHamiltonian,
     lift,
     vector_field,
     fd_gradient_oracle,

@@ -88,8 +88,8 @@ class ExperimentConfig:
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(str(exc)) from exc
 
-    def build_hamiltonian(self):
-        """Returns (solver Hamiltonian, structured form for the compiler)."""
+    def structured_hamiltonian(self) -> StructuredHamiltonian:
+        """The Hamiltonian at the chain's level, given directly or lifted."""
         h = self.hamiltonian
         kind = h.get("kind", "structured")
         try:
@@ -97,14 +97,19 @@ class ExperimentConfig:
                 K = StructuredHamiltonian.from_json(h["structured"])
                 if K.level != self.chain.level:
                     raise ConfigError("Hamiltonian level does not match the chain")
-                return K, K
+                return K
             if kind == "lift":
                 base = StructuredHamiltonian.from_json(h["base"])
-                lifted = lift(base, self.chain, h.get("variant", "derived"))
-                return lifted, lifted.as_structured()
+                return lift(base, self.chain, h.get("variant", "derived"))
         except (KeyError, ValueError) as exc:
             raise ConfigError(str(exc)) from exc
         raise ConfigError(f"unknown hamiltonian kind {kind!r}")
+
+    def build_hamiltonian(self):
+        """(K, K) with K = structured_hamiltonian(): the older pair form, which
+        the layer probes in perfbench/probes.py still unpack."""
+        K = self.structured_hamiltonian()
+        return K, K
 
     def torus_bounds(self) -> dict:
         """Orbit-count lower bounds; torus defaults derive from the dimension."""
@@ -159,8 +164,7 @@ def _outdir(args) -> Path:
 
 def cmd_delaygen(args) -> int:
     cfg = _load_config(args)
-    _, K = cfg.build_hamiltonian()
-    descriptor = generate(K, cfg.chain)
+    descriptor = generate(cfg.structured_hamiltonian(), cfg.chain)
     out = _outdir(args)
     (out / "descriptor.json").write_text(render(descriptor, "json") + "\n")
     (out / "descriptor.txt").write_text(render(descriptor, "text") + "\n")
@@ -174,7 +178,7 @@ def cmd_chords(args) -> int:
     cfg = _load_config(args)
     if cfg.chain.level < 1:
         raise ConfigError("chord enumeration needs a chain of length >= 1")
-    ham, _ = cfg.build_hamiltonian()
+    ham = cfg.structured_hamiltonian()
     level = build_level(cfg.space, cfg.chain.level)
     steps = aligned_steps(cfg.integrator.n_steps, cfg.chain.grid_denominator()) if cfg.chain.is_affine else cfg.integrator.n_steps
     orbits = enumerate_chords(ham, level, cfg.grid, cfg.newton, IntegratorConfig(steps))
@@ -201,9 +205,9 @@ def cmd_verify(args) -> int:
     cfg = _load_config(args)
     if cfg.chain.level < 1:
         raise ConfigError("verification needs a chain of length >= 1")
-    ham, K = cfg.build_hamiltonian()
+    ham = cfg.structured_hamiltonian()
     level = build_level(cfg.space, cfg.chain.level)
-    descriptor = generate(K, cfg.chain)
+    descriptor = generate(ham, cfg.chain)
     steps = aligned_steps(cfg.integrator.n_steps, cfg.chain.grid_denominator()) if cfg.chain.is_affine else cfg.integrator.n_steps
     orbits = enumerate_chords(ham, level, cfg.grid, cfg.newton, IntegratorConfig(steps))
     tol_res = float(cfg.tolerances.get("delay_residual", 1e-4))

@@ -17,7 +17,7 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 
 from .geometry import LevelStructure
-from .transforms import TransformChain, copy_time_map, copy_time_map_printed
+from .transforms import AffineMap, TransformChain, copy_time_map, copy_time_map_printed
 
 TWO_PI = 2.0 * np.pi
 
@@ -189,9 +189,6 @@ class LiftTime:
 # ---------------------------------------------------------------------------
 # factors and Hamiltonians
 
-_SPATIAL_KINDS = {"trig": TrigSpatial, "poly": PolySpatial, "const": ConstSpatial}
-
-
 def spatial_from_json(data: dict):
     kind = data["kind"]
     if kind == "trig":
@@ -275,13 +272,17 @@ class StructuredHamiltonian:
         z = np.asarray(z, float)
         g = np.zeros_like(z)
         for c, factors in self.terms:
-            vals = [f.value(z[..., f.copy, :], t) for f in factors]
+            # Factor.value / Factor.grad, with each time profile read once
+            times = [np.asarray(f.time(t)) for f in factors]
+            vals = []
+            if len(factors) > 1:
+                vals = [f.spatial.value(z[..., f.copy, :]) * w for f, w in zip(factors, times)]
             for i, f in enumerate(factors):
                 others = np.full(z.shape[:-2], c)
                 for j, v in enumerate(vals):
                     if j != i:
                         others = others * v
-                g[..., f.copy, :] += others[..., None] * f.grad(z[..., f.copy, :], t)
+                g[..., f.copy, :] += others[..., None] * (f.spatial.grad(z[..., f.copy, :]) * times[i][..., None])
         return g
 
     def to_json(self):
@@ -351,57 +352,14 @@ def fd_gradient_oracle(ham, level: LevelStructure, z, t, h: float = 1e-5):
 # lifting
 
 
-@dataclass(frozen=True, eq=False)
-class LiftedHamiltonian:
-    """Base Hamiltonian distributed over the copies of a chain's level.
-
-    Value = sum_j |tau_j'(t)| H(z_j, tau_j(t)); the weight is the constant
-    1/2^n for the standard chain and is forced in general by the change of
-    variables in the perturbation integral.
-    """
-
-    base: StructuredHamiltonian
-    chain: TransformChain
-    tau_maps: tuple
-    variant: str = "derived"
-
-    @property
-    def level(self) -> int:
-        return self.chain.level
-
-    def value(self, z, t):
-        z = np.asarray(z, float)
-        t = np.asarray(t, float)
-        out = np.zeros(np.broadcast_shapes(z.shape[:-2], t.shape))
-        for j, tau in enumerate(self.tau_maps):
-            w = np.abs(np.asarray(tau.deriv(t)))
-            out = out + w * self.base.value(z[..., j : j + 1, :], tau(t))
-        return out
-
-    def gradient(self, z, t):
-        z = np.asarray(z, float)
-        t = np.asarray(t, float)
-        g = np.zeros_like(z)
-        for j, tau in enumerate(self.tau_maps):
-            w = np.abs(np.asarray(tau.deriv(t)))
-            gj = self.base.gradient(z[..., j : j + 1, :], tau(t))
-            g[..., j, :] = w[..., None] * gj[..., 0, :]
-        return g
-
-    def as_structured(self) -> StructuredHamiltonian:
-        """Exact sum-of-factors form; each copy reads time through its map."""
-        terms = []
-        for c, factors in self.base.terms:
-            if len(factors) != 1:
-                raise ValueError("base Hamiltonians are single-factor per term at level 0")
-            f = factors[0]
-            for j, tau in enumerate(self.tau_maps):
-                terms.append((c, (Factor(j, f.spatial, LiftTime(f.time, tau)),)))
-        return StructuredHamiltonian(self.chain.level, tuple(terms))
-
-
-def lift(base: StructuredHamiltonian, chain: TransformChain, variant: str = "derived") -> LiftedHamiltonian:
+def lift(base: StructuredHamiltonian, chain: TransformChain, variant: str = "derived") -> StructuredHamiltonian:
     """Lifts a 1-periodic base Hamiltonian along the chain.
+
+    The lift is sum_j |tau_j'(t)| H(z_j, tau_j(t)) over the copies j, with
+    tau_j the copy time maps: every base term becomes one single-factor term
+    per copy whose time profile is LiftTime(time, tau_j).  The weight is the
+    constant 1/2^n for the standard chain and is forced in general by the
+    change of variables in the perturbation integral.
 
     variant "printed" swaps in the alternative halving-recursion copy time
     maps (standard chains only); kept for the side-by-side comparison.
@@ -409,10 +367,8 @@ def lift(base: StructuredHamiltonian, chain: TransformChain, variant: str = "der
     if base.level != 0:
         raise ValueError("lift starts from a level-0 Hamiltonian")
     if chain.level == 0:
-        from .transforms import AffineMap
-
-        return LiftedHamiltonian(base, chain, (AffineMap(1, 0),), variant)
-    if variant == "derived":
+        taus = (AffineMap(1, 0),)
+    elif variant == "derived":
         taus = tuple(copy_time_map(chain, m) for m in range(2**chain.level))
     elif variant == "printed":
         if not chain.is_standard():
@@ -420,4 +376,10 @@ def lift(base: StructuredHamiltonian, chain: TransformChain, variant: str = "der
         taus = tuple(copy_time_map_printed(chain.level, m) for m in range(2**chain.level))
     else:
         raise ValueError(f"unknown lift variant {variant!r}")
-    return LiftedHamiltonian(base, chain, taus, variant)
+    terms = []
+    for c, factors in base.terms:
+        if len(factors) != 1:
+            raise ValueError("base Hamiltonians are single-factor per term at level 0")
+        f = factors[0]
+        terms.extend((c, (Factor(j, f.spatial, LiftTime(f.time, tau)),)) for j, tau in enumerate(taus))
+    return StructuredHamiltonian(chain.level, tuple(terms))

@@ -206,64 +206,67 @@ def _newton_batch(resid_fn, wrap_fn, seeds: np.ndarray, newton: NewtonConfig):
     solver would produce.  A seed whose residual or Jacobian is not finite
     is marked diverged and leaves the iteration.
     """
-    p = np.array(seeds, dtype=float)
-    r = resid_fn(p)
-    status = np.full(len(p), _RUNNING, dtype=int)
-    conds = np.full(len(p), np.nan)
-    status[np.max(np.abs(r), axis=1) <= newton.tol] = _CONVERGED
-    status[~np.all(np.isfinite(r), axis=1)] = _DIVERGED
-    for _ in range(newton.max_iter):
-        active = np.flatnonzero(status == _RUNNING)
-        if len(active) == 0:
-            break
-        jac = _fd_jacobians(resid_fn, p[active], newton.fd_step)
-        step_by_seed: dict[int, np.ndarray] = {}
-        for i, a in enumerate(active):
-            if not np.all(np.isfinite(jac[i])):
-                status[a] = _DIVERGED
-                continue
-            cond = float(np.linalg.cond(jac[i]))
-            conds[a] = cond
-            if not np.isfinite(cond) or cond > newton.cond_limit:
-                status[a] = _SINGULAR
-                continue
-            try:
-                step_by_seed[a] = np.linalg.solve(jac[i], r[a])
-            except np.linalg.LinAlgError:
-                status[a] = _SINGULAR
-        active = np.flatnonzero(status == _RUNNING)
-        if len(active) == 0:
-            break
-        lam = np.ones(len(active))
-        accepted = np.zeros(len(active), dtype=bool)
-        base_norm = np.linalg.norm(r[active], axis=1)
-        step_rows = np.array([step_by_seed[a] for a in active])
-        while not np.all(accepted) and np.min(lam[~accepted]) >= newton.min_damping:
-            trial_idx = np.flatnonzero(~accepted)
-            trials = wrap_fn(p[active[trial_idx]] - lam[trial_idx, None] * step_rows[trial_idx])
-            r_try = resid_fn(trials)
-            better = np.linalg.norm(r_try, axis=1) < base_norm[trial_idx]
-            for k, j in enumerate(trial_idx):
-                if better[k]:
-                    a = active[j]
-                    p[a] = trials[k]
-                    r[a] = r_try[k]
-                    accepted[j] = True
-                else:
-                    lam[j] *= 0.5
-        for j in np.flatnonzero(~accepted):
-            status[active[j]] = _STUCK
-        done = np.max(np.abs(r), axis=1) <= newton.tol
-        status[(status == _RUNNING) & done] = _CONVERGED
-    status[status == _RUNNING] = _STUCK
-    # condition estimates for seeds that converged before any Jacobian was built
-    fresh = np.flatnonzero((status == _CONVERGED) & ~np.isfinite(conds))
-    if len(fresh):
-        jac = _fd_jacobians(resid_fn, p[fresh], newton.fd_step)
-        for i, a in enumerate(fresh):
-            if np.all(np.isfinite(jac[i])):
-                conds[a] = float(np.linalg.cond(jac[i]))
-    return p, r, status, conds
+    # diverging seeds overflow on their way to the 'diverged' status; the
+    # status is the report, so numpy's warnings on them are noise
+    with np.errstate(over="ignore", invalid="ignore"):
+        p = np.array(seeds, dtype=float)
+        r = resid_fn(p)
+        status = np.full(len(p), _RUNNING, dtype=int)
+        conds = np.full(len(p), np.nan)
+        status[np.max(np.abs(r), axis=1) <= newton.tol] = _CONVERGED
+        status[~np.all(np.isfinite(r), axis=1)] = _DIVERGED
+        for _ in range(newton.max_iter):
+            active = np.flatnonzero(status == _RUNNING)
+            if len(active) == 0:
+                break
+            jac = _fd_jacobians(resid_fn, p[active], newton.fd_step)
+            step_by_seed: dict[int, np.ndarray] = {}
+            for i, a in enumerate(active):
+                if not np.all(np.isfinite(jac[i])):
+                    status[a] = _DIVERGED
+                    continue
+                cond = float(np.linalg.cond(jac[i]))
+                conds[a] = cond
+                if not np.isfinite(cond) or cond > newton.cond_limit:
+                    status[a] = _SINGULAR
+                    continue
+                try:
+                    step_by_seed[a] = np.linalg.solve(jac[i], r[a])
+                except np.linalg.LinAlgError:
+                    status[a] = _SINGULAR
+            active = np.flatnonzero(status == _RUNNING)
+            if len(active) == 0:
+                break
+            lam = np.ones(len(active))
+            accepted = np.zeros(len(active), dtype=bool)
+            base_norm = np.linalg.norm(r[active], axis=1)
+            step_rows = np.array([step_by_seed[a] for a in active])
+            while not np.all(accepted) and np.min(lam[~accepted]) >= newton.min_damping:
+                trial_idx = np.flatnonzero(~accepted)
+                trials = wrap_fn(p[active[trial_idx]] - lam[trial_idx, None] * step_rows[trial_idx])
+                r_try = resid_fn(trials)
+                better = np.linalg.norm(r_try, axis=1) < base_norm[trial_idx]
+                for k, j in enumerate(trial_idx):
+                    if better[k]:
+                        a = active[j]
+                        p[a] = trials[k]
+                        r[a] = r_try[k]
+                        accepted[j] = True
+                    else:
+                        lam[j] *= 0.5
+            for j in np.flatnonzero(~accepted):
+                status[active[j]] = _STUCK
+            done = np.max(np.abs(r), axis=1) <= newton.tol
+            status[(status == _RUNNING) & done] = _CONVERGED
+        status[status == _RUNNING] = _STUCK
+        # condition estimates for seeds that converged before any Jacobian was built
+        fresh = np.flatnonzero((status == _CONVERGED) & ~np.isfinite(conds))
+        if len(fresh):
+            jac = _fd_jacobians(resid_fn, p[fresh], newton.fd_step)
+            for i, a in enumerate(fresh):
+                if np.all(np.isfinite(jac[i])):
+                    conds[a] = float(np.linalg.cond(jac[i]))
+        return p, r, status, conds
 
 
 def _solve_seeds(ham, level: LevelStructure, seeds: np.ndarray, newton: NewtonConfig, integ: IntegratorConfig) -> list:

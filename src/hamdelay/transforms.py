@@ -635,37 +635,35 @@ class CurveInterpolant:
         return out
 
 
-def _map_on_nodes(curve: DiscreteCurve, tmap, n_out: int, copy: int, mod1: bool = False) -> np.ndarray:
-    """curve_copy(tmap(k/n_out)) for k = 0..n_out, exact at rational node hits.
+def _map_on_nodes(curve: DiscreteCurve, tmap, n_out: int, copy: int, k0: int = 0, k1: int | None = None) -> np.ndarray:
+    """curve_copy(tmap(k/n_out)) for k = k0..k1 (default: all n_out + 1 nodes),
+    exact at rational node hits.
 
     Affine maps are evaluated in integer arithmetic so node hits copy the
     stored sample bitwise; everything else goes through the interpolant.
     """
+    k1 = n_out if k1 is None else k1
     n_in = curve.n_intervals
-    out = np.empty((n_out + 1, curve.space.dim))
+    out = np.empty((k1 - k0 + 1, curve.space.dim))
     miss_idx: list[int] = []
     miss_t: list[float] = []
     if getattr(tmap, "is_affine", False):
         ps, qs = tmap.slope.numerator, tmap.slope.denominator
         pi, qi = tmap.intercept.numerator, tmap.intercept.denominator
         den = qs * qi * n_out
-        for k in range(n_out + 1):
+        for i, k in enumerate(range(k0, k1 + 1)):
             num = ps * k * qi + pi * qs * n_out
-            if mod1:
-                num %= den
             hit, rem = divmod(num * n_in, den)
             if rem == 0 and (curve.is_loop or 0 <= hit <= n_in):
                 if curve.is_loop and not 0 <= hit <= n_in:
                     hit %= n_in
-                out[k] = curve.samples[hit, copy]
+                out[i] = curve.samples[hit, copy]
             else:
-                miss_idx.append(k)
+                miss_idx.append(i)
                 miss_t.append(num / den)
     else:
-        ts = np.asarray(tmap(np.linspace(0.0, 1.0, n_out + 1)), dtype=float)
-        if mod1:
-            ts = np.mod(ts, 1.0)
-        miss_idx = list(range(n_out + 1))
+        ts = np.asarray(tmap(np.linspace(0.0, 1.0, n_out + 1)[k0 : k1 + 1]), dtype=float)
+        miss_idx = list(range(k1 - k0 + 1))
         miss_t = list(ts)
     if miss_idx:
         vals = curve.interpolant().evaluate(np.asarray(miss_t))[:, copy, :]
@@ -799,37 +797,10 @@ def phi_chain(chain: TransformChain, path: DiscreteCurve) -> DiscreteCurve:
     for entry in table.by_interval():
         k0 = _breakpoint_node(entry.lo, n)
         k1 = _breakpoint_node(entry.hi, n)
-        out[k0 : k1 + 1, 0, :] = _map_on_nodes_window(path, entry.theta, n, entry.copy, k0, k1)
+        out[k0 : k1 + 1, 0, :] = _map_on_nodes(path, entry.theta, n, entry.copy, k0, k1)
         if k0 > 0:
             bps.append(entry.lo)
     return DiscreteCurve(path.space, 0, path.space.normalize(out), True, tuple(bps))
-
-
-def _map_on_nodes_window(curve, tmap, n_out, copy, k0, k1) -> np.ndarray:
-    n_in = curve.n_intervals
-    out = np.empty((k1 - k0 + 1, curve.space.dim))
-    miss_idx: list[int] = []
-    miss_t: list[float] = []
-    if getattr(tmap, "is_affine", False):
-        ps, qs = tmap.slope.numerator, tmap.slope.denominator
-        pi, qi = tmap.intercept.numerator, tmap.intercept.denominator
-        den = qs * qi * n_out
-        for i, k in enumerate(range(k0, k1 + 1)):
-            num = ps * k * qi + pi * qs * n_out
-            hit, rem = divmod(num * n_in, den)
-            if rem == 0 and 0 <= hit <= n_in:
-                out[i] = curve.samples[hit, copy]
-            else:
-                miss_idx.append(i)
-                miss_t.append(num / den)
-    else:
-        ts = np.asarray(tmap(np.arange(k0, k1 + 1) / n_out), dtype=float)
-        miss_idx = list(range(k1 - k0 + 1))
-        miss_t = list(ts)
-    if miss_idx:
-        vals = curve.interpolant().evaluate(np.asarray(miss_t))[:, copy, :]
-        out[np.asarray(miss_idx)] = curve.space.normalize(vals)
-    return out
 
 
 def resample(curve: DiscreteCurve, n_new: int) -> DiscreteCurve:

@@ -62,7 +62,7 @@ def test_chords_level_zero_chain_is_config_error(tmp_path, capsys):
     assert run(["chords", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_chords_diverging_plane_seeds_are_tallied(tmp_path, capsys):
     """Seeds that overflow on a quartic plane Hamiltonian are tallied as
     'diverged' instead of aborting the scan with a LinAlgError."""

@@ -186,7 +186,7 @@ def test_lifted_descriptor_reduces_to_base_ode(torus, rng):
         0, ((1.0, (Factor(0, TrigSpatial(0.05, (1, 0)), TrigTime(0.3, 1, 0.2, 1.0)),)),)
     )
     ch = TransformChain.standard(2)
-    d = generate(lift(H, ch).as_structured(), ch)
+    d = generate(lift(H, ch), ch)
     from tests.test_transforms import trig_loop_fn
 
     f = trig_loop_fn(rng, scale=0.2)

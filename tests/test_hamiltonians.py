@@ -19,7 +19,7 @@ from hamdelay.hamiltonians import (
     lift,
     vector_field,
 )
-from hamdelay.transforms import psi_chain
+from hamdelay.transforms import copy_time_map, copy_time_map_printed, psi_chain
 
 
 def morse_base(eps=0.05):
@@ -216,17 +216,33 @@ def test_lift_general_chain_weights(torus, rng):
     assert abs(_trapz(lift(H, ch), w) - _trapz(H, loop)) < 1e-4
 
 
-def test_lift_as_structured_matches(torus, rng):
+def test_lift_matches_copy_sum_oracle(rng):
+    """lift(H, chain) is sum_j |tau_j'(t)| H(z_j, tau_j(t)) over the copies."""
     H = StructuredHamiltonian(
-        0, ((0.8, (Factor(0, TrigSpatial(0.5, (1, 0), 0.2), TrigTime(0.4, 1, 0.0, 1.0)),)),)
+        0,
+        (
+            (0.8, (Factor(0, TrigSpatial(0.5, (1, 0), 0.2), TrigTime(0.4, 1, 0.0, 1.0)),)),
+            (0.3, (Factor(0, PolySpatial(((1.0, (2, 1)),)), BumpTime(0.3, 0.4)),)),
+        ),
     )
-    ch = TransformChain.standard(2)
-    L = lift(H, ch)
-    S = L.as_structured()
-    z = rng.random((4, 2))
-    for t in (0.1, 0.5, 0.9):
-        assert np.isclose(L.value(z, t), S.value(z, t))
-        assert np.allclose(L.gradient(z, t), S.gradient(z, t))
+    std2, r13 = TransformChain.standard(2), TransformChain.affine([Fr(1, 3)])
+    cases = [
+        (std2, "derived", [copy_time_map(std2, m) for m in range(4)]),
+        (std2, "printed", [copy_time_map_printed(2, m) for m in range(4)]),
+        (r13, "derived", [copy_time_map(r13, m) for m in range(2)]),
+    ]
+    for chain, variant, taus in cases:
+        K = lift(H, chain, variant)
+        z = rng.random((5, len(taus), 2))
+        for t in (0.1, 0.5, 0.9, rng.random(5)):
+            w = [np.abs(np.asarray(tau.deriv(t))) for tau in taus]
+            value = sum(w[j] * H.value(z[:, j : j + 1, :], tau(t)) for j, tau in enumerate(taus))
+            grad = np.stack(
+                [w[j][..., None] * H.gradient(z[:, j : j + 1, :], tau(t))[:, 0, :] for j, tau in enumerate(taus)],
+                axis=1,
+            )
+            assert np.allclose(K.value(z, t), value, rtol=1e-13, atol=1e-15)
+            assert np.allclose(K.gradient(z, t), grad, rtol=1e-13, atol=1e-15)
 
 
 def test_lift_printed_variant_guard():

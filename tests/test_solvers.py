@@ -192,7 +192,7 @@ def test_enumerate_tallies_diverging_seeds(plane):
 def _preset_problem(name, steps, grid):
     data = json.loads(resources.files("hamdelay.presets").joinpath(f"{name}.json").read_text())
     cfg = ExperimentConfig.from_dict(data)
-    ham, _ = cfg.build_hamiltonian()
+    ham = cfg.structured_hamiltonian()
     return ham, build_level(cfg.space, cfg.chain.level), GridSpec(grid), IntegratorConfig(steps)
 
 
@@ -480,7 +480,7 @@ def test_level3_lifted_pipeline(torus):
     chain = TransformChain.standard(3)
     lev = build_level(torus, 3)
     K = lift(morse_base(), chain)
-    d = generate(K.as_structured(), chain)
+    d = generate(K, chain)
     assert len(d.segments) == 8
     seed = np.full((4, 2), 0.0)
     seed[:, 0] = (0.02, 0.03, 0.01, 0.04)
@@ -531,7 +531,7 @@ def test_periodic_solver_grid_misaligned(torus):
 
 def test_periodic_solver_at_critical_point(torus):
     chain = TransformChain.standard(1)
-    d = generate(lift(morse_base(), chain).as_structured(), chain)
+    d = generate(lift(morse_base(), chain), chain)
     seed = DiscreteCurve.from_function(
         torus, lambda t: np.array([0.001, 0.499]), 64, breakpoints=d.breakpoints()
     )
