@@ -3,7 +3,9 @@
 A structured Hamiltonian is a sum of weighted products of per-copy factors,
 each factor a closed-form spatial part times a time profile.  The
 Hamiltonian vector field uses the convention X_H = J grad H per copy, signed
-by the level's alternating sign vector.  Lifting a base Hamiltonian along a
+by the level's alternating sign vector.  Each Hamiltonian compiles on first
+use into flat per-factor arrays, which value, gradient and vector_field
+evaluate in a fixed number of numpy calls.  Lifting a base Hamiltonian along a
 chain distributes it over the copies, reading each copy's time through its
 copy time map and weighting by that map's rate so perturbation integrals
 pull back exactly.
@@ -253,37 +255,26 @@ class StructuredHamiltonian:
                 raise ValueError("a term may use each copy at most once")
             if any(not 0 <= i < copies for i in idx):
                 raise ValueError("factor copy index out of range for the level")
+        object.__setattr__(self, "_compiled", {})
 
     @property
     def copies(self) -> int:
         return 2**self.level
 
+    def _program(self, dim: int) -> "_Compiled":
+        """The compiled form for coordinate dimension dim, built on first use."""
+        prog = self._compiled.get(dim)
+        if prog is None:
+            prog = self._compiled[dim] = _Compiled(self, dim)
+        return prog
+
     def value(self, z, t):
         z = np.asarray(z, float)
-        out = np.zeros(z.shape[:-2])
-        for c, factors in self.terms:
-            term = np.full(z.shape[:-2], c)
-            for f in factors:
-                term = term * f.value(z[..., f.copy, :], t)
-            out = out + term
-        return out
+        return self._program(z.shape[-1]).value(z, t)
 
     def gradient(self, z, t):
         z = np.asarray(z, float)
-        g = np.zeros_like(z)
-        for c, factors in self.terms:
-            # Factor.value / Factor.grad, with each time profile read once
-            times = [np.asarray(f.time(t)) for f in factors]
-            vals = []
-            if len(factors) > 1:
-                vals = [f.spatial.value(z[..., f.copy, :]) * w for f, w in zip(factors, times)]
-            for i, f in enumerate(factors):
-                others = np.full(z.shape[:-2], c)
-                for j, v in enumerate(vals):
-                    if j != i:
-                        others = others * v
-                g[..., f.copy, :] += others[..., None] * (f.spatial.grad(z[..., f.copy, :]) * times[i][..., None])
-        return g
+        return self._program(z.shape[-1]).scatter(z, t)
 
     def to_json(self):
         return {
@@ -300,6 +291,203 @@ class StructuredHamiltonian:
             for term in data["terms"]
         )
         return StructuredHamiltonian(data["level"], terms)
+
+
+# Scalar times whose time-profile values one compiled Hamiltonian keeps.  An
+# RK4 sweep of N steps visits the 2N + 1 stage times, and every Newton sweep
+# and the final path sweep of a chord scan visit the same ones.
+TIME_CACHE_SIZE = 2**14
+
+# Batches are evaluated in row blocks whose (slot, dim, row) arrays hold
+# about this many floats.  Temporaries much larger than that come fresh from
+# the system allocator on every call and cost a page fault per 4 KiB page.
+BLOCK_ELEMENTS = 2**13
+
+
+def _sum0(x: np.ndarray) -> np.ndarray:
+    """x.sum(0), adding x[0], x[1], ... in index order.  numpy adds slices
+    that way when they hold two or more elements; for one-element slices it
+    reduces along axis 0 itself, pairwise from eight terms on, and a batch of
+    one row would round differently from a larger batch."""
+    if len(x) > 1 and x[0].size == 1:
+        return np.add.accumulate(x, 0)[-1]
+    return x.sum(0)
+
+
+class _Compiled:
+    """A StructuredHamiltonian as flat per-factor arrays.
+
+    Factors get slots, trig first, then polynomial (a ConstSpatial is the
+    zero-exponent monomial); slot F, one past the last factor, is a pad with
+    value 1 and gradient 0.  Arrays are laid out batch-last, (slot, dim, row).
+    Products loop over the term width, and the gradient gathers each copy's
+    slot contributions through a (copies, width) table, so value and gradient
+    take a fixed number of numpy calls however many terms there are.  Every
+    contraction is an elementwise product and a sum in index order (no BLAS),
+    so a row's result does not depend on the batch it rides in.
+    """
+
+    def __init__(self, ham: "StructuredHamiltonian", dim: int):
+        factors = [(k, f) for k, (_, fs) in enumerate(ham.terms) for f in fs]
+        trig = [i for i, (_, f) in enumerate(factors) if isinstance(f.spatial, TrigSpatial)]
+        poly = [i for i, (_, f) in enumerate(factors) if isinstance(f.spatial, (PolySpatial, ConstSpatial))]
+        if len(trig) + len(poly) != len(factors):
+            raise TypeError("spatial parts must be TrigSpatial, PolySpatial or ConstSpatial")
+        order = trig + poly  # slot -> index into factors
+        n, nt = len(order), len(trig)
+        self.dim, self.n_factors, self.n_trig = dim, n, nt
+        self.copy = np.array([factors[i][1].copy for i in order], dtype=int)
+        self.profiles = tuple(factors[i][1].time for i in order)
+        self.time_cache: dict[float, np.ndarray] = {}
+        self.frames: dict = {}
+
+        trig_parts = [factors[i][1].spatial for i in trig]
+        self.freq = np.array([s.freq for s in trig_parts], dtype=float).reshape(nt, dim, 1)
+        self.amp = np.array([s.amp for s in trig_parts], dtype=float)[:, None]
+        self.phase = np.array([s.phase for s in trig_parts], dtype=float)[:, None]
+
+        monos = []
+        for i in poly:
+            s = factors[i][1].spatial
+            monos.append(s.terms if isinstance(s, PolySpatial) else ((s.value_const, (0,) * dim),))
+        # (monomial, slot, ...) tables, zero-padded to the widest polynomial;
+        # d/dz_i of c z^e is (c e_i) z^(e - 1_i), zero exponents get coefficient 0
+        width = max((len(m) for m in monos), default=0)
+        coeff = np.zeros((width, len(poly)))
+        exp = np.zeros((width, len(poly), dim), dtype=int)
+        for p, m in enumerate(monos):
+            for w, (c, es) in enumerate(m):
+                coeff[w, p], exp[w, p] = c, es
+        self.mono_coeff, self.mono_exp = coeff[..., None], exp[..., None]
+        self.deriv_coeff = (coeff[..., None] * exp)[..., None]
+        self.deriv_exp = np.maximum(exp[:, :, None, :] - np.eye(dim, dtype=int), 0)[..., None]
+
+        # gradient coefficient per slot: the term's, times -2 pi amp for trig, 0 for the pad
+        self.term_coeff = np.array([c for c, _ in ham.terms], dtype=float)[:, None]
+        term = np.array([factors[i][0] for i in order], dtype=int)
+        amp = np.concatenate([-TWO_PI * self.amp[:, 0], np.ones(len(poly)), [0.0]])
+        self.grad_coeff = (np.append(self.term_coeff[term, 0], 0.0) * amp)[:, None]
+
+        # each term's slots, each slot's co-factors, and each copy's slots, in term order
+        slot_of = np.argsort(order)
+        members = [[] for _ in ham.terms]
+        by_copy = [[] for _ in range(ham.copies)]
+        for i, (k, f) in enumerate(factors):
+            members[k].append(slot_of[i])
+            by_copy[f.copy].append(slot_of[i])
+        self.slots = _padded(members, n, 1)
+        self.others = _padded([[j for j in members[term[s]] if j != s] for s in range(n)] + [[]], n, 0)
+        self.gather = _padded(by_copy, n, 1)
+        self.block = max(1, BLOCK_ELEMENTS // ((n + 1) * dim))
+
+    def weights(self, t) -> np.ndarray:
+        """Time-profile values per slot, the pad 1: shape (F + 1, 1) for a
+        float t, read through the cache, or (F + 1, rows) for per-row t."""
+        if isinstance(t, float):
+            w = self.time_cache.get(t)
+            if w is None:
+                w = np.array([np.asarray(p(t), float) for p in self.profiles] + [1.0])[:, None]
+                w.flags.writeable = False
+                if len(self.time_cache) < TIME_CACHE_SIZE:
+                    self.time_cache[t] = w
+            return w
+        return np.stack([p(t) for p in self.profiles] + [np.ones(t.shape)])
+
+    def blockwise(self, z, t, fn, tail: tuple) -> np.ndarray:
+        """fn(zf, w) over row blocks of z (..., copies, dim): zf is a block as
+        the batch-last slot array (F, dim, rows), w its time weights, and fn
+        returns (*tail, rows); the result has shape (..., *tail)."""
+        lead = z.shape[:-2]
+        zb = z.reshape(-1, *z.shape[-2:])
+        if np.ndim(t) == 0:
+            w = self.weights(float(t))
+        else:
+            w = self.weights(np.broadcast_to(np.asarray(t, float), lead).reshape(-1))
+        rows_first = (len(tail),) + tuple(range(len(tail)))
+        out = np.empty((len(zb),) + tail)
+        for lo in range(0, len(zb), self.block):
+            hi = lo + self.block
+            zf = np.ascontiguousarray(zb[lo:hi].transpose(1, 2, 0))[self.copy]
+            res = fn(zf, w if w.shape[1] == 1 else w[:, lo:hi])
+            out[lo:hi] = res.transpose(rows_first)
+        return out.reshape(lead + tail)
+
+    def spatial(self, zf, value: bool, grad: bool):
+        """Spatial values (F + 1, rows) and gradient directions
+        (F + 1, dim, rows) per slot; trig directions are sin(phase) * freq,
+        their -2 pi amp sits in grad_coeff."""
+        n, nt = self.n_factors, self.n_trig
+        rows = zf.shape[-1]
+        values = np.ones((n + 1, rows)) if value else None
+        grads = np.zeros((n + 1, self.dim, rows)) if grad else None
+        if nt:
+            ph = zf[:nt, 0] * self.freq[:, 0]
+            for i in range(1, self.dim):
+                ph += zf[:nt, i] * self.freq[:, i]
+            ph *= TWO_PI
+            ph += self.phase
+            if value:
+                np.multiply(self.amp, np.cos(ph), out=values[:nt])
+            if grad:
+                np.multiply(np.sin(ph)[:, None], self.freq, out=grads[:nt])
+        if nt < n:
+            zp = zf[nt:]
+            if value:
+                values[nt:n] = _sum0(self.mono_coeff * np.prod(zp**self.mono_exp, axis=2))
+            if grad:
+                powers = np.prod(zp[:, None] ** self.deriv_exp, axis=3)
+                grads[nt:n] = _sum0(self.deriv_coeff * powers)
+        return values, grads
+
+    def value(self, z, t):
+        def block(zf, w):
+            v = self.spatial(zf, True, False)[0]
+            v *= w
+            terms = self.term_coeff * v[self.slots[:, 0]]
+            for j in range(1, self.slots.shape[1]):
+                terms = terms * v[self.slots[:, j]]
+            return _sum0(terms)
+
+        return self.blockwise(z, t, block, ())
+
+    def scatter(self, z, t, signs=None):
+        """grad H at z of shape (..., copies, dim); given a level's sign
+        vector, the signed field eps_j * FIELD_SIGN * J grad_j H instead."""
+        index, cols, sign = self.frame(signs)
+        width = self.others.shape[1]
+
+        def block(zf, w):
+            values, grads = self.spatial(zf, width > 0, True)
+            scale = self.grad_coeff * w
+            if width:
+                v = values * w
+                for j in range(width):
+                    scale = scale * v[self.others[:, j]]
+            out = _sum0((grads * scale[:, None])[index, cols])
+            return out if sign is None else out * sign
+
+        return self.blockwise(z, t, block, (len(self.gather), self.dim))
+
+    def frame(self, signs):
+        """Gather indices and output signs: the identity for the gradient,
+        J with FIELD_SIGN and the level signs folded in for the field."""
+        frame = self.frames.get(signs)
+        if frame is None:
+            cols, sign = np.arange(self.dim), None
+            if signs is not None:
+                half = self.dim // 2
+                cols = np.roll(cols, half)  # J: (g_x, g_y) -> (-g_y, g_x)
+                sign = FIELD_SIGN * np.asarray(signs, float)[:, None, None] * np.repeat([-1.0, 1.0], half)[:, None]
+            frame = self.frames[signs] = (self.gather.T[:, :, None], cols, sign)
+        return frame
+
+
+def _padded(lists, pad: int, min_width: int) -> np.ndarray:
+    """Index lists as rows of one integer table, padded with pad."""
+    out = np.full((len(lists), max([min_width] + [len(x) for x in lists])), pad, dtype=int)
+    for i, x in enumerate(lists):
+        out[i, : len(x)] = x
+    return out
 
 
 def apply_j(vec):
@@ -330,8 +518,8 @@ def vector_field(ham, level: LevelStructure, z, t):
     signed product form."""
     if ham.level != level.level:
         raise ValueError("Hamiltonian level does not match the level structure")
-    g = ham.gradient(z, t)
-    return hamiltonian_field(g) * level.signs[:, None]
+    z = np.asarray(z, float)
+    return ham._program(z.shape[-1]).scatter(z, t, level.sign_vector)
 
 
 def fd_gradient_oracle(ham, level: LevelStructure, z, t, h: float = 1e-5):

@@ -220,42 +220,31 @@ def _newton_batch(resid_fn, wrap_fn, seeds: np.ndarray, newton: NewtonConfig):
             if len(active) == 0:
                 break
             jac = _fd_jacobians(resid_fn, p[active], newton.fd_step)
-            step_by_seed: dict[int, np.ndarray] = {}
-            for i, a in enumerate(active):
-                if not np.all(np.isfinite(jac[i])):
-                    status[a] = _DIVERGED
-                    continue
-                cond = float(np.linalg.cond(jac[i]))
-                conds[a] = cond
-                if not np.isfinite(cond) or cond > newton.cond_limit:
-                    status[a] = _SINGULAR
-                    continue
-                try:
-                    step_by_seed[a] = np.linalg.solve(jac[i], r[a])
-                except np.linalg.LinAlgError:
-                    status[a] = _SINGULAR
-            active = np.flatnonzero(status == _RUNNING)
+            finite = np.all(np.isfinite(jac), axis=(1, 2))
+            status[active[~finite]] = _DIVERGED
+            active, jac = active[finite], jac[finite]
+            conds[active] = np.linalg.cond(jac)
+            solvable = np.isfinite(conds[active]) & (conds[active] <= newton.cond_limit)
+            status[active[~solvable]] = _SINGULAR
+            active, jac = active[solvable], jac[solvable]
+            step_rows, solved = _solve_stack(jac, r[active])
+            status[active[~solved]] = _SINGULAR
+            active, step_rows = active[solved], step_rows[solved]
             if len(active) == 0:
                 break
             lam = np.ones(len(active))
             accepted = np.zeros(len(active), dtype=bool)
             base_norm = np.linalg.norm(r[active], axis=1)
-            step_rows = np.array([step_by_seed[a] for a in active])
             while not np.all(accepted) and np.min(lam[~accepted]) >= newton.min_damping:
                 trial_idx = np.flatnonzero(~accepted)
                 trials = wrap_fn(p[active[trial_idx]] - lam[trial_idx, None] * step_rows[trial_idx])
                 r_try = resid_fn(trials)
                 better = np.linalg.norm(r_try, axis=1) < base_norm[trial_idx]
-                for k, j in enumerate(trial_idx):
-                    if better[k]:
-                        a = active[j]
-                        p[a] = trials[k]
-                        r[a] = r_try[k]
-                        accepted[j] = True
-                    else:
-                        lam[j] *= 0.5
-            for j in np.flatnonzero(~accepted):
-                status[active[j]] = _STUCK
+                took = active[trial_idx[better]]
+                p[took], r[took] = trials[better], r_try[better]
+                accepted[trial_idx[better]] = True
+                lam[trial_idx[~better]] *= 0.5
+            status[active[~accepted]] = _STUCK
             done = np.max(np.abs(r), axis=1) <= newton.tol
             status[(status == _RUNNING) & done] = _CONVERGED
         status[status == _RUNNING] = _STUCK
@@ -263,10 +252,25 @@ def _newton_batch(resid_fn, wrap_fn, seeds: np.ndarray, newton: NewtonConfig):
         fresh = np.flatnonzero((status == _CONVERGED) & ~np.isfinite(conds))
         if len(fresh):
             jac = _fd_jacobians(resid_fn, p[fresh], newton.fd_step)
-            for i, a in enumerate(fresh):
-                if np.all(np.isfinite(jac[i])):
-                    conds[a] = float(np.linalg.cond(jac[i]))
+            finite = np.all(np.isfinite(jac), axis=(1, 2))
+            conds[fresh[finite]] = np.linalg.cond(jac[finite])
         return p, r, status, conds
+
+
+def _solve_stack(jac: np.ndarray, rhs: np.ndarray):
+    """Newton steps for a stack of square systems from one stacked solve, and
+    which rows solved.  A stacked solve raises if any matrix is singular;
+    then the rows are solved one by one to find the failing ones."""
+    try:
+        return np.linalg.solve(jac, rhs[..., None])[..., 0], np.ones(len(jac), dtype=bool)
+    except np.linalg.LinAlgError:
+        steps, solved = np.zeros_like(rhs), np.ones(len(jac), dtype=bool)
+        for i in range(len(jac)):
+            try:
+                steps[i] = np.linalg.solve(jac[i], rhs[i])
+            except np.linalg.LinAlgError:
+                solved[i] = False
+        return steps, solved
 
 
 def _solve_seeds(ham, level: LevelStructure, seeds: np.ndarray, newton: NewtonConfig, integ: IntegratorConfig) -> list:
@@ -399,13 +403,9 @@ def _one_sided_derivatives(loop: DiscreteCurve, k0: int, k1: int) -> np.ndarray:
         diffs -= np.ceil(diffs - 0.5)
         seg[1:] = seg[0] + np.cumsum(diffs, axis=0)
     m = k1 - k0
-    out = np.empty((m - 1, seg.shape[1]))
-    for i in range(1, m):
-        if i + 2 <= m:
-            out[i - 1] = (-3 * seg[i] + 4 * seg[i + 1] - seg[i + 2]) / (2 * h)
-        else:
-            out[i - 1] = (3 * seg[i] - 4 * seg[i - 1] + seg[i - 2]) / (2 * h)
-    return out
+    right = (-3 * seg[1 : m - 1] + 4 * seg[2:m] - seg[3 : m + 1]) / (2 * h)
+    left = (3 * seg[m - 1] - 4 * seg[m - 2] + seg[m - 3]) / (2 * h)
+    return np.vstack([right, left])
 
 
 def delay_residual(d: DelayEquationDescriptor, loop: DiscreteCurve) -> float:

@@ -1,7 +1,13 @@
+import json
+from fractions import Fraction as Fr
+from importlib import resources
+
 import numpy as np
 import pytest
-from fractions import Fraction as Fr
+from hypothesis import given, strategies as st
 
+import hamdelay.hamiltonians as hamiltonians
+from hamdelay.cli import ExperimentConfig
 from hamdelay.geometry import PhaseSpace, build_level
 from hamdelay.transforms import AffineMap, DiscreteCurve, TransformChain
 from hamdelay.hamiltonians import (
@@ -282,3 +288,140 @@ def test_hamiltonian_json_roundtrip():
 def test_lift_time_profile():
     prof = LiftTime(ConstTime(3.0), AffineMap(Fr(-1, 4), 1))
     assert np.isclose(prof(0.2), 0.75)
+
+
+# ---------------------------------------------------------------------------
+# the compiled evaluation against the per-factor definitions
+
+
+def _oracle(K, z, t):
+    """Value and gradient of K by the product rule over Factor.value and
+    Factor.grad, term by term."""
+    lead = np.broadcast_shapes(z.shape[:-2], np.shape(t))
+    value = np.zeros(lead)
+    grad = np.zeros(lead + z.shape[-2:])
+    for c, factors in K.terms:
+        vals = [f.value(z[..., f.copy, :], t) for f in factors]
+        value = value + c * np.prod(vals, axis=0)
+        for i, f in enumerate(factors):
+            others = c * np.prod([v for j, v in enumerate(vals) if j != i], axis=0)
+            grad[..., f.copy, :] += np.asarray(others)[..., None] * f.grad(z[..., f.copy, :], t)
+    return value, grad
+
+
+_reals = st.floats(-1.5, 1.5, allow_nan=False)
+_trig_spatial = st.builds(
+    TrigSpatial, _reals, st.tuples(st.integers(-2, 2), st.integers(-2, 2)), _reals
+)
+_poly_spatial = st.builds(
+    PolySpatial,
+    st.lists(st.tuples(_reals, st.tuples(st.integers(0, 3), st.integers(0, 3))), min_size=1, max_size=3).map(tuple),
+)
+_spatial = st.one_of(_trig_spatial, _poly_spatial, st.builds(ConstSpatial, _reals))
+_base_time = st.one_of(
+    st.builds(ConstTime, _reals),
+    st.builds(TrigTime, _reals, st.integers(-2, 2), _reals, _reals),
+    st.builds(BumpTime, st.floats(0, 1), st.floats(0.1, 0.5), _reals),
+    st.lists(_reals, min_size=3, max_size=6).map(lambda v: TabulatedTime(tuple(v))),
+)
+_time = st.one_of(
+    _base_time,
+    st.builds(
+        LiftTime,
+        _base_time,
+        st.builds(AffineMap, st.sampled_from([Fr(1, 2), Fr(-1, 4), Fr(3, 2)]), st.sampled_from([0, Fr(1, 3), 1])),
+    ),
+)
+
+
+@st.composite
+def _hamiltonians(draw):
+    level = draw(st.integers(0, 2))
+    copies = 2**level
+    terms = []
+    for _ in range(draw(st.integers(0, 4))):
+        used = draw(st.lists(st.integers(0, copies - 1), min_size=1, max_size=min(3, copies), unique=True))
+        factors = tuple(Factor(j, draw(_spatial), draw(_time)) for j in used)
+        terms.append((draw(_reals), factors))
+    return StructuredHamiltonian(level, tuple(terms))
+
+
+@given(
+    _hamiltonians(),
+    st.sampled_from([(), (3,), (2, 3)]),
+    st.sampled_from(["float", "0-d", "per-row"]),
+    st.integers(0, 2**32 - 1),
+)
+def test_compiled_matches_product_rule_oracle(K, lead, t_kind, seed):
+    """value and gradient of the compiled form match the product rule over
+    Factor.value / Factor.grad for trig, poly and const factors, every kind
+    of time profile, 0-3 factors per term, any leading shape and t form."""
+    rng = np.random.default_rng(seed)
+    z = rng.uniform(-1.0, 1.0, lead + (K.copies, 2))
+    t = {"float": float(rng.random()), "0-d": np.array(rng.random()), "per-row": rng.random(lead)}[t_kind]
+    value, grad = _oracle(K, z, t)
+    assert np.shape(K.value(z, t)) == lead and K.gradient(z, t).shape == z.shape
+    np.testing.assert_allclose(K.value(z, t), value, rtol=1e-13, atol=1e-13)
+    np.testing.assert_allclose(K.gradient(z, t), grad, rtol=1e-13, atol=1e-13)
+
+
+PRESETS = sorted(e.name[:-5] for e in resources.files("hamdelay.presets").iterdir() if e.name.endswith(".json"))
+
+
+@pytest.mark.parametrize("block_elements", [hamiltonians.BLOCK_ELEMENTS, 64], ids=["one-block", "many-blocks"])
+@pytest.mark.parametrize("name", PRESETS)
+def test_vector_field_rows_independent_of_batch(name, block_elements, monkeypatch):
+    """Every row of an 81-row call is bitwise the row's own call, alone and
+    as a batch of one, also when the batch spans several row blocks."""
+    monkeypatch.setattr(hamiltonians, "BLOCK_ELEMENTS", block_elements)
+    data = json.loads(resources.files("hamdelay.presets").joinpath(f"{name}.json").read_text())
+    cfg = ExperimentConfig.from_dict(data)
+    K = cfg.structured_hamiltonian()
+    _assert_rows_independent(cfg.structured_hamiltonian(), build_level(cfg.space, cfg.chain.level))
+
+
+def test_rows_independent_of_batch_in_wide_sums(torus):
+    """Sums over 12 terms, 12 factors of one copy and 9 monomials, where
+    numpy's own sum would go pairwise for a batch of one row."""
+    trig = [(0.3, (Factor(0, TrigSpatial(0.5, (k % 3, 1), 0.1 * k), TrigTime(0.2, k % 2 + 1, 0.0, 1.0)),)) for k in range(11)]
+    poly = PolySpatial(tuple((0.1 * k - 0.4, (k % 3, k % 4)) for k in range(9)))
+    K = StructuredHamiltonian(1, tuple(trig) + ((0.7, (Factor(0, poly), Factor(1, TrigSpatial(0.4, (1, 0))))),))
+    _assert_rows_independent(K, build_level(torus, 1))
+
+
+def _assert_rows_independent(K, lev):
+    rng = np.random.default_rng(81)
+    z = rng.uniform(-1.0, 1.0, (81, lev.copies, lev.space.dim))
+    ts = rng.random(81)
+    batch, per_row = vector_field(K, lev, z, 0.37), vector_field(K, lev, z, ts)
+    values = K.value(z, 0.37)
+    for i in range(81):
+        assert np.array_equal(vector_field(K, lev, z[i], 0.37), batch[i])
+        assert np.array_equal(vector_field(K, lev, z[i : i + 1], 0.37)[0], batch[i])
+        assert np.array_equal(vector_field(K, lev, z[i : i + 1], ts[i : i + 1])[0], per_row[i])
+        assert np.array_equal(K.value(z[i : i + 1], 0.37)[0], values[i])
+
+
+def test_time_cache_is_per_hamiltonian(torus, rng, monkeypatch):
+    """Repeated times give identical arrays, a bounded cache stays correct,
+    and two Hamiltonians that differ only in a time profile share nothing."""
+    monkeypatch.setattr(hamiltonians, "TIME_CACHE_SIZE", 4)
+    lev = build_level(torus, 1)
+    F = TrigSpatial(0.6, (1, 1), 0.2)
+
+    def ham(profile):
+        return StructuredHamiltonian(1, ((0.7, (Factor(0, F, profile), Factor(1, F))), (0.2, (Factor(1, F, profile),))))
+
+    K1, K2 = ham(TrigTime(0.3, 1, 0.0, 1.0)), ham(TrigTime(0.5, 2, 0.1, 1.0))
+    z = rng.random((5, 2, 2))
+    first = vector_field(K1, lev, z, 0.25)
+    others = [vector_field(K1, lev, z, t) for t in np.linspace(0.0, 1.0, 9)]
+    assert np.array_equal(vector_field(K1, lev, z, 0.25), first)
+    assert np.array_equal(vector_field(K1, lev, z, np.float64(0.25)), first)
+    for t, X in zip(np.linspace(0.0, 1.0, 9), others):
+        assert np.array_equal(vector_field(K1, lev, z, t), X)
+    X2 = vector_field(K2, lev, z, 0.25)
+    assert not np.allclose(X2, first)
+    np.testing.assert_allclose(K2.gradient(z, 0.25), _oracle(K2, z, 0.25)[1], rtol=1e-13, atol=1e-13)
+    assert np.array_equal(vector_field(K1, lev, z, 0.25), first)
+    assert len(K1._program(2).time_cache) <= 4

@@ -37,8 +37,10 @@ from hamdelay.solvers import (
     solve_periodic_delay,
     write_chord_csv,
     write_loop_csv,
+    _one_sided_derivatives,
     _seed_grid,
     _solve_seeds,
+    _solve_stack,
 )
 
 
@@ -299,6 +301,53 @@ def test_delay_residual_flags_perturbation(torus):
     bumped[:, 0, 0] += 1e-3 * np.sin(2 * np.pi * ts) ** 2
     loop2 = DiscreteCurve(torus, 0, bumped, True, loop.breakpoints)
     assert delay_residual(d, loop2) > max(10 * base, 1e-3)
+
+
+def _one_sided_derivatives_loop(loop, k0, k1):
+    """The per-node stencil loop that _one_sided_derivatives replaces."""
+    h = 1.0 / loop.n_intervals
+    seg = loop.samples[k0 : k1 + 1, 0, :].copy()
+    if loop.space.topology == "torus":
+        diffs = seg[1:] - seg[:-1]
+        diffs -= np.ceil(diffs - 0.5)
+        seg[1:] = seg[0] + np.cumsum(diffs, axis=0)
+    m = k1 - k0
+    out = np.empty((m - 1, seg.shape[1]))
+    for i in range(1, m):
+        if i + 2 <= m:
+            out[i - 1] = (-3 * seg[i] + 4 * seg[i + 1] - seg[i + 2]) / (2 * h)
+        else:
+            out[i - 1] = (3 * seg[i] - 4 * seg[i - 1] + seg[i - 2]) / (2 * h)
+    return out
+
+
+@pytest.mark.parametrize("topology", ["torus", "plane"])
+def test_one_sided_derivatives_match_loop(topology):
+    """The array stencils equal the per-node loop bitwise; the torus loop
+    crosses the unit square's edges, so its samples are wrapped."""
+    space = PhaseSpace(1, topology)
+    loop = DiscreteCurve.from_function(
+        space, lambda t: np.array([0.9 + 0.6 * t, 0.5 + 0.7 * np.sin(2 * np.pi * t)]), 96
+    )
+    if topology == "torus":
+        assert np.any(np.abs(np.diff(loop.samples[:, 0, 0])) > 0.5)
+    for k0, k1 in [(0, 96), (0, 48), (48, 96), (10, 13), (30, 37)]:
+        assert np.array_equal(_one_sided_derivatives(loop, k0, k1), _one_sided_derivatives_loop(loop, k0, k1))
+
+
+def test_solve_stack_marks_singular_rows(rng):
+    """One stacked solve gives the per-row steps; a singular row is reported
+    unsolved and the others still get their steps."""
+    jac = rng.standard_normal((4, 3, 3))
+    rhs = rng.standard_normal((4, 3))
+    steps, solved = _solve_stack(jac, rhs)
+    assert solved.all()
+    assert np.array_equal(steps, np.array([np.linalg.solve(j, b) for j, b in zip(jac, rhs)]))
+    jac[2] = 0.0
+    steps, solved = _solve_stack(jac, rhs)
+    assert solved.tolist() == [True, True, False, True]
+    for i in (0, 1, 3):
+        assert np.array_equal(steps[i], np.linalg.solve(jac[i], rhs[i]))
 
 
 def test_two_route_cross_validation(torus):
