@@ -39,6 +39,7 @@ from .solvers import (
     enumerate_chords,
     pullback_chord,
     solve_periodic_delay,
+    stencil_segments,
     write_chord_csv,
     write_loop_csv,
 )
@@ -209,6 +210,10 @@ def cmd_verify(args) -> int:
     level = build_level(cfg.space, cfg.chain.level)
     descriptor = generate(ham, cfg.chain)
     steps = aligned_steps(cfg.integrator.n_steps, cfg.chain.grid_denominator()) if cfg.chain.is_affine else cfg.integrator.n_steps
+    try:
+        stencil_segments(descriptor, steps)  # pulled-back loops share the chord grid
+    except ValueError as exc:
+        raise ConfigError(f"{steps} integrator steps: {exc}") from exc
     orbits = enumerate_chords(ham, level, cfg.grid, cfg.newton, IntegratorConfig(steps))
     tol_res = float(cfg.tolerances.get("delay_residual", 1e-4))
     tol_dist = float(cfg.tolerances.get("route_distance", 1e-4))

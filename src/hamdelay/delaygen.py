@@ -141,6 +141,14 @@ def generate(K: StructuredHamiltonian, chain: TransformChain) -> DelayEquationDe
     return DelayEquationDescriptor(chain.level, chain, tuple(segments))
 
 
+def segment_index(d: DelayEquationDescriptor, ts: np.ndarray) -> np.ndarray:
+    """Index of the segment owning each time in ts (reduced mod 1), right
+    limit at breakpoints; rhs_eval and the periodic solver's sparsity
+    pattern share this lookup."""
+    los = np.array([float(s.lo) for s in d.segments])
+    return np.clip(np.searchsorted(los, ts, side="right") - 1, 0, len(d.segments) - 1)
+
+
 def rhs_eval(d: DelayEquationDescriptor, loop, t):
     """Right-hand side along a periodic loop at times t (scalar or array).
 
@@ -151,8 +159,7 @@ def rhs_eval(d: DelayEquationDescriptor, loop, t):
     ts = np.atleast_1d(np.asarray(t, float))
     scalar = np.ndim(t) == 0
     ts = np.mod(ts, 1.0)
-    los = np.array([float(s.lo) for s in d.segments])
-    idx = np.clip(np.searchsorted(los, ts, side="right") - 1, 0, len(d.segments) - 1)
+    idx = segment_index(d, ts)
     probe = interp.evaluate(ts[:1])
     out = np.zeros((len(ts), probe.shape[-1]))
     for i, seg in enumerate(d.segments):

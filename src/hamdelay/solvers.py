@@ -8,6 +8,13 @@ finite-difference Jacobians stay small.  Batched initial conditions share
 one fixed-step RK4 sweep, which keeps multistart scans cheap: all seeds ride
 each Newton sweep, and after Newton the paths of every converged seed come
 from one more batched sweep.
+
+The periodic delay solve is Newton on midpoint collocation with a sparse
+forward-difference Jacobian.  Each collocation row reads a few nodes, which
+the descriptor's delay maps fix; the node columns are grouped after
+Curtis, Powell and Reid (1974) so that one residual sweep per group (a
+handful, independent of the node count) gives every entry, and
+scipy.sparse.linalg.splu factors the result.
 """
 
 from __future__ import annotations
@@ -20,11 +27,13 @@ from functools import partial
 from itertools import combinations
 
 import numpy as np
+from scipy import sparse
+from scipy.sparse.linalg import splu
 
 from .geometry import LevelStructure, build_level, embed_diagonal_params
 from .transforms import DiscreteCurve, TransformChain, phi_chain, _breakpoint_node
 from .hamiltonians import vector_field
-from .delaygen import DelayEquationDescriptor, rhs_eval
+from .delaygen import DelayEquationDescriptor, rhs_eval, segment_index
 
 
 @dataclass(frozen=True)
@@ -408,18 +417,30 @@ def _one_sided_derivatives(loop: DiscreteCurve, k0: int, k1: int) -> np.ndarray:
     return np.vstack([right, left])
 
 
+def stencil_segments(d: DelayEquationDescriptor, n: int) -> list:
+    """First and last node of every segment on an n-interval loop grid.
+
+    Raises ValueError if a breakpoint misses the grid or a segment has fewer
+    than the 3 intervals the one-sided derivative stencils need.
+    """
+    out = []
+    for seg in d.segments:
+        k0 = _breakpoint_node(seg.lo, n)
+        k1 = _breakpoint_node(seg.hi, n)
+        if k0 is None or k1 is None:
+            raise ValueError(f"a grid of {n} intervals is misaligned with the descriptor")
+        if k1 - k0 < 3:
+            raise ValueError(f"need at least 3 intervals per segment for the stencils, a grid of {n} gives {k1 - k0}")
+        out.append((k0, k1))
+    return out
+
+
 def delay_residual(d: DelayEquationDescriptor, loop: DiscreteCurve) -> float:
     """Max mismatch between one-sided loop derivatives and the symbolic RHS,
     over all off-breakpoint grid nodes."""
     n = loop.n_intervals
     worst = 0.0
-    for seg in d.segments:
-        k0 = _breakpoint_node(seg.lo, n)
-        k1 = _breakpoint_node(seg.hi, n)
-        if k0 is None or k1 is None:
-            raise ValueError("loop grid is misaligned with the descriptor")
-        if k1 - k0 < 3:
-            raise ValueError("need at least 3 intervals per segment for the stencils")
+    for k0, k1 in stencil_segments(d, n):
         ks = np.arange(k0 + 1, k1)
         rhs = rhs_eval(d, loop, ks / n)
         deriv = _one_sided_derivatives(loop, k0, k1)
@@ -429,6 +450,12 @@ def delay_residual(d: DelayEquationDescriptor, loop: DiscreteCurve) -> float:
 
 # ---------------------------------------------------------------------------
 # independent periodic delay solver
+
+
+def _cell(t, n: int):
+    """Interval index and fraction of periodic times t on n uniform nodes."""
+    pos = np.mod(np.atleast_1d(np.asarray(t, float)), 1.0) * n
+    return np.floor(pos).astype(int) % n, pos - np.floor(pos)
 
 
 class _LinearLoopInterpolant:
@@ -443,15 +470,96 @@ class _LinearLoopInterpolant:
         return self
 
     def evaluate(self, t):
-        t = np.mod(np.atleast_1d(np.asarray(t, float)), 1.0)
-        pos = t * self.n
-        k = np.floor(pos).astype(int) % self.n
-        frac = pos - np.floor(pos)
+        k, frac = _cell(t, self.n)
         a = self.nodes[k]
         step = self.nodes[(k + 1) % self.n] - a
         if self.space.topology == "torus":
             step -= np.ceil(step - 0.5)
         return (a + frac[:, None] * step)[:, None, :]
+
+
+def _colour_columns(rows: np.ndarray, cols: np.ndarray, n: int) -> np.ndarray:
+    """Greedy Curtis-Powell-Reid colouring of n column blocks, given the
+    (row block, column block) pairs of a sparsity pattern: blocks of one
+    colour feed no common row block, so one difference sweep serves them all."""
+    order = np.lexsort((rows, cols))
+    readers = np.split(rows[order], np.cumsum(np.bincount(cols, minlength=n))[:-1])
+    colour = np.empty(n, dtype=int)
+    fed: list[np.ndarray] = []  # per colour, the row blocks its columns feed
+    for j, rs in enumerate(readers):
+        c = next((c for c, mask in enumerate(fed) if not mask[rs].any()), len(fed))
+        if c == len(fed):
+            fed.append(np.zeros(n, dtype=bool))
+        fed[c][rs] = True
+        colour[j] = c
+    return colour
+
+
+class _PeriodicCollocation:
+    """Midpoint collocation of the periodic delay system on n nodes, and its
+    column-grouped forward-difference Jacobian.
+
+    Row block k, (v_{k+1} - v_k)/h - rhs(t_{k+1/2}), reads only a few node
+    blocks: k, k+1, and the two interpolation neighbours of every read of
+    rhs_eval at t_{k+1/2}.  The pattern comes from the descriptor's delay maps
+    at the midpoints, through the segment lookup rhs_eval uses, so it holds
+    for affine and spline chains alike.  Node blocks are coloured so that no
+    two of one colour feed a common row block; each (colour, component)
+    group then costs one residual sweep, and since a row reads only its
+    pattern, every entry is bitwise the dense per-column difference.
+    """
+
+    def __init__(self, d: DelayEquationDescriptor, space, n: int):
+        self.d, self.space, self.n, self.dim = d, space, n, space.dim
+        self.h = 1.0 / n
+        self.mids = (np.arange(n) + 0.5) * self.h
+        rows, cols = self._pattern()
+        colour = _colour_columns(rows, cols, n)
+        dim, comp = self.dim, np.arange(self.dim)
+        self.groups = [np.flatnonzero(colour == c) * dim + b for c in range(colour.max() + 1) for b in range(dim)]
+        # scalar entry (k*dim + a, j*dim + b) is row k*dim + a of group colour[j]*dim + b
+        shape = (len(rows), dim, dim)
+        self.entry_rows = np.broadcast_to(rows[:, None, None] * dim + comp[:, None], shape).ravel()
+        self.entry_cols = np.broadcast_to(cols[:, None, None] * dim + comp, shape).ravel()
+        self.entry_groups = np.broadcast_to(colour[cols][:, None, None] * dim + comp, shape).ravel()
+
+    def _pattern(self):
+        """(row block, node block) pairs the residual reads, unique, row-major."""
+        n = self.n
+        ks = np.arange(n)
+        ts = np.mod(self.mids, 1.0)
+        rows, cols = [ks, ks], [ks, (ks + 1) % n]
+        idx = segment_index(self.d, ts)
+        for i, seg in enumerate(self.d.segments):
+            sel = np.flatnonzero(idx == i)
+            if not len(sel):
+                continue
+            tt = ts[sel]
+            reads = [tt] + [np.mod(np.asarray(c.delay(tt)), 1.0) for term in seg.terms for c in term.coefficients]
+            for t in reads:
+                node = _cell(t, n)[0]
+                rows += [sel, sel]
+                cols += [node, (node + 1) % n]
+        key = np.unique(np.concatenate(rows) * n + np.concatenate(cols))
+        return key // n, key % n
+
+    def resid(self, flat: np.ndarray) -> np.ndarray:
+        nodes = flat.reshape(self.n, self.dim)
+        f = rhs_eval(self.d, _LinearLoopInterpolant(nodes, self.space), self.mids)
+        du = nodes[(np.arange(self.n) + 1) % self.n] - nodes
+        if self.space.topology == "torus":
+            du -= np.ceil(du - 0.5)
+        return (du / self.h - f).reshape(-1)
+
+    def jacobian(self, u: np.ndarray, r: np.ndarray, fd: float) -> sparse.csc_matrix:
+        """Forward differences at u (residual r), one sweep per group."""
+        diffs = np.empty((len(self.groups), r.size))
+        for g, idx in enumerate(self.groups):
+            up = u.copy()
+            up[idx] += fd
+            diffs[g] = (self.resid(up) - r) / fd
+        data = diffs[self.entry_groups, self.entry_rows]
+        return sparse.csc_matrix((data, (self.entry_rows, self.entry_cols)), shape=(u.size, u.size))
 
 
 def solve_periodic_delay(
@@ -463,49 +571,39 @@ def solve_periodic_delay(
 
     Unknowns are the N loop nodes; each interval contributes the equation
     (v_{k+1} - v_k)/h = rhs(t_{k+1/2}) with delayed reads through a periodic
-    linear interpolant, matching the collocation order.
+    linear interpolant, matching the collocation order.  The Jacobian is a
+    sparse forward-difference one, built from one residual sweep per column
+    group of _PeriodicCollocation (a few, however large N is) and factored
+    by scipy's splu.  A non-finite residual or Jacobian ends as "diverged",
+    an exactly singular factor as "singular-jacobian".
     """
     n = seed.n_intervals
     space = seed.space
     for b in d.breakpoints():
         if _breakpoint_node(b, n) is None:
             return SolveFailure("grid-misaligned", detail=f"breakpoint {b} off the seed grid")
-    dim = space.dim
+    colloc = _PeriodicCollocation(d, space, n)
     u = seed.samples[:n, 0, :].reshape(-1).copy()
-    h = 1.0 / n
-    mids = (np.arange(n) + 0.5) * h
-
-    def resid(flat):
-        nodes = flat.reshape(n, dim)
-        interp = _LinearLoopInterpolant(nodes, space)
-        f = rhs_eval(d, interp, mids)
-        du = nodes[(np.arange(n) + 1) % n] - nodes
-        if space.topology == "torus":
-            du -= np.ceil(du - 0.5)
-        return (du / h - f).reshape(-1)
-
-    r = resid(u)
+    r = colloc.resid(u)
     converged = np.max(np.abs(r)) <= newton.tol
     for _ in range(newton.max_iter):
         if converged:
             break
-        jac = np.empty((r.size, u.size))
-        fd = newton.fd_step
-        for i in range(u.size):
-            up = u.copy()
-            up[i] += fd
-            jac[:, i] = (resid(up) - r) / fd
+        jac = colloc.jacobian(u, r, newton.fd_step)
+        if not (np.all(np.isfinite(r)) and np.all(np.isfinite(jac.data))):
+            return SolveFailure("diverged", float(np.max(np.abs(r))), "non-finite residual or Jacobian")
         try:
-            step = np.linalg.solve(jac, r)
-        except np.linalg.LinAlgError:
+            lu = splu(jac)
+        except RuntimeError:  # "Factor is exactly singular"
             return SolveFailure("singular-jacobian", float(np.max(np.abs(r))))
+        step = lu.solve(r)
         lam = 1.0
         r_norm = np.linalg.norm(r)
         while lam >= newton.min_damping:
             u_try = u - lam * step
             if space.topology == "torus":
                 u_try = np.mod(u_try, 1.0)
-            r_try = resid(u_try)
+            r_try = colloc.resid(u_try)
             if np.linalg.norm(r_try) < r_norm:
                 u, r = u_try, r_try
                 break
@@ -515,7 +613,7 @@ def solve_periodic_delay(
         converged = np.max(np.abs(r)) <= newton.tol
     if not converged:
         return SolveFailure("no-convergence", float(np.max(np.abs(r))), "iteration cap")
-    nodes = u.reshape(n, dim)
+    nodes = u.reshape(n, space.dim)
     samples = np.vstack([nodes, nodes[:1]])[:, None, :]
     return DiscreteCurve(space, 0, space.normalize(samples), True, d.breakpoints())
 

@@ -188,6 +188,17 @@ def test_verify_tolerance_violation_exits_one(tmp_path, capsys):
     assert code == 1
 
 
+def test_verify_too_few_steps_is_config_error(tmp_path, capsys):
+    """Four steps leave two intervals per segment, too few for the delay
+    residual's one-sided stencils: a config error before any chord is solved."""
+    code = run(["verify", "--preset", "product-T4", "--steps", "4", "--grid", "1", "--out", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("config error:") and "at least 3 intervals per segment" in captured.err
+    assert "verifying" not in captured.out
+    assert not (tmp_path / "verify_report.json").exists()
+
+
 def _small_action_config(tmp_path):
     cfg = {
         "space": {"half_dim": 1, "topology": "torus"},

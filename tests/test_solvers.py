@@ -4,6 +4,7 @@ from importlib import resources
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import splu
 
 from hamdelay.geometry import PhaseSpace, build_level, embed_diagonal_params
 from hamdelay.transforms import DiscreteCurve, TransformChain, resample, sup_distance
@@ -37,6 +38,7 @@ from hamdelay.solvers import (
     solve_periodic_delay,
     write_chord_csv,
     write_loop_csv,
+    _PeriodicCollocation,
     _one_sided_derivatives,
     _seed_grid,
     _solve_seeds,
@@ -569,6 +571,97 @@ def test_periodic_solver_zero_descriptor(torus):
     sol = solve_periodic_delay(d, seed)
     assert isinstance(sol, DiscreteCurve)
     assert sup_distance(sol, seed) == 0.0
+
+
+def _spline_chain():
+    """The tabulated chain of test_spline_chain_pipeline."""
+    from hamdelay.transforms import MonotoneSplineMap, ReparamPair
+
+    xs = np.linspace(0, 1, 9)
+    alpha = MonotoneSplineMap(xs, 0.25 * xs + 0.25 * xs**2)
+    beta = MonotoneSplineMap(xs, 1.0 - 0.35 * xs - 0.15 * xs**2)
+    return TransformChain((ReparamPair(alpha, beta, 0.5),))
+
+
+def _rr_chain_13_descriptor():
+    data = json.loads(resources.files("hamdelay.presets").joinpath("rr-chain-13.json").read_text())
+    cfg = ExperimentConfig.from_dict(data)
+    return generate(cfg.structured_hamiltonian(), cfg.chain)
+
+
+# (descriptor, nodes): standard level-1 and level-2 chains, the affine
+# r = 1/3 chain (breakpoints on multiples of 1/9) and the spline chain
+COLLOCATION_CASES = {
+    "level1": (lambda: generate(product_T4(), TransformChain.standard(1)), 64),
+    "level2": (lambda: generate(staggered_product_n2(), TransformChain.standard(2)), 64),
+    "rr-chain-13": (_rr_chain_13_descriptor, 81),
+    "spline": (lambda: generate(product_T4(), _spline_chain()), 64),
+}
+
+
+def _dense_fd_jacobian(resid, u, r, fd):
+    """The per-column forward-difference Jacobian: one residual per unknown."""
+    jac = np.empty((r.size, u.size))
+    for i in range(u.size):
+        up = u.copy()
+        up[i] += fd
+        jac[:, i] = (resid(up) - r) / fd
+    return jac
+
+
+@pytest.mark.parametrize("case", sorted(COLLOCATION_CASES))
+def test_grouped_jacobian_matches_dense_oracle(case, torus, rng):
+    make, n = COLLOCATION_CASES[case]
+    colloc = _PeriodicCollocation(make(), torus, n)
+    u = rng.random(n * torus.dim)
+    r = colloc.resid(u)
+    fd = NewtonConfig().fd_step
+    dense = _dense_fd_jacobian(colloc.resid, u, r, fd)
+    grouped = colloc.jacobian(u, r, fd)
+    # every entry bitwise the dense one, and no nonzero outside the pattern
+    in_pattern = np.zeros(dense.shape, dtype=bool)
+    in_pattern[colloc.entry_rows, colloc.entry_cols] = True
+    assert not np.any(dense[~in_pattern])
+    assert np.array_equal(grouped.toarray()[in_pattern].view(np.int64), dense[in_pattern].view(np.int64))
+    assert np.array_equal(grouped.toarray(), dense)
+    # no two columns of one group feed a common row
+    for cols in colloc.groups:
+        assert np.all(np.count_nonzero(in_pattern[:, cols], axis=1) <= 1)
+    assert len(colloc.groups) < n
+
+
+def test_grouped_jacobian_product_t4_group_count(torus):
+    colloc = _PeriodicCollocation(generate(product_T4(), TransformChain.standard(1)), torus, 512)
+    assert len(colloc.groups) <= 12
+
+
+def test_periodic_solver_zero_descriptor_singular_through_splu(torus):
+    """With K = 0 the collocation Jacobian is the periodic difference
+    operator, singular on constants: splu rejects it, the solve says so."""
+    d = generate(StructuredHamiltonian(1, ()), TransformChain.standard(1))
+    seed = DiscreteCurve.from_function(
+        torus, lambda t: np.array([0.3 + 0.1 * np.sin(2 * np.pi * t), 0.9]), 32, breakpoints=d.breakpoints()
+    )
+    colloc = _PeriodicCollocation(d, torus, 32)
+    u = seed.samples[:32, 0, :].reshape(-1)
+    r = colloc.resid(u)
+    with pytest.raises(RuntimeError):
+        splu(colloc.jacobian(u, r, NewtonConfig().fd_step))
+    out = solve_periodic_delay(d, seed)
+    assert isinstance(out, SolveFailure) and out.reason == "singular-jacobian"
+
+
+def test_periodic_solver_nan_seed_diverges(torus):
+    """One non-finite node makes the residual non-finite: 'diverged', not a
+    damping failure."""
+    d = generate(product_T4(), TransformChain.standard(1))
+    seed = DiscreteCurve.from_function(
+        torus, lambda t: np.array([0.2, 0.2 + 0.01 * np.sin(2 * np.pi * t)]), 32, breakpoints=d.breakpoints()
+    )
+    samples = seed.samples.copy()
+    samples[5, 0, 1] = np.nan
+    out = solve_periodic_delay(d, DiscreteCurve(torus, 0, samples, True, seed.breakpoints))
+    assert isinstance(out, SolveFailure) and out.reason == "diverged"
 
 
 def test_periodic_solver_grid_misaligned(torus):
