@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -49,6 +50,15 @@ class ConfigError(ValueError):
     pass
 
 
+@contextmanager
+def _config_errors():
+    """Reports a malformed or out-of-range config value as a ConfigError."""
+    try:
+        yield
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 @dataclass
 class ExperimentConfig:
     space: PhaseSpace
@@ -64,7 +74,7 @@ class ExperimentConfig:
 
     @staticmethod
     def from_dict(data: dict) -> "ExperimentConfig":
-        try:
+        with _config_errors():
             space = PhaseSpace(**data.get("space", {"half_dim": 1, "topology": "torus"}))
             chain = TransformChain.from_json(data.get("chain", {"steps": []}))
             integ = IntegratorConfig(int(data.get("integrator", {}).get("steps", 2**10)))
@@ -86,8 +96,6 @@ class ExperimentConfig:
                 tolerances=data.get("tolerances", {}),
                 action=data.get("action", {}),
             )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(str(exc)) from exc
 
     def structured_hamiltonian(self) -> StructuredHamiltonian:
         """The Hamiltonian at the chain's level, given directly or lifted."""
@@ -138,10 +146,11 @@ def _load_config(args) -> ExperimentConfig:
     cfg = ExperimentConfig.from_dict(data)
     if args.seed is not None:
         cfg.seed = args.seed
-    if args.steps is not None:
-        cfg.integrator = IntegratorConfig(_parse_steps(args.steps))
-    if args.grid is not None:
-        cfg.grid = GridSpec(args.grid, cfg.grid.bounds)
+    with _config_errors():
+        if args.steps is not None:
+            cfg.integrator = IntegratorConfig(_parse_steps(args.steps))
+        if args.grid is not None:
+            cfg.grid = GridSpec(args.grid, cfg.grid.bounds)
     return cfg
 
 

@@ -101,12 +101,6 @@ class DelayEquationDescriptor:
     chain: TransformChain
     segments: tuple[SegmentEquation, ...]
 
-    def segment_at(self, t: float) -> SegmentEquation:
-        """Segment whose interval contains t, right limit at breakpoints."""
-        los = [float(s.lo) for s in self.segments]
-        idx = int(np.searchsorted(los, t, side="right")) - 1
-        return self.segments[max(idx, 0)]
-
     def breakpoints(self) -> tuple:
         return tuple(s.lo for s in self.segments[1:])
 

@@ -6,8 +6,10 @@ on the level diagonal) is solved by damped Newton on a shooting residual;
 the residual dimension equals the diagonal parameter dimension, so the
 finite-difference Jacobians stay small.  Batched initial conditions share
 one fixed-step RK4 sweep, which keeps multistart scans cheap: all seeds ride
-each Newton sweep, and after Newton the paths of every converged seed come
-from one more batched sweep.
+each Newton sweep, a seed that takes the full step costs one sweep per
+iteration (its trial point and the probes of its next Jacobian ride
+together), damping step lengths are tried several to a sweep, and after
+Newton the paths of every converged seed come from one more batched sweep.
 
 The periodic delay solve is Newton on midpoint collocation with a sparse
 forward-difference Jacobian.  Each collocation row reads a few nodes, which
@@ -61,8 +63,14 @@ class NewtonConfig:
     cond_limit: float = 1e12
 
     def __post_init__(self):
-        if min(self.max_iter, self.tol, self.fd_step, self.min_damping, self.cond_limit) <= 0:
-            raise ValueError("Newton settings must be positive")
+        if isinstance(self.max_iter, bool) or not isinstance(self.max_iter, int) or self.max_iter < 1:
+            raise ValueError(f"newton max_iter must be an integer >= 1, got {self.max_iter!r}")
+        for name in ("tol", "fd_step", "min_damping", "cond_limit"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"newton {name} must be finite and positive, got {value!r}")
+        if self.min_damping > 1:
+            raise ValueError(f"newton min_damping must be at most 1 (the full step), got {self.min_damping!r}")
 
 
 @dataclass(frozen=True)
@@ -71,6 +79,10 @@ class GridSpec:
 
     points_per_dim: int = 8
     bounds: tuple | None = None  # ((lo, hi), ...) per coordinate; required on the plane
+
+    def __post_init__(self):
+        if self.points_per_dim < 1:
+            raise ValueError(f"need at least one grid point per parameter, got {self.points_per_dim}")
 
 
 @dataclass(eq=False)
@@ -194,32 +206,60 @@ def _wrap_params(level: LevelStructure, flat: np.ndarray) -> np.ndarray:
 
 _RUNNING, _CONVERGED, _SINGULAR, _STUCK, _DIVERGED = 0, 1, 2, 3, 4
 
+# damping rungs lambda = 2^-k that seeds rejecting the full Newton step try
+# per residual sweep; the default min_damping 2^-20 allows 20 rungs, so a
+# default run tries them all in one sweep
+DAMPING_LADDER = 20
 
-def _fd_jacobians(resid_fn, p: np.ndarray, h: float) -> np.ndarray:
-    """Central-difference Jacobians at every row of p from one batched call."""
-    nb, dim = p.shape
+
+def _fd_probes(p: np.ndarray, h: float) -> np.ndarray:
+    """The 2P central-difference probe rows around every row of p, seed by seed."""
+    dim = p.shape[1]
     eye = np.eye(dim)
-    probes = np.concatenate([p[:, None, :] + h * eye, p[:, None, :] - h * eye], axis=1)
-    rr = resid_fn(probes.reshape(-1, dim)).reshape(nb, 2 * dim, dim)
+    return np.concatenate([p[:, None, :] + h * eye, p[:, None, :] - h * eye], axis=1).reshape(-1, dim)
+
+
+def _fd_difference(rr: np.ndarray, h: float) -> np.ndarray:
+    """Central-difference Jacobians from the residuals at the _fd_probes rows."""
+    dim = rr.shape[1]
+    rr = rr.reshape(-1, 2 * dim, dim)
     return (rr[:, :dim, :] - rr[:, dim:, :]).transpose(0, 2, 1) / (2 * h)
 
 
-def _newton_batch(resid_fn, wrap_fn, seeds: np.ndarray, newton: NewtonConfig):
-    """Damped Newton on a batch of square systems sharing one residual sweep.
+def _resid_with_jacobians(resid_fn, p: np.ndarray, h: float):
+    """Residuals at the rows of p and the Jacobians there, from one sweep."""
+    rr = resid_fn(np.concatenate([p, _fd_probes(p, h)]))
+    return rr[: len(p)], _fd_difference(rr[len(p) :], h)
 
-    resid_fn maps (B, P) parameter rows to (B, P) residual rows; every
-    residual evaluation for every seed and finite-difference probe rides the
-    same batched call, so the cost per iteration is one sweep.  Returns
-    final parameters, residuals, per-seed status, and Jacobian condition
-    estimates.  The iteration history of each seed matches what a scalar
-    solver would produce.  A seed whose residual or Jacobian is not finite
-    is marked diverged and leaves the iteration.
+
+def _newton_batch(resid_fn, wrap_fn, seeds: np.ndarray, newton: NewtonConfig):
+    """Damped Newton on a batch of square systems sharing batched residual sweeps.
+
+    resid_fn maps (B, P) parameter rows to (B, P) residual rows.  The first
+    sweep evaluates every seed with its 2P central-difference probes.  Each
+    iteration then makes one trial sweep: the full step (lambda = 1) for
+    every running seed, together with the probes around its wrapped trial
+    point, so a seed that takes the full step has its next Jacobian already.
+    Seeds that reject the full step try the damping rungs lambda = 2^-k
+    (k >= 1, while 2^-k >= min_damping) DAMPING_LADDER at a time, one sweep
+    per block, and take their first rung that lowers the residual norm;
+    only they need a separate Jacobian sweep in the next iteration.  A row's
+    residual does not depend on its batch, so every iterate, status and
+    condition estimate is the one the sequential halving loop of a scalar
+    solver gives.  Returns final parameters, residuals, per-seed status, and
+    Jacobian condition estimates.  A seed whose residual or Jacobian is not
+    finite is marked diverged and leaves the iteration.
     """
+    h = newton.fd_step
+    rungs = np.ldexp(1.0, -np.arange(1, 1075))  # down to 2^-1074, below any positive min_damping
+    rungs = rungs[rungs >= newton.min_damping]
     # diverging seeds overflow on their way to the 'diverged' status; the
     # status is the report, so numpy's warnings on them are noise
     with np.errstate(over="ignore", invalid="ignore"):
         p = np.array(seeds, dtype=float)
-        r = resid_fn(p)
+        dim = p.shape[1]
+        r, jac = _resid_with_jacobians(resid_fn, p, h)
+        has_jac = np.ones(len(p), dtype=bool)  # jac[i] is the Jacobian at p[i]
         status = np.full(len(p), _RUNNING, dtype=int)
         conds = np.full(len(p), np.nan)
         status[np.max(np.abs(r), axis=1) <= newton.tol] = _CONVERGED
@@ -228,41 +268,52 @@ def _newton_batch(resid_fn, wrap_fn, seeds: np.ndarray, newton: NewtonConfig):
             active = np.flatnonzero(status == _RUNNING)
             if len(active) == 0:
                 break
-            jac = _fd_jacobians(resid_fn, p[active], newton.fd_step)
-            finite = np.all(np.isfinite(jac), axis=(1, 2))
+            stale = active[~has_jac[active]]
+            if len(stale):
+                jac[stale] = _fd_difference(resid_fn(_fd_probes(p[stale], h)), h)
+            jac_a = jac[active]
+            finite = np.all(np.isfinite(jac_a), axis=(1, 2))
             status[active[~finite]] = _DIVERGED
-            active, jac = active[finite], jac[finite]
-            conds[active] = np.linalg.cond(jac)
+            active, jac_a = active[finite], jac_a[finite]
+            conds[active] = np.linalg.cond(jac_a)
             solvable = np.isfinite(conds[active]) & (conds[active] <= newton.cond_limit)
             status[active[~solvable]] = _SINGULAR
-            active, jac = active[solvable], jac[solvable]
-            step_rows, solved = _solve_stack(jac, r[active])
+            active, jac_a = active[solvable], jac_a[solvable]
+            step_rows, solved = _solve_stack(jac_a, r[active])
             status[active[~solved]] = _SINGULAR
             active, step_rows = active[solved], step_rows[solved]
             if len(active) == 0:
                 break
-            lam = np.ones(len(active))
-            accepted = np.zeros(len(active), dtype=bool)
             base_norm = np.linalg.norm(r[active], axis=1)
-            while not np.all(accepted) and np.min(lam[~accepted]) >= newton.min_damping:
-                trial_idx = np.flatnonzero(~accepted)
-                trials = wrap_fn(p[active[trial_idx]] - lam[trial_idx, None] * step_rows[trial_idx])
+            trials = wrap_fn(p[active] - step_rows)
+            r_try, jac_try = _resid_with_jacobians(resid_fn, trials, h)
+            better = np.linalg.norm(r_try, axis=1) < base_norm
+            took = active[better]
+            p[took], r[took], jac[took] = trials[better], r_try[better], jac_try[better]
+            has_jac[active] = better
+            pending = np.flatnonzero(~better)  # positions in active still looking for a step
+            for lo in range(0, len(rungs), DAMPING_LADDER):
+                if len(pending) == 0:
+                    break
+                lam = rungs[lo : lo + DAMPING_LADDER, None, None]
+                trials = wrap_fn(p[active[pending]] - lam * step_rows[pending]).reshape(-1, dim)
                 r_try = resid_fn(trials)
-                better = np.linalg.norm(r_try, axis=1) < base_norm[trial_idx]
-                took = active[trial_idx[better]]
-                p[took], r[took] = trials[better], r_try[better]
-                accepted[trial_idx[better]] = True
-                lam[trial_idx[~better]] *= 0.5
-            status[active[~accepted]] = _STUCK
+                better = np.linalg.norm(r_try, axis=1).reshape(len(lam), -1) < base_norm[pending]
+                hit = np.any(better, axis=0)
+                pick = np.argmax(better, axis=0)[hit] * len(pending) + np.flatnonzero(hit)
+                took = active[pending[hit]]
+                p[took], r[took] = trials[pick], r_try[pick]
+                pending = pending[~hit]
+            status[active[pending]] = _STUCK
             done = np.max(np.abs(r), axis=1) <= newton.tol
             status[(status == _RUNNING) & done] = _CONVERGED
         status[status == _RUNNING] = _STUCK
-        # condition estimates for seeds that converged before any Jacobian was built
+        # condition estimates for seeds that converged at their seed point,
+        # from the Jacobians of the first sweep
         fresh = np.flatnonzero((status == _CONVERGED) & ~np.isfinite(conds))
+        fresh = fresh[np.all(np.isfinite(jac[fresh]), axis=(1, 2))]
         if len(fresh):
-            jac = _fd_jacobians(resid_fn, p[fresh], newton.fd_step)
-            finite = np.all(np.isfinite(jac), axis=(1, 2))
-            conds[fresh[finite]] = np.linalg.cond(jac[finite])
+            conds[fresh] = np.linalg.cond(jac[fresh])
         return p, r, status, conds
 
 

@@ -90,9 +90,6 @@ class AffineMap:
             and (self.intercept - other.intercept).denominator == 1
         )
 
-    def reduce_intercept_mod1(self) -> "AffineMap":
-        return AffineMap(self.slope, self.intercept - math.floor(self.intercept))
-
     def pretty(self, var: str = "t") -> str:
         s, c = self.slope, self.intercept
         mag = abs(s)

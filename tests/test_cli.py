@@ -229,3 +229,37 @@ def test_action_tau_compat_mode(tmp_path, capsys):
     assert code == 0
     assert "mismatched copies [2, 3]" in out
     assert "gap[printed]" in out
+
+
+@pytest.mark.parametrize(
+    "flag,value",
+    [("--grid", "0"), ("--grid", "-1"), ("--steps", "0"), ("--steps", "abc"), ("--steps", "2^x")],
+)
+def test_bad_override_is_config_error(flag, value, tmp_path, capsys):
+    code = run(["chords", "--preset", "torus-morse-n1", flag, value, "--out", str(tmp_path)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("config error:")
+    assert not (tmp_path / "orbitset.json").exists()
+
+
+@pytest.mark.parametrize(
+    "section,key,value",
+    [
+        ("grid", "points_per_dim", 0),
+        ("newton", "max_iter", 2.5),
+        ("newton", "tol", float("nan")),
+        ("newton", "fd_step", float("inf")),
+        ("newton", "min_damping", 4.0),
+    ],
+)
+def test_bad_config_value_is_config_error(section, key, value, tmp_path, capsys):
+    from importlib import resources
+
+    cfg = json.loads(resources.files("hamdelay.presets").joinpath("torus-morse-n1.json").read_text())
+    cfg.setdefault(section, {})[key] = value
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    code = run(["chords", "--config", str(path), "--steps", "64", "--grid", "2", "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("config error:")
+    assert not (tmp_path / "o" / "orbitset.json").exists()

@@ -18,6 +18,7 @@ from hamdelay.hamiltonians import (
     TrigTime,
     lift,
 )
+from hamdelay import solvers
 from hamdelay.cli import ExperimentConfig
 from hamdelay.delaygen import generate
 from hamdelay.solvers import (
@@ -39,6 +40,7 @@ from hamdelay.solvers import (
     write_chord_csv,
     write_loop_csv,
     _PeriodicCollocation,
+    _newton_batch,
     _one_sided_derivatives,
     _seed_grid,
     _solve_seeds,
@@ -250,6 +252,137 @@ def test_solve_chord_matches_enumerate_rows(name, steps, grid):
         assert n == sum(isinstance(s, SolveFailure) and s.reason == reason for s in singles)
     for chord in orbits.members:
         assert any(np.array_equal(chord.params, s.params) for s in solved)
+
+
+def _newton_sequential(resid_fn, wrap_fn, seeds, newton):
+    """Oracle for _newton_batch: the damped Newton loop that halves the step
+    one residual sweep at a time, after a separate Jacobian sweep."""
+
+    def fd_jacobians(p, h):
+        nb, dim = p.shape
+        eye = np.eye(dim)
+        probes = np.concatenate([p[:, None, :] + h * eye, p[:, None, :] - h * eye], axis=1)
+        rr = resid_fn(probes.reshape(-1, dim)).reshape(nb, 2 * dim, dim)
+        return (rr[:, :dim, :] - rr[:, dim:, :]).transpose(0, 2, 1) / (2 * h)
+
+    RUNNING, CONVERGED, SINGULAR, STUCK, DIVERGED = 0, 1, 2, 3, 4
+    with np.errstate(over="ignore", invalid="ignore"):
+        p = np.array(seeds, dtype=float)
+        r = resid_fn(p)
+        status = np.full(len(p), RUNNING, dtype=int)
+        conds = np.full(len(p), np.nan)
+        status[np.max(np.abs(r), axis=1) <= newton.tol] = CONVERGED
+        status[~np.all(np.isfinite(r), axis=1)] = DIVERGED
+        for _ in range(newton.max_iter):
+            active = np.flatnonzero(status == RUNNING)
+            if len(active) == 0:
+                break
+            jac = fd_jacobians(p[active], newton.fd_step)
+            finite = np.all(np.isfinite(jac), axis=(1, 2))
+            status[active[~finite]] = DIVERGED
+            active, jac = active[finite], jac[finite]
+            conds[active] = np.linalg.cond(jac)
+            solvable = np.isfinite(conds[active]) & (conds[active] <= newton.cond_limit)
+            status[active[~solvable]] = SINGULAR
+            active, jac = active[solvable], jac[solvable]
+            step_rows, solved = _solve_stack(jac, r[active])
+            status[active[~solved]] = SINGULAR
+            active, step_rows = active[solved], step_rows[solved]
+            if len(active) == 0:
+                break
+            lam = np.ones(len(active))
+            accepted = np.zeros(len(active), dtype=bool)
+            base_norm = np.linalg.norm(r[active], axis=1)
+            while not np.all(accepted) and np.min(lam[~accepted]) >= newton.min_damping:
+                trial_idx = np.flatnonzero(~accepted)
+                trials = wrap_fn(p[active[trial_idx]] - lam[trial_idx, None] * step_rows[trial_idx])
+                r_try = resid_fn(trials)
+                better = np.linalg.norm(r_try, axis=1) < base_norm[trial_idx]
+                took = active[trial_idx[better]]
+                p[took], r[took] = trials[better], r_try[better]
+                accepted[trial_idx[better]] = True
+                lam[trial_idx[~better]] *= 0.5
+            status[active[~accepted]] = STUCK
+            done = np.max(np.abs(r), axis=1) <= newton.tol
+            status[(status == RUNNING) & done] = CONVERGED
+        status[status == RUNNING] = STUCK
+        fresh = np.flatnonzero((status == CONVERGED) & ~np.isfinite(conds))
+        if len(fresh):
+            jac = fd_jacobians(p[fresh], newton.fd_step)
+            finite = np.all(np.isfinite(jac), axis=(1, 2))
+            conds[fresh[finite]] = np.linalg.cond(jac[finite])
+        return p, r, status, conds
+
+
+@pytest.fixture
+def newton_against_oracle(monkeypatch):
+    """Runs every _newton_batch call of the solvers next to the sequential
+    oracle, asserts bitwise-equal p, r, status and conds, and records per
+    call the statuses and the residual sweeps each took."""
+    runs = []
+
+    def both(resid_fn, wrap_fn, seeds, newton):
+        sweeps = {"ladder": 0, "oracle": 0}
+
+        def counted(key):
+            def fn(x):
+                sweeps[key] += 1
+                return resid_fn(x)
+
+            return fn
+
+        got = _newton_batch(counted("ladder"), wrap_fn, seeds, newton)
+        want = _newton_sequential(counted("oracle"), wrap_fn, seeds, newton)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+        runs.append({"status": got[2], **sweeps})
+        return got
+
+    monkeypatch.setattr(solvers, "_newton_batch", both)
+    return runs
+
+
+# (preset, steps, grid, Newton settings) for the ladder-against-oracle scans;
+# min_damping 2^-45 gives 45 rungs, so the ladder runs past its first block
+# and some seeds take a rung below 2^-20
+ORACLE_CASES = {
+    "torus-morse-n1": ("torus-morse-n1", 32, 4, NewtonConfig()),
+    "sum-n2": ("sum-n2", 8, 2, BATCH_NEWTON),
+    "rr-chain-13": ("rr-chain-13", 9, 2, BATCH_NEWTON),
+    "sum-n2-deep-ladder": ("sum-n2", 8, 2, NewtonConfig(max_iter=12, min_damping=2.0**-45)),
+}
+
+
+@pytest.mark.parametrize("name,steps,grid,newton", ORACLE_CASES.values(), ids=ORACLE_CASES.keys())
+def test_newton_ladder_matches_sequential_oracle(name, steps, grid, newton, newton_against_oracle):
+    ham, lev, spec, integ = _preset_problem(name, steps, grid)
+    enumerate_chords(ham, lev, spec, newton, integ)
+    (run,) = newton_against_oracle
+    assert np.any(run["status"] == solvers._CONVERGED)
+
+
+def test_newton_ladder_matches_oracle_on_diverging_seeds(plane, newton_against_oracle):
+    lev = build_level(plane, 1)
+    grid = GridSpec(3, bounds=((-50.0, 50.0), (-50.0, 50.0)))
+    enumerate_chords(quartic_plane_K(), lev, grid, integ=IntegratorConfig(64))
+    (run,) = newton_against_oracle
+    assert np.sum(run["status"] == solvers._DIVERGED) == 8
+
+
+def test_newton_ladder_matches_oracle_on_flow_fixed_points(torus, newton_against_oracle):
+    flow_fixed_points(morse_base(), torus, grid_n=32, integ=IntegratorConfig(256))
+    (run,) = newton_against_oracle
+    assert np.sum(run["status"] == solvers._CONVERGED) >= 4
+
+
+def test_newton_ladder_takes_fewer_sweeps(newton_against_oracle):
+    """The level-2 scan with stuck seeds, where the oracle halves one sweep
+    at a time: the ladder and the speculative probes need fewer sweeps."""
+    ham, lev, spec, integ = _preset_problem("sum-n2", 8, 2)
+    enumerate_chords(ham, lev, spec, BATCH_NEWTON, integ)
+    (run,) = newton_against_oracle
+    assert np.any(run["status"] == solvers._STUCK)
+    assert run["ladder"] < run["oracle"]
 
 
 def test_plane_enumeration_needs_bounds(plane):
