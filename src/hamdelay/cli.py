@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -55,8 +56,38 @@ def _config_errors():
     """Reports a malformed or out-of-range config value as a ConfigError."""
     try:
         yield
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(str(exc)) from exc
+
+
+def _integer(value, name: str, minimum: int | None = None) -> int:
+    """value as an int; integral floats pass, fractions, bools and strings do not."""
+    integral = isinstance(value, int) or isinstance(value, float) and value.is_integer()
+    if isinstance(value, bool) or not integral:
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ConfigError(f"{name} must be >= {minimum}, got {value!r}")
+    return int(value)
+
+
+def _action_settings(data: dict) -> dict:
+    """The action section with its integer fields as ints; rejects values
+    that would crash the sweep or leave no convergence order to measure."""
+    out = dict(data)
+    for key, distinct in (("levels", 1), ("sweep", 2)):
+        if key in out:
+            if not isinstance(out[key], list):
+                raise ConfigError(f"action.{key} must be a list, got {out[key]!r}")
+            out[key] = [_integer(n, f"action.{key} entry", 1) for n in out[key]]
+            if len(set(out[key])) < distinct:
+                raise ConfigError(f"action.{key} needs at least {distinct} distinct values, got {out[key]!r}")
+    for key in ("loops", "roundtrip_nodes"):
+        if key in out:
+            out[key] = _integer(out[key], f"action.{key}", 1)
+    amp = out.get("amp", 0.25)
+    if isinstance(amp, bool) or not isinstance(amp, (int, float)) or not math.isfinite(amp):
+        raise ConfigError(f"action.amp must be a finite number, got {amp!r}")
+    return out
 
 
 @dataclass
@@ -77,11 +108,11 @@ class ExperimentConfig:
         with _config_errors():
             space = PhaseSpace(**data.get("space", {"half_dim": 1, "topology": "torus"}))
             chain = TransformChain.from_json(data.get("chain", {"steps": []}))
-            integ = IntegratorConfig(int(data.get("integrator", {}).get("steps", 2**10)))
+            integ = IntegratorConfig(_integer(data.get("integrator", {}).get("steps", 2**10), "integrator.steps"))
             newton = NewtonConfig(**data.get("newton", {}))
             grid_data = data.get("grid", {})
             grid = GridSpec(
-                int(grid_data.get("points_per_dim", 8)),
+                _integer(grid_data.get("points_per_dim", 8), "grid.points_per_dim"),
                 tuple(tuple(b) for b in grid_data["bounds"]) if "bounds" in grid_data else None,
             )
             return ExperimentConfig(
@@ -91,10 +122,10 @@ class ExperimentConfig:
                 integrator=integ,
                 newton=newton,
                 grid=grid,
-                seed=int(data.get("seed", 0)),
+                seed=_integer(data.get("seed", 0), "seed", 0),
                 bounds=data.get("bounds", {}),
                 tolerances=data.get("tolerances", {}),
-                action=data.get("action", {}),
+                action=_action_settings(data.get("action", {})),
             )
 
     def structured_hamiltonian(self) -> StructuredHamiltonian:
@@ -145,7 +176,7 @@ def _load_config(args) -> ExperimentConfig:
         raise ConfigError("a config is required: --config PATH or --preset NAME")
     cfg = ExperimentConfig.from_dict(data)
     if args.seed is not None:
-        cfg.seed = args.seed
+        cfg.seed = _integer(args.seed, "--seed", 0)
     with _config_errors():
         if args.steps is not None:
             cfg.integrator = IntegratorConfig(_parse_steps(args.steps))
@@ -298,7 +329,7 @@ def cmd_action(args) -> int:
     rng = np.random.default_rng(cfg.seed)
     levels = cfg.action.get("levels", [1, 2, 3])
     sweep = cfg.action.get("sweep", [2**10, 2**11, 2**12, 2**13])
-    n_loops = int(cfg.action.get("loops", 3))
+    n_loops = cfg.action.get("loops", 3)
     amp = float(cfg.action.get("amp", 0.25))
     variants = ["derived", "printed"] if args.tau_compat else ["derived"]
     worst_order = np.inf
@@ -311,7 +342,7 @@ def cmd_action(args) -> int:
             H = _random_base_hamiltonian(cfg.space, rng, amp)
             gaps = {v: [] for v in variants}
             for N in sweep:
-                loop = DiscreteCurve.from_function(cfg.space, f, N)
+                loop = DiscreteCurve.from_function(cfg.space, f, N, vectorized=True)
                 for v in variants:
                     gaps[v].append(pushforward_gap(H, loop, chain, variant=v))
                 records.append(
@@ -362,13 +393,13 @@ def cmd_roundtrip(args) -> int:
     rng = np.random.default_rng(cfg.seed)
     f = _random_trig_loop(cfg.space, rng, float(cfg.action.get("amp", 0.25)))
     den = cfg.chain.grid_denominator() if cfg.chain.is_affine else 1
-    n = aligned_steps(int(cfg.action.get("roundtrip_nodes", 384)), den)
-    loop = DiscreteCurve.from_function(cfg.space, f, n)
+    n = aligned_steps(cfg.action.get("roundtrip_nodes", 384), den)
+    loop = DiscreteCurve.from_function(cfg.space, f, n, vectorized=True)
     back = phi_chain(cfg.chain, psi_chain(cfg.chain, loop))
     exact = bool(np.array_equal(back.samples, loop.samples))
     err = sup_distance(back, loop)
     print(f"roundtrip at N={n}: bitwise-exact at nodes: {exact}, sup error {err:.3e}")
-    loop2 = DiscreteCurve.from_function(cfg.space, f, 2 * n)
+    loop2 = DiscreteCurve.from_function(cfg.space, f, 2 * n, vectorized=True)
     err2 = sup_distance(phi_chain(cfg.chain, psi_chain(cfg.chain, loop2)), loop2)
     print(f"roundtrip at N={2*n}: sup error {err2:.3e}")
     # second order or better: doubling N must shrink the error at least 4x

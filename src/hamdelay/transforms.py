@@ -557,9 +557,22 @@ class DiscreteCurve:
         return self._interp
 
     @staticmethod
-    def from_function(space, fn, n_intervals, level=0, is_loop=True, breakpoints=()):
+    def from_function(space, fn, n_intervals, level=0, is_loop=True, breakpoints=(), vectorized=False):
+        """Samples fn at the n_intervals + 1 uniform nodes of [0, 1].
+
+        By default fn is called once per node with a scalar time and returns
+        (dim,) or (copies, dim).  With vectorized=True it is called once with
+        the node column ts[:, None], of shape (N+1, 1), and returns (N+1, dim)
+        or (N+1, copies, dim).  The caller states which convention fn follows;
+        the shape of its result is never used to guess it.
+        """
         ts = np.linspace(0.0, 1.0, n_intervals + 1)
-        samples = np.asarray([fn(t) for t in ts], dtype=float)
+        if vectorized:
+            samples = np.asarray(fn(ts[:, None]), dtype=float)
+            if samples.shape[:1] != ts.shape:
+                raise ValueError(f"a vectorized fn must return one row per node ({len(ts)}), got shape {samples.shape}")
+        else:
+            samples = np.asarray([fn(t) for t in ts], dtype=float)
         if samples.ndim == 2:
             samples = samples[:, None, :]
         return DiscreteCurve(space, level, space.normalize(samples), is_loop, tuple(breakpoints))
@@ -636,35 +649,44 @@ def _map_on_nodes(curve: DiscreteCurve, tmap, n_out: int, copy: int, k0: int = 0
     """curve_copy(tmap(k/n_out)) for k = k0..k1 (default: all n_out + 1 nodes),
     exact at rational node hits.
 
-    Affine maps are evaluated in integer arithmetic so node hits copy the
-    stored sample bitwise; everything else goes through the interpolant.
+    An affine map (ps/qs) t + pi/qi sends node k to num_k / den, with
+    num_k = ps*qi*k + pi*qs*n_out and den = qs*qi*n_out.  Node k hits input
+    node num_k*n_in // den when the remainder is zero; a hit copies the
+    stored sample bitwise (a loop wraps hits outside [0, n_in]), a miss is
+    read from the interpolant at num_k / den.  The window is one integer
+    array expression: int64 when |num_k|*n_in < 2^62 and |num_k|, den < 2^53,
+    else dtype object, whose elements are Python ints.  Both floor like
+    divmod, and dividing integers below 2^53 as floats is correctly rounded
+    like Python's int / int, so every hit and miss time is the exact rational
+    one.  Other maps go through the interpolant at every node.
     """
     k1 = n_out if k1 is None else k1
     n_in = curve.n_intervals
     out = np.empty((k1 - k0 + 1, curve.space.dim))
-    miss_idx: list[int] = []
-    miss_t: list[float] = []
     if getattr(tmap, "is_affine", False):
         ps, qs = tmap.slope.numerator, tmap.slope.denominator
         pi, qi = tmap.intercept.numerator, tmap.intercept.denominator
-        den = qs * qi * n_out
-        for i, k in enumerate(range(k0, k1 + 1)):
-            num = ps * k * qi + pi * qs * n_out
-            hit, rem = divmod(num * n_in, den)
-            if rem == 0 and (curve.is_loop or 0 <= hit <= n_in):
-                if curve.is_loop and not 0 <= hit <= n_in:
-                    hit %= n_in
-                out[i] = curve.samples[hit, copy]
-            else:
-                miss_idx.append(i)
-                miss_t.append(num / den)
+        a, b, den = ps * qi, pi * qs * n_out, qs * qi * n_out
+        bound = abs(a) * max(abs(k0), abs(k1), 1) + abs(b)  # >= |a|, |b| and every |num_k|
+        fits = bound * n_in < 2**62 and bound < 2**53 and den < 2**53
+        num = a * np.arange(k0, k1 + 1, dtype=np.int64 if fits else object) + b
+        scaled = num * n_in
+        hit, rem = scaled // den, scaled % den
+        is_hit = rem == 0
+        outside = (hit < 0) | (hit > n_in)
+        if curve.is_loop:
+            np.remainder(hit, n_in, out=hit, where=outside)
+        else:
+            is_hit &= ~outside
+        out[is_hit] = curve.samples[hit[is_hit].astype(np.intp), copy]
+        ts = num / den
     else:
-        ts = np.asarray(tmap(np.linspace(0.0, 1.0, n_out + 1)[k0 : k1 + 1]), dtype=float)
-        miss_idx = list(range(k1 - k0 + 1))
-        miss_t = list(ts)
-    if miss_idx:
-        vals = curve.interpolant().evaluate(np.asarray(miss_t))[:, copy, :]
-        out[np.asarray(miss_idx)] = curve.space.normalize(vals)
+        is_hit = np.zeros(k1 - k0 + 1, dtype=bool)
+        ts = tmap(np.linspace(0.0, 1.0, n_out + 1)[k0 : k1 + 1])
+    miss = ~is_hit
+    if miss.any():
+        vals = curve.interpolant().evaluate(np.asarray(ts[miss], dtype=float))[:, copy, :]
+        out[miss] = curve.space.normalize(vals)
     return out
 
 

@@ -29,7 +29,7 @@ from tests.test_transforms import trig_loop_fn
 def circle(plane, n=512, reverse=False):
     sgn = -1.0 if reverse else 1.0
     return DiscreteCurve.from_function(
-        plane, lambda t: np.array([np.cos(2 * np.pi * sgn * t), np.sin(2 * np.pi * sgn * t)]), n
+        plane, lambda t: np.hstack([np.cos(2 * np.pi * sgn * t), np.sin(2 * np.pi * sgn * t)]), n, vectorized=True
     )
 
 
@@ -48,6 +48,14 @@ def test_unit_circle_area(plane):
     assert abs(action_loop(ZERO_H, v) + np.pi) < 1e-4
 
 
+def test_circle_vectorized_matches_per_node(plane):
+    fast = circle(plane, 64).samples
+    slow = DiscreteCurve.from_function(
+        plane, lambda t: np.array([np.cos(2 * np.pi * t), np.sin(2 * np.pi * t)]), 64
+    )
+    assert np.array_equal(fast, slow.samples)
+
+
 def test_loop_area_convergence(plane):
     errs = [abs(loop_area(circle(plane, n)) - np.pi) for n in (128, 256, 512)]
     assert errs[1] < errs[0] / 3 and errs[2] < errs[1] / 3
@@ -55,7 +63,7 @@ def test_loop_area_convergence(plane):
 
 def test_constant_hamiltonian_action(torus, rng):
     f = trig_loop_fn(rng, scale=0.2)
-    v = DiscreteCurve.from_function(torus, f, 256)
+    v = DiscreteCurve.from_function(torus, f, 256, vectorized=True)
     Hc = StructuredHamiltonian(0, ((1.0, (Factor(0, ConstSpatial(2.5)),)),))
     assert abs(action_loop(Hc, v) - (-loop_area(v) - 2.5)) < 1e-12
 
@@ -97,7 +105,7 @@ def test_reversal_negates_areas(plane):
 def test_chord_area_torus_gluing(torus, rng):
     """Torus lifts glue consistently for transforms of contractible loops."""
     f = trig_loop_fn(rng, scale=0.3)
-    v = DiscreteCurve.from_function(torus, f, 512)
+    v = DiscreteCurve.from_function(torus, f, 512, vectorized=True)
     for n in (1, 2, 3):
         ch = TransformChain.standard(n)
         w = psi_chain(ch, v)
@@ -142,7 +150,7 @@ def test_pushforward_identity_small_gap(torus, rng):
     for n in (1, 2, 3):
         gaps = []
         for N in (1024, 2048):
-            v = DiscreteCurve.from_function(torus, f, N)
+            v = DiscreteCurve.from_function(torus, f, N, vectorized=True)
             gaps.append(pushforward_gap(H, v, TransformChain.standard(n)))
         assert gaps[0] < 5e-5
         assert gaps[1] < gaps[0] / 2.5
@@ -154,7 +162,7 @@ def test_pushforward_identity_plane(plane, rng):
         0,
         ((1.0, (Factor(0, TrigSpatial(0.5, (1, 1), 0.2), TrigTime(0.3, 1, 0.0, 1.0)),)),),
     )
-    v = DiscreteCurve.from_function(plane, f, 2048)
+    v = DiscreteCurve.from_function(plane, f, 2048, vectorized=True)
     assert pushforward_gap(H, v, TransformChain.standard(2)) < 2e-5
 
 
@@ -166,7 +174,7 @@ def test_pushforward_rational_chain(torus, rng):
         ((1.0, (Factor(0, TrigSpatial(0.4, (0, 1), 0.9), TrigTime(0.3, 1, 0.4, 1.0)),)),),
     )
     ch = TransformChain.affine([Fr(1, 3), Fr(1, 2)])
-    v = DiscreteCurve.from_function(torus, f, ch.grid_denominator() * 256)
+    v = DiscreteCurve.from_function(torus, f, ch.grid_denominator() * 256, vectorized=True)
     assert pushforward_gap(H, v, ch) < 5e-5
 
 
@@ -177,7 +185,7 @@ def test_printed_variant_documented_discrepancy(torus, rng):
         0,
         ((1.0, (Factor(0, TrigSpatial(0.4, (1, 0), 0.3), TrigTime(0.5, 1, 0.0, 1.0)),)),),
     )
-    v = DiscreteCurve.from_function(torus, f, 4096)
+    v = DiscreteCurve.from_function(torus, f, 4096, vectorized=True)
     g1d = pushforward_gap(H, v, TransformChain.standard(1), variant="derived")
     g1p = pushforward_gap(H, v, TransformChain.standard(1), variant="printed")
     assert abs(g1d - g1p) < 1e-12  # level 1: the recursions agree
@@ -192,7 +200,7 @@ def test_action_chord_scaling(torus, rng):
     from hamdelay.action import _h_quadrature
 
     f = trig_loop_fn(rng, scale=0.2)
-    v = DiscreteCurve.from_function(torus, f, 256)
+    v = DiscreteCurve.from_function(torus, f, 256, vectorized=True)
     ch = TransformChain.standard(1)
     w = psi_chain(ch, v)
     lev = build_level(torus, 1)
@@ -208,7 +216,7 @@ def test_action_chord_scaling(torus, rng):
 
 def test_level_zero_chain_is_identity(torus, rng):
     f = trig_loop_fn(rng, scale=0.2)
-    v = DiscreteCurve.from_function(torus, f, 64)
+    v = DiscreteCurve.from_function(torus, f, 64, vectorized=True)
     ch = TransformChain(())
     assert psi_chain(ch, v) is v
     from hamdelay.transforms import phi_chain
@@ -218,7 +226,7 @@ def test_level_zero_chain_is_identity(torus, rng):
 
 def test_action_report_fields(torus, rng):
     f = trig_loop_fn(rng, scale=0.2)
-    v = DiscreteCurve.from_function(torus, f, 128)
+    v = DiscreteCurve.from_function(torus, f, 128, vectorized=True)
     H = StructuredHamiltonian(0, ((1.0, (Factor(0, ConstSpatial(1.5)),)),))
     rep = action_report(H, v)
     assert set(rep) == {"action", "area_term", "perturbation_term", "winding"}

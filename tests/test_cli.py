@@ -250,6 +250,9 @@ def test_bad_override_is_config_error(flag, value, tmp_path, capsys):
         ("newton", "tol", float("nan")),
         ("newton", "fd_step", float("inf")),
         ("newton", "min_damping", 4.0),
+        ("grid", "points_per_dim", 2.7),
+        ("integrator", "steps", 64.9),
+        ("integrator", "steps", "64"),
     ],
 )
 def test_bad_config_value_is_config_error(section, key, value, tmp_path, capsys):
@@ -263,3 +266,48 @@ def test_bad_config_value_is_config_error(section, key, value, tmp_path, capsys)
     assert code == 2
     assert capsys.readouterr().err.startswith("config error:")
     assert not (tmp_path / "o" / "orbitset.json").exists()
+
+
+@pytest.mark.parametrize(
+    "command,key,value",
+    [
+        ("action", "sweep", [0, 64]),
+        ("action", "sweep", [64.5, 128]),
+        ("action", "sweep", [64]),
+        ("action", "sweep", [64, 64]),
+        ("action", "sweep", 64),
+        ("action", "levels", [0]),
+        ("action", "levels", []),
+        ("action", "loops", 0),
+        ("action", "amp", float("nan")),
+        ("action", "amp", "0.25"),
+        ("action", "amp", 10**400),
+        ("roundtrip", "roundtrip_nodes", 0),
+        ("roundtrip", "roundtrip_nodes", "x"),
+        ("roundtrip", "amp", float("inf")),
+    ],
+)
+def test_bad_action_value_is_config_error(command, key, value, tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    cfg = json.loads(open(_small_action_config(tmp_path)).read())
+    cfg["action"][key] = value
+    path.write_text(json.dumps(cfg))
+    code = run([command, "--config", str(path), "--out", str(tmp_path / "o")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("config error:")
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("config_seed,override", [(2.7, None), (-1, None), (0, "-1")])
+def test_bad_seed_is_config_error(config_seed, override, tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    cfg = json.loads(open(_small_action_config(tmp_path)).read())
+    cfg["seed"] = config_seed
+    path.write_text(json.dumps(cfg))
+    flags = ["--seed", override] if override else []
+    code = run(["action", "--config", str(path), *flags, "--out", str(tmp_path / "o")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("config error:")
+    assert captured.out == ""

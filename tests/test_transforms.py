@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 from fractions import Fraction as Fr
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from hamdelay.cli import _random_trig_loop
 from hamdelay.geometry import PhaseSpace, build_level
 from hamdelay.transforms import (
     AffineMap,
@@ -10,6 +11,7 @@ from hamdelay.transforms import (
     MonotoneSplineMap,
     ReparamPair,
     TransformChain,
+    _map_on_nodes,
     compare_tau_tables,
     copy_time_map,
     copy_time_map_printed,
@@ -287,7 +289,7 @@ def test_psi_step_constant_loop(torus):
 
 def test_psi_step_halving_formula(torus, rng):
     f = trig_loop_fn(rng)
-    v = DiscreteCurve.from_function(torus, f, 128)
+    v = DiscreteCurve.from_function(torus, f, 128, vectorized=True)
     w = psi_step(ReparamPair.halving(), v)
     ts = v.times()
     for k in range(0, 129, 2):
@@ -312,7 +314,7 @@ def test_phi_step_rejects_bad_gluing(torus):
 
 def test_roundtrip_bitwise_standard(torus, rng):
     f = trig_loop_fn(rng)
-    v = DiscreteCurve.from_function(torus, f, 96)
+    v = DiscreteCurve.from_function(torus, f, 96, vectorized=True)
     for n in (1, 2, 3):
         ch = TransformChain.standard(n)
         back = phi_chain(ch, psi_chain(ch, v))
@@ -321,7 +323,7 @@ def test_roundtrip_bitwise_standard(torus, rng):
 
 def test_roundtrip_stepwise_matches_chain(torus, rng):
     f = trig_loop_fn(rng)
-    v = DiscreteCurve.from_function(torus, f, 64)
+    v = DiscreteCurve.from_function(torus, f, 64, vectorized=True)
     ch = TransformChain.standard(2)
     w_chain = psi_chain(ch, v)
     w_steps = psi_step(ch.steps[1], psi_step(ch.steps[0], v))
@@ -333,7 +335,7 @@ def test_roundtrip_stepwise_matches_chain(torus, rng):
 def test_phi_chain_segment_reading(torus, rng):
     """A node inside the third quarter reads copy 4 at chord time -2+4t."""
     f = trig_loop_fn(rng)
-    v = DiscreteCurve.from_function(torus, f, 64)
+    v = DiscreteCurve.from_function(torus, f, 64, vectorized=True)
     ch = TransformChain.standard(2)
     w = psi_chain(ch, v)
     back = phi_chain(ch, w)
@@ -347,7 +349,7 @@ def test_roundtrip_rational_chain(torus, rng):
     f = trig_loop_fn(rng)
     ch = TransformChain.affine([Fr(1, 3), Fr(1, 2)])
     den = ch.grid_denominator()
-    v = DiscreteCurve.from_function(torus, f, den * 32)
+    v = DiscreteCurve.from_function(torus, f, den * 32, vectorized=True)
     back = phi_chain(ch, psi_chain(ch, v))
     assert sup_distance(back, v) < 1e-6
 
@@ -358,7 +360,7 @@ def test_roundtrip_convergence_after_resample(torus, rng):
     ch = TransformChain.affine([Fr(2, 5)])
     den = ch.grid_denominator()
     for mult in (8, 16, 32):
-        v = DiscreteCurve.from_function(torus, f, den * mult)
+        v = DiscreteCurve.from_function(torus, f, den * mult, vectorized=True)
         back = phi_chain(ch, psi_chain(ch, v))
         errs.append(sup_distance(resample(back, den * 8), resample(v, den * 8)))
     n_vals = [den * 8, den * 16, den * 32]
@@ -367,7 +369,7 @@ def test_roundtrip_convergence_after_resample(torus, rng):
 
 def test_resample_identity_and_nodes(torus, rng):
     f = trig_loop_fn(rng)
-    v = DiscreteCurve.from_function(torus, f, 64)
+    v = DiscreteCurve.from_function(torus, f, 64, vectorized=True)
     assert np.array_equal(resample(v, 64).samples, v.samples)
     fine = resample(v, 128)
     assert np.array_equal(fine.samples[::2], v.samples)
@@ -377,13 +379,93 @@ def test_resample_identity_and_nodes(torus, rng):
 
 def test_resample_convergence(torus, rng):
     f = trig_loop_fn(rng)
-    coarse = DiscreteCurve.from_function(torus, f, 128)
-    exact = DiscreteCurve.from_function(torus, f, 256)
+    coarse = DiscreteCurve.from_function(torus, f, 128, vectorized=True)
+    exact = DiscreteCurve.from_function(torus, f, 256, vectorized=True)
     err = sup_distance(resample(coarse, 256), exact)
-    coarse2 = DiscreteCurve.from_function(torus, f, 256)
-    exact2 = DiscreteCurve.from_function(torus, f, 512)
+    coarse2 = DiscreteCurve.from_function(torus, f, 256, vectorized=True)
+    exact2 = DiscreteCurve.from_function(torus, f, 512, vectorized=True)
     err2 = sup_distance(resample(coarse2, 512), exact2)
     assert err2 < err / 4 * 1.5 + 1e-14
+
+
+# ---------------------------------------------------------------------------
+# array paths against their per-node oracles
+
+
+def _map_on_nodes_loop(curve, tmap, n_out, copy, k0=0, k1=None):
+    """The per-node Python-int loop that the affine branch of _map_on_nodes
+    replaced; kept as its oracle."""
+    k1 = n_out if k1 is None else k1
+    n_in = curve.n_intervals
+    out = np.empty((k1 - k0 + 1, curve.space.dim))
+    miss_idx, miss_t = [], []
+    ps, qs = tmap.slope.numerator, tmap.slope.denominator
+    pi, qi = tmap.intercept.numerator, tmap.intercept.denominator
+    den = qs * qi * n_out
+    for i, k in enumerate(range(k0, k1 + 1)):
+        num = ps * k * qi + pi * qs * n_out
+        hit, rem = divmod(num * n_in, den)
+        if rem == 0 and (curve.is_loop or 0 <= hit <= n_in):
+            if curve.is_loop and not 0 <= hit <= n_in:
+                hit %= n_in
+            out[i] = curve.samples[hit, copy]
+        else:
+            miss_idx.append(i)
+            miss_t.append(num / den)
+    if miss_idx:
+        vals = curve.interpolant().evaluate(np.asarray(miss_t))[:, copy, :]
+        out[np.asarray(miss_idx)] = curve.space.normalize(vals)
+    return out
+
+
+# small rationals hit nodes often; numerators and denominators near 1e12-1e16
+# push |num| * n_in or den past the int64 guard, so the object dtype runs too
+_ints = st.integers(-24, 24) | st.integers(10**12, 10**16) | st.integers(-(10**16), -(10**12))
+_dens = st.integers(1, 12) | st.integers(10**12 - 50, 10**12 + 50)
+
+
+@st.composite
+def _affine_windows(draw):
+    slope = Fr(draw(_ints.filter(bool)), draw(_dens))
+    intercept = Fr(draw(_ints), draw(_dens))
+    n_in = draw(st.integers(1, 48) | st.sampled_from([1024, 4096]))
+    n_out = draw(st.integers(1, 48) | st.sampled_from([1000, 4096]))
+    k0 = draw(st.integers(0, n_out))
+    k1 = draw(st.integers(k0, n_out))
+    return AffineMap(slope, intercept), n_in, n_out, k0, k1, draw(st.booleans())
+
+
+@settings(max_examples=300)
+@given(_affine_windows())
+@example((AffineMap(1, 10**15), 64, 64, 0, 64, True))  # object dtype, every node a wrapped hit
+@example((AffineMap(-1, 1), 64, 32, 0, 32, True))  # hits at both ends, 0 and n_in
+@example((AffineMap(Fr(-3, 2), Fr(1, 4)), 16, 24, 2, 20, True))  # negative hits wrap
+@example((AffineMap(Fr(-3, 10**12 + 7), Fr(5, 10**12 - 3)), 48, 40, 3, 37, False))
+def test_map_on_nodes_matches_loop_oracle(case):
+    tmap, n_in, n_out, k0, k1, is_loop = case
+    space = PhaseSpace(1, "torus")
+    samples = np.random.default_rng(n_in * 7919 + n_out).random((n_in + 1, 2, 2))
+    curve = DiscreteCurve(space, 1, samples, is_loop)
+    for copy in (0, 1):
+        got = _map_on_nodes(curve, tmap, n_out, copy, k0, k1)
+        want = _map_on_nodes_loop(curve, tmap, n_out, copy, k0, k1)
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("topology", ["torus", "plane"])
+@pytest.mark.parametrize("n", [1, 96, 4096])
+def test_vectorized_sampling_matches_per_node(topology, n):
+    space = PhaseSpace(1, topology)
+    rng = np.random.default_rng(n)
+    for f in (trig_loop_fn(rng), trig_loop_fn(rng, scale=0.4), _random_trig_loop(space, rng, 0.25)):
+        fast = DiscreteCurve.from_function(space, f, n, vectorized=True)
+        slow = DiscreteCurve.from_function(space, f, n)
+        assert np.array_equal(fast.samples, slow.samples)
+
+
+def test_vectorized_sampling_needs_one_row_per_node(torus):
+    with pytest.raises(ValueError, match="one row per node"):
+        DiscreteCurve.from_function(torus, lambda t: np.array([0.3, 0.7]), 16, vectorized=True)
 
 
 def test_copy_time_map_consistency_with_table():
