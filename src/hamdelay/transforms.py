@@ -557,22 +557,16 @@ class DiscreteCurve:
         return self._interp
 
     @staticmethod
-    def from_function(space, fn, n_intervals, level=0, is_loop=True, breakpoints=(), vectorized=False):
+    def from_function(space, fn, n_intervals, level=0, is_loop=True, breakpoints=()):
         """Samples fn at the n_intervals + 1 uniform nodes of [0, 1].
 
-        By default fn is called once per node with a scalar time and returns
-        (dim,) or (copies, dim).  With vectorized=True it is called once with
-        the node column ts[:, None], of shape (N+1, 1), and returns (N+1, dim)
-        or (N+1, copies, dim).  The caller states which convention fn follows;
-        the shape of its result is never used to guess it.
+        fn is called once with the node column ts[:, None], of shape (N+1, 1),
+        and returns (N+1, dim) or (N+1, copies, dim): one row per node.
         """
         ts = np.linspace(0.0, 1.0, n_intervals + 1)
-        if vectorized:
-            samples = np.asarray(fn(ts[:, None]), dtype=float)
-            if samples.shape[:1] != ts.shape:
-                raise ValueError(f"a vectorized fn must return one row per node ({len(ts)}), got shape {samples.shape}")
-        else:
-            samples = np.asarray([fn(t) for t in ts], dtype=float)
+        samples = np.asarray(fn(ts[:, None]), dtype=float)
+        if samples.shape[:1] != ts.shape:
+            raise ValueError(f"fn must return one row per node ({len(ts)}), got shape {samples.shape}")
         if samples.ndim == 2:
             samples = samples[:, None, :]
         return DiscreteCurve(space, level, space.normalize(samples), is_loop, tuple(breakpoints))
@@ -581,8 +575,8 @@ class DiscreteCurve:
 def _breakpoint_node(bp, n: int):
     """Node index of a breakpoint, or None when it misses the grid."""
     if isinstance(bp, Fraction):
-        k = bp * n
-        return int(k) if k.denominator == 1 else None
+        k, rem = divmod(bp.numerator * n, bp.denominator)
+        return k if rem == 0 else None
     k = round(float(bp) * n)
     return k if abs(float(bp) * n - k) <= 1e-9 else None
 
@@ -645,49 +639,62 @@ class CurveInterpolant:
         return out
 
 
-def _map_on_nodes(curve: DiscreteCurve, tmap, n_out: int, copy: int, k0: int = 0, k1: int | None = None) -> np.ndarray:
-    """curve_copy(tmap(k/n_out)) for k = k0..k1 (default: all n_out + 1 nodes),
-    exact at rational node hits.
+def _map_on_nodes(curve: DiscreteCurve, n_out: int, jobs) -> list:
+    """Reads the curve on output nodes for every job (tmap, copy, k0, k1):
+    curve_copy(tmap(k/n_out)) for k = k0..k1, one (k1 - k0 + 1, dim) block
+    per job, exact at rational node hits.
 
-    An affine map (ps/qs) t + pi/qi sends node k to num_k / den, with
+    All jobs are one array expression and one interpolant call, so a chain
+    with many short windows pays numpy's fixed cost once.  An affine map
+    (ps/qs) t + pi/qi sends node k to num_k / den, with
     num_k = ps*qi*k + pi*qs*n_out and den = qs*qi*n_out.  Node k hits input
     node num_k*n_in // den when the remainder is zero; a hit copies the
     stored sample bitwise (a loop wraps hits outside [0, n_in]), a miss is
-    read from the interpolant at num_k / den.  The window is one integer
-    array expression: int64 when |num_k|*n_in < 2^62 and |num_k|, den < 2^53,
-    else dtype object, whose elements are Python ints.  Both floor like
-    divmod, and dividing integers below 2^53 as floats is correctly rounded
-    like Python's int / int, so every hit and miss time is the exact rational
-    one.  Other maps go through the interpolant at every node.
+    read from the interpolant at num_k / den.  The rows are int64 when every
+    |num_k|*n_in < 2^62 and every |num_k|, den < 2^53, else dtype object,
+    whose elements are Python ints.  Both floor like divmod, and dividing
+    integers below 2^53 as floats is correctly rounded like Python's
+    int / int, so every hit and miss time is the exact rational one.  Other
+    maps go through the interpolant at every node.
     """
-    k1 = n_out if k1 is None else k1
     n_in = curve.n_intervals
-    out = np.empty((k1 - k0 + 1, curve.space.dim))
-    if getattr(tmap, "is_affine", False):
-        ps, qs = tmap.slope.numerator, tmap.slope.denominator
-        pi, qi = tmap.intercept.numerator, tmap.intercept.denominator
-        a, b, den = ps * qi, pi * qs * n_out, qs * qi * n_out
-        bound = abs(a) * max(abs(k0), abs(k1), 1) + abs(b)  # >= |a|, |b| and every |num_k|
-        fits = bound * n_in < 2**62 and bound < 2**53 and den < 2**53
-        num = a * np.arange(k0, k1 + 1, dtype=np.int64 if fits else object) + b
-        scaled = num * n_in
-        hit, rem = scaled // den, scaled % den
-        is_hit = rem == 0
-        outside = (hit < 0) | (hit > n_in)
-        if curve.is_loop:
-            np.remainder(hit, n_in, out=hit, where=outside)
+    params, sizes, starts, bound, den_max = [], [], [0], 0, 1
+    for tmap, copy, k0, k1 in jobs:
+        # per job: a, b, den, the node shift k - row, the copy and an affine flag
+        if getattr(tmap, "is_affine", False):
+            ps, qs = tmap.slope.numerator, tmap.slope.denominator
+            pi, qi = tmap.intercept.numerator, tmap.intercept.denominator
+            a, b, den = ps * qi, pi * qs * n_out, qs * qi * n_out
+            bound = max(bound, abs(a) * max(k1, 1) + abs(b))  # >= |a|, |b| and every |num_k|
+            den_max = max(den_max, den)
+            params.append((a, b, den, k0 - starts[-1], copy, 1))
         else:
-            is_hit &= ~outside
-        out[is_hit] = curve.samples[hit[is_hit].astype(np.intp), copy]
-        ts = num / den
+            params.append((0, 0, 1, k0 - starts[-1], copy, 0))
+        sizes.append(k1 - k0 + 1)
+        starts.append(starts[-1] + sizes[-1])
+    dtype = np.int64 if bound * n_in < 2**62 and bound < 2**53 and den_max < 2**53 else object
+    a, b, den, shift, copy, affine = np.repeat(np.array(params, dtype=dtype), sizes, axis=0).T
+    num = a * (np.arange(starts[-1], dtype=dtype) + shift) + b
+    scaled = num * n_in
+    node, rem = scaled // den, scaled % den  # np.divmod has no object loop
+    is_hit = (rem == 0) & (affine == 1)
+    outside = (node < 0) | (node > n_in)
+    if curve.is_loop:
+        np.remainder(node, n_in, out=node, where=outside)
     else:
-        is_hit = np.zeros(k1 - k0 + 1, dtype=bool)
-        ts = tmap(np.linspace(0.0, 1.0, n_out + 1)[k0 : k1 + 1])
+        is_hit &= ~outside
+    ts = np.asarray(num / den, dtype=float)
+    for (tmap, _, k0, k1), lo, hi in zip(jobs, starts, starts[1:]):
+        if not getattr(tmap, "is_affine", False):
+            ts[lo:hi] = tmap(np.linspace(0.0, 1.0, n_out + 1)[k0 : k1 + 1])
+    copy = copy.astype(np.intp)
+    out = np.empty((starts[-1], curve.space.dim))
+    out[is_hit] = curve.samples[node[is_hit].astype(np.intp), copy[is_hit]]
     miss = ~is_hit
     if miss.any():
-        vals = curve.interpolant().evaluate(np.asarray(ts[miss], dtype=float))[:, copy, :]
-        out[miss] = curve.space.normalize(vals)
-    return out
+        vals = curve.interpolant().evaluate(ts[miss])
+        out[miss] = curve.space.normalize(vals[np.arange(len(vals)), copy[miss]])
+    return [out[lo:hi] for lo, hi in zip(starts, starts[1:])]
 
 
 # ---------------------------------------------------------------------------
@@ -719,10 +726,8 @@ def psi_step(pair: ReparamPair, curve: DiscreteCurve) -> DiscreteCurve:
     _check_boundary(curve)
     n = curve.n_intervals
     copies = curve.copies
-    out = np.empty((n + 1, 2 * copies, curve.space.dim))
-    for j in range(copies):
-        out[:, j, :] = _map_on_nodes(curve, pair.alpha, n, j)
-        out[:, j + copies, :] = _map_on_nodes(curve, pair.beta, n, j)
+    jobs = [(pair.alpha, j, 0, n) for j in range(copies)] + [(pair.beta, j, 0, n) for j in range(copies)]
+    out = np.stack(_map_on_nodes(curve, n, jobs), axis=1)
     bps = _psi_breakpoints(pair, curve.breakpoints)
     return DiscreteCurve(curve.space, curve.level + 1, curve.space.normalize(out), False, bps)
 
@@ -751,12 +756,12 @@ def phi_step(pair: ReparamPair, curve: DiscreteCurve) -> DiscreteCurve:
     if ktau is None:
         raise ValueError(f"grid is misaligned: tau {pair.tau} is not one of {n} nodes")
     ainv, binv = pair.alpha.inverse(), pair.beta.inverse()
+    jobs = [(ainv, j, 0, ktau) for j in range(half)] + [(binv, j + half, ktau, n) for j in range(half)]
+    blocks = _map_on_nodes(curve, n, jobs)
     out = np.empty((n + 1, half, curve.space.dim))
     for j in range(half):
-        first = _map_on_nodes(curve, ainv, n, j)
-        second = _map_on_nodes(curve, binv, n, j + half)
-        out[: ktau + 1, j, :] = first[: ktau + 1]
-        out[ktau:, j, :] = second[ktau:]
+        out[: ktau + 1, j, :] = blocks[j]
+        out[ktau:, j, :] = blocks[j + half]
     bps = _phi_breakpoints(pair, curve.breakpoints)
     is_loop = curve.level == 1
     return DiscreteCurve(curve.space, curve.level - 1, curve.space.normalize(out), is_loop, bps)
@@ -785,9 +790,7 @@ def psi_chain(chain: TransformChain, loop: DiscreteCurve) -> DiscreteCurve:
     table = chain.table
     _validate_grid(loop.n_intervals, table.breakpoints())
     n = loop.n_intervals
-    out = np.empty((n + 1, len(table), loop.space.dim))
-    for m, entry in enumerate(table.entries):
-        out[:, m, :] = _map_on_nodes(loop, entry.tau(), n, 0)
+    out = np.stack(_map_on_nodes(loop, n, [(entry.tau(), 0, 0, n) for entry in table.entries]), axis=1)
     bps = _chain_image_breakpoints(table, loop.breakpoints)
     return DiscreteCurve(loop.space, chain.level, loop.space.normalize(out), False, bps)
 
@@ -808,27 +811,23 @@ def phi_chain(chain: TransformChain, path: DiscreteCurve) -> DiscreteCurve:
     if path.level != chain.level:
         raise ValueError("path level does not match the chain")
     _check_boundary(path)
-    table = chain.table
-    _validate_grid(path.n_intervals, table.breakpoints())
     n = path.n_intervals
+    entries = chain.table.by_interval()
+    bps = [e.lo for e in entries] + [entries[-1].hi]  # the entries tile [0, 1]
+    _validate_grid(n, bps)
+    nodes = [_breakpoint_node(b, n) for b in bps]
+    blocks = _map_on_nodes(path, n, [(e.theta, e.copy, k0, k1) for e, k0, k1 in zip(entries, nodes, nodes[1:])])
     out = np.empty((n + 1, 1, path.space.dim))
-    bps = []
-    for entry in table.by_interval():
-        k0 = _breakpoint_node(entry.lo, n)
-        k1 = _breakpoint_node(entry.hi, n)
-        out[k0 : k1 + 1, 0, :] = _map_on_nodes(path, entry.theta, n, entry.copy, k0, k1)
-        if k0 > 0:
-            bps.append(entry.lo)
-    return DiscreteCurve(path.space, 0, path.space.normalize(out), True, tuple(bps))
+    for k0, k1, block in zip(nodes, nodes[1:], blocks):
+        out[k0 : k1 + 1, 0, :] = block
+    return DiscreteCurve(path.space, 0, path.space.normalize(out), True, tuple(bps[1:-1]))
 
 
 def resample(curve: DiscreteCurve, n_new: int) -> DiscreteCurve:
     """Resamples onto n_new intervals; coinciding nodes are copied bitwise."""
     _validate_grid(n_new, curve.breakpoints)
-    n_old = curve.n_intervals
-    out = np.empty((n_new + 1, curve.copies, curve.space.dim))
-    for j in range(curve.copies):
-        out[:, j, :] = _map_on_nodes(curve, AffineMap(1, 0), n_new, j)
+    jobs = [(AffineMap(1, 0), j, 0, n_new) for j in range(curve.copies)]
+    out = np.stack(_map_on_nodes(curve, n_new, jobs), axis=1)
     return DiscreteCurve(curve.space, curve.level, curve.space.normalize(out), curve.is_loop, curve.breakpoints)
 
 

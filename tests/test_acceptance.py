@@ -251,7 +251,7 @@ def test_c4_pushforward_identity():
                 chain = TransformChain.standard(n)
                 gaps = []
                 for N in sweep:
-                    loop = DiscreteCurve.from_function(space, f, N, vectorized=True)
+                    loop = DiscreteCurve.from_function(space, f, N)
                     gaps.append(pushforward_gap(H, loop, chain))
                     if N == 2**12:
                         bound = 10 * 2.0**-24 * max(1.0, abs(action_loop(H, loop)))
@@ -280,7 +280,7 @@ def test_c5_round_trip():
     f = trig_loop_fn(rng)
     for n in (1, 2, 3):
         chain = TransformChain.standard(n)
-        loop = DiscreteCurve.from_function(TORUS, f, 13 * 2**n, vectorized=True)
+        loop = DiscreteCurve.from_function(TORUS, f, 13 * 2**n)
         back = phi_chain(chain, psi_chain(chain, loop))
         assert np.array_equal(back.samples, loop.samples)
     # rational chain: second-order contraction after resampling
@@ -288,7 +288,7 @@ def test_c5_round_trip():
     den = chain.grid_denominator()
     errs = []
     for mult in (8, 32):
-        loop = DiscreteCurve.from_function(TORUS, f, den * mult, vectorized=True)
+        loop = DiscreteCurve.from_function(TORUS, f, den * mult)
         back = phi_chain(chain, psi_chain(chain, loop))
         errs.append(sup_distance(resample(back, den * 8), resample(loop, den * 8)))
     assert errs[1] <= errs[0] / 16 * 1.2 + 1e-14
@@ -460,7 +460,7 @@ def test_c9_tau_variant_report():
         0,
         ((1.0, (Factor(0, TrigSpatial(0.4, (1, 0), 0.3), TrigTime(0.5, 1, 0.0, 1.0)),)),),
     )
-    loop = DiscreteCurve.from_function(TORUS, f, 2**12, vectorized=True)
+    loop = DiscreteCurve.from_function(TORUS, f, 2**12)
     bound = 10 * 2.0**-24 * max(1.0, abs(action_loop(H, loop)))
     for n in (1, 2, 3):
         chain = TransformChain.standard(n)

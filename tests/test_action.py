@@ -29,7 +29,7 @@ from tests.test_transforms import trig_loop_fn
 def circle(plane, n=512, reverse=False):
     sgn = -1.0 if reverse else 1.0
     return DiscreteCurve.from_function(
-        plane, lambda t: np.hstack([np.cos(2 * np.pi * sgn * t), np.sin(2 * np.pi * sgn * t)]), n, vectorized=True
+        plane, lambda t: np.hstack([np.cos(2 * np.pi * sgn * t), np.sin(2 * np.pi * sgn * t)]), n
     )
 
 
@@ -37,7 +37,7 @@ ZERO_H = StructuredHamiltonian(0, ())
 
 
 def test_constant_loop_zero_area(torus):
-    v = DiscreteCurve.from_function(torus, lambda t: np.array([0.3, 0.8]), 64)
+    v = DiscreteCurve.from_function(torus, lambda t: np.full((len(t), 2), [0.3, 0.8]), 64)
     assert loop_area(v) == 0.0
     assert action_loop(ZERO_H, v) == 0.0
 
@@ -49,11 +49,9 @@ def test_unit_circle_area(plane):
 
 
 def test_circle_vectorized_matches_per_node(plane):
-    fast = circle(plane, 64).samples
-    slow = DiscreteCurve.from_function(
-        plane, lambda t: np.array([np.cos(2 * np.pi * t), np.sin(2 * np.pi * t)]), 64
-    )
-    assert np.array_equal(fast, slow.samples)
+    fast = circle(plane, 64).samples[:, 0, :]
+    slow = [[np.cos(2 * np.pi * t), np.sin(2 * np.pi * t)] for t in np.linspace(0.0, 1.0, 65)]
+    assert np.array_equal(fast, np.array(slow))
 
 
 def test_loop_area_convergence(plane):
@@ -63,13 +61,13 @@ def test_loop_area_convergence(plane):
 
 def test_constant_hamiltonian_action(torus, rng):
     f = trig_loop_fn(rng, scale=0.2)
-    v = DiscreteCurve.from_function(torus, f, 256, vectorized=True)
+    v = DiscreteCurve.from_function(torus, f, 256)
     Hc = StructuredHamiltonian(0, ((1.0, (Factor(0, ConstSpatial(2.5)),)),))
     assert abs(action_loop(Hc, v) - (-loop_area(v) - 2.5)) < 1e-12
 
 
 def test_non_contractible_loop_rejected(torus):
-    v = DiscreteCurve.from_function(torus, lambda t: np.array([t % 1.0, 0.25]), 64)
+    v = DiscreteCurve.from_function(torus, lambda t: np.hstack([t % 1.0, np.full_like(t, 0.25)]), 64)
     with pytest.raises(NonContractibleError):
         loop_area(v)
     _, winding = unwrap_loop(v)
@@ -105,7 +103,7 @@ def test_reversal_negates_areas(plane):
 def test_chord_area_torus_gluing(torus, rng):
     """Torus lifts glue consistently for transforms of contractible loops."""
     f = trig_loop_fn(rng, scale=0.3)
-    v = DiscreteCurve.from_function(torus, f, 512, vectorized=True)
+    v = DiscreteCurve.from_function(torus, f, 512)
     for n in (1, 2, 3):
         ch = TransformChain.standard(n)
         w = psi_chain(ch, v)
@@ -114,7 +112,7 @@ def test_chord_area_torus_gluing(torus, rng):
 
 
 def test_chord_area_rejects_winding(torus):
-    v = DiscreteCurve.from_function(torus, lambda t: np.array([t % 1.0, 0.25]), 64)
+    v = DiscreteCurve.from_function(torus, lambda t: np.hstack([t % 1.0, np.full_like(t, 0.25)]), 64)
     ch = TransformChain.standard(1)
     lev = build_level(torus, 1)
     samples = np.empty((65, 2, 2))
@@ -136,7 +134,7 @@ def test_lambda_cancellation_signs(torus):
 
 
 def test_pushforward_gap_zero_cases(torus):
-    v = DiscreteCurve.from_function(torus, lambda t: np.array([0.3, 0.8]), 64)
+    v = DiscreteCurve.from_function(torus, lambda t: np.full((len(t), 2), [0.3, 0.8]), 64)
     for n in (1, 2):
         assert pushforward_gap(ZERO_H, v, TransformChain.standard(n)) < 1e-14
 
@@ -150,7 +148,7 @@ def test_pushforward_identity_small_gap(torus, rng):
     for n in (1, 2, 3):
         gaps = []
         for N in (1024, 2048):
-            v = DiscreteCurve.from_function(torus, f, N, vectorized=True)
+            v = DiscreteCurve.from_function(torus, f, N)
             gaps.append(pushforward_gap(H, v, TransformChain.standard(n)))
         assert gaps[0] < 5e-5
         assert gaps[1] < gaps[0] / 2.5
@@ -162,7 +160,7 @@ def test_pushforward_identity_plane(plane, rng):
         0,
         ((1.0, (Factor(0, TrigSpatial(0.5, (1, 1), 0.2), TrigTime(0.3, 1, 0.0, 1.0)),)),),
     )
-    v = DiscreteCurve.from_function(plane, f, 2048, vectorized=True)
+    v = DiscreteCurve.from_function(plane, f, 2048)
     assert pushforward_gap(H, v, TransformChain.standard(2)) < 2e-5
 
 
@@ -174,7 +172,7 @@ def test_pushforward_rational_chain(torus, rng):
         ((1.0, (Factor(0, TrigSpatial(0.4, (0, 1), 0.9), TrigTime(0.3, 1, 0.4, 1.0)),)),),
     )
     ch = TransformChain.affine([Fr(1, 3), Fr(1, 2)])
-    v = DiscreteCurve.from_function(torus, f, ch.grid_denominator() * 256, vectorized=True)
+    v = DiscreteCurve.from_function(torus, f, ch.grid_denominator() * 256)
     assert pushforward_gap(H, v, ch) < 5e-5
 
 
@@ -185,7 +183,7 @@ def test_printed_variant_documented_discrepancy(torus, rng):
         0,
         ((1.0, (Factor(0, TrigSpatial(0.4, (1, 0), 0.3), TrigTime(0.5, 1, 0.0, 1.0)),)),),
     )
-    v = DiscreteCurve.from_function(torus, f, 4096, vectorized=True)
+    v = DiscreteCurve.from_function(torus, f, 4096)
     g1d = pushforward_gap(H, v, TransformChain.standard(1), variant="derived")
     g1p = pushforward_gap(H, v, TransformChain.standard(1), variant="printed")
     assert abs(g1d - g1p) < 1e-12  # level 1: the recursions agree
@@ -200,7 +198,7 @@ def test_action_chord_scaling(torus, rng):
     from hamdelay.action import _h_quadrature
 
     f = trig_loop_fn(rng, scale=0.2)
-    v = DiscreteCurve.from_function(torus, f, 256, vectorized=True)
+    v = DiscreteCurve.from_function(torus, f, 256)
     ch = TransformChain.standard(1)
     w = psi_chain(ch, v)
     lev = build_level(torus, 1)
@@ -216,7 +214,7 @@ def test_action_chord_scaling(torus, rng):
 
 def test_level_zero_chain_is_identity(torus, rng):
     f = trig_loop_fn(rng, scale=0.2)
-    v = DiscreteCurve.from_function(torus, f, 64, vectorized=True)
+    v = DiscreteCurve.from_function(torus, f, 64)
     ch = TransformChain(())
     assert psi_chain(ch, v) is v
     from hamdelay.transforms import phi_chain
@@ -226,7 +224,7 @@ def test_level_zero_chain_is_identity(torus, rng):
 
 def test_action_report_fields(torus, rng):
     f = trig_loop_fn(rng, scale=0.2)
-    v = DiscreteCurve.from_function(torus, f, 128, vectorized=True)
+    v = DiscreteCurve.from_function(torus, f, 128)
     H = StructuredHamiltonian(0, ((1.0, (Factor(0, ConstSpatial(1.5)),)),))
     rep = action_report(H, v)
     assert set(rep) == {"action", "area_term", "perturbation_term", "winding"}

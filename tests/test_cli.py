@@ -220,6 +220,22 @@ def test_action_sweep_small(tmp_path, capsys):
     assert (tmp_path / "o" / "action_gaps.json").exists()
 
 
+@pytest.mark.parametrize("amp", [0.0, 1e-14])
+def test_action_without_measurable_order_is_a_finding(amp, tmp_path, capsys):
+    """A loop whose gaps all sit at the 1e-13 floor measures no order: that
+    is reported and exits 1, not a silent 'worst observed order inf'."""
+    path = tmp_path / "cfg.json"
+    cfg = json.loads(open(_small_action_config(tmp_path)).read())
+    cfg["action"].update(levels=[1], amp=amp)
+    path.write_text(json.dumps(cfg))
+    code = run(["action", "--config", str(path), "--out", str(tmp_path / "o")])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert "FINDING: no convergence order measured for (level, loop) [(1, 0)]" in out
+    assert "inf" not in out
+    assert (tmp_path / "o" / "action_gaps.json").exists()
+
+
 def test_action_tau_compat_mode(tmp_path, capsys):
     code = run([
         "action", "--config", _small_action_config(tmp_path), "--tau-compat",

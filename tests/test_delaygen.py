@@ -98,7 +98,7 @@ def test_zero_hamiltonian_all_zero_rows(torus):
     K = StructuredHamiltonian(2, ())
     d = generate(K, TransformChain.standard(2))
     assert all(not seg.terms for seg in d.segments)
-    loop = DiscreteCurve.from_function(torus, lambda t: np.array([0.2, 0.8]), 64, breakpoints=d.breakpoints())
+    loop = DiscreteCurve.from_function(torus, lambda t: np.full((len(t), 2), [0.2, 0.8]), 64, breakpoints=d.breakpoints())
     assert np.allclose(rhs_eval(d, loop, np.linspace(0, 0.99, 17)), 0.0)
 
 
@@ -110,7 +110,7 @@ def test_rhs_zero_at_critical_constant(torus):
     )
     d = generate(K, TransformChain.standard(1))
     loop = DiscreteCurve.from_function(
-        torus, lambda t: np.array([0.0, 0.5]), 32, breakpoints=d.breakpoints()
+        torus, lambda t: np.full((len(t), 2), [0.0, 0.5]), 32, breakpoints=d.breakpoints()
     )
     assert np.max(np.abs(rhs_eval(d, loop, np.linspace(0, 0.9, 10)))) < 1e-14
 
@@ -119,7 +119,7 @@ def test_rhs_breakpoint_takes_right_limit(torus):
     K = product_1423()
     d = generate(K, TransformChain.standard(2))
     loop = DiscreteCurve.from_function(
-        torus, lambda t: np.array([0.3 + 0.01 * np.sin(2 * np.pi * t), 0.7]), 64,
+        torus, lambda t: np.hstack([0.3 + 0.01 * np.sin(2 * np.pi * t), np.full_like(t, 0.7)]), 64,
         breakpoints=d.breakpoints(),
     )
     at_bp = rhs_eval(d, loop, 0.25)

@@ -417,7 +417,7 @@ def test_pullback_of_lifted_chord_solves_base_ode(torus):
 
 def test_delay_residual_zero_descriptor(torus):
     d = generate(StructuredHamiltonian(1, ()), TransformChain.standard(1))
-    loop = DiscreteCurve.from_function(torus, lambda t: np.array([0.4, 0.1]), 64, breakpoints=d.breakpoints())
+    loop = DiscreteCurve.from_function(torus, lambda t: np.full((len(t), 2), [0.4, 0.1]), 64, breakpoints=d.breakpoints())
     # zero up to the difference-stencil roundoff floor
     assert delay_residual(d, loop) <= 1e-12
 
@@ -462,7 +462,7 @@ def test_one_sided_derivatives_match_loop(topology):
     crosses the unit square's edges, so its samples are wrapped."""
     space = PhaseSpace(1, topology)
     loop = DiscreteCurve.from_function(
-        space, lambda t: np.array([0.9 + 0.6 * t, 0.5 + 0.7 * np.sin(2 * np.pi * t)]), 96
+        space, lambda t: np.hstack([0.9 + 0.6 * t, 0.5 + 0.7 * np.sin(2 * np.pi * t)]), 96
     )
     if topology == "torus":
         assert np.any(np.abs(np.diff(loop.samples[:, 0, 0])) > 0.5)
@@ -700,7 +700,7 @@ def test_spline_chain_pipeline(torus):
 
 def test_periodic_solver_zero_descriptor(torus):
     d = generate(StructuredHamiltonian(1, ()), TransformChain.standard(1))
-    seed = DiscreteCurve.from_function(torus, lambda t: np.array([0.3, 0.9]), 32, breakpoints=d.breakpoints())
+    seed = DiscreteCurve.from_function(torus, lambda t: np.full((len(t), 2), [0.3, 0.9]), 32, breakpoints=d.breakpoints())
     sol = solve_periodic_delay(d, seed)
     assert isinstance(sol, DiscreteCurve)
     assert sup_distance(sol, seed) == 0.0
@@ -773,7 +773,7 @@ def test_periodic_solver_zero_descriptor_singular_through_splu(torus):
     operator, singular on constants: splu rejects it, the solve says so."""
     d = generate(StructuredHamiltonian(1, ()), TransformChain.standard(1))
     seed = DiscreteCurve.from_function(
-        torus, lambda t: np.array([0.3 + 0.1 * np.sin(2 * np.pi * t), 0.9]), 32, breakpoints=d.breakpoints()
+        torus, lambda t: np.hstack([0.3 + 0.1 * np.sin(2 * np.pi * t), np.full_like(t, 0.9)]), 32, breakpoints=d.breakpoints()
     )
     colloc = _PeriodicCollocation(d, torus, 32)
     u = seed.samples[:32, 0, :].reshape(-1)
@@ -789,7 +789,7 @@ def test_periodic_solver_nan_seed_diverges(torus):
     damping failure."""
     d = generate(product_T4(), TransformChain.standard(1))
     seed = DiscreteCurve.from_function(
-        torus, lambda t: np.array([0.2, 0.2 + 0.01 * np.sin(2 * np.pi * t)]), 32, breakpoints=d.breakpoints()
+        torus, lambda t: np.hstack([np.full_like(t, 0.2), 0.2 + 0.01 * np.sin(2 * np.pi * t)]), 32, breakpoints=d.breakpoints()
     )
     samples = seed.samples.copy()
     samples[5, 0, 1] = np.nan
@@ -799,7 +799,7 @@ def test_periodic_solver_nan_seed_diverges(torus):
 
 def test_periodic_solver_grid_misaligned(torus):
     d = generate(StructuredHamiltonian(1, ()), TransformChain.standard(1))
-    seed = DiscreteCurve.from_function(torus, lambda t: np.array([0.3, 0.9]), 31)
+    seed = DiscreteCurve.from_function(torus, lambda t: np.full((len(t), 2), [0.3, 0.9]), 31)
     out = solve_periodic_delay(d, seed)
     assert isinstance(out, SolveFailure) and out.reason == "grid-misaligned"
 
@@ -808,7 +808,7 @@ def test_periodic_solver_at_critical_point(torus):
     chain = TransformChain.standard(1)
     d = generate(lift(morse_base(), chain), chain)
     seed = DiscreteCurve.from_function(
-        torus, lambda t: np.array([0.001, 0.499]), 64, breakpoints=d.breakpoints()
+        torus, lambda t: np.full((len(t), 2), [0.001, 0.499]), 64, breakpoints=d.breakpoints()
     )
     sol = solve_periodic_delay(d, seed, NewtonConfig(tol=1e-11))
     assert isinstance(sol, DiscreteCurve)

@@ -281,7 +281,7 @@ def test_grid_rule_rejects_misaligned():
 
 
 def test_psi_step_constant_loop(torus):
-    v = DiscreteCurve.from_function(torus, lambda t: np.array([0.3, 0.7]), 16)
+    v = DiscreteCurve.from_function(torus, lambda t: np.full((len(t), 2), [0.3, 0.7]), 16)
     w = psi_step(ReparamPair.halving(), v)
     assert w.level == 1 and w.copies == 2
     assert np.allclose(w.samples, w.samples[0])
@@ -289,7 +289,7 @@ def test_psi_step_constant_loop(torus):
 
 def test_psi_step_halving_formula(torus, rng):
     f = trig_loop_fn(rng)
-    v = DiscreteCurve.from_function(torus, f, 128, vectorized=True)
+    v = DiscreteCurve.from_function(torus, f, 128)
     w = psi_step(ReparamPair.halving(), v)
     ts = v.times()
     for k in range(0, 129, 2):
@@ -314,7 +314,7 @@ def test_phi_step_rejects_bad_gluing(torus):
 
 def test_roundtrip_bitwise_standard(torus, rng):
     f = trig_loop_fn(rng)
-    v = DiscreteCurve.from_function(torus, f, 96, vectorized=True)
+    v = DiscreteCurve.from_function(torus, f, 96)
     for n in (1, 2, 3):
         ch = TransformChain.standard(n)
         back = phi_chain(ch, psi_chain(ch, v))
@@ -323,7 +323,7 @@ def test_roundtrip_bitwise_standard(torus, rng):
 
 def test_roundtrip_stepwise_matches_chain(torus, rng):
     f = trig_loop_fn(rng)
-    v = DiscreteCurve.from_function(torus, f, 64, vectorized=True)
+    v = DiscreteCurve.from_function(torus, f, 64)
     ch = TransformChain.standard(2)
     w_chain = psi_chain(ch, v)
     w_steps = psi_step(ch.steps[1], psi_step(ch.steps[0], v))
@@ -335,7 +335,7 @@ def test_roundtrip_stepwise_matches_chain(torus, rng):
 def test_phi_chain_segment_reading(torus, rng):
     """A node inside the third quarter reads copy 4 at chord time -2+4t."""
     f = trig_loop_fn(rng)
-    v = DiscreteCurve.from_function(torus, f, 64, vectorized=True)
+    v = DiscreteCurve.from_function(torus, f, 64)
     ch = TransformChain.standard(2)
     w = psi_chain(ch, v)
     back = phi_chain(ch, w)
@@ -349,7 +349,7 @@ def test_roundtrip_rational_chain(torus, rng):
     f = trig_loop_fn(rng)
     ch = TransformChain.affine([Fr(1, 3), Fr(1, 2)])
     den = ch.grid_denominator()
-    v = DiscreteCurve.from_function(torus, f, den * 32, vectorized=True)
+    v = DiscreteCurve.from_function(torus, f, den * 32)
     back = phi_chain(ch, psi_chain(ch, v))
     assert sup_distance(back, v) < 1e-6
 
@@ -360,7 +360,7 @@ def test_roundtrip_convergence_after_resample(torus, rng):
     ch = TransformChain.affine([Fr(2, 5)])
     den = ch.grid_denominator()
     for mult in (8, 16, 32):
-        v = DiscreteCurve.from_function(torus, f, den * mult, vectorized=True)
+        v = DiscreteCurve.from_function(torus, f, den * mult)
         back = phi_chain(ch, psi_chain(ch, v))
         errs.append(sup_distance(resample(back, den * 8), resample(v, den * 8)))
     n_vals = [den * 8, den * 16, den * 32]
@@ -369,21 +369,21 @@ def test_roundtrip_convergence_after_resample(torus, rng):
 
 def test_resample_identity_and_nodes(torus, rng):
     f = trig_loop_fn(rng)
-    v = DiscreteCurve.from_function(torus, f, 64, vectorized=True)
+    v = DiscreteCurve.from_function(torus, f, 64)
     assert np.array_equal(resample(v, 64).samples, v.samples)
     fine = resample(v, 128)
     assert np.array_equal(fine.samples[::2], v.samples)
-    const = DiscreteCurve.from_function(torus, lambda t: np.array([0.5, 0.25]), 32)
+    const = DiscreteCurve.from_function(torus, lambda t: np.full((len(t), 2), [0.5, 0.25]), 32)
     assert np.allclose(resample(const, 96).samples, const.samples[0])
 
 
 def test_resample_convergence(torus, rng):
     f = trig_loop_fn(rng)
-    coarse = DiscreteCurve.from_function(torus, f, 128, vectorized=True)
-    exact = DiscreteCurve.from_function(torus, f, 256, vectorized=True)
+    coarse = DiscreteCurve.from_function(torus, f, 128)
+    exact = DiscreteCurve.from_function(torus, f, 256)
     err = sup_distance(resample(coarse, 256), exact)
-    coarse2 = DiscreteCurve.from_function(torus, f, 256, vectorized=True)
-    exact2 = DiscreteCurve.from_function(torus, f, 512, vectorized=True)
+    coarse2 = DiscreteCurve.from_function(torus, f, 256)
+    exact2 = DiscreteCurve.from_function(torus, f, 512)
     err2 = sup_distance(resample(coarse2, 512), exact2)
     assert err2 < err / 4 * 1.5 + 1e-14
 
@@ -425,47 +425,71 @@ _dens = st.integers(1, 12) | st.integers(10**12 - 50, 10**12 + 50)
 
 
 @st.composite
-def _affine_windows(draw):
-    slope = Fr(draw(_ints.filter(bool)), draw(_dens))
-    intercept = Fr(draw(_ints), draw(_dens))
+def _affine_jobs(draw):
+    """1-4 jobs (map, copy, k0, k1) on one grid pair; one job past the int64
+    guard sends the whole batch down the object dtype."""
     n_in = draw(st.integers(1, 48) | st.sampled_from([1024, 4096]))
     n_out = draw(st.integers(1, 48) | st.sampled_from([1000, 4096]))
-    k0 = draw(st.integers(0, n_out))
-    k1 = draw(st.integers(k0, n_out))
-    return AffineMap(slope, intercept), n_in, n_out, k0, k1, draw(st.booleans())
+    jobs = []
+    for _ in range(draw(st.integers(1, 4))):
+        tmap = AffineMap(Fr(draw(_ints.filter(bool)), draw(_dens)), Fr(draw(_ints), draw(_dens)))
+        k0 = draw(st.integers(0, n_out))
+        jobs.append((tmap, draw(st.integers(0, 1)), k0, draw(st.integers(k0, n_out))))
+    return jobs, n_in, n_out, draw(st.booleans())
 
 
 @settings(max_examples=300)
-@given(_affine_windows())
-@example((AffineMap(1, 10**15), 64, 64, 0, 64, True))  # object dtype, every node a wrapped hit
-@example((AffineMap(-1, 1), 64, 32, 0, 32, True))  # hits at both ends, 0 and n_in
-@example((AffineMap(Fr(-3, 2), Fr(1, 4)), 16, 24, 2, 20, True))  # negative hits wrap
-@example((AffineMap(Fr(-3, 10**12 + 7), Fr(5, 10**12 - 3)), 48, 40, 3, 37, False))
+@given(_affine_jobs())
+@example(([(AffineMap(1, 10**15), 0, 0, 64)], 64, 64, True))  # object dtype, every node a wrapped hit
+@example(([(AffineMap(-1, 1), 1, 0, 32)], 64, 32, True))  # hits at both ends, 0 and n_in
+@example(([(AffineMap(Fr(-3, 2), Fr(1, 4)), 0, 2, 20)], 16, 24, True))  # negative hits wrap
+@example(([(AffineMap(Fr(-3, 10**12 + 7), Fr(5, 10**12 - 3)), 1, 3, 37)], 48, 40, False))
+@example(([(AffineMap(Fr(1, 2)), 0, 0, 40), (AffineMap(Fr(3, 10**12 + 7), 1), 1, 5, 9)], 48, 40, True))
 def test_map_on_nodes_matches_loop_oracle(case):
-    tmap, n_in, n_out, k0, k1, is_loop = case
+    jobs, n_in, n_out, is_loop = case
     space = PhaseSpace(1, "torus")
     samples = np.random.default_rng(n_in * 7919 + n_out).random((n_in + 1, 2, 2))
     curve = DiscreteCurve(space, 1, samples, is_loop)
-    for copy in (0, 1):
-        got = _map_on_nodes(curve, tmap, n_out, copy, k0, k1)
-        want = _map_on_nodes_loop(curve, tmap, n_out, copy, k0, k1)
-        assert got.tobytes() == want.tobytes()
+    got = _map_on_nodes(curve, n_out, jobs)
+    assert len(got) == len(jobs)
+    for block, (tmap, copy, k0, k1) in zip(got, jobs):
+        assert block.tobytes() == _map_on_nodes_loop(curve, tmap, n_out, copy, k0, k1).tobytes()
+
+
+def test_map_on_nodes_batch_matches_single_jobs(torus, rng):
+    """Affine and spline maps in one batch read what each reads alone; a
+    spline map goes through the interpolant at every node."""
+    samples = rng.random((33, 2, 2))
+    curve = DiscreteCurve(torus, 1, samples, False)
+    xs = np.linspace(0.0, 1.0, 9)
+    spline = MonotoneSplineMap(xs, 0.25 * xs + 0.25 * xs**2)
+    jobs = [(AffineMap(Fr(1, 2)), 1, 0, 24), (spline, 0, 3, 20), (AffineMap(Fr(-1, 3), 1), 0, 6, 6), (spline, 1, 0, 24)]
+    got = _map_on_nodes(curve, 24, jobs)
+    for block, job in zip(got, jobs):
+        assert block.tobytes() == _map_on_nodes(curve, 24, [job])[0].tobytes()
+    tmap, copy, k0, k1 = jobs[1]
+    want = curve.interpolant().evaluate(tmap(np.linspace(0.0, 1.0, 25)[k0 : k1 + 1]))[:, copy, :]
+    assert np.array_equal(got[1], torus.normalize(want))
 
 
 @pytest.mark.parametrize("topology", ["torus", "plane"])
 @pytest.mark.parametrize("n", [1, 96, 4096])
 def test_vectorized_sampling_matches_per_node(topology, n):
+    """One call on the node column gives the samples of one call per node.
+
+    This relies on numpy's float64 sin and cos giving the same bits for an
+    array as for a scalar, which holds where both take the same loop."""
     space = PhaseSpace(1, topology)
     rng = np.random.default_rng(n)
+    ts = np.linspace(0.0, 1.0, n + 1)
     for f in (trig_loop_fn(rng), trig_loop_fn(rng, scale=0.4), _random_trig_loop(space, rng, 0.25)):
-        fast = DiscreteCurve.from_function(space, f, n, vectorized=True)
-        slow = DiscreteCurve.from_function(space, f, n)
-        assert np.array_equal(fast.samples, slow.samples)
+        per_node = space.normalize(np.asarray([f(t) for t in ts], dtype=float))
+        assert np.array_equal(DiscreteCurve.from_function(space, f, n).samples[:, 0, :], per_node)
 
 
 def test_vectorized_sampling_needs_one_row_per_node(torus):
     with pytest.raises(ValueError, match="one row per node"):
-        DiscreteCurve.from_function(torus, lambda t: np.array([0.3, 0.7]), 16, vectorized=True)
+        DiscreteCurve.from_function(torus, lambda t: np.array([0.3, 0.7]), 16)
 
 
 def test_copy_time_map_consistency_with_table():
