@@ -70,6 +70,10 @@ def _integer(value, name: str, minimum: int | None = None) -> int:
     return int(value)
 
 
+def _is_finite_number(value) -> bool:
+    return not isinstance(value, bool) and isinstance(value, (int, float)) and math.isfinite(value)
+
+
 def _action_settings(data: dict) -> dict:
     """The action section with its integer fields as ints; rejects values
     that would crash the sweep or leave no convergence order to measure."""
@@ -85,9 +89,31 @@ def _action_settings(data: dict) -> dict:
         if key in out:
             out[key] = _integer(out[key], f"action.{key}", 1)
     amp = out.get("amp", 0.25)
-    if isinstance(amp, bool) or not isinstance(amp, (int, float)) or not math.isfinite(amp):
+    if not _is_finite_number(amp):
         raise ConfigError(f"action.amp must be a finite number, got {amp!r}")
     return out
+
+
+def _tolerance_settings(data) -> dict:
+    """The tolerances section with verify_nodes as an int; the two verify
+    tolerances must be finite and positive, so no value passes or fails
+    every run regardless of the chords."""
+    if not isinstance(data, dict):
+        raise ConfigError(f"tolerances must be an object, got {data!r}")
+    out = dict(data)
+    for key in ("delay_residual", "route_distance"):
+        if key in out and not (_is_finite_number(out[key]) and out[key] > 0):
+            raise ConfigError(f"tolerances.{key} must be a finite number > 0, got {out[key]!r}")
+    if "verify_nodes" in out:
+        out["verify_nodes"] = _integer(out["verify_nodes"], "tolerances.verify_nodes", 1)
+    return out
+
+
+def _bound_settings(data) -> dict:
+    """The bounds section with every orbit-count bound as an int >= 0."""
+    if not isinstance(data, dict):
+        raise ConfigError(f"bounds must be an object, got {data!r}")
+    return {name: _integer(bound, f"bounds.{name}", 0) for name, bound in data.items()}
 
 
 @dataclass
@@ -123,8 +149,8 @@ class ExperimentConfig:
                 newton=newton,
                 grid=grid,
                 seed=_integer(data.get("seed", 0), "seed", 0),
-                bounds=data.get("bounds", {}),
-                tolerances=data.get("tolerances", {}),
+                bounds=_bound_settings(data.get("bounds", {})),
+                tolerances=_tolerance_settings(data.get("tolerances", {})),
                 action=_action_settings(data.get("action", {})),
             )
 
@@ -165,15 +191,20 @@ def _load_config(args) -> ExperimentConfig:
     if args.config and args.preset:
         raise ConfigError("give either --config or --preset, not both")
     if args.config:
-        data = json.loads(Path(args.config).read_text())
+        source = Path(args.config)
     elif args.preset:
-        ref = resources.files("hamdelay.presets").joinpath(f"{args.preset}.json")
-        if not ref.is_file():
+        source = resources.files("hamdelay.presets").joinpath(f"{args.preset}.json")
+        if not source.is_file():
             available = sorted(p.name[:-5] for p in resources.files("hamdelay.presets").iterdir() if p.name.endswith(".json"))
             raise ConfigError(f"unknown preset {args.preset!r}; available: {', '.join(available)}")
-        data = json.loads(ref.read_text())
     else:
         raise ConfigError("a config is required: --config PATH or --preset NAME")
+    try:
+        data = json.loads(source.read_text())
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"cannot read config {source}: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ConfigError(f"config {source} must hold a JSON object, got {type(data).__name__}")
     cfg = ExperimentConfig.from_dict(data)
     if args.seed is not None:
         cfg.seed = _integer(args.seed, "--seed", 0)
@@ -257,7 +288,7 @@ def cmd_verify(args) -> int:
     orbits = enumerate_chords(ham, level, cfg.grid, cfg.newton, IntegratorConfig(steps))
     tol_res = float(cfg.tolerances.get("delay_residual", 1e-4))
     tol_dist = float(cfg.tolerances.get("route_distance", 1e-4))
-    n_verify = int(cfg.tolerances.get("verify_nodes", 512))
+    n_verify = cfg.tolerances.get("verify_nodes", 512)
     n_verify = aligned_steps(n_verify, cfg.chain.grid_denominator()) if cfg.chain.is_affine else n_verify
     print(f"verifying {orbits.count()} chords (delay residual tol {tol_res:g}, route tol {tol_dist:g})")
     worst_res, worst_dist = 0.0, 0.0
@@ -381,7 +412,10 @@ def cmd_action(args) -> int:
 
 def cmd_tau(args) -> int:
     n = args.level
-    chain = TransformChain.standard(n)
+    if n < 1:
+        raise ConfigError(f"--level must be >= 1, got {n}")
+    if args.copy is not None and not 1 <= args.copy <= 2**n:
+        raise ConfigError(f"--copy must be between 1 and {2**n} at level {n}, got {args.copy}")
     rows = compare_tau_tables(n)
     if args.copy is not None:
         rows = [rows[args.copy - 1]]
@@ -452,9 +486,6 @@ def main(argv=None) -> int:
         }[args.command]
         return handler(args)
     except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 

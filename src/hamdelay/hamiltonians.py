@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .geometry import LevelStructure
 from .transforms import AffineMap, TransformChain, copy_time_map, copy_time_map_printed
@@ -161,6 +160,8 @@ class TabulatedTime:
     values: tuple
 
     def __post_init__(self):
+        from scipy.interpolate import CubicSpline
+
         vals = np.asarray(self.values, float)
         xs = np.linspace(0.0, 1.0, len(vals) + 1)
         self._spline = CubicSpline(xs, np.append(vals, vals[0]), bc_type="periodic")

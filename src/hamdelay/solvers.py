@@ -29,8 +29,6 @@ from functools import partial
 from itertools import combinations
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.linalg import splu
 
 from .geometry import LevelStructure, build_level, embed_diagonal_params
 from .transforms import DiscreteCurve, TransformChain, phi_chain, _breakpoint_node
@@ -602,8 +600,11 @@ class _PeriodicCollocation:
             du -= np.ceil(du - 0.5)
         return (du / self.h - f).reshape(-1)
 
-    def jacobian(self, u: np.ndarray, r: np.ndarray, fd: float) -> sparse.csc_matrix:
-        """Forward differences at u (residual r), one sweep per group."""
+    def jacobian(self, u: np.ndarray, r: np.ndarray, fd: float):
+        """Forward differences at u (residual r), one sweep per group, as a
+        scipy.sparse CSC matrix."""
+        from scipy import sparse
+
         diffs = np.empty((len(self.groups), r.size))
         for g, idx in enumerate(self.groups):
             up = u.copy()
@@ -628,6 +629,8 @@ def solve_periodic_delay(
     by scipy's splu.  A non-finite residual or Jacobian ends as "diverged",
     an exactly singular factor as "singular-jacobian".
     """
+    from scipy.sparse.linalg import splu
+
     n = seed.n_intervals
     space = seed.space
     for b in d.breakpoints():

@@ -17,7 +17,6 @@ from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
-from scipy.interpolate import CubicSpline, PchipInterpolator
 
 from .geometry import PhaseSpace, build_level, on_diagonal
 
@@ -122,6 +121,8 @@ class MonotoneSplineMap:
     is_affine = False
 
     def __init__(self, knot_x, knot_y):
+        from scipy.interpolate import PchipInterpolator
+
         x = np.asarray(knot_x, dtype=float)
         y = np.asarray(knot_y, dtype=float)
         if x.ndim != 1 or x.shape != y.shape or len(x) < 3:
@@ -596,6 +597,8 @@ class CurveInterpolant:
     """
 
     def __init__(self, curve: DiscreteCurve):
+        from scipy.interpolate import CubicSpline
+
         self.curve = curve
         n = curve.n_intervals
         inner = sorted({float(b) for b in curve.breakpoints} - {0.0, 1.0})

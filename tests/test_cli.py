@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -323,6 +327,161 @@ def test_bad_seed_is_config_error(config_seed, override, tmp_path, capsys):
     path.write_text(json.dumps(cfg))
     flags = ["--seed", override] if override else []
     code = run(["action", "--config", str(path), *flags, "--out", str(tmp_path / "o")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("config error:")
+    assert captured.out == ""
+
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def test_cold_start_loads_no_scipy(tmp_path):
+    """scipy is imported where it is used: a fresh interpreter that imports
+    the CLI, prints the copy time maps and counts chords on torus-morse-n1
+    (whose pullbacks read only nodes) loads no scipy module."""
+    probe = f"""
+import contextlib, io, json, sys
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+loaded = {{}}
+import hamdelay.cli
+loaded["import"] = scipy_modules()
+with contextlib.redirect_stdout(io.StringIO()):
+    loaded["tau code"] = hamdelay.cli.main(["tau", "--level", "3"])
+    loaded["tau"] = scipy_modules()
+    loaded["chords code"] = hamdelay.cli.main(
+        ["chords", "--preset", "torus-morse-n1", "--steps", "64", "--grid", "2", "--out", {str(tmp_path)!r}]
+    )
+    loaded["chords"] = scipy_modules()
+print(json.dumps(loaded))
+"""
+    proc = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": SRC},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout)
+    assert loaded == {"import": [], "tau code": 0, "tau": [], "chords code": 0, "chords": []}
+    assert (tmp_path / "orbitset.json").exists()
+
+
+@pytest.mark.parametrize("content", ["{not json", "", "[1, 2]", b"\xff\xfe\x00"])
+def test_unparsable_config_is_config_error(content, tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    if isinstance(content, bytes):
+        path.write_bytes(content)
+    else:
+        path.write_text(content)
+    code = run(["delaygen", "--config", str(path), "--out", str(tmp_path / "o")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("config error:") and str(path) in captured.err
+    assert captured.out == ""
+
+
+def test_directory_config_is_config_error(tmp_path, capsys):
+    code = run(["delaygen", "--config", str(tmp_path), "--out", str(tmp_path / "o")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("config error:") and str(tmp_path) in captured.err
+
+
+@pytest.mark.parametrize(
+    "key,value",
+    [
+        ("delay_residual", "abc"),
+        ("delay_residual", "1e-4"),
+        ("delay_residual", 0),
+        ("delay_residual", -1e-4),
+        ("delay_residual", float("inf")),
+        ("delay_residual", True),
+        ("route_distance", "nan"),
+        ("route_distance", float("nan")),
+        ("verify_nodes", "abc"),
+        ("verify_nodes", 0),
+        ("verify_nodes", 512.7),
+        ("verify_nodes", -8),
+    ],
+)
+def test_bad_tolerance_is_config_error(key, value, tmp_path, capsys):
+    from importlib import resources
+
+    cfg = json.loads(resources.files("hamdelay.presets").joinpath("product-T4.json").read_text())
+    cfg["tolerances"][key] = value
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    code = run(["verify", "--config", str(path), "--steps", "128", "--grid", "1", "--out", str(tmp_path / "o")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("config error:") and f"tolerances.{key}" in captured.err
+    assert captured.out == ""
+    assert not (tmp_path / "o" / "verify_report.json").exists()
+
+
+@pytest.mark.parametrize(
+    "section,value",
+    [
+        ("bounds", {"cuplength_plus_1": "x"}),
+        ("bounds", {"cuplength_plus_1": -1}),
+        ("bounds", {"betti_sum": 2.5}),
+        ("bounds", {"betti_sum": None}),
+        ("bounds", [["betti_sum", 4]]),
+        ("tolerances", [1e-4]),
+    ],
+)
+def test_bad_bounds_or_tolerances_section_is_config_error(section, value, tmp_path, capsys):
+    from importlib import resources
+
+    cfg = json.loads(resources.files("hamdelay.presets").joinpath("torus-morse-n1.json").read_text())
+    cfg[section] = value
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    command = "verify" if section == "tolerances" else "chords"
+    code = run([command, "--config", str(path), "--steps", "64", "--grid", "2", "--out", str(tmp_path / "o")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("config error:") and section in captured.err
+    assert captured.out == ""
+
+
+def test_valid_tolerances_and_bounds_pass_through():
+    """Every packaged preset validates, and accepted values keep their type
+    (an integral float verify_nodes becomes an int)."""
+    from importlib import resources
+
+    from hamdelay.cli import ExperimentConfig
+
+    for ref in resources.files("hamdelay.presets").iterdir():
+        if ref.name.endswith(".json"):
+            ExperimentConfig.from_dict(json.loads(ref.read_text()))
+    cfg = ExperimentConfig.from_dict(
+        {
+            "tolerances": {"delay_residual": 1e-13, "route_distance": 1, "verify_nodes": 64.0},
+            "bounds": {"cuplength_plus_1": 0, "betti_sum": 4.0},
+        }
+    )
+    assert cfg.tolerances == {"delay_residual": 1e-13, "route_distance": 1, "verify_nodes": 64}
+    assert cfg.bounds == {"cuplength_plus_1": 0, "betti_sum": 4}
+    assert isinstance(cfg.tolerances["verify_nodes"], int) and isinstance(cfg.bounds["betti_sum"], int)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--level", "0"],
+        ["--level", "-1"],
+        ["--level", "2", "--copy", "0"],
+        ["--level", "2", "--copy", "5"],
+        ["--level", "2", "--copy", "99"],
+        ["--level", "2", "--copy", "-1"],
+    ],
+)
+def test_tau_out_of_range_is_config_error(argv, capsys):
+    code = run(["tau", *argv])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.err.startswith("config error:")

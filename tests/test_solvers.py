@@ -1,6 +1,10 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction as Fr
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -863,3 +867,67 @@ def test_orbitset_summary_json(torus):
     import json
 
     assert json.loads(orbits.to_json())["count"] == summary["count"]
+
+
+# Builds a monotone spline map, a tabulated time profile and a periodic delay
+# solve (from the pulled-back product-T4 chord), each the first use of its
+# scipy routine in a fresh interpreter.
+SCIPY_USERS = """
+import json
+from importlib import resources
+
+import numpy as np
+
+from hamdelay.cli import ExperimentConfig
+from hamdelay.delaygen import generate
+from hamdelay.geometry import build_level
+from hamdelay.hamiltonians import TabulatedTime
+from hamdelay.solvers import IntegratorConfig, NewtonConfig, pullback_chord, solve_chord, solve_periodic_delay
+from hamdelay.transforms import MonotoneSplineMap, resample
+
+
+def scipy_users():
+    ts = np.linspace(0.0, 1.0, 13)
+    xs = np.linspace(0.0, 1.0, 9)
+    spline_map = MonotoneSplineMap(xs, 0.25 * xs + 0.25 * xs**2)
+    profile = TabulatedTime((0.1, 0.5, 0.9, 0.4))
+    cfg = ExperimentConfig.from_dict(json.loads(resources.files("hamdelay.presets").joinpath("product-T4.json").read_text()))
+    ham = cfg.structured_hamiltonian()
+    chord = solve_chord(ham, build_level(cfg.space, 1), np.array([0.2, 0.2]), integ=IntegratorConfig(2**9))
+    seed = resample(pullback_chord(chord, cfg.chain), 64)
+    sol = solve_periodic_delay(generate(ham, cfg.chain), seed, NewtonConfig(tol=1e-9))
+    return {
+        "spline_map": [spline_map(ts).tolist(), spline_map.deriv(ts).tolist()],
+        "tabulated": profile(ts).tolist(),
+        "periodic": sol.samples.tolist(),
+    }
+"""
+
+
+def test_scipy_users_after_deferred_import():
+    """scipy loads on the first spline map, tabulated profile or periodic
+    solve, not with the package, and each then gives bitwise the result it
+    gives in this process, where scipy is already loaded."""
+    probe = SCIPY_USERS + """
+import sys
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+before = scipy_modules()
+results = scipy_users()
+print(json.dumps({"before": before, "after": scipy_modules(), "results": results}))
+"""
+    proc = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    fresh = json.loads(proc.stdout)
+    assert fresh["before"] == []
+    assert {"scipy.interpolate", "scipy.sparse.linalg"} <= set(fresh["after"])
+    namespace = {}
+    exec(SCIPY_USERS, namespace)
+    assert fresh["results"] == namespace["scipy_users"]()
+    assert len(fresh["results"]["periodic"]) == 65
