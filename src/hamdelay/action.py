@@ -25,14 +25,9 @@ def unwrap_loop(loop: DiscreteCurve):
     """Continuous planar lift of a level-0 loop and its integer winding."""
     if loop.level != 0:
         raise ValueError("unwrap_loop expects a level-0 loop")
-    s = loop.samples[:, 0, :]
+    lifted = loop.space.unwrap(loop.samples[:, 0, :])
     if loop.space.topology != "torus":
-        return s.copy(), np.zeros(s.shape[1], dtype=int)
-    diffs = s[1:] - s[:-1]
-    diffs -= np.ceil(diffs - 0.5)
-    lifted = np.empty_like(s)
-    lifted[0] = s[0]
-    lifted[1:] = s[0] + np.cumsum(diffs, axis=0)
+        return lifted, np.zeros(lifted.shape[1], dtype=int)
     winding_f = lifted[-1] - lifted[0]
     winding = np.round(winding_f).astype(int)
     if np.max(np.abs(winding_f - winding)) > 1e-6:
@@ -71,48 +66,34 @@ def action_loop(ham, loop: DiscreteCurve) -> float:
 def chord_lifts(path: DiscreteCurve, level: LevelStructure):
     """Per-copy planar lifts glued along the matching cycle.
 
-    Copy lifts are anchored sequentially so matched pairs share lifted
-    boundary values; an inconsistent cycle closure raises
+    The two matchings form one alternating cycle through every copy
+    (build_level guarantees it).  Walking it from copy 0, each partner's
+    lift is shifted by the integer that glues the matched boundary values,
+    at sample 0 for matching0 and at sample -1 for matching1.  A non-integer
+    gap, or a walk that does not close with zero shift, raises
     NonContractibleError (the pulled-back loop would wind).
     """
-    s = path.samples
-    copies = s.shape[1]
-    if path.space.topology != "torus":
-        return s.copy()
-    lifted = np.empty_like(s)
-    for j in range(copies):
-        diffs = s[1:, j] - s[:-1, j]
-        diffs -= np.ceil(diffs - 0.5)
-        lifted[0, j] = s[0, j]
-        lifted[1:, j] = s[0, j] + np.cumsum(diffs, axis=0)
-    if level.level == 0:
+    lifted = path.space.unwrap(path.samples)
+    if path.space.topology != "torus" or level.level == 0:
         return lifted
-    # propagate integer offsets along the union cycle of the two matchings
-    edges = [(a, b, 0) for a, b in level.matching0] + [(a, b, -1) for a, b in level.matching1]
-    offsets = [None] * copies
-    offsets[0] = np.zeros(s.shape[2])
-    adj: dict[int, list[tuple[int, int]]] = {j: [] for j in range(copies)}
-    for e, (a, b, end) in enumerate(edges):
-        adj[a].append((b, e))
-        adj[b].append((a, e))
-    stack = [0]
-    used = set()
-    while stack:
-        a = stack.pop()
-        for b, e in adj[a]:
-            _, _, end = edges[e]
-            gap = lifted[end, a] + offsets[a] - lifted[end, b]
-            shift = np.round(gap)
-            if np.max(np.abs(gap - shift)) > 1e-6:
-                raise NonContractibleError("matched boundary pair does not glue on the lift")
-            if offsets[b] is None:
-                offsets[b] = shift
-                stack.append(b)
-            elif e not in used:
-                if np.any(offsets[b] != shift):
-                    raise NonContractibleError("lift does not close around the matching cycle")
-            used.add(e)
-    return lifted + np.asarray(offsets)[None, :, :]
+    partners = [{}, {}]
+    for partner, pairs in zip(partners, (level.matching0, level.matching1)):
+        for a, b in pairs:
+            partner[a], partner[b] = b, a
+    offsets = np.zeros(lifted.shape[1:])
+    a = 0
+    for step in range(level.copies):
+        end = (0, -1)[step % 2]
+        b = partners[step % 2][a]
+        gap = lifted[end, a] + offsets[a] - lifted[end, b]
+        shift = np.round(gap)
+        if np.max(np.abs(gap - shift)) > 1e-6:
+            raise NonContractibleError("matched boundary pair does not glue on the lift")
+        if b == 0 and np.any(offsets[0] != shift):
+            raise NonContractibleError("lift does not close around the matching cycle")
+        offsets[b] = shift
+        a = b
+    return lifted + offsets[None, :, :]
 
 
 def chord_area(path: DiscreteCurve, level: LevelStructure) -> float:

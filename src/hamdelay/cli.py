@@ -177,6 +177,25 @@ class ExperimentConfig:
         K = self.structured_hamiltonian()
         return K, K
 
+    def aligned_nodes(self, n: int) -> int:
+        """Smallest node count >= n that puts every breakpoint of an affine
+        chain on a node; n itself for other chains."""
+        return aligned_steps(n, self.chain.grid_denominator()) if self.chain.is_affine else n
+
+    def check_seed_bounds(self) -> None:
+        """Plane chord scans seed a grid between grid.bounds: one [lo, hi]
+        pair of finite numbers per diagonal parameter, 2^(n-1) * dim pairs."""
+        if self.space.topology != "plane":
+            return
+        want = 2 ** (self.chain.level - 1) * self.space.dim
+        bounds = self.grid.bounds
+        if bounds is None or len(bounds) != want:
+            got = "none" if bounds is None else len(bounds)
+            raise ConfigError(f"plane chord scans need grid.bounds with {want} [lo, hi] pairs, got {got}")
+        for pair in bounds:
+            if len(pair) != 2 or not all(_is_finite_number(x) for x in pair):
+                raise ConfigError(f"grid.bounds entries must be [lo, hi] pairs of finite numbers, got {list(pair)!r}")
+
     def torus_bounds(self) -> dict:
         """Orbit-count lower bounds; torus defaults derive from the dimension."""
         out = dict(self.bounds)
@@ -226,7 +245,10 @@ def _parse_steps(text: str) -> int:
 
 def _outdir(args) -> Path:
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot use --out {out} as an output directory: {exc}") from exc
     return out
 
 
@@ -250,11 +272,12 @@ def cmd_chords(args) -> int:
     cfg = _load_config(args)
     if cfg.chain.level < 1:
         raise ConfigError("chord enumeration needs a chain of length >= 1")
+    cfg.check_seed_bounds()
     ham = cfg.structured_hamiltonian()
     level = build_level(cfg.space, cfg.chain.level)
-    steps = aligned_steps(cfg.integrator.n_steps, cfg.chain.grid_denominator()) if cfg.chain.is_affine else cfg.integrator.n_steps
-    orbits = enumerate_chords(ham, level, cfg.grid, cfg.newton, IntegratorConfig(steps))
+    steps = cfg.aligned_nodes(cfg.integrator.n_steps)
     out = _outdir(args)
+    orbits = enumerate_chords(ham, level, cfg.grid, cfg.newton, IntegratorConfig(steps))
     (out / "orbitset.json").write_text(orbits.to_json() + "\n")
     for i, chord in enumerate(orbits.members):
         write_chord_csv(out / f"chord_{i:03d}.csv", chord)
@@ -277,19 +300,20 @@ def cmd_verify(args) -> int:
     cfg = _load_config(args)
     if cfg.chain.level < 1:
         raise ConfigError("verification needs a chain of length >= 1")
+    cfg.check_seed_bounds()
     ham = cfg.structured_hamiltonian()
     level = build_level(cfg.space, cfg.chain.level)
     descriptor = generate(ham, cfg.chain)
-    steps = aligned_steps(cfg.integrator.n_steps, cfg.chain.grid_denominator()) if cfg.chain.is_affine else cfg.integrator.n_steps
+    steps = cfg.aligned_nodes(cfg.integrator.n_steps)
     try:
         stencil_segments(descriptor, steps)  # pulled-back loops share the chord grid
     except ValueError as exc:
         raise ConfigError(f"{steps} integrator steps: {exc}") from exc
+    out = _outdir(args)
     orbits = enumerate_chords(ham, level, cfg.grid, cfg.newton, IntegratorConfig(steps))
     tol_res = float(cfg.tolerances.get("delay_residual", 1e-4))
     tol_dist = float(cfg.tolerances.get("route_distance", 1e-4))
-    n_verify = cfg.tolerances.get("verify_nodes", 512)
-    n_verify = aligned_steps(n_verify, cfg.chain.grid_denominator()) if cfg.chain.is_affine else n_verify
+    n_verify = cfg.aligned_nodes(cfg.tolerances.get("verify_nodes", 512))
     print(f"verifying {orbits.count()} chords (delay residual tol {tol_res:g}, route tol {tol_dist:g})")
     worst_res, worst_dist = 0.0, 0.0
     rows = []
@@ -316,7 +340,7 @@ def cmd_verify(args) -> int:
         "tolerances": {"delay_residual": tol_res, "route_distance": tol_dist},
         "ok": ok,
     }
-    (_outdir(args) / "verify_report.json").write_text(json.dumps(report, indent=2, default=float) + "\n")
+    (out / "verify_report.json").write_text(json.dumps(report, indent=2, default=float) + "\n")
     return 0 if ok else 1
 
 
@@ -363,6 +387,7 @@ def cmd_action(args) -> int:
     n_loops = cfg.action.get("loops", 3)
     amp = float(cfg.action.get("amp", 0.25))
     variants = ["derived", "printed"] if args.tau_compat else ["derived"]
+    out = _outdir(args)
     worst_order = np.inf
     unmeasured = []
     records = []
@@ -393,7 +418,6 @@ def cmd_action(args) -> int:
             else:
                 unmeasured.append((n, i))
                 print(f"{n:>5}  {i:>4}  no observed order: fewer than two gaps above 1e-13")
-    out = _outdir(args)
     (out / "action_gaps.json").write_text(json.dumps(records, indent=2, default=float) + "\n")
     if args.tau_compat:
         print("tau-variant comparison (printed recursion vs composed maps):")
@@ -433,8 +457,7 @@ def cmd_roundtrip(args) -> int:
     cfg = _load_config(args)
     rng = np.random.default_rng(cfg.seed)
     f = _random_trig_loop(cfg.space, rng, float(cfg.action.get("amp", 0.25)))
-    den = cfg.chain.grid_denominator() if cfg.chain.is_affine else 1
-    n = aligned_steps(cfg.action.get("roundtrip_nodes", 384), den)
+    n = cfg.aligned_nodes(cfg.action.get("roundtrip_nodes", 384))
     loop = DiscreteCurve.from_function(cfg.space, f, n)
     back = phi_chain(cfg.chain, psi_chain(cfg.chain, loop))
     exact = bool(np.array_equal(back.samples, loop.samples))

@@ -23,7 +23,9 @@ from .hamiltonians import Factor, StructuredHamiltonian, hamiltonian_field
 from .transforms import (
     AffineMap,
     DiscreteCurve,
+    SegmentEntry,
     TransformChain,
+    _endpoint_json,
     delayed_time,
     format_rational,
 )
@@ -59,38 +61,25 @@ class DelayTermSpec:
 
 
 @dataclass(frozen=True, eq=False)
-class SegmentEquation:
-    """The equation rows active on one copy's interval."""
+class SegmentEquation(SegmentEntry):
+    """The equation rows active on one copy's interval: its segment-table
+    entry and the delay terms driven there."""
 
-    copy: int
-    lo: object
-    hi: object
-    theta: object
-    sign: int
     terms: tuple[DelayTermSpec, ...]
-
-    def rate(self, t):
-        return self.sign * np.asarray(self.theta.deriv(t))
 
     def constant_rate(self):
         """Exact rate for affine segments, None otherwise."""
-        if getattr(self.theta, "is_affine", False):
+        if self.theta.is_affine:
             return self.sign * self.theta.slope
         return None
 
     def to_json(self):
+        out = super().to_json()  # copy, interval, theta, sign
+        del out["sign"]
         rate = self.constant_rate()
-        return {
-            "copy": self.copy + 1,
-            "interval": [_fmt_endpoint(self.lo), _fmt_endpoint(self.hi)],
-            "theta": self.theta.to_json() if hasattr(self.theta, "to_json") else {"kind": "numeric"},
-            "rate": format_rational(rate) if rate is not None else None,
-            "terms": [t.to_json() for t in self.terms],
-        }
-
-
-def _fmt_endpoint(x):
-    return format_rational(x) if isinstance(x, Fraction) else float(x)
+        out["rate"] = format_rational(rate) if rate is not None else None
+        out["terms"] = [t.to_json() for t in self.terms]
+        return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -154,8 +143,8 @@ def rhs_eval(d: DelayEquationDescriptor, loop, t):
     scalar = np.ndim(t) == 0
     ts = np.mod(ts, 1.0)
     idx = segment_index(d, ts)
-    probe = interp.evaluate(ts[:1])
-    out = np.zeros((len(ts), probe.shape[-1]))
+    v = interp.evaluate(ts)[:, 0, :]
+    out = np.zeros(v.shape)
     for i, seg in enumerate(d.segments):
         mask = idx == i
         if not np.any(mask):
@@ -163,7 +152,7 @@ def rhs_eval(d: DelayEquationDescriptor, loop, t):
         tt = ts[mask]
         theta = np.asarray(seg.theta(tt))
         rate = np.asarray(seg.rate(tt))
-        v_now = interp.evaluate(tt)[:, 0, :]
+        v_now = v[mask]
         acc = np.zeros((len(tt), out.shape[-1]))
         for term in seg.terms:
             pref = np.full(len(tt), term.coeff)
@@ -209,7 +198,7 @@ def render(d: DelayEquationDescriptor, fmt: str = "text") -> str:
         lines = []
         for seg in d.segments:
             time_expr = seg.theta.pretty() if isinstance(seg.theta, AffineMap) else "theta(t)"
-            interval = f"t in [{_fmt_endpoint(seg.lo)}, {_fmt_endpoint(seg.hi)}]"
+            interval = f"t in [{_endpoint_json(seg.lo)}, {_endpoint_json(seg.hi)}]"
             rate = seg.constant_rate()
             if not seg.terms:
                 lines.append(f"v'(t) = 0,  {interval}")

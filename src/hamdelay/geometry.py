@@ -51,6 +51,22 @@ class PhaseSpace:
             return d - np.ceil(d - 0.5)
         return d
 
+    def distance(self, a, b) -> float:
+        """Sup norm of the wrapped difference a - b."""
+        return float(np.max(np.abs(self.wrapped_difference(a, b))))
+
+    def unwrap(self, samples) -> np.ndarray:
+        """Continuous lift of samples along axis 0, as a new array.
+
+        On the torus each step is the wrapped difference of consecutive
+        samples, so the lift starts at samples[0] and never jumps by more
+        than 1/2 per coordinate; on the plane this is a plain copy.
+        """
+        s = np.array(samples, dtype=float)
+        if self.topology == "torus":
+            s[1:] = s[0] + np.cumsum(self.wrapped_difference(s[1:], s[:-1]), axis=0)
+        return s
+
 
 def wrapped_difference(space: PhaseSpace, a, b):
     return space.wrapped_difference(a, b)
@@ -140,10 +156,7 @@ def on_diagonal(level: LevelStructure, which, p, tol: float = DIAG_TOL) -> bool:
         pairs = [(0, j) for j in range(1, level.copies)]
     else:
         pairs = list(level.matching(which))
-    for a, b in pairs:
-        if np.max(np.abs(level.space.wrapped_difference(p[a], p[b]))) > tol:
-            return False
-    return True
+    return not any(level.space.distance(p[a], p[b]) > tol for a, b in pairs)
 
 
 def embed_diagonal_params(level: LevelStructure, which, params) -> np.ndarray:

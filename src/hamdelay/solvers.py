@@ -123,11 +123,9 @@ class OrbitSet:
             "dedup_tol": self.dedup_tol,
         }
         out.update(self.diagnostics)
-        residuals = [m.residual_norm for m in self.members if hasattr(m, "residual_norm")]
-        if residuals:
-            out["max_residual"] = max(residuals)
-        conds = [m.jac_cond for m in self.members if hasattr(m, "jac_cond")]
-        if conds:
+        if self.members:
+            out["max_residual"] = max(m.residual_norm for m in self.members)
+            conds = [m.jac_cond for m in self.members]
             out["jac_cond_range"] = [min(conds), max(conds)]
         return out
 
@@ -196,8 +194,10 @@ def shoot_residual(ham, level: LevelStructure, params, cfg: IntegratorConfig = I
     return out
 
 
-def _wrap_params(level: LevelStructure, flat: np.ndarray) -> np.ndarray:
-    if level.space.topology == "torus":
+def _wrap_params(space, flat: np.ndarray) -> np.ndarray:
+    """Newton iterates on the torus are kept in [0, 1) by np.mod, not by
+    PhaseSpace.normalize, whose exact-1.0 guard would move some iterates."""
+    if space.topology == "torus":
         return np.mod(flat, 1.0)
     return flat
 
@@ -341,7 +341,7 @@ def _solve_seeds(ham, level: LevelStructure, seeds: np.ndarray, newton: NewtonCo
         batch = flat_batch.reshape(flat_batch.shape[0], *shape)
         return shoot_residual(ham, level, batch, integ).reshape(flat_batch.shape[0], -1)
 
-    ps, rs, status, conds = _newton_batch(resid, partial(_wrap_params, level), seeds, newton)
+    ps, rs, status, conds = _newton_batch(resid, partial(_wrap_params, level.space), seeds, newton)
     params = ps.reshape(len(ps), *shape)
     converged = np.flatnonzero(status == _CONVERGED)
     z0 = embed_diagonal_params(level, 0, params[converged])
@@ -373,11 +373,6 @@ def solve_chord(
     if p.size != _flat_dim(level):
         raise ValueError(f"seed must have {_flat_dim(level)} parameters")
     return _solve_seeds(ham, level, p[None], newton, integ)[0]
-
-
-def _chord_distance(a: Chord, b: Chord) -> float:
-    space = a.path.space
-    return float(np.max(np.abs(space.wrapped_difference(a.path.samples, b.path.samples))))
 
 
 def _seed_grid(level: LevelStructure, grid: GridSpec) -> np.ndarray:
@@ -417,12 +412,13 @@ def enumerate_chords(
         else:
             failures[result.reason] = failures.get(result.reason, 0) + 1
     chords.sort(key=lambda c: tuple(c.params.ravel()))
+    dist = level.space.distance
     kept: list[Chord] = []
     for c in chords:
-        if all(_chord_distance(c, k) > DEDUP_TOL for k in kept):
+        if all(dist(c.path.samples, k.path.samples) > DEDUP_TOL for k in kept):
             kept.append(c)
     singular_fraction = failures["singular-jacobian"] / max(len(seeds), 1)
-    min_separation = min((_chord_distance(a, b) for a, b in combinations(kept, 2)), default=math.inf)
+    min_separation = min((dist(a.path.samples, b.path.samples) for a, b in combinations(kept, 2)), default=math.inf)
     degenerate = (
         any(c.degenerate for c in kept)
         or singular_fraction > 0.25
@@ -455,11 +451,7 @@ def _one_sided_derivatives(loop: DiscreteCurve, k0: int, k1: int) -> np.ndarray:
     """
     n = loop.n_intervals
     h = 1.0 / n
-    seg = loop.samples[k0 : k1 + 1, 0, :].copy()
-    if loop.space.topology == "torus":
-        diffs = seg[1:] - seg[:-1]
-        diffs -= np.ceil(diffs - 0.5)
-        seg[1:] = seg[0] + np.cumsum(diffs, axis=0)
+    seg = loop.space.unwrap(loop.samples[k0 : k1 + 1, 0, :])
     m = k1 - k0
     right = (-3 * seg[1 : m - 1] + 4 * seg[2:m] - seg[3 : m + 1]) / (2 * h)
     left = (3 * seg[m - 1] - 4 * seg[m - 2] + seg[m - 3]) / (2 * h)
@@ -515,15 +507,10 @@ class _LinearLoopInterpolant:
         self.space = space
         self.n = nodes.shape[0]
 
-    def interpolant(self):
-        return self
-
     def evaluate(self, t):
         k, frac = _cell(t, self.n)
         a = self.nodes[k]
-        step = self.nodes[(k + 1) % self.n] - a
-        if self.space.topology == "torus":
-            step -= np.ceil(step - 0.5)
+        step = self.space.wrapped_difference(self.nodes[(k + 1) % self.n], a)
         return (a + frac[:, None] * step)[:, None, :]
 
 
@@ -595,9 +582,7 @@ class _PeriodicCollocation:
     def resid(self, flat: np.ndarray) -> np.ndarray:
         nodes = flat.reshape(self.n, self.dim)
         f = rhs_eval(self.d, _LinearLoopInterpolant(nodes, self.space), self.mids)
-        du = nodes[(np.arange(self.n) + 1) % self.n] - nodes
-        if self.space.topology == "torus":
-            du -= np.ceil(du - 0.5)
+        du = self.space.wrapped_difference(nodes[(np.arange(self.n) + 1) % self.n], nodes)
         return (du / self.h - f).reshape(-1)
 
     def jacobian(self, u: np.ndarray, r: np.ndarray, fd: float):
@@ -654,9 +639,7 @@ def solve_periodic_delay(
         lam = 1.0
         r_norm = np.linalg.norm(r)
         while lam >= newton.min_damping:
-            u_try = u - lam * step
-            if space.topology == "torus":
-                u_try = np.mod(u_try, 1.0)
+            u_try = _wrap_params(space, u - lam * step)
             r_try = colloc.resid(u_try)
             if np.linalg.norm(r_try) < r_norm:
                 u, r = u_try, r_try
@@ -726,7 +709,7 @@ def flow_fixed_points(
     def resid(flat_batch):
         return displacement(flat_batch[:, None, :]).reshape(flat_batch.shape[0], -1)
 
-    ps, rs, status, conds = _newton_batch(resid, partial(_wrap_params, level0), seeds, newton)
+    ps, rs, status, conds = _newton_batch(resid, partial(_wrap_params, space), seeds, newton)
     converged = np.flatnonzero(status == _CONVERGED)
     paths = integrate(ham, level0, ps[converged, None, :], integ) if len(converged) else []
     found = [
@@ -736,7 +719,7 @@ def flow_fixed_points(
     found.sort(key=lambda fp: tuple(fp.point))
     kept: list[FixedPoint] = []
     for fp in found:
-        if all(np.max(np.abs(space.wrapped_difference(fp.point, k.point))) > DEDUP_TOL for k in kept):
+        if all(space.distance(fp.point, k.point) > DEDUP_TOL for k in kept):
             kept.append(fp)
     degenerate = any(fp.degenerate for fp in kept)
     return OrbitSet(

@@ -609,23 +609,13 @@ class CurveInterpolant:
         for lo, hi in zip(bounds[:-1], bounds[1:]):
             k0, k1 = round(lo * n), round(hi * n)
             ts = np.linspace(k0 / n, k1 / n, k1 - k0 + 1)
-            ys = self._lift(flat[k0 : k1 + 1])
+            ys = curve.space.unwrap(flat[k0 : k1 + 1])
             if len(ts) >= 4:
                 self._pieces.append(CubicSpline(ts, ys, axis=0, bc_type="not-a-knot"))
             elif len(ts) >= 2:
                 self._pieces.append(CubicSpline(ts, ys, axis=0, bc_type="natural"))
             else:
                 raise ValueError("each smooth segment needs at least two sample nodes")
-
-    def _lift(self, flat_samples):
-        if self.curve.space.topology != "torus":
-            return flat_samples
-        diffs = flat_samples[1:] - flat_samples[:-1]
-        diffs -= np.ceil(diffs - 0.5)
-        out = np.empty_like(flat_samples)
-        out[0] = flat_samples[0]
-        out[1:] = flat_samples[0] + np.cumsum(diffs, axis=0)
-        return out
 
     def evaluate(self, t):
         """Values at float times t, shape (len(t), copies, dim)."""
@@ -664,7 +654,7 @@ def _map_on_nodes(curve: DiscreteCurve, n_out: int, jobs) -> list:
     params, sizes, starts, bound, den_max = [], [], [0], 0, 1
     for tmap, copy, k0, k1 in jobs:
         # per job: a, b, den, the node shift k - row, the copy and an affine flag
-        if getattr(tmap, "is_affine", False):
+        if tmap.is_affine:
             ps, qs = tmap.slope.numerator, tmap.slope.denominator
             pi, qi = tmap.intercept.numerator, tmap.intercept.denominator
             a, b, den = ps * qi, pi * qs * n_out, qs * qi * n_out
@@ -688,7 +678,7 @@ def _map_on_nodes(curve: DiscreteCurve, n_out: int, jobs) -> list:
         is_hit &= ~outside
     ts = np.asarray(num / den, dtype=float)
     for (tmap, _, k0, k1), lo, hi in zip(jobs, starts, starts[1:]):
-        if not getattr(tmap, "is_affine", False):
+        if not tmap.is_affine:
             ts[lo:hi] = tmap(np.linspace(0.0, 1.0, n_out + 1)[k0 : k1 + 1])
     copy = copy.astype(np.intp)
     out = np.empty((starts[-1], curve.space.dim))
@@ -709,7 +699,7 @@ def _check_boundary(curve: DiscreteCurve, tol: float = BOUNDARY_TOL) -> None:
     if curve.level == 0:
         if not curve.is_loop:
             raise ValueError("level-0 curves must be loops")
-        gap = np.max(np.abs(space.wrapped_difference(curve.samples[-1], curve.samples[0])))
+        gap = space.distance(curve.samples[-1], curve.samples[0])
         if gap > tol:
             raise ValueError(f"loop fails to close: gap {gap:.3e} exceeds tol {tol:.1e}")
         return
@@ -752,7 +742,7 @@ def phi_step(pair: ReparamPair, curve: DiscreteCurve) -> DiscreteCurve:
     half = curve.copies // 2
     if curve.level < 1:
         raise ValueError("phi_step needs a curve at level >= 1")
-    gap = np.max(np.abs(curve.space.wrapped_difference(curve.samples[-1, :half], curve.samples[-1, half:])))
+    gap = curve.space.distance(curve.samples[-1, :half], curve.samples[-1, half:])
     if gap > BOUNDARY_TOL:
         raise ValueError(f"endpoint gluing mismatch {gap:.3e} exceeds tol {BOUNDARY_TOL:.1e}")
     ktau = _breakpoint_node(pair.tau, n)
@@ -838,4 +828,4 @@ def sup_distance(a: DiscreteCurve, b: DiscreteCurve) -> float:
     """Wrapped sup distance between two curves on the same grid."""
     if a.samples.shape != b.samples.shape:
         raise ValueError("curves must share the sampling grid")
-    return float(np.max(np.abs(a.space.wrapped_difference(a.samples, b.samples))))
+    return a.space.distance(a.samples, b.samples)

@@ -19,6 +19,7 @@ from hamdelay.action import (
     action_loop,
     action_report,
     chord_area,
+    chord_lifts,
     loop_area,
     pushforward_gap,
     unwrap_loop,
@@ -123,6 +124,29 @@ def test_chord_area_rejects_winding(torus):
     w = DiscreteCurve(torus, 1, samples, False)
     with pytest.raises(NonContractibleError):
         chord_area(w, lev)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_chord_lifts_reject_winding_transforms(torus, n):
+    """Transforms of a winding loop glue pair by pair, but the walk around
+    the matching cycle comes back shifted by the winding."""
+    v = DiscreteCurve.from_function(torus, lambda t: np.hstack([t % 1.0, np.full_like(t, 0.25)]), 64)
+    w = psi_chain(TransformChain.standard(n), v)
+    with pytest.raises(NonContractibleError, match="does not close"):
+        chord_lifts(w, build_level(torus, n))
+
+
+@pytest.mark.parametrize("n,sample,copy", [(2, 0, 1), (2, -1, 2), (3, 0, 5), (3, -1, 7)])
+def test_chord_lifts_reject_non_integer_gluing(torus, rng, n, sample, copy):
+    """A matched boundary pair that differs by a non-integer cannot glue."""
+    v = DiscreteCurve.from_function(torus, trig_loop_fn(rng, scale=0.3), 64)
+    w = psi_chain(TransformChain.standard(n), v)
+    lev = build_level(torus, n)
+    assert chord_lifts(w, lev).shape == w.samples.shape
+    samples = w.samples.copy()
+    samples[sample, copy, 0] += 0.01
+    with pytest.raises(NonContractibleError, match="does not glue"):
+        chord_lifts(DiscreteCurve(torus, n, samples, False), lev)
 
 
 def test_lambda_cancellation_signs(torus):

@@ -486,3 +486,63 @@ def test_tau_out_of_range_is_config_error(argv, capsys):
     assert code == 2
     assert captured.err.startswith("config error:")
     assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv,out",
+    [
+        (["delaygen", "--preset", "sum-n2"], "afile"),
+        (["verify", "--preset", "product-T4", "--steps", "128", "--grid", "1"], "afile"),
+        (["action", "--config", None], "afile"),
+        (["chords", "--preset", "torus-morse-n1", "--steps", "64", "--grid", "2"], "afile/sub"),
+    ],
+)
+def test_unusable_out_is_config_error(argv, out, tmp_path, capsys):
+    """An --out that cannot be a directory is rejected before any solving."""
+    (tmp_path / "afile").write_text("")
+    argv = [_small_action_config(tmp_path) if a is None else a for a in argv]
+    code = run([*argv, "--out", str(tmp_path / out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("config error:") and "--out" in captured.err
+    assert captured.out == ""
+
+
+def _plane_config(tmp_path, bounds):
+    from importlib import resources
+
+    cfg = json.loads(resources.files("hamdelay.presets").joinpath("plane-oscillator.json").read_text())
+    if bounds is None:
+        del cfg["grid"]["bounds"]
+    else:
+        cfg["grid"]["bounds"] = bounds
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    return str(path)
+
+
+@pytest.mark.parametrize("command", ["chords", "verify"])
+@pytest.mark.parametrize(
+    "bounds",
+    [
+        None,
+        [[-0.8, 0.8]],
+        [[-0.8, 0.8, 0.1], [-0.8, 0.8]],
+        [[-0.8, "x"], [-0.8, 0.8]],
+        [[-0.8, float("nan")], [-0.8, 0.8]],
+    ],
+)
+def test_bad_plane_seed_bounds_are_config_errors(command, bounds, tmp_path, capsys):
+    code = run([command, "--config", _plane_config(tmp_path, bounds), "--out", str(tmp_path / "o")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("config error:") and "grid.bounds" in captured.err
+    assert captured.out == ""
+    assert not (tmp_path / "o").exists()
+
+
+def test_plane_roundtrip_needs_no_seed_bounds(tmp_path, capsys):
+    """Only chord scans seed from grid.bounds; a plane roundtrip runs without them."""
+    code = run(["roundtrip", "--config", _plane_config(tmp_path, None), "--out", str(tmp_path / "o")])
+    assert code == 0
+    assert "roundtrip at N=384" in capsys.readouterr().out

@@ -162,3 +162,50 @@ def test_json_roundtrip(torus):
     back = LevelStructure.from_json(torus, data)
     assert back.matching0 == lv.matching0
     assert back.sign_vector == lv.sign_vector
+
+
+def test_unwrap_crosses_the_torus_seam(torus):
+    """Steps over the 0/1 seam become steps of less than 1/2 on the lift,
+    and the input stays as it was."""
+    s = np.array([[0.9, 0.05], [0.97, 0.98], [0.04, 0.91], [0.12, 0.85]])
+    before = s.copy()
+    lifted = torus.unwrap(s)
+    assert np.allclose(lifted, [[0.9, 0.05], [0.97, -0.02], [1.04, -0.09], [1.12, -0.15]], atol=1e-12)
+    assert np.allclose(torus.normalize(lifted), s, atol=1e-12)
+    assert np.array_equal(s, before)
+
+
+def test_unwrap_lifts_each_column_along_axis_0(torus, rng):
+    """A (N+1, copies, dim) block lifts copy by copy, bit for bit."""
+    s = torus.normalize(np.cumsum(0.3 * rng.standard_normal((40, 3, 2)), axis=0))
+    lifted = torus.unwrap(s)
+    for j in range(3):
+        assert lifted[:, j].tobytes() == torus.unwrap(s[:, j]).tobytes()
+
+
+def test_unwrap_on_the_plane_is_a_copy(plane):
+    s = np.array([[0.9, 0.05], [0.1, 0.9]])
+    lifted = plane.unwrap(s)
+    assert np.array_equal(lifted, s)
+    lifted[0, 0] = 5.0
+    assert s[0, 0] == 0.9
+
+
+@given(
+    st.lists(st.floats(-3, 3), min_size=2, max_size=2),
+    st.lists(st.floats(-3, 3), min_size=2, max_size=2),
+)
+def test_distance_is_the_wrapped_sup_norm(a, b):
+    torus, plane = PhaseSpace(1, "torus"), PhaseSpace(1, "plane")
+    d = torus.distance(a, b)
+    assert isinstance(d, float) and 0.0 <= d <= 0.5
+    nearest = max(min(abs(x - y - k) for k in range(-7, 8)) for x, y in zip(a, b))
+    assert abs(d - nearest) < 1e-12
+    assert plane.distance(a, b) == max(abs(x - y) for x, y in zip(a, b))
+
+
+def test_distance_half_period_is_one_half(torus):
+    """Representatives lie in (-1/2, 1/2], so opposite points are 1/2 apart
+    whichever way the difference is taken."""
+    assert torus.distance([0.0, 0.0], [0.5, 0.25]) == 0.5
+    assert torus.distance([0.5, 0.25], [0.0, 0.0]) == 0.5
