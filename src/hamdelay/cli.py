@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .geometry import PhaseSpace, build_level
+from .geometry import MAX_LEVEL, PhaseSpace, build_level
 from .transforms import (
     DiscreteCurve,
     TransformChain,
@@ -436,8 +436,8 @@ def cmd_action(args) -> int:
 
 def cmd_tau(args) -> int:
     n = args.level
-    if n < 1:
-        raise ConfigError(f"--level must be >= 1, got {n}")
+    if not 1 <= n <= MAX_LEVEL:
+        raise ConfigError(f"--level must be between 1 and {MAX_LEVEL}, got {n}")
     if args.copy is not None and not 1 <= args.copy <= 2**n:
         raise ConfigError(f"--copy must be between 1 and {2**n} at level {n}, got {args.copy}")
     rows = compare_tau_tables(n)

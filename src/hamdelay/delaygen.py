@@ -124,42 +124,55 @@ def generate(K: StructuredHamiltonian, chain: TransformChain) -> DelayEquationDe
     return DelayEquationDescriptor(chain.level, chain, tuple(segments))
 
 
-def segment_index(d: DelayEquationDescriptor, ts: np.ndarray) -> np.ndarray:
-    """Index of the segment owning each time in ts (reduced mod 1), right
-    limit at breakpoints; rhs_eval and the periodic solver's sparsity
-    pattern share this lookup."""
+def read_times(d: DelayEquationDescriptor, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Times the right-hand side reads at each of ts: (reads, idx).
+
+    idx is the segment owning each time (reduced mod 1), right limit at
+    breakpoints.  reads[:, 0] is ts mod 1, then one column per delay
+    coefficient of the owning segment in term order, each reduced mod 1;
+    rows of segments with fewer coefficients repeat ts.  rhs_eval and the
+    periodic solver's sparsity pattern both read through this rule.
+    """
+    ts = np.mod(ts, 1.0)
     los = np.array([float(s.lo) for s in d.segments])
-    return np.clip(np.searchsorted(los, ts, side="right") - 1, 0, len(d.segments) - 1)
+    idx = np.clip(np.searchsorted(los, ts, side="right") - 1, 0, len(d.segments) - 1)
+    delays = [[c.delay for term in seg.terms for c in term.coefficients] for seg in d.segments]
+    reads = np.repeat(ts[:, None], 1 + max(map(len, delays)), axis=1)
+    for i, seg_delays in enumerate(delays):
+        sel = np.flatnonzero(idx == i)
+        if len(sel):  # a bisection inverse takes no empty array
+            for j, delay in enumerate(seg_delays, 1):
+                reads[sel, j] = np.mod(np.asarray(delay(ts[sel])), 1.0)
+    return reads, idx
 
 
 def rhs_eval(d: DelayEquationDescriptor, loop, t):
     """Right-hand side along a periodic loop at times t (scalar or array).
 
     loop is a level-0 DiscreteCurve or any object with .evaluate(times)
-    returning (len(times), 1, dim); delayed reads reduce times mod 1.
+    returning (len(times), 1, dim); every read of read_times goes through
+    one evaluate call.
     """
     interp = loop.interpolant() if isinstance(loop, DiscreteCurve) else loop
-    ts = np.atleast_1d(np.asarray(t, float))
     scalar = np.ndim(t) == 0
-    ts = np.mod(ts, 1.0)
-    idx = segment_index(d, ts)
-    v = interp.evaluate(ts)[:, 0, :]
+    reads, idx = read_times(d, np.atleast_1d(np.asarray(t, float)))
+    vals = interp.evaluate(reads.ravel())[:, 0, :].reshape(*reads.shape, -1)
+    v = vals[:, 0]
     out = np.zeros(v.shape)
     for i, seg in enumerate(d.segments):
         mask = idx == i
         if not np.any(mask):
             continue
-        tt = ts[mask]
+        tt = reads[mask, 0]
         theta = np.asarray(seg.theta(tt))
         rate = np.asarray(seg.rate(tt))
         v_now = v[mask]
+        delayed = iter(vals[mask, 1:].swapaxes(0, 1))  # one (len(tt), dim) read per coefficient, term order
         acc = np.zeros((len(tt), out.shape[-1]))
         for term in seg.terms:
             pref = np.full(len(tt), term.coeff)
             for coeff in term.coefficients:
-                delayed = np.mod(np.asarray(coeff.delay(tt)), 1.0)
-                vals = interp.evaluate(delayed)[:, 0, :]
-                pref = pref * coeff.factor.value(vals, theta)
+                pref = pref * coeff.factor.value(next(delayed), theta)
             acc += pref[:, None] * hamiltonian_field(term.driver.grad(v_now, theta))
         out[mask] = rate[:, None] * acc
     return out[0] if scalar else out

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import LevelStructure
-from .transforms import AffineMap, TransformChain, copy_time_map, copy_time_map_printed
+from .transforms import TransformChain, copy_time_map, copy_time_map_printed
 
 TWO_PI = 2.0 * np.pi
 
@@ -555,9 +555,7 @@ def lift(base: StructuredHamiltonian, chain: TransformChain, variant: str = "der
     """
     if base.level != 0:
         raise ValueError("lift starts from a level-0 Hamiltonian")
-    if chain.level == 0:
-        taus = (AffineMap(1, 0),)
-    elif variant == "derived":
+    if variant == "derived":
         taus = tuple(copy_time_map(chain, m) for m in range(2**chain.level))
     elif variant == "printed":
         if not chain.is_standard():

@@ -31,9 +31,9 @@ from itertools import combinations
 import numpy as np
 
 from .geometry import LevelStructure, build_level, embed_diagonal_params
-from .transforms import DiscreteCurve, TransformChain, phi_chain, _breakpoint_node
+from .transforms import DiscreteCurve, TransformChain, phi_chain
 from .hamiltonians import vector_field
-from .delaygen import DelayEquationDescriptor, rhs_eval, segment_index
+from .delaygen import DelayEquationDescriptor, read_times, rhs_eval
 
 
 @dataclass(frozen=True)
@@ -464,29 +464,22 @@ def stencil_segments(d: DelayEquationDescriptor, n: int) -> list:
     Raises ValueError if a breakpoint misses the grid or a segment has fewer
     than the 3 intervals the one-sided derivative stencils need.
     """
-    out = []
-    for seg in d.segments:
-        k0 = _breakpoint_node(seg.lo, n)
-        k1 = _breakpoint_node(seg.hi, n)
-        if k0 is None or k1 is None:
-            raise ValueError(f"a grid of {n} intervals is misaligned with the descriptor")
+    nodes = d.chain.table.nodes(n)  # the segments tile [0, 1] in this order
+    segments = list(zip(nodes, nodes[1:]))
+    for k0, k1 in segments:
         if k1 - k0 < 3:
             raise ValueError(f"need at least 3 intervals per segment for the stencils, a grid of {n} gives {k1 - k0}")
-        out.append((k0, k1))
-    return out
+    return segments
 
 
 def delay_residual(d: DelayEquationDescriptor, loop: DiscreteCurve) -> float:
     """Max mismatch between one-sided loop derivatives and the symbolic RHS,
     over all off-breakpoint grid nodes."""
     n = loop.n_intervals
-    worst = 0.0
-    for k0, k1 in stencil_segments(d, n):
-        ks = np.arange(k0 + 1, k1)
-        rhs = rhs_eval(d, loop, ks / n)
-        deriv = _one_sided_derivatives(loop, k0, k1)
-        worst = max(worst, float(np.max(np.abs(deriv - rhs))))
-    return worst
+    segments = stencil_segments(d, n)
+    ks = np.concatenate([np.arange(k0 + 1, k1) for k0, k1 in segments])
+    deriv = np.vstack([_one_sided_derivatives(loop, k0, k1) for k0, k1 in segments])
+    return float(np.max(np.abs(deriv - rhs_eval(d, loop, ks / n))))
 
 
 # ---------------------------------------------------------------------------
@@ -537,12 +530,12 @@ class _PeriodicCollocation:
 
     Row block k, (v_{k+1} - v_k)/h - rhs(t_{k+1/2}), reads only a few node
     blocks: k, k+1, and the two interpolation neighbours of every read of
-    rhs_eval at t_{k+1/2}.  The pattern comes from the descriptor's delay maps
-    at the midpoints, through the segment lookup rhs_eval uses, so it holds
-    for affine and spline chains alike.  Node blocks are coloured so that no
-    two of one colour feed a common row block; each (colour, component)
-    group then costs one residual sweep, and since a row reads only its
-    pattern, every entry is bitwise the dense per-column difference.
+    rhs_eval at t_{k+1/2}.  The pattern comes from read_times at the
+    midpoints, the read rule rhs_eval uses, so it holds for affine and spline
+    chains alike.  Node blocks are coloured so that no two of one colour feed
+    a common row block; each (colour, component) group then costs one
+    residual sweep, and since a row reads only its pattern, every entry is
+    bitwise the dense per-column difference.
     """
 
     def __init__(self, d: DelayEquationDescriptor, space, n: int):
@@ -562,21 +555,8 @@ class _PeriodicCollocation:
     def _pattern(self):
         """(row block, node block) pairs the residual reads, unique, row-major."""
         n = self.n
-        ks = np.arange(n)
-        ts = np.mod(self.mids, 1.0)
-        rows, cols = [ks, ks], [ks, (ks + 1) % n]
-        idx = segment_index(self.d, ts)
-        for i, seg in enumerate(self.d.segments):
-            sel = np.flatnonzero(idx == i)
-            if not len(sel):
-                continue
-            tt = ts[sel]
-            reads = [tt] + [np.mod(np.asarray(c.delay(tt)), 1.0) for term in seg.terms for c in term.coefficients]
-            for t in reads:
-                node = _cell(t, n)[0]
-                rows += [sel, sel]
-                cols += [node, (node + 1) % n]
-        key = np.unique(np.concatenate(rows) * n + np.concatenate(cols))
+        node = _cell(read_times(self.d, self.mids)[0], n)[0]  # column 0 gives blocks k and k+1
+        key = np.unique(np.arange(n)[:, None] * n + np.hstack([node, (node + 1) % n]))
         return key // n, key % n
 
     def resid(self, flat: np.ndarray) -> np.ndarray:
@@ -618,9 +598,10 @@ def solve_periodic_delay(
 
     n = seed.n_intervals
     space = seed.space
-    for b in d.breakpoints():
-        if _breakpoint_node(b, n) is None:
-            return SolveFailure("grid-misaligned", detail=f"breakpoint {b} off the seed grid")
+    try:
+        d.chain.table.nodes(n)
+    except ValueError as exc:
+        return SolveFailure("grid-misaligned", detail=str(exc))
     colloc = _PeriodicCollocation(d, space, n)
     u = seed.samples[:n, 0, :].reshape(-1).copy()
     r = colloc.resid(u)

@@ -18,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .geometry import PhaseSpace, build_level, on_diagonal
+from .geometry import MAX_LEVEL, PhaseSpace, build_level, on_diagonal
 
 BOUNDARY_TOL = 1e-6
 SPLINE_INVERSE_TOL = 1e-12
@@ -328,6 +328,8 @@ class TransformChain:
 
     def __post_init__(self):
         object.__setattr__(self, "steps", tuple(self.steps))
+        if len(self.steps) > MAX_LEVEL:
+            raise ValueError(f"a chain of {len(self.steps)} steps exceeds the resource guard ({MAX_LEVEL})")
 
     @property
     def level(self) -> int:
@@ -384,10 +386,6 @@ class SegmentEntry:
     def rate(self, t):
         return self.sign * np.asarray(self.theta.deriv(t))
 
-    def tau(self):
-        """Base-loop time at which this copy reads its chord time."""
-        return self.theta.inverse()
-
     def to_json(self) -> dict:
         theta = self.theta.to_json() if hasattr(self.theta, "to_json") else {"kind": "numeric"}
         return {
@@ -421,13 +419,18 @@ class SegmentTable:
         pts = sorted({e.lo for e in self.entries} | {e.hi for e in self.entries}, key=float)
         return pts
 
+    def nodes(self, n: int) -> list[int]:
+        """Node index of every breakpoint, 0 and n included, on an n-interval
+        grid; ValueError if one misses it.  The one node-alignment rule."""
+        return _validate_grid(n, self.breakpoints())
+
     def to_json(self) -> dict:
         return {"segments": [e.to_json() for e in self.by_interval()]}
 
 
 def _build_segment_table(chain: TransformChain) -> SegmentTable:
-    if chain.level < 1:
-        raise ValueError("segment tables need a chain of length >= 1")
+    if chain.level == 0:
+        return SegmentTable((SegmentEntry(0, Fraction(0), Fraction(1), AffineMap(1), +1),))
     step = chain.steps[0]
     zero = Fraction(0) if step.is_affine else 0.0
     one = Fraction(1) if step.is_affine else 1.0
@@ -582,10 +585,15 @@ def _breakpoint_node(bp, n: int):
     return k if abs(float(bp) * n - k) <= 1e-9 else None
 
 
-def _validate_grid(n: int, breakpoints) -> None:
+def _validate_grid(n: int, breakpoints) -> list[int]:
+    """Node index of each breakpoint; ValueError at the first that misses."""
+    nodes = []
     for bp in breakpoints:
-        if _breakpoint_node(bp, n) is None:
+        k = _breakpoint_node(bp, n)
+        if k is None:
             raise ValueError(f"grid is misaligned: breakpoint {bp} is not one of {n} nodes")
+        nodes.append(k)
+    return nodes
 
 
 class CurveInterpolant:
@@ -721,19 +729,21 @@ def psi_step(pair: ReparamPair, curve: DiscreteCurve) -> DiscreteCurve:
     copies = curve.copies
     jobs = [(pair.alpha, j, 0, n) for j in range(copies)] + [(pair.beta, j, 0, n) for j in range(copies)]
     out = np.stack(_map_on_nodes(curve, n, jobs), axis=1)
-    bps = _psi_breakpoints(pair, curve.breakpoints)
+    pieces = [(0, pair.tau, pair.alpha.inverse()), (pair.tau, 1, pair.beta.inverse())]
+    bps = _image_breakpoints(pieces, curve.breakpoints)
     return DiscreteCurve(curve.space, curve.level + 1, curve.space.normalize(out), False, bps)
 
 
-def _psi_breakpoints(pair: ReparamPair, breakpoints) -> tuple:
-    out = set()
+def _image_breakpoints(pieces, breakpoints, extra=()) -> tuple:
+    """Interior images of breakpoints under piecewise time maps, sorted: each
+    (lo, hi, tmap) piece maps the breakpoints within [lo, hi], exactly for a
+    rational breakpoint under an affine map.  The one breakpoint-image rule."""
+    out = set(extra)
     for b in breakpoints:
-        bf = float(b)
-        if bf <= float(pair.tau) + 1e-12:
-            out.add(pair.alpha.inverse()(b if pair.is_affine and isinstance(b, Fraction) else bf))
-        if bf >= float(pair.tau) - 1e-12:
-            out.add(pair.beta.inverse()(b if pair.is_affine and isinstance(b, Fraction) else bf))
-    return tuple(sorted(out, key=float))
+        for lo, hi, tmap in pieces:
+            if float(lo) - 1e-12 <= float(b) <= float(hi) + 1e-12:
+                out.add(tmap(b if tmap.is_affine and isinstance(b, Fraction) else float(b)))
+    return tuple(sorted({b for b in out if 1e-12 < float(b) < 1 - 1e-12}, key=float))
 
 
 def phi_step(pair: ReparamPair, curve: DiscreteCurve) -> DiscreteCurve:
@@ -745,27 +755,15 @@ def phi_step(pair: ReparamPair, curve: DiscreteCurve) -> DiscreteCurve:
     gap = curve.space.distance(curve.samples[-1, :half], curve.samples[-1, half:])
     if gap > BOUNDARY_TOL:
         raise ValueError(f"endpoint gluing mismatch {gap:.3e} exceeds tol {BOUNDARY_TOL:.1e}")
-    ktau = _breakpoint_node(pair.tau, n)
-    if ktau is None:
-        raise ValueError(f"grid is misaligned: tau {pair.tau} is not one of {n} nodes")
+    (ktau,) = _validate_grid(n, [pair.tau])
     ainv, binv = pair.alpha.inverse(), pair.beta.inverse()
     jobs = [(ainv, j, 0, ktau) for j in range(half)] + [(binv, j + half, ktau, n) for j in range(half)]
     blocks = _map_on_nodes(curve, n, jobs)
-    out = np.empty((n + 1, half, curve.space.dim))
-    for j in range(half):
-        out[: ktau + 1, j, :] = blocks[j]
-        out[ktau:, j, :] = blocks[j + half]
-    bps = _phi_breakpoints(pair, curve.breakpoints)
+    # the node at tau reads the later block
+    out = np.concatenate([np.stack(blocks[:half], axis=1)[:-1], np.stack(blocks[half:], axis=1)])
+    bps = _image_breakpoints([(0, 1, pair.alpha), (0, 1, pair.beta)], curve.breakpoints, extra=(pair.tau,))
     is_loop = curve.level == 1
     return DiscreteCurve(curve.space, curve.level - 1, curve.space.normalize(out), is_loop, bps)
-
-
-def _phi_breakpoints(pair: ReparamPair, breakpoints) -> tuple:
-    out = {pair.tau}
-    for b in breakpoints:
-        out.add(pair.alpha(b if pair.is_affine and isinstance(b, Fraction) else float(b)))
-        out.add(pair.beta(b if pair.is_affine and isinstance(b, Fraction) else float(b)))
-    return tuple(sorted({b for b in out if 1e-12 < float(b) < 1 - 1e-12}, key=float))
 
 
 def psi_chain(chain: TransformChain, loop: DiscreteCurve) -> DiscreteCurve:
@@ -781,20 +779,11 @@ def psi_chain(chain: TransformChain, loop: DiscreteCurve) -> DiscreteCurve:
         raise ValueError("psi_chain starts from a level-0 loop")
     _check_boundary(loop)
     table = chain.table
-    _validate_grid(loop.n_intervals, table.breakpoints())
     n = loop.n_intervals
-    out = np.stack(_map_on_nodes(loop, n, [(entry.tau(), 0, 0, n) for entry in table.entries]), axis=1)
-    bps = _chain_image_breakpoints(table, loop.breakpoints)
+    table.nodes(n)  # raises on a misaligned grid
+    out = np.stack(_map_on_nodes(loop, n, [(e.theta.inverse(), 0, 0, n) for e in table.entries]), axis=1)
+    bps = _image_breakpoints([(e.lo, e.hi, e.theta) for e in table.entries], loop.breakpoints)
     return DiscreteCurve(loop.space, chain.level, loop.space.normalize(out), False, bps)
-
-
-def _chain_image_breakpoints(table: SegmentTable, breakpoints) -> tuple:
-    out = set()
-    for b in breakpoints:
-        for e in table.entries:
-            if float(e.lo) - 1e-12 <= float(b) <= float(e.hi) + 1e-12:
-                out.add(e.theta(b if e.theta.is_affine and isinstance(b, Fraction) else float(b)))
-    return tuple(sorted({b for b in out if 1e-12 < float(b) < 1 - 1e-12}, key=float))
 
 
 def phi_chain(chain: TransformChain, path: DiscreteCurve) -> DiscreteCurve:
@@ -805,15 +794,13 @@ def phi_chain(chain: TransformChain, path: DiscreteCurve) -> DiscreteCurve:
         raise ValueError("path level does not match the chain")
     _check_boundary(path)
     n = path.n_intervals
-    entries = chain.table.by_interval()
-    bps = [e.lo for e in entries] + [entries[-1].hi]  # the entries tile [0, 1]
-    _validate_grid(n, bps)
-    nodes = [_breakpoint_node(b, n) for b in bps]
-    blocks = _map_on_nodes(path, n, [(e.theta, e.copy, k0, k1) for e, k0, k1 in zip(entries, nodes, nodes[1:])])
-    out = np.empty((n + 1, 1, path.space.dim))
-    for k0, k1, block in zip(nodes, nodes[1:], blocks):
-        out[k0 : k1 + 1, 0, :] = block
-    return DiscreteCurve(path.space, 0, path.space.normalize(out), True, tuple(bps[1:-1]))
+    table = chain.table
+    nodes = table.nodes(n)  # the entries tile [0, 1]
+    jobs = [(e.theta, e.copy, k0, k1) for e, k0, k1 in zip(table.by_interval(), nodes, nodes[1:])]
+    blocks = _map_on_nodes(path, n, jobs)
+    # a node on a breakpoint reads the later block
+    out = np.concatenate([b[:-1] for b in blocks[:-1]] + [blocks[-1]])[:, None, :]
+    return DiscreteCurve(path.space, 0, path.space.normalize(out), True, tuple(table.breakpoints()[1:-1]))
 
 
 def resample(curve: DiscreteCurve, n_new: int) -> DiscreteCurve:

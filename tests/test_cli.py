@@ -55,7 +55,7 @@ def test_delaygen_lift_kind(tmp_path, capsys):
         assert all(not t["coefficients"] for t in seg["terms"])
 
 
-def test_chords_level_zero_chain_is_config_error(tmp_path, capsys):
+def _level_zero_config(tmp_path) -> str:
     cfg = {
         "space": {"half_dim": 1, "topology": "torus"},
         "chain": {"steps": []},
@@ -63,7 +63,30 @@ def test_chords_level_zero_chain_is_config_error(tmp_path, capsys):
     }
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
-    assert run(["chords", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    return str(path)
+
+
+def test_chords_level_zero_chain_is_config_error(tmp_path, capsys):
+    assert run(["chords", "--config", _level_zero_config(tmp_path), "--out", str(tmp_path / "o")]) == 2
+
+
+@pytest.mark.parametrize(
+    "command,line",
+    [("roundtrip", "bitwise-exact at nodes: True"), ("delaygen", "v'(t) = 0,  t in [0, 1]")],
+    ids=["roundtrip", "delaygen"],
+)
+def test_level_zero_chain_has_one_segment(command, line, tmp_path, capsys):
+    """The empty chain's segment table is the one entry [0, 1] with the
+    identity time map, so roundtrip and delaygen run at level 0."""
+    assert run([command, "--config", _level_zero_config(tmp_path), "--out", str(tmp_path / "o")]) == 0
+    assert line in capsys.readouterr().out
+
+
+def test_chain_beyond_max_level_is_config_error(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"chain": {"steps": [{"kind": "halving"}] * 13}}))
+    assert run(["roundtrip", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -478,6 +501,7 @@ def test_valid_tolerances_and_bounds_pass_through():
         ["--level", "2", "--copy", "5"],
         ["--level", "2", "--copy", "99"],
         ["--level", "2", "--copy", "-1"],
+        ["--level", "13"],
     ],
 )
 def test_tau_out_of_range_is_config_error(argv, capsys):

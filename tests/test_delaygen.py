@@ -115,6 +115,27 @@ def test_rhs_zero_at_critical_constant(torus):
     assert np.max(np.abs(rhs_eval(d, loop, np.linspace(0, 0.9, 10)))) < 1e-14
 
 
+def test_rhs_scalar_matches_array_on_spline_chain(torus):
+    """One time per segment of a spline chain: a scalar call, whose other
+    segment owns no point, equals its row of the array call bitwise."""
+    from hamdelay.transforms import MonotoneSplineMap, ReparamPair
+
+    xs = np.linspace(0, 1, 9)
+    alpha = MonotoneSplineMap(xs, 0.25 * xs + 0.25 * xs**2)
+    beta = MonotoneSplineMap(xs, 1.0 - 0.35 * xs - 0.15 * xs**2)
+    chain = TransformChain((ReparamPair(alpha, beta, 0.5),))
+    K = StructuredHamiltonian(1, ((1.0, (trig_factor(0, (1, 0)), trig_factor(1, (0, 1)))),))
+    d = generate(K, chain)
+    loop = DiscreteCurve.from_function(
+        torus, lambda t: np.hstack([0.3 + 0.1 * np.sin(2 * np.pi * t), 0.6 + 0.1 * np.cos(2 * np.pi * t)]), 64,
+        breakpoints=d.breakpoints(),
+    )
+    ts = np.array([0.2, 0.7])
+    rows = rhs_eval(d, loop, ts)
+    for t, row in zip(ts, rows):
+        assert np.array_equal(rhs_eval(d, loop, float(t)), row)
+
+
 def test_rhs_breakpoint_takes_right_limit(torus):
     K = product_1423()
     d = generate(K, TransformChain.standard(2))

@@ -297,6 +297,28 @@ def test_psi_step_halving_formula(torus, rng):
         assert np.allclose(w.samples[k, 1], torus.normalize(f(1 - ts[k] / 2)), atol=1e-9)
 
 
+def test_psi_step_keeps_interior_breakpoints_on_spline_pair(torus, rng):
+    """A loop breakpoint at tau maps to chord time 1 under both inverses, an
+    endpoint and no breakpoint; phi_step then rebuilds the loop."""
+    xs = np.linspace(0, 1, 9)
+    alpha = MonotoneSplineMap(xs, 0.25 * xs + 0.25 * xs**2)
+    beta = MonotoneSplineMap(xs, 1.0 - 0.35 * xs - 0.15 * xs**2)
+    pair = ReparamPair(alpha, beta, 0.5)
+    v = DiscreteCurve.from_function(torus, trig_loop_fn(rng), 64, breakpoints=(0.5,))
+    w = psi_step(pair, v)
+    assert w.breakpoints == ()
+    back = phi_step(pair, w)
+    assert back.breakpoints == (0.5,)
+    assert sup_distance(back, v) < 1e-3
+
+
+def test_segment_table_nodes():
+    table = TransformChain.standard(2).table
+    assert table.nodes(8) == [0, 2, 4, 6, 8]
+    with pytest.raises(ValueError, match="misaligned"):
+        table.nodes(6)
+
+
 def test_psi_step_rejects_open_curve(torus):
     samples = np.linspace(0, 0.4, 17)[:, None, None] * np.ones((1, 1, 2))
     v = DiscreteCurve(torus, 0, samples, True)
