@@ -55,6 +55,12 @@ class PhaseSpace:
         """Sup norm of the wrapped difference a - b."""
         return float(np.max(np.abs(self.wrapped_difference(a, b))))
 
+    def distances(self, a, bs) -> np.ndarray:
+        """distance(a, b) for every b along the first axis of bs, from one
+        array expression; max and abs are exact, so each entry is bitwise
+        the scalar call's."""
+        return np.abs(self.wrapped_difference(a, bs)).max(axis=tuple(range(1, np.ndim(bs))))
+
     def unwrap(self, samples) -> np.ndarray:
         """Continuous lift of samples along axis 0, as a new array.
 

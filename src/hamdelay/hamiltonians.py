@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import LevelStructure
-from .transforms import TransformChain, copy_time_map, copy_time_map_printed
+from .transforms import TransformChain, copy_time_map, printed_time_maps
 
 TWO_PI = 2.0 * np.pi
 
@@ -275,7 +275,7 @@ class StructuredHamiltonian:
 
     def gradient(self, z, t):
         z = np.asarray(z, float)
-        return self._program(z.shape[-1]).scatter(z, t)
+        return self._program(z.shape[-1]).field(z, t)
 
     def to_json(self):
         return {
@@ -296,7 +296,7 @@ class StructuredHamiltonian:
 
 # Scalar times whose time-profile values one compiled Hamiltonian keeps.  An
 # RK4 sweep of N steps visits the 2N + 1 stage times, and every Newton sweep
-# and the final path sweep of a chord scan visit the same ones.
+# of a chord scan visits the same ones.
 TIME_CACHE_SIZE = 2**14
 
 # Batches are evaluated in row blocks whose (slot, dim, row) arrays hold
@@ -307,9 +307,10 @@ BLOCK_ELEMENTS = 2**13
 
 def _sum0(x: np.ndarray) -> np.ndarray:
     """x.sum(0), adding x[0], x[1], ... in index order.  numpy adds slices
-    that way when they hold two or more elements; for one-element slices it
-    reduces along axis 0 itself, pairwise from eight terms on, and a batch of
-    one row would round differently from a larger batch."""
+    that way when they hold two or more elements and x is in C order; for
+    one-element slices it reduces along axis 0 itself, pairwise from eight
+    terms on, and a batch of one row would round differently from a larger
+    batch."""
     if len(x) > 1 and x[0].size == 1:
         return np.add.accumulate(x, 0)[-1]
     return x.sum(0)
@@ -318,39 +319,53 @@ def _sum0(x: np.ndarray) -> np.ndarray:
 class _Compiled:
     """A StructuredHamiltonian as flat per-factor arrays.
 
-    Factors get slots, trig first, then polynomial (a ConstSpatial is the
-    zero-exponent monomial); slot F, one past the last factor, is a pad with
-    value 1 and gradient 0.  Arrays are laid out batch-last, (slot, dim, row).
-    Products loop over the term width, and the gradient gathers each copy's
-    slot contributions through a (copies, width) table, so value and gradient
-    take a fixed number of numpy calls however many terms there are.  Every
-    contraction is an elementwise product and a sum in index order (no BLAS),
-    so a row's result does not depend on the batch it rides in.
+    Factors get slots copy-major: each copy's factors sit in consecutive
+    slots, in term order, and a copy without factors owns none.  Slot S, one
+    past the last, is a pad with value 1.  Arrays are laid out batch-last,
+    (slot, dim, row), per-slot scalars as (slot, 1, row).  Trig slots
+    evaluate through their phases, polynomial slots (a ConstSpatial is the
+    zero-exponent monomial) through monomial tables.  value multiplies each
+    term's slot values through a (terms, width) table.  The gradient of slot
+    s is its direction times its scale, the gradient coefficient, time
+    weight and co-factor values; a copy's gradient adds its slots in slot
+    order, one explicit add per rank, and a copy without slots costs nothing.
+
+    The output frame is compiled in, once per sign vector (frame): for a
+    level's signs eps, the J column roll, FIELD_SIGN and eps_c are folded
+    into the trig direction table, freq[s, cols[d]] * sign[c, d], and into
+    the polynomial derivative coefficients, so the field eps_c * FIELD_SIGN *
+    J grad_c H costs what the gradient costs.  Multiplying by +-1 is exact
+    and commutes with rounding, so folding moves no value (an exact zero
+    may come out with the other sign, which compares equal).  Every
+    contraction is an elementwise product and a sum in index order (no BLAS,
+    no numpy reduction over slots), so a row's result does not depend on the
+    batch it rides in.
     """
 
     def __init__(self, ham: "StructuredHamiltonian", dim: int):
         factors = [(k, f) for k, (_, fs) in enumerate(ham.terms) for f in fs]
-        trig = [i for i, (_, f) in enumerate(factors) if isinstance(f.spatial, TrigSpatial)]
-        poly = [i for i, (_, f) in enumerate(factors) if isinstance(f.spatial, (PolySpatial, ConstSpatial))]
-        if len(trig) + len(poly) != len(factors):
+        if not all(isinstance(f.spatial, (TrigSpatial, PolySpatial, ConstSpatial)) for _, f in factors):
             raise TypeError("spatial parts must be TrigSpatial, PolySpatial or ConstSpatial")
-        order = trig + poly  # slot -> index into factors
-        n, nt = len(order), len(trig)
-        self.dim, self.n_factors, self.n_trig = dim, n, nt
+        order = sorted(range(len(factors)), key=lambda i: factors[i][1].copy)  # slot -> index into factors
+        n = len(order)
+        parts = [factors[i][1].spatial for i in order]
+        self.dim, self.n_slots, self.copies = dim, n, ham.copies
         self.copy = np.array([factors[i][1].copy for i in order], dtype=int)
         self.profiles = tuple(factors[i][1].time for i in order)
-        self.time_cache: dict[float, np.ndarray] = {}
+        self.time_cache: dict[float, tuple] = {}
         self.frames: dict = {}
 
-        trig_parts = [factors[i][1].spatial for i in trig]
-        self.freq = np.array([s.freq for s in trig_parts], dtype=float).reshape(nt, dim, 1)
-        self.amp = np.array([s.amp for s in trig_parts], dtype=float)[:, None]
-        self.phase = np.array([s.phase for s in trig_parts], dtype=float)[:, None]
+        is_trig = np.array([isinstance(s, TrigSpatial) for s in parts], dtype=bool)
+        trig, poly = np.flatnonzero(is_trig), np.flatnonzero(~is_trig)
+        self.trig, self.poly = _index(trig), _index(poly)
+        self.trig_copy, self.poly_copy = self.copy[trig], self.copy[poly]
+        self.freq = np.array([parts[s].freq for s in trig], dtype=float).reshape(len(trig), dim, 1)
+        self.amp = np.array([parts[s].amp for s in trig], dtype=float)[:, None, None]
+        self.phase = np.array([parts[s].phase for s in trig], dtype=float)[:, None, None]
 
         monos = []
-        for i in poly:
-            s = factors[i][1].spatial
-            monos.append(s.terms if isinstance(s, PolySpatial) else ((s.value_const, (0,) * dim),))
+        for s in poly:
+            monos.append(parts[s].terms if isinstance(parts[s], PolySpatial) else ((parts[s].value_const, (0,) * dim),))
         # (monomial, slot, ...) tables, zero-padded to the widest polynomial;
         # d/dz_i of c z^e is (c e_i) z^(e - 1_i), zero exponents get coefficient 0
         width = max((len(m) for m in monos), default=0)
@@ -363,87 +378,105 @@ class _Compiled:
         self.deriv_coeff = (coeff[..., None] * exp)[..., None]
         self.deriv_exp = np.maximum(exp[:, :, None, :] - np.eye(dim, dtype=int), 0)[..., None]
 
-        # gradient coefficient per slot: the term's, times -2 pi amp for trig, 0 for the pad
+        # gradient coefficient per slot: the term's, times -2 pi amp for trig
         self.term_coeff = np.array([c for c, _ in ham.terms], dtype=float)[:, None]
         term = np.array([factors[i][0] for i in order], dtype=int)
-        amp = np.concatenate([-TWO_PI * self.amp[:, 0], np.ones(len(poly)), [0.0]])
-        self.grad_coeff = (np.append(self.term_coeff[term, 0], 0.0) * amp)[:, None]
+        amp = np.ones(n)
+        amp[trig] = -TWO_PI * self.amp[:, 0, 0]
+        self.grad_coeff = (self.term_coeff[term, 0] * amp)[:, None, None]
 
-        # each term's slots, each slot's co-factors, and each copy's slots, in term order
+        # each term's slots and each slot's co-factors, in term order, padded
+        # with the pad slot n
         slot_of = np.argsort(order)
         members = [[] for _ in ham.terms]
-        by_copy = [[] for _ in range(ham.copies)]
-        for i, (k, f) in enumerate(factors):
+        for i, (k, _) in enumerate(factors):
             members[k].append(slot_of[i])
-            by_copy[f.copy].append(slot_of[i])
         self.slots = _padded(members, n, 1)
-        self.others = _padded([[j for j in members[term[s]] if j != s] for s in range(n)] + [[]], n, 0)
-        self.gather = _padded(by_copy, n, 1)
+        others = _padded([[j for j in members[term[s]] if j != s] for s in range(n)], n, 0)
+        self.others = [_index(col) for col in others.T]
+        self.slot_pad, self.cofactor_pad = bool(np.any(self.slots == n)), bool(np.any(others == n))
+        # rank j: the copies that own more than j slots (None for all) and their j-th slots
+        counts = np.bincount(self.copy, minlength=ham.copies)
+        starts = np.cumsum(counts) - counts
+        self.ranks = [
+            (None if np.all(counts > j) else np.flatnonzero(counts > j), _index(starts[counts > j] + j))
+            for j in range(counts.max())
+        ]
         self.block = max(1, BLOCK_ELEMENTS // ((n + 1) * dim))
 
-    def weights(self, t) -> np.ndarray:
-        """Time-profile values per slot, the pad 1: shape (F + 1, 1) for a
-        float t, read through the cache, or (F + 1, rows) for per-row t."""
+    def weights(self, t, grad: bool = False):
+        """Time-profile values per slot, the pad 1, as (S + 1, 1, 1) for a
+        float t, read through the cache, or (S + 1, 1, rows) for per-row t;
+        with grad, the pair of them and the gradient coefficients times them."""
         if isinstance(t, float):
-            w = self.time_cache.get(t)
-            if w is None:
-                w = np.array([np.asarray(p(t), float) for p in self.profiles] + [1.0])[:, None]
-                w.flags.writeable = False
+            entry = self.time_cache.get(t)
+            if entry is None:
+                w = np.array([np.asarray(p(t), float) for p in self.profiles] + [1.0])[:, None, None]
+                entry = (w, self.grad_coeff * w[:-1])
+                for a in entry:
+                    a.flags.writeable = False
                 if len(self.time_cache) < TIME_CACHE_SIZE:
-                    self.time_cache[t] = w
-            return w
-        return np.stack([p(t) for p in self.profiles] + [np.ones(t.shape)])
+                    self.time_cache[t] = entry
+            return entry if grad else entry[0]
+        w = np.stack([p(t) for p in self.profiles] + [np.ones(t.shape)])[:, None]
+        return (w, self.grad_coeff * w[:-1]) if grad else w
 
-    def blockwise(self, z, t, fn, tail: tuple) -> np.ndarray:
-        """fn(zf, w) over row blocks of z (..., copies, dim): zf is a block as
-        the batch-last slot array (F, dim, rows), w its time weights, and fn
-        returns (*tail, rows); the result has shape (..., *tail)."""
+    def blockwise(self, z, t, fn, tail: tuple, grad: bool = False) -> np.ndarray:
+        """fn(zc, w) over row blocks of z (..., copies, dim): zc is a block
+        as the batch-last copy array (copies, dim, rows), w the block's
+        weights(t, grad), and fn returns (*tail, rows); the result has shape
+        (..., *tail)."""
         lead = z.shape[:-2]
         zb = z.reshape(-1, *z.shape[-2:])
-        if np.ndim(t) == 0:
-            w = self.weights(float(t))
+        per_row = not isinstance(t, float) and np.ndim(t) > 0
+        if per_row:
+            w = self.weights(np.broadcast_to(np.asarray(t, float), lead).reshape(-1), grad)
         else:
-            w = self.weights(np.broadcast_to(np.asarray(t, float), lead).reshape(-1))
+            w = self.weights(float(t), grad)
         rows_first = (len(tail),) + tuple(range(len(tail)))
-        out = np.empty((len(zb),) + tail)
-        for lo in range(0, len(zb), self.block):
-            hi = lo + self.block
-            zf = np.ascontiguousarray(zb[lo:hi].transpose(1, 2, 0))[self.copy]
-            res = fn(zf, w if w.shape[1] == 1 else w[:, lo:hi])
-            out[lo:hi] = res.transpose(rows_first)
+        if len(zb) <= self.block:
+            out = np.ascontiguousarray(fn(np.ascontiguousarray(zb.transpose(1, 2, 0)), w).transpose(rows_first))
+        else:
+            out = np.empty((len(zb),) + tail)
+            for lo in range(0, len(zb), self.block):
+                hi = lo + self.block
+                wb = w
+                if per_row:
+                    wb = tuple(a[..., lo:hi] for a in w) if grad else w[..., lo:hi]
+                out[lo:hi] = fn(np.ascontiguousarray(zb[lo:hi].transpose(1, 2, 0)), wb).transpose(rows_first)
         return out.reshape(lead + tail)
 
-    def spatial(self, zf, value: bool, grad: bool):
-        """Spatial values (F + 1, rows) and gradient directions
-        (F + 1, dim, rows) per slot; trig directions are sin(phase) * freq,
-        their -2 pi amp sits in grad_coeff."""
-        n, nt = self.n_factors, self.n_trig
-        rows = zf.shape[-1]
-        values = np.ones((n + 1, rows)) if value else None
-        grads = np.zeros((n + 1, self.dim, rows)) if grad else None
-        if nt:
-            ph = zf[:nt, 0] * self.freq[:, 0]
-            for i in range(1, self.dim):
-                ph += zf[:nt, i] * self.freq[:, i]
-            ph *= TWO_PI
-            ph += self.phase
-            if value:
-                np.multiply(self.amp, np.cos(ph), out=values[:nt])
-            if grad:
-                np.multiply(np.sin(ph)[:, None], self.freq, out=grads[:nt])
-        if nt < n:
-            zp = zf[nt:]
-            if value:
-                values[nt:n] = _sum0(self.mono_coeff * np.prod(zp**self.mono_exp, axis=2))
-            if grad:
-                powers = np.prod(zp[:, None] ** self.deriv_exp, axis=3)
-                grads[nt:n] = _sum0(self.deriv_coeff * powers)
-        return values, grads
+    def phases(self, zc):
+        """Trig slot phases (slots, 1, rows) of the copy array (copies, dim,
+        rows), None without trig slots."""
+        if not len(self.trig_copy):
+            return None
+        p = zc[self.trig_copy] * self.freq
+        ph = p[:, :1] + p[:, 1:2]
+        for i in range(2, self.dim):
+            ph += p[:, i : i + 1]
+        ph *= TWO_PI
+        ph += self.phase
+        return ph
+
+    def values(self, zc, ph, w, pad: bool) -> np.ndarray:
+        """Slot values times their time weights, (S, 1, rows), or with pad
+        (S + 1, 1, rows) ending in the pad 1."""
+        if pad or ph is None or len(self.poly_copy):
+            v = np.ones((self.n_slots + pad, 1, zc.shape[-1]))
+            if ph is not None:
+                v[self.trig] = self.amp * np.cos(ph)
+            if len(self.poly_copy):
+                zp = zc[self.poly_copy]
+                v[self.poly, 0] = _sum0(self.mono_coeff * np.prod(zp**self.mono_exp, axis=2))
+        else:
+            v = self.amp * np.cos(ph)
+        v *= w if pad else w[:-1]
+        return v
 
     def value(self, z, t):
-        def block(zf, w):
-            v = self.spatial(zf, True, False)[0]
-            v *= w
+        def block(zc, w):
+            v = self.values(zc, self.phases(zc), w, self.slot_pad)[:, 0]
             terms = self.term_coeff * v[self.slots[:, 0]]
             for j in range(1, self.slots.shape[1]):
                 terms = terms * v[self.slots[:, j]]
@@ -451,36 +484,81 @@ class _Compiled:
 
         return self.blockwise(z, t, block, ())
 
-    def scatter(self, z, t, signs=None):
+    def field(self, z, t, signs=None):
         """grad H at z of shape (..., copies, dim); given a level's sign
         vector, the signed field eps_j * FIELD_SIGN * J grad_j H instead."""
-        index, cols, sign = self.frame(signs)
-        width = self.others.shape[1]
+        direction, dcoeff, dexp = self.frame(signs)
 
-        def block(zf, w):
-            values, grads = self.spatial(zf, width > 0, True)
-            scale = self.grad_coeff * w
-            if width:
-                v = values * w
-                for j in range(width):
-                    scale = scale * v[self.others[:, j]]
-            out = _sum0((grads * scale[:, None])[index, cols])
-            return out if sign is None else out * sign
+        def block(zc, weights):
+            if not self.ranks:
+                return np.zeros((self.copies, self.dim, zc.shape[-1]))
+            w, scale = weights
+            ph = self.phases(zc)
+            if self.others:
+                v = self.values(zc, ph, w, self.cofactor_pad)
+                for col in self.others:
+                    scale = scale * v[col]
+            gt = None if ph is None else np.sin(ph) * direction
+            gp = None
+            if len(self.poly_copy):
+                gp = _sum0(dcoeff * np.prod(zc[self.poly_copy][:, None] ** dexp, axis=3))
+            if gt is None or gp is None:
+                g = gp if gt is None else gt
+            else:
+                g = np.empty((self.n_slots, self.dim, zc.shape[-1]))
+                g[self.trig], g[self.poly] = gt, gp
+            g *= scale
+            (dest, src), *rest = self.ranks
+            if dest is None:
+                out = g[src]
+            else:
+                out = np.zeros((self.copies, self.dim, zc.shape[-1]))
+                out[dest] = g[src]
+            for dest, src in rest:
+                if dest is None:
+                    out += g[src]
+                else:
+                    out[dest] += g[src]
+            return out
 
-        return self.blockwise(z, t, block, (len(self.gather), self.dim))
+        return self.blockwise(z, t, block, (self.copies, self.dim), grad=True)
 
     def frame(self, signs):
-        """Gather indices and output signs: the identity for the gradient,
-        J with FIELD_SIGN and the level signs folded in for the field."""
+        """Trig direction table and polynomial derivative coefficients and
+        exponents in the output frame: the gradient's for signs None, with
+        the J column roll, FIELD_SIGN and the level signs folded in for a
+        level's sign vector."""
         frame = self.frames.get(signs)
         if frame is None:
-            cols, sign = np.arange(self.dim), None
+            frame = (self.freq, self.deriv_coeff, self.deriv_exp)
             if signs is not None:
                 half = self.dim // 2
-                cols = np.roll(cols, half)  # J: (g_x, g_y) -> (-g_y, g_x)
-                sign = FIELD_SIGN * np.asarray(signs, float)[:, None, None] * np.repeat([-1.0, 1.0], half)[:, None]
-            frame = self.frames[signs] = (self.gather.T[:, :, None], cols, sign)
+                cols = np.roll(np.arange(self.dim), half)  # J: (g_x, g_y) -> (-g_y, g_x)
+                sign = FIELD_SIGN * np.asarray(signs, float)[:, None] * np.repeat([-1.0, 1.0], half)
+                # C order like the gradient's tables: ufuncs keep their
+                # operands' layout, and the layout decides the order in which
+                # _sum0 adds one-row slices
+                frame = tuple(
+                    np.ascontiguousarray(a)
+                    for a in (
+                        self.freq[:, cols] * sign[self.trig_copy, :, None],
+                        self.deriv_coeff[:, :, cols] * sign[self.poly_copy, :, None],
+                        self.deriv_exp[:, :, cols],
+                    )
+                )
+            self.frames[signs] = frame
         return frame
+
+
+def _index(idx: np.ndarray):
+    """An increasing index array as a slice when it is evenly spaced, so
+    that indexing with it is a view; otherwise the array itself."""
+    if len(idx) == 0:
+        return idx
+    step = int(idx[1] - idx[0]) if len(idx) > 1 else 1
+    if step > 0 and np.all(np.diff(idx) == step):
+        return slice(int(idx[0]), int(idx[-1]) + 1, step)
+    return idx
 
 
 def _padded(lists, pad: int, min_width: int) -> np.ndarray:
@@ -520,7 +598,7 @@ def vector_field(ham, level: LevelStructure, z, t):
     if ham.level != level.level:
         raise ValueError("Hamiltonian level does not match the level structure")
     z = np.asarray(z, float)
-    return ham._program(z.shape[-1]).scatter(z, t, level.sign_vector)
+    return ham._program(z.shape[-1]).field(z, t, level.sign_vector)
 
 
 def fd_gradient_oracle(ham, level: LevelStructure, z, t, h: float = 1e-5):
@@ -560,7 +638,7 @@ def lift(base: StructuredHamiltonian, chain: TransformChain, variant: str = "der
     elif variant == "printed":
         if not chain.is_standard():
             raise ValueError("the printed-recursion variant is defined for standard chains only")
-        taus = tuple(copy_time_map_printed(chain.level, m) for m in range(2**chain.level))
+        taus = tuple(printed_time_maps(chain.level))
     else:
         raise ValueError(f"unknown lift variant {variant!r}")
     terms = []

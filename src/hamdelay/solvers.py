@@ -8,8 +8,10 @@ finite-difference Jacobians stay small.  Batched initial conditions share
 one fixed-step RK4 sweep, which keeps multistart scans cheap: all seeds ride
 each Newton sweep, a seed that takes the full step costs one sweep per
 iteration (its trial point and the probes of its next Jacobian ride
-together), damping step lengths are tried several to a sweep, and after
-Newton the paths of every converged seed come from one more batched sweep.
+together), and damping step lengths are tried several to a sweep.  A
+converged seed's path is the trajectory that the sweep accepting its final
+iterate kept; only seeds whose final step came from a damping rung get
+their paths from one more batched sweep.
 
 The periodic delay solve is Newton on midpoint collocation with a sparse
 forward-difference Jacobian.  Each collocation row reads a few nodes, which
@@ -26,7 +28,6 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import combinations
 
 import numpy as np
 
@@ -137,12 +138,15 @@ class OrbitSet:
 # integration
 
 
-def _rk4(field, z0: np.ndarray, n_steps: int, keep_path: bool = False) -> np.ndarray:
-    """Classical RK4 over [0, 1]: the end point, or with keep_path the
-    (n_steps + 1, *z0.shape) trajectory; shooting sweeps keep no buffer."""
+def _rk4(field, z0: np.ndarray, n_steps: int, path: np.ndarray | None = None) -> np.ndarray:
+    """Classical RK4 over [0, 1]; returns the end point.  Given a buffer of
+    shape (n_steps + 1, k, *z0.shape[1:]), it also keeps the trajectory of
+    the first k rows there, one copy per step."""
     h = 1.0 / n_steps
     z = np.array(z0, dtype=float)
-    path = [z]
+    if path is not None:
+        keep = path.shape[1]
+        path[0] = z[:keep]
     for i in range(n_steps):
         t = i * h
         k1 = field(z, t)
@@ -150,9 +154,9 @@ def _rk4(field, z0: np.ndarray, n_steps: int, keep_path: bool = False) -> np.nda
         k3 = field(z + 0.5 * h * k2, t + 0.5 * h)
         k4 = field(z + h * k3, t + h)
         z = z + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        if keep_path:
-            path.append(z)
-    return np.stack(path) if keep_path else z
+        if path is not None:
+            path[i + 1] = z[:keep]
+    return z
 
 
 def integrate(ham, level: LevelStructure, z0, cfg: IntegratorConfig = IntegratorConfig()):
@@ -163,12 +167,31 @@ def integrate(ham, level: LevelStructure, z0, cfg: IntegratorConfig = Integrator
     """
     z0 = np.asarray(z0, dtype=float)
     batch = z0.reshape(-1, *z0.shape[-2:])
-    traj = _rk4(lambda z, t: vector_field(ham, level, z, t), batch, cfg.n_steps, keep_path=True)
+    traj = np.empty((cfg.n_steps + 1,) + batch.shape)
+    _rk4(lambda z, t: vector_field(ham, level, z, t), batch, cfg.n_steps, traj)
+    curves = _curves(level, traj)
+    return curves[0] if z0.ndim == 2 else curves
+
+
+def _curves(level: LevelStructure, traj: np.ndarray) -> list:
+    """One normalized DiscreteCurve per row of an RK4 trajectory
+    (n_steps + 1, B, copies, dim); raises FloatingPointError if it overflowed."""
     if not np.all(np.isfinite(traj)):
         raise FloatingPointError("trajectory overflowed")
     rows = np.ascontiguousarray(np.moveaxis(level.space.normalize(traj), 1, 0))
-    curves = [DiscreteCurve(level.space, level.level, samples, False) for samples in rows]
-    return curves[0] if z0.ndim == 2 else curves
+    return [DiscreteCurve(level.space, level.level, samples, False) for samples in rows]
+
+
+def _accepted_paths(ham, level: LevelStructure, rows, z0, traj, kept, cfg: IntegratorConfig) -> list:
+    """One curve per Newton row in rows, z0 holding their start points
+    (len(rows), copies, dim): the kept trajectory traj[:, i] where kept[i],
+    and one integrate sweep for the others.  A row's trajectory does not
+    depend on its batch, so both are the curve integrate gives the row alone."""
+    redo = ~kept[rows]
+    curves = dict(zip(rows[~redo], _curves(level, traj[:, rows[~redo]])))
+    if np.any(redo):
+        curves.update(zip(rows[redo], integrate(ham, level, z0[redo], cfg)))
+    return [curves[i] for i in rows]
 
 
 # ---------------------------------------------------------------------------
@@ -179,15 +202,17 @@ def _flat_dim(level: LevelStructure) -> int:
     return 2 ** (level.level - 1) * level.space.dim
 
 
-def shoot_residual(ham, level: LevelStructure, params, cfg: IntegratorConfig = IntegratorConfig()):
+def shoot_residual(ham, level: LevelStructure, params, cfg: IntegratorConfig = IntegratorConfig(), path=None):
     """Wrapped endpoint mismatches over the end-diagonal pairs.
 
     params has shape (..., 2^{n-1}, dim); the residual has the same shape,
-    one row per end-matching pair, so the shooting system is square.
+    one row per end-matching pair, so the shooting system is square.  Given
+    a buffer path of shape (n_steps + 1, k, copies, dim), the sweep also
+    keeps the trajectories of the first k rows there.
     """
     params = np.asarray(params, dtype=float)
     z0 = embed_diagonal_params(level, 0, params)
-    zT = _rk4(lambda z, t: vector_field(ham, level, z, t), z0, cfg.n_steps)
+    zT = _rk4(lambda z, t: vector_field(ham, level, z, t), z0, cfg.n_steps, path)
     out = np.empty_like(params)
     for i, (a, b) in enumerate(level.matching1):
         out[..., i, :] = level.space.wrapped_difference(zT[..., a, :], zT[..., b, :])
@@ -224,16 +249,19 @@ def _fd_difference(rr: np.ndarray, h: float) -> np.ndarray:
     return (rr[:, :dim, :] - rr[:, dim:, :]).transpose(0, 2, 1) / (2 * h)
 
 
-def _resid_with_jacobians(resid_fn, p: np.ndarray, h: float):
-    """Residuals at the rows of p and the Jacobians there, from one sweep."""
-    rr = resid_fn(np.concatenate([p, _fd_probes(p, h)]))
+def _resid_with_jacobians(resid_fn, p: np.ndarray, h: float, path: np.ndarray):
+    """Residuals at the rows of p and the Jacobians there, from one sweep
+    that keeps the trajectories of the rows of p in path."""
+    rr = resid_fn(np.concatenate([p, _fd_probes(p, h)]), path)
     return rr[: len(p)], _fd_difference(rr[len(p) :], h)
 
 
-def _newton_batch(resid_fn, wrap_fn, seeds: np.ndarray, newton: NewtonConfig):
+def _newton_batch(resid_fn, wrap_fn, seeds: np.ndarray, newton: NewtonConfig, row_path: tuple):
     """Damped Newton on a batch of square systems sharing batched residual sweeps.
 
-    resid_fn maps (B, P) parameter rows to (B, P) residual rows.  The first
+    resid_fn(rows, path=None) maps (B, P) parameter rows to (B, P) residual
+    rows; given a buffer path of shape (row_path[0], k, *row_path[1:]), its
+    sweep also keeps the trajectories of the first k rows there.  The first
     sweep evaluates every seed with its 2P central-difference probes.  Each
     iteration then makes one trial sweep: the full step (lambda = 1) for
     every running seed, together with the probes around its wrapped trial
@@ -244,9 +272,13 @@ def _newton_batch(resid_fn, wrap_fn, seeds: np.ndarray, newton: NewtonConfig):
     only they need a separate Jacobian sweep in the next iteration.  A row's
     residual does not depend on its batch, so every iterate, status and
     condition estimate is the one the sequential halving loop of a scalar
-    solver gives.  Returns final parameters, residuals, per-seed status, and
-    Jacobian condition estimates.  A seed whose residual or Jacobian is not
-    finite is marked diverged and leaves the iteration.
+    solver gives.  The first sweep and every full-step sweep keep the
+    trajectories of their value rows, so each iterate accepted from them
+    comes with its own; rung sweeps keep none.  Returns final parameters,
+    residuals, per-seed status, Jacobian condition estimates, the
+    trajectories (row_path[0], B, *row_path[1:]), and which seeds' final
+    iterate has its trajectory there.  A seed whose residual or Jacobian is
+    not finite is marked diverged and leaves the iteration.
     """
     h = newton.fd_step
     rungs = np.ldexp(1.0, -np.arange(1, 1075))  # down to 2^-1074, below any positive min_damping
@@ -256,8 +288,10 @@ def _newton_batch(resid_fn, wrap_fn, seeds: np.ndarray, newton: NewtonConfig):
     with np.errstate(over="ignore", invalid="ignore"):
         p = np.array(seeds, dtype=float)
         dim = p.shape[1]
-        r, jac = _resid_with_jacobians(resid_fn, p, h)
+        paths = np.empty((row_path[0], len(p)) + row_path[1:])
+        r, jac = _resid_with_jacobians(resid_fn, p, h, paths)
         has_jac = np.ones(len(p), dtype=bool)  # jac[i] is the Jacobian at p[i]
+        has_path = np.ones(len(p), dtype=bool)  # paths[:, i] is the trajectory from p[i]
         status = np.full(len(p), _RUNNING, dtype=int)
         conds = np.full(len(p), np.nan)
         status[np.max(np.abs(r), axis=1) <= newton.tol] = _CONVERGED
@@ -284,10 +318,12 @@ def _newton_batch(resid_fn, wrap_fn, seeds: np.ndarray, newton: NewtonConfig):
                 break
             base_norm = np.linalg.norm(r[active], axis=1)
             trials = wrap_fn(p[active] - step_rows)
-            r_try, jac_try = _resid_with_jacobians(resid_fn, trials, h)
+            trial_paths = np.empty((row_path[0], len(trials)) + row_path[1:])
+            r_try, jac_try = _resid_with_jacobians(resid_fn, trials, h, trial_paths)
             better = np.linalg.norm(r_try, axis=1) < base_norm
             took = active[better]
             p[took], r[took], jac[took] = trials[better], r_try[better], jac_try[better]
+            paths[:, took] = trial_paths[:, better]
             has_jac[active] = better
             pending = np.flatnonzero(~better)  # positions in active still looking for a step
             for lo in range(0, len(rungs), DAMPING_LADDER):
@@ -301,6 +337,7 @@ def _newton_batch(resid_fn, wrap_fn, seeds: np.ndarray, newton: NewtonConfig):
                 pick = np.argmax(better, axis=0)[hit] * len(pending) + np.flatnonzero(hit)
                 took = active[pending[hit]]
                 p[took], r[took] = trials[pick], r_try[pick]
+                has_path[took] = False
                 pending = pending[~hit]
             status[active[pending]] = _STUCK
             done = np.max(np.abs(r), axis=1) <= newton.tol
@@ -312,7 +349,7 @@ def _newton_batch(resid_fn, wrap_fn, seeds: np.ndarray, newton: NewtonConfig):
         fresh = fresh[np.all(np.isfinite(jac[fresh]), axis=(1, 2))]
         if len(fresh):
             conds[fresh] = np.linalg.cond(jac[fresh])
-        return p, r, status, conds
+        return p, r, status, conds, paths, has_path
 
 
 def _solve_stack(jac: np.ndarray, rhs: np.ndarray):
@@ -333,19 +370,23 @@ def _solve_stack(jac: np.ndarray, rhs: np.ndarray):
 
 def _solve_seeds(ham, level: LevelStructure, seeds: np.ndarray, newton: NewtonConfig, integ: IntegratorConfig) -> list:
     """The one chord shooting path: batched Newton on the shooting residual
-    from every seed row, then the paths of all converged seeds in one
-    integrate sweep; returns a Chord or SolveFailure per seed."""
+    from every seed row; each converged seed's path is the trajectory of
+    the sweep that accepted its final iterate, or for a final iterate from a
+    damping rung, a row of one integrate sweep.  Returns a Chord or
+    SolveFailure per seed."""
     shape = (2 ** (level.level - 1), level.space.dim)
 
-    def resid(flat_batch):
+    def resid(flat_batch, path=None):
         batch = flat_batch.reshape(flat_batch.shape[0], *shape)
-        return shoot_residual(ham, level, batch, integ).reshape(flat_batch.shape[0], -1)
+        return shoot_residual(ham, level, batch, integ, path).reshape(flat_batch.shape[0], -1)
 
-    ps, rs, status, conds = _newton_batch(resid, partial(_wrap_params, level.space), seeds, newton)
+    row_path = (integ.n_steps + 1, level.copies, level.space.dim)
+    wrap = partial(_wrap_params, level.space)
+    ps, rs, status, conds, traj, kept = _newton_batch(resid, wrap, seeds, newton, row_path)
     params = ps.reshape(len(ps), *shape)
     converged = np.flatnonzero(status == _CONVERGED)
     z0 = embed_diagonal_params(level, 0, params[converged])
-    paths = iter(integrate(ham, level, z0, integ) if len(converged) else [])
+    paths = iter(_accepted_paths(ham, level, converged, z0, traj, kept, integ))
     results = []
     for p, r, s, cond in zip(params, rs, status, conds):
         norm = float(np.max(np.abs(r)))
@@ -412,13 +453,15 @@ def enumerate_chords(
         else:
             failures[result.reason] = failures.get(result.reason, 0) + 1
     chords.sort(key=lambda c: tuple(c.params.ravel()))
-    dist = level.space.distance
     kept: list[Chord] = []
+    kept_paths = np.empty((len(chords),) + (chords[0].path.samples.shape if chords else ()))
     for c in chords:
-        if all(dist(c.path.samples, k.path.samples) > DEDUP_TOL for k in kept):
+        if np.all(level.space.distances(c.path.samples, kept_paths[: len(kept)]) > DEDUP_TOL):
+            kept_paths[len(kept)] = c.path.samples
             kept.append(c)
     singular_fraction = failures["singular-jacobian"] / max(len(seeds), 1)
-    min_separation = min((dist(a.path.samples, b.path.samples) for a, b in combinations(kept, 2)), default=math.inf)
+    separations = [level.space.distances(kept_paths[i], kept_paths[i + 1 : len(kept)]) for i in range(len(kept) - 1)]
+    min_separation = float(np.concatenate(separations).min()) if separations else math.inf
     degenerate = (
         any(c.degenerate for c in kept)
         or singular_fraction > 0.25
@@ -668,8 +711,8 @@ def flow_fixed_points(
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([m.ravel() for m in mesh], axis=-1)[:, None, :]  # (B, 1, dim)
 
-    def displacement(z):
-        zT = _rk4(lambda w, t: vector_field(ham, level0, w, t), z, integ.n_steps)
+    def displacement(z, path=None):
+        zT = _rk4(lambda w, t: vector_field(ham, level0, w, t), z, integ.n_steps, path)
         return space.wrapped_difference(zT, z)
 
     disp = displacement(pts)
@@ -687,12 +730,13 @@ def flow_fixed_points(
         return OrbitSet((), False, DEDUP_TOL, {"grid": grid_n, "candidates": 0})
     seeds = np.array([[axes[i][idx[i]] for i in range(space.dim)] for idx in candidates])
 
-    def resid(flat_batch):
-        return displacement(flat_batch[:, None, :]).reshape(flat_batch.shape[0], -1)
+    def resid(flat_batch, path=None):
+        return displacement(flat_batch[:, None, :], path).reshape(flat_batch.shape[0], -1)
 
-    ps, rs, status, conds = _newton_batch(resid, partial(_wrap_params, space), seeds, newton)
+    row_path = (integ.n_steps + 1, 1, space.dim)
+    ps, rs, status, conds, traj, kept = _newton_batch(resid, partial(_wrap_params, space), seeds, newton, row_path)
     converged = np.flatnonzero(status == _CONVERGED)
-    paths = integrate(ham, level0, ps[converged, None, :], integ) if len(converged) else []
+    paths = _accepted_paths(ham, level0, converged, ps[converged, None, :], traj, kept, integ)
     found = [
         FixedPoint(ps[i], float(np.max(np.abs(rs[i]))), float(conds[i]), DiscreteCurve(space, 0, path.samples, True))
         for i, path in zip(converged, paths)

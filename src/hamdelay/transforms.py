@@ -479,29 +479,34 @@ def delayed_time(chain: TransformChain, segment_copy: int, coeff_copy: int):
     return table[coeff_copy].theta.inverse().compose(table[segment_copy].theta)
 
 
-def copy_time_map_printed(n: int, copy: int) -> AffineMap:
-    """Halving-chain copy time maps from the alternative halving recursion.
+def printed_time_maps(n: int) -> list[AffineMap]:
+    """The 2^n halving-chain copy time maps of the alternative halving
+    recursion, copy by copy, from one pass of the recursion.
 
     Kept alongside the composition-derived maps for comparison; the two
     disagree on some copies for n >= 2 (see compare_tau_tables).
     """
-    if not 0 <= copy < 2**n:
-        raise ValueError("copy index out of range")
     maps = [AffineMap(1, 0)]
     for _ in range(n):
         first = [AffineMap(m.slope / 2, m.intercept / 2) for m in maps]
         second = [AffineMap(-m.slope / 2, 1 - m.intercept / 2) for m in maps]
         maps = first + second
-    return maps[copy]
+    return maps
+
+
+def copy_time_map_printed(n: int, copy: int) -> AffineMap:
+    """One copy's map from printed_time_maps(n)."""
+    if not 0 <= copy < 2**n:
+        raise ValueError("copy index out of range")
+    return printed_time_maps(n)[copy]
 
 
 def compare_tau_tables(n: int) -> list[dict]:
     """Derived vs printed copy-time maps for the standard chain, per copy."""
     chain = TransformChain.standard(n)
     rows = []
-    for m in range(2**n):
+    for m, printed in enumerate(printed_time_maps(n)):
         derived = copy_time_map(chain, m)
-        printed = copy_time_map_printed(n, m)
         rows.append(
             {
                 "copy": m + 1,

@@ -425,3 +425,182 @@ def test_time_cache_is_per_hamiltonian(torus, rng, monkeypatch):
     np.testing.assert_allclose(K2.gradient(z, 0.25), _oracle(K2, z, 0.25)[1], rtol=1e-13, atol=1e-13)
     assert np.array_equal(vector_field(K1, lev, z, 0.25), first)
     assert len(K1._program(2).time_cache) <= 4
+
+
+# ---------------------------------------------------------------------------
+# the field kernel against the gather-and-sum evaluation it replaced
+
+
+class _ScatterOracle:
+    """The earlier compiled gradient: slots trig first, each slot's full
+    gradient, then a 2-D gather of every copy's slots through a padded
+    (width, copies) table and the output columns, a sum over the table in
+    index order, and the level signs applied last."""
+
+    def __init__(self, ham, dim):
+        factors = [(k, f) for k, (_, fs) in enumerate(ham.terms) for f in fs]
+        trig = [i for i, (_, f) in enumerate(factors) if isinstance(f.spatial, TrigSpatial)]
+        poly = [i for i, (_, f) in enumerate(factors) if not isinstance(f.spatial, TrigSpatial)]
+        order = trig + poly
+        n, nt = len(order), len(trig)
+        self.dim, self.n, self.nt = dim, n, nt
+        self.copy = np.array([factors[i][1].copy for i in order], dtype=int)
+        self.profiles = tuple(factors[i][1].time for i in order)
+        parts = [factors[i][1].spatial for i in trig]
+        self.freq = np.array([s.freq for s in parts], dtype=float).reshape(nt, dim, 1)
+        self.amp = np.array([s.amp for s in parts], dtype=float)[:, None]
+        self.phase = np.array([s.phase for s in parts], dtype=float)[:, None]
+        monos = []
+        for i in poly:
+            s = factors[i][1].spatial
+            monos.append(s.terms if isinstance(s, PolySpatial) else ((s.value_const, (0,) * dim),))
+        width = max((len(m) for m in monos), default=0)
+        coeff = np.zeros((width, len(poly)))
+        exp = np.zeros((width, len(poly), dim), dtype=int)
+        for p, m in enumerate(monos):
+            for w, (c, es) in enumerate(m):
+                coeff[w, p], exp[w, p] = c, es
+        self.mono_coeff, self.mono_exp = coeff[..., None], exp[..., None]
+        self.deriv_coeff = (coeff[..., None] * exp)[..., None]
+        self.deriv_exp = np.maximum(exp[:, :, None, :] - np.eye(dim, dtype=int), 0)[..., None]
+        term_coeff = np.array([c for c, _ in ham.terms], dtype=float)
+        term = np.array([factors[i][0] for i in order], dtype=int)
+        amp = np.concatenate([-hamiltonians.TWO_PI * self.amp[:, 0], np.ones(len(poly)), [0.0]])
+        self.grad_coeff = (np.append(term_coeff[term], 0.0) * amp)[:, None]
+        slot_of = np.argsort(order)
+        members = [[] for _ in ham.terms]
+        by_copy = [[] for _ in range(ham.copies)]
+        for i, (k, f) in enumerate(factors):
+            members[k].append(slot_of[i])
+            by_copy[f.copy].append(slot_of[i])
+        padded = hamiltonians._padded
+        self.others = padded([[j for j in members[term[s]] if j != s] for s in range(n)] + [[]], n, 0)
+        self.gather = padded(by_copy, n, 1)
+        self.block = max(1, hamiltonians.BLOCK_ELEMENTS // ((n + 1) * dim))
+
+    def weights(self, t):
+        if isinstance(t, float):
+            return np.array([np.asarray(p(t), float) for p in self.profiles] + [1.0])[:, None]
+        return np.stack([p(t) for p in self.profiles] + [np.ones(t.shape)])
+
+    def spatial(self, zf, value):
+        n, nt = self.n, self.nt
+        rows = zf.shape[-1]
+        values = np.ones((n + 1, rows)) if value else None
+        grads = np.zeros((n + 1, self.dim, rows))
+        if nt:
+            ph = zf[:nt, 0] * self.freq[:, 0]
+            for i in range(1, self.dim):
+                ph += zf[:nt, i] * self.freq[:, i]
+            ph *= hamiltonians.TWO_PI
+            ph += self.phase
+            if value:
+                np.multiply(self.amp, np.cos(ph), out=values[:nt])
+            np.multiply(np.sin(ph)[:, None], self.freq, out=grads[:nt])
+        if nt < n:
+            zp = zf[nt:]
+            if value:
+                values[nt:n] = hamiltonians._sum0(self.mono_coeff * np.prod(zp**self.mono_exp, axis=2))
+            grads[nt:n] = hamiltonians._sum0(self.deriv_coeff * np.prod(zp[:, None] ** self.deriv_exp, axis=3))
+        return values, grads
+
+    def scatter(self, z, t, signs=None):
+        cols, sign = np.arange(self.dim), None
+        if signs is not None:
+            half = self.dim // 2
+            cols = np.roll(cols, half)
+            sign = np.asarray(signs, float)[:, None, None] * np.repeat([-1.0, 1.0], half)[:, None]
+            sign = hamiltonians.FIELD_SIGN * sign
+        index = self.gather.T[:, :, None]
+        width = self.others.shape[1]
+        lead = z.shape[:-2]
+        zb = z.reshape(-1, *z.shape[-2:])
+        if np.ndim(t) == 0:
+            w = self.weights(float(t))
+        else:
+            w = self.weights(np.broadcast_to(np.asarray(t, float), lead).reshape(-1))
+        out = np.empty((len(zb), len(self.gather), self.dim))
+        for lo in range(0, len(zb), self.block):
+            hi = lo + self.block
+            zf = np.ascontiguousarray(zb[lo:hi].transpose(1, 2, 0))[self.copy]
+            wb = w if w.shape[1] == 1 else w[:, lo:hi]
+            values, grads = self.spatial(zf, width > 0)
+            scale = self.grad_coeff * wb
+            if width:
+                v = values * wb
+                for j in range(width):
+                    scale = scale * v[self.others[:, j]]
+            res = hamiltonians._sum0((grads * scale[:, None])[index, cols])
+            res = res if sign is None else res * sign
+            out[lo:hi] = res.transpose(2, 0, 1)
+        return out.reshape(lead + (len(self.gather), self.dim))
+
+
+def _assert_matches_scatter(K, lev, z, t):
+    """vector_field and gradient equal the scatter oracle entry by entry,
+    NaN where it has NaN; folding the signs may flip the sign of an exact
+    zero, which compares equal."""
+    oracle = _ScatterOracle(K, z.shape[-1])
+    with np.errstate(invalid="ignore", over="ignore"):
+        for got, want in (
+            (vector_field(K, lev, z, t), oracle.scatter(z, t, lev.sign_vector)),
+            (K.gradient(z, t), oracle.scatter(z, t)),
+        ):
+            assert got.shape == want.shape
+            assert np.array_equal(got, want, equal_nan=True)
+
+
+def _scatter_cases(K, lev, rng):
+    """Batches of 1 and 81 rows, one row without a batch axis, a (2, 3)
+    batch, float and per-row t, and rows holding +-inf."""
+    z = rng.uniform(-1.0, 1.0, (81, lev.copies, lev.space.dim))
+    z[5, 0, 0], z[17, -1, -1], z[40] = np.inf, -np.inf, np.inf
+    ts = rng.random(81)
+    for rows in (slice(0, 1), slice(0, 81)):
+        _assert_matches_scatter(K, lev, z[rows], 0.37)
+        _assert_matches_scatter(K, lev, z[rows], ts[rows])
+    _assert_matches_scatter(K, lev, z[3], 0.61)
+    _assert_matches_scatter(K, lev, z[:6].reshape(2, 3, lev.copies, -1), ts[:6].reshape(2, 3))
+
+
+@pytest.mark.parametrize("block_elements", [hamiltonians.BLOCK_ELEMENTS, 64], ids=["one-block", "many-blocks"])
+@pytest.mark.parametrize("name", PRESETS)
+def test_field_matches_scatter_oracle_on_presets(name, block_elements, monkeypatch):
+    monkeypatch.setattr(hamiltonians, "BLOCK_ELEMENTS", block_elements)
+    data = json.loads(resources.files("hamdelay.presets").joinpath(f"{name}.json").read_text())
+    cfg = ExperimentConfig.from_dict(data)
+    _scatter_cases(cfg.structured_hamiltonian(), build_level(cfg.space, cfg.chain.level), np.random.default_rng(7))
+
+
+@pytest.mark.parametrize("block_elements", [hamiltonians.BLOCK_ELEMENTS, 64], ids=["one-block", "many-blocks"])
+def test_field_matches_scatter_oracle_on_wide_and_empty_copies(block_elements, torus, plane, monkeypatch):
+    """Level 2 with a copy of 12 slots, trig, poly and const slots
+    interleaved within copies, a copy of one slot and an empty copy, terms
+    of up to three factors; and a plane Hamiltonian of poly slots alone."""
+    monkeypatch.setattr(hamiltonians, "BLOCK_ELEMENTS", block_elements)
+    rng = np.random.default_rng(12)
+    poly = PolySpatial(((0.3, (2, 1)), (-0.7, (0, 3)), (1.1, (1, 0))))
+    trig = [TrigSpatial(0.2 + 0.05 * k, (k % 3 - 1, (k + 1) % 2), 0.1 * k) for k in range(12)]
+    terms = [(0.4 + 0.1 * k, (Factor(0, trig[k], TrigTime(0.3, k % 2 + 1, 0.1, 1.0)),)) for k in range(9)]
+    terms += [
+        (0.9, (Factor(0, poly), Factor(2, trig[9]), Factor(3, ConstSpatial(1.7), BumpTime(0.4, 0.3)))),
+        (-0.5, (Factor(3, trig[10]), Factor(0, ConstSpatial(0.6)))),
+        (0.25, (Factor(0, trig[11]), Factor(3, poly))),
+    ]
+    K = StructuredHamiltonian(2, tuple(terms))
+    prog = K._program(2)
+    assert np.bincount(prog.copy, minlength=4).tolist() == [12, 0, 1, 3]
+    _scatter_cases(K, build_level(torus, 2), rng)
+    square = PolySpatial(((1.0, (0, 2)),))
+    P = StructuredHamiltonian(1, ((0.5, (Factor(0, poly), Factor(1, square))), (2.0, (Factor(1, poly),))))
+    _scatter_cases(P, build_level(plane, 1), rng)
+    _scatter_cases(StructuredHamiltonian(1, ()), build_level(torus, 1), rng)
+
+
+@given(_hamiltonians(), st.sampled_from([(), (1,), (81,), (2, 3)]), st.booleans(), st.integers(0, 2**32 - 1))
+def test_field_matches_scatter_oracle(K, lead, per_row, seed):
+    rng = np.random.default_rng(seed)
+    lev = build_level(PhaseSpace(1, "torus"), K.level)
+    z = rng.uniform(-1.0, 1.0, lead + (K.copies, 2))
+    t = rng.random(lead) if per_row else float(rng.random())
+    _assert_matches_scatter(K, lev, z, t)

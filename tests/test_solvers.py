@@ -230,7 +230,7 @@ def test_enumerate_paths_match_integrate(name, steps, grid):
     assert orbits.count() >= 1
     for chord in orbits.members:
         single = integrate(ham, lev, embed_diagonal_params(lev, 0, chord.params), integ)
-        np.testing.assert_allclose(chord.path.samples, single.samples, rtol=0, atol=1e-13)
+        assert np.array_equal(chord.path.samples, single.samples)
 
 
 @pytest.mark.parametrize("name,steps,grid", BATCH_CASES)
@@ -246,9 +246,9 @@ def test_solve_chord_matches_enumerate_rows(name, steps, grid):
         if isinstance(single, SolveFailure):
             assert row.reason == single.reason
             continue
-        np.testing.assert_allclose(row.params, single.params, rtol=0, atol=1e-13)
-        np.testing.assert_allclose(row.residual_norm, single.residual_norm, rtol=0, atol=1e-13)
-        np.testing.assert_allclose(row.path.samples, single.path.samples, rtol=0, atol=1e-13)
+        assert np.array_equal(row.params, single.params)
+        assert row.residual_norm == single.residual_norm
+        assert np.array_equal(row.path.samples, single.path.samples)
     orbits = enumerate_chords(ham, lev, spec, BATCH_NEWTON, integ)
     solved = [s for s in singles if isinstance(s, Chord)]
     assert solved and orbits.diagnostics["solved"] == len(solved)
@@ -256,6 +256,57 @@ def test_solve_chord_matches_enumerate_rows(name, steps, grid):
         assert n == sum(isinstance(s, SolveFailure) and s.reason == reason for s in singles)
     for chord in orbits.members:
         assert any(np.array_equal(chord.params, s.params) for s in solved)
+
+
+def test_rung_converged_seeds_take_paths_from_integrate(monkeypatch):
+    """In the sum-n2 deep-ladder scan some seeds take their final step from a
+    damping rung: only they ride one integrate sweep, the others keep the
+    trajectories of their Newton sweeps, and every path is bitwise the one
+    integrate gives from the chord's parameters."""
+    name, steps, grid, newton = ORACLE_CASES["sum-n2-deep-ladder"]
+    ham, lev, spec, integ = _preset_problem(name, steps, grid)
+    rows = []
+
+    def counted(ham, level, z0, cfg):
+        rows.append(len(z0))
+        return integrate(ham, level, z0, cfg)
+
+    monkeypatch.setattr(solvers, "integrate", counted)
+    chords = [c for c in _solve_seeds(ham, lev, _seed_grid(lev, spec), newton, integ) if isinstance(c, Chord)]
+    assert len(rows) == 1 and 0 < rows[0] < len(chords)
+    for chord in chords:
+        single = integrate(ham, lev, embed_diagonal_params(lev, 0, chord.params), integ)
+        assert np.array_equal(chord.path.samples, single.samples)
+
+
+def test_flow_fixed_point_loops_match_integrate(torus, monkeypatch):
+    monkeypatch.setattr(solvers, "integrate", None)  # every loop comes from a Newton sweep
+    integ = IntegratorConfig(256)
+    orbits = flow_fixed_points(morse_base(), torus, grid_n=32, integ=integ)
+    assert orbits.count() == 4
+    for fp in orbits.members:
+        single = integrate(morse_base(), build_level(torus, 0), fp.point[None], integ)
+        assert fp.loop.is_loop and np.array_equal(fp.loop.samples, single.samples)
+
+
+@pytest.mark.parametrize("name,steps,grid", BATCH_CASES)
+def test_enumerate_dedup_matches_pairwise_distances(name, steps, grid):
+    """The kept chords, their order and min_separation are those of the
+    candidate-by-candidate PhaseSpace.distance loop."""
+    ham, lev, spec, integ = _preset_problem(name, steps, grid)
+    chords = [c for c in _solve_seeds(ham, lev, _seed_grid(lev, spec), BATCH_NEWTON, integ) if isinstance(c, Chord)]
+    chords.sort(key=lambda c: tuple(c.params.ravel()))
+    dist = lev.space.distance
+    kept = []
+    for c in chords:
+        if all(dist(c.path.samples, k.path.samples) > solvers.DEDUP_TOL for k in kept):
+            kept.append(c)
+    seps = [dist(a.path.samples, b.path.samples) for i, a in enumerate(kept) for b in kept[i + 1 :]]
+    orbits = enumerate_chords(ham, lev, spec, BATCH_NEWTON, integ)
+    assert len(kept) >= 2 and orbits.count() == len(kept)
+    for a, b in zip(orbits.members, kept):
+        assert np.array_equal(a.params, b.params)
+    assert orbits.diagnostics["min_separation"] == min(seps)
 
 
 def _newton_sequential(resid_fn, wrap_fn, seeds, newton):
@@ -325,19 +376,19 @@ def newton_against_oracle(monkeypatch):
     call the statuses and the residual sweeps each took."""
     runs = []
 
-    def both(resid_fn, wrap_fn, seeds, newton):
+    def both(resid_fn, wrap_fn, seeds, newton, row_path):
         sweeps = {"ladder": 0, "oracle": 0}
 
         def counted(key):
-            def fn(x):
+            def fn(x, path=None):
                 sweeps[key] += 1
-                return resid_fn(x)
+                return resid_fn(x, path)
 
             return fn
 
-        got = _newton_batch(counted("ladder"), wrap_fn, seeds, newton)
+        got = _newton_batch(counted("ladder"), wrap_fn, seeds, newton, row_path)
         want = _newton_sequential(counted("oracle"), wrap_fn, seeds, newton)
-        for a, b in zip(got, want):
+        for a, b in zip(got[:4], want, strict=True):
             assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
         runs.append({"status": got[2], **sweeps})
         return got

@@ -215,6 +215,19 @@ def test_printed_variant_table():
     assert all(r["match"] for r in compare_tau_tables(1))
 
 
+def test_compare_tau_tables_builds_printed_maps_once(monkeypatch):
+    """One pass of the printed recursion per table, not one per copy."""
+    import hamdelay.transforms as transforms
+
+    calls = []
+    build = transforms.printed_time_maps
+    monkeypatch.setattr(transforms, "printed_time_maps", lambda n: calls.append(n) or build(n))
+    rows = compare_tau_tables(6)
+    assert calls == [6]
+    assert [r["printed"] for r in rows] == build(6) == [copy_time_map_printed(6, j) for j in range(64)]
+    assert [r["copy"] for r in rows] == list(range(1, 65))
+
+
 def test_derived_and_printed_agree_as_sets():
     for n in (2, 3):
         derived = {(m.slope, m.intercept) for m in (copy_time_map(TransformChain.standard(n), j) for j in range(2**n))}
