@@ -319,16 +319,17 @@ def _sum0(x: np.ndarray) -> np.ndarray:
 class _Compiled:
     """A StructuredHamiltonian as flat per-factor arrays.
 
-    Factors get slots copy-major: each copy's factors sit in consecutive
-    slots, in term order, and a copy without factors owns none.  Slot S, one
-    past the last, is a pad with value 1.  Arrays are laid out batch-last,
-    (slot, dim, row), per-slot scalars as (slot, 1, row).  Trig slots
-    evaluate through their phases, polynomial slots (a ConstSpatial is the
-    zero-exponent monomial) through monomial tables.  value multiplies each
-    term's slot values through a (terms, width) table.  The gradient of slot
-    s is its direction times its scale, the gradient coefficient, time
-    weight and co-factor values; a copy's gradient adds its slots in slot
-    order, one explicit add per rank, and a copy without slots costs nothing.
+    Factors get slots kind-major: the trig slots first, then the polynomial
+    slots (a ConstSpatial is the zero-exponent monomial), each kind
+    copy-major.  Slot S, one past the last, is a pad: its value is 1 and its
+    gradient 0.  Arrays are laid out batch-last, (slot, dim, row), per-slot
+    scalars as (slot, 1, row).  Trig slots evaluate through their phases,
+    polynomial slots through monomial tables.  value multiplies each term's
+    slot values through a (terms, width) table.  The gradient of slot s is
+    its direction times its scale, the gradient coefficient, time weight and
+    co-factor values.  A copy's gradient adds its slots in term order, one
+    explicit add per rank: rank j reads each copy's j-th slot, or the pad
+    for a copy with fewer, from a (copies,) index table.
 
     The output frame is compiled in, once per sign vector (frame): for a
     level's signs eps, the J column roll, FIELD_SIGN and eps_c are folded
@@ -346,19 +347,19 @@ class _Compiled:
         factors = [(k, f) for k, (_, fs) in enumerate(ham.terms) for f in fs]
         if not all(isinstance(f.spatial, (TrigSpatial, PolySpatial, ConstSpatial)) for _, f in factors):
             raise TypeError("spatial parts must be TrigSpatial, PolySpatial or ConstSpatial")
-        order = sorted(range(len(factors)), key=lambda i: factors[i][1].copy)  # slot -> index into factors
-        n = len(order)
+        is_trig = [isinstance(f.spatial, TrigSpatial) for _, f in factors]
+        # slot -> index into factors
+        order = sorted(range(len(factors)), key=lambda i: (not is_trig[i], factors[i][1].copy))
+        n, nt = len(order), sum(is_trig)
         parts = [factors[i][1].spatial for i in order]
-        self.dim, self.n_slots, self.copies = dim, n, ham.copies
+        self.dim, self.n_slots, self.n_trig, self.copies = dim, n, nt, ham.copies
         self.copy = np.array([factors[i][1].copy for i in order], dtype=int)
         self.profiles = tuple(factors[i][1].time for i in order)
         self.time_cache: dict[float, tuple] = {}
         self.frames: dict = {}
 
-        is_trig = np.array([isinstance(s, TrigSpatial) for s in parts], dtype=bool)
-        trig, poly = np.flatnonzero(is_trig), np.flatnonzero(~is_trig)
-        self.trig, self.poly = _index(trig), _index(poly)
-        self.trig_copy, self.poly_copy = self.copy[trig], self.copy[poly]
+        trig, poly = range(nt), range(nt, n)
+        self.trig_copy, self.poly_copy = self.copy[:nt], self.copy[nt:]
         self.freq = np.array([parts[s].freq for s in trig], dtype=float).reshape(len(trig), dim, 1)
         self.amp = np.array([parts[s].amp for s in trig], dtype=float)[:, None, None]
         self.phase = np.array([parts[s].phase for s in trig], dtype=float)[:, None, None]
@@ -382,7 +383,7 @@ class _Compiled:
         self.term_coeff = np.array([c for c, _ in ham.terms], dtype=float)[:, None]
         term = np.array([factors[i][0] for i in order], dtype=int)
         amp = np.ones(n)
-        amp[trig] = -TWO_PI * self.amp[:, 0, 0]
+        amp[:nt] = -TWO_PI * self.amp[:, 0, 0]
         self.grad_coeff = (self.term_coeff[term, 0] * amp)[:, None, None]
 
         # each term's slots and each slot's co-factors, in term order, padded
@@ -393,15 +394,12 @@ class _Compiled:
             members[k].append(slot_of[i])
         self.slots = _padded(members, n, 1)
         others = _padded([[j for j in members[term[s]] if j != s] for s in range(n)], n, 0)
-        self.others = [_index(col) for col in others.T]
-        self.slot_pad, self.cofactor_pad = bool(np.any(self.slots == n)), bool(np.any(others == n))
-        # rank j: the copies that own more than j slots (None for all) and their j-th slots
-        counts = np.bincount(self.copy, minlength=ham.copies)
-        starts = np.cumsum(counts) - counts
-        self.ranks = [
-            (None if np.all(counts > j) else np.flatnonzero(counts > j), _index(starts[counts > j] + j))
-            for j in range(counts.max())
-        ]
+        self.others = list(others.T)
+        # rank j: each copy's j-th slot in term order, the pad past its last
+        by_copy = [[] for _ in range(ham.copies)]
+        for i, (_, f) in enumerate(factors):
+            by_copy[f.copy].append(slot_of[i])
+        self.ranks = list(_padded(by_copy, n, 1).T)
         self.block = max(1, BLOCK_ELEMENTS // ((n + 1) * dim))
 
     def weights(self, t, grad: bool = False):
@@ -434,16 +432,13 @@ class _Compiled:
         else:
             w = self.weights(float(t), grad)
         rows_first = (len(tail),) + tuple(range(len(tail)))
-        if len(zb) <= self.block:
-            out = np.ascontiguousarray(fn(np.ascontiguousarray(zb.transpose(1, 2, 0)), w).transpose(rows_first))
-        else:
-            out = np.empty((len(zb),) + tail)
-            for lo in range(0, len(zb), self.block):
-                hi = lo + self.block
-                wb = w
-                if per_row:
-                    wb = tuple(a[..., lo:hi] for a in w) if grad else w[..., lo:hi]
-                out[lo:hi] = fn(np.ascontiguousarray(zb[lo:hi].transpose(1, 2, 0)), wb).transpose(rows_first)
+        out = np.empty((len(zb),) + tail)
+        for lo in range(0, len(zb), self.block):
+            hi = lo + self.block
+            wb = w
+            if per_row:
+                wb = tuple(a[..., lo:hi] for a in w) if grad else w[..., lo:hi]
+            out[lo:hi] = fn(np.ascontiguousarray(zb[lo:hi].transpose(1, 2, 0)), wb).transpose(rows_first)
         return out.reshape(lead + tail)
 
     def phases(self, zc):
@@ -459,24 +454,22 @@ class _Compiled:
         ph += self.phase
         return ph
 
-    def values(self, zc, ph, w, pad: bool) -> np.ndarray:
-        """Slot values times their time weights, (S, 1, rows), or with pad
-        (S + 1, 1, rows) ending in the pad 1."""
-        if pad or ph is None or len(self.poly_copy):
-            v = np.ones((self.n_slots + pad, 1, zc.shape[-1]))
-            if ph is not None:
-                v[self.trig] = self.amp * np.cos(ph)
-            if len(self.poly_copy):
-                zp = zc[self.poly_copy]
-                v[self.poly, 0] = _sum0(self.mono_coeff * np.prod(zp**self.mono_exp, axis=2))
-        else:
-            v = self.amp * np.cos(ph)
-        v *= w if pad else w[:-1]
+    def values(self, zc, ph, w) -> np.ndarray:
+        """Slot values times their time weights, (S + 1, 1, rows) ending in
+        the pad 1."""
+        nt, n = self.n_trig, self.n_slots
+        v = np.empty((n + 1, 1, zc.shape[-1]))
+        if ph is not None:
+            np.multiply(self.amp, np.cos(ph), out=v[:nt])
+        if len(self.poly_copy):
+            v[nt:n, 0] = _sum0(self.mono_coeff * np.prod(zc[self.poly_copy] ** self.mono_exp, axis=2))
+        v[n] = 1.0
+        v *= w
         return v
 
     def value(self, z, t):
         def block(zc, w):
-            v = self.values(zc, self.phases(zc), w, self.slot_pad)[:, 0]
+            v = self.values(zc, self.phases(zc), w)[:, 0]
             terms = self.term_coeff * v[self.slots[:, 0]]
             for j in range(1, self.slots.shape[1]):
                 terms = terms * v[self.slots[:, j]]
@@ -490,35 +483,24 @@ class _Compiled:
         direction, dcoeff, dexp = self.frame(signs)
 
         def block(zc, weights):
-            if not self.ranks:
-                return np.zeros((self.copies, self.dim, zc.shape[-1]))
+            nt, n = self.n_trig, self.n_slots
             w, scale = weights
             ph = self.phases(zc)
             if self.others:
-                v = self.values(zc, ph, w, self.cofactor_pad)
+                v = self.values(zc, ph, w)
                 for col in self.others:
                     scale = scale * v[col]
-            gt = None if ph is None else np.sin(ph) * direction
-            gp = None
+            g = np.empty((n + 1, self.dim, zc.shape[-1]))
+            if ph is not None:
+                np.multiply(np.sin(ph), direction, out=g[:nt])
             if len(self.poly_copy):
-                gp = _sum0(dcoeff * np.prod(zc[self.poly_copy][:, None] ** dexp, axis=3))
-            if gt is None or gp is None:
-                g = gp if gt is None else gt
-            else:
-                g = np.empty((self.n_slots, self.dim, zc.shape[-1]))
-                g[self.trig], g[self.poly] = gt, gp
-            g *= scale
-            (dest, src), *rest = self.ranks
-            if dest is None:
-                out = g[src]
-            else:
-                out = np.zeros((self.copies, self.dim, zc.shape[-1]))
-                out[dest] = g[src]
-            for dest, src in rest:
-                if dest is None:
-                    out += g[src]
-                else:
-                    out[dest] += g[src]
+                g[nt:n] = _sum0(dcoeff * np.prod(zc[self.poly_copy][:, None] ** dexp, axis=3))
+            g[:n] *= scale
+            g[n] = 0.0
+            first, *rest = self.ranks
+            out = g[first]
+            for src in rest:
+                out += g[src]
             return out
 
         return self.blockwise(z, t, block, (self.copies, self.dim), grad=True)
@@ -548,17 +530,6 @@ class _Compiled:
                 )
             self.frames[signs] = frame
         return frame
-
-
-def _index(idx: np.ndarray):
-    """An increasing index array as a slice when it is evenly spaced, so
-    that indexing with it is a view; otherwise the array itself."""
-    if len(idx) == 0:
-        return idx
-    step = int(idx[1] - idx[0]) if len(idx) > 1 else 1
-    if step > 0 and np.all(np.diff(idx) == step):
-        return slice(int(idx[0]), int(idx[-1]) + 1, step)
-    return idx
 
 
 def _padded(lists, pad: int, min_width: int) -> np.ndarray:

@@ -182,16 +182,19 @@ def _curves(level: LevelStructure, traj: np.ndarray) -> list:
     return [DiscreteCurve(level.space, level.level, samples, False) for samples in rows]
 
 
-def _accepted_paths(ham, level: LevelStructure, rows, z0, traj, kept, cfg: IntegratorConfig) -> list:
+def _accepted_paths(ham, level: LevelStructure, rows, z0, stored: list, cfg: IntegratorConfig) -> list:
     """One curve per Newton row in rows, z0 holding their start points
-    (len(rows), copies, dim): the kept trajectory traj[:, i] where kept[i],
-    and one integrate sweep for the others.  A row's trajectory does not
-    depend on its batch, so both are the curve integrate gives the row alone."""
-    redo = ~kept[rows]
-    curves = dict(zip(rows[~redo], _curves(level, traj[:, rows[~redo]])))
+    (len(rows), copies, dim): the stored trajectories, (seeds, traj) pairs
+    with traj[:, i] from seeds[i], and one integrate sweep for the others.
+    A row's trajectory does not depend on its batch, so both are the curve
+    integrate gives the row alone."""
+    curves = {}
+    for seeds, traj in stored:
+        curves.update(zip(seeds.tolist(), _curves(level, traj)))
+    redo = np.array([i not in curves for i in rows.tolist()], dtype=bool)
     if np.any(redo):
-        curves.update(zip(rows[redo], integrate(ham, level, z0[redo], cfg)))
-    return [curves[i] for i in rows]
+        curves.update(zip(rows[redo].tolist(), integrate(ham, level, z0[redo], cfg)))
+    return [curves[i] for i in rows.tolist()]
 
 
 # ---------------------------------------------------------------------------
@@ -273,12 +276,14 @@ def _newton_batch(resid_fn, wrap_fn, seeds: np.ndarray, newton: NewtonConfig, ro
     residual does not depend on its batch, so every iterate, status and
     condition estimate is the one the sequential halving loop of a scalar
     solver gives.  The first sweep and every full-step sweep keep the
-    trajectories of their value rows, so each iterate accepted from them
-    comes with its own; rung sweeps keep none.  Returns final parameters,
-    residuals, per-seed status, Jacobian condition estimates, the
-    trajectories (row_path[0], B, *row_path[1:]), and which seeds' final
-    iterate has its trajectory there.  A seed whose residual or Jacobian is
-    not finite is marked diverged and leaves the iteration.
+    trajectories of their value rows; of those, only the trajectories of
+    seeds that converge at the iterate the sweep gave them are stored, so a
+    seed converging on a full step comes with its own path.  Rung sweeps keep
+    none.  Returns final parameters, residuals, per-seed status, Jacobian
+    condition estimates, and the stored trajectories as (seeds, traj) pairs,
+    traj of shape (row_path[0], len(seeds), *row_path[1:]).  A seed whose
+    residual or Jacobian is not finite is marked diverged and leaves the
+    iteration.
     """
     h = newton.fd_step
     rungs = np.ldexp(1.0, -np.arange(1, 1075))  # down to 2^-1074, below any positive min_damping
@@ -291,11 +296,13 @@ def _newton_batch(resid_fn, wrap_fn, seeds: np.ndarray, newton: NewtonConfig, ro
         paths = np.empty((row_path[0], len(p)) + row_path[1:])
         r, jac = _resid_with_jacobians(resid_fn, p, h, paths)
         has_jac = np.ones(len(p), dtype=bool)  # jac[i] is the Jacobian at p[i]
-        has_path = np.ones(len(p), dtype=bool)  # paths[:, i] is the trajectory from p[i]
         status = np.full(len(p), _RUNNING, dtype=int)
         conds = np.full(len(p), np.nan)
         status[np.max(np.abs(r), axis=1) <= newton.tol] = _CONVERGED
         status[~np.all(np.isfinite(r), axis=1)] = _DIVERGED
+        settled = np.flatnonzero(status == _CONVERGED)
+        stored = [(settled, paths[:, settled])]  # (seeds, their final trajectories)
+        del paths
         for _ in range(newton.max_iter):
             active = np.flatnonzero(status == _RUNNING)
             if len(active) == 0:
@@ -318,12 +325,14 @@ def _newton_batch(resid_fn, wrap_fn, seeds: np.ndarray, newton: NewtonConfig, ro
                 break
             base_norm = np.linalg.norm(r[active], axis=1)
             trials = wrap_fn(p[active] - step_rows)
-            trial_paths = np.empty((row_path[0], len(trials)) + row_path[1:])
-            r_try, jac_try = _resid_with_jacobians(resid_fn, trials, h, trial_paths)
+            paths = np.empty((row_path[0], len(trials)) + row_path[1:])
+            r_try, jac_try = _resid_with_jacobians(resid_fn, trials, h, paths)
             better = np.linalg.norm(r_try, axis=1) < base_norm
             took = active[better]
             p[took], r[took], jac[took] = trials[better], r_try[better], jac_try[better]
-            paths[:, took] = trial_paths[:, better]
+            settled = better & (np.max(np.abs(r_try), axis=1) <= newton.tol)
+            stored.append((active[settled], paths[:, settled]))
+            del paths
             has_jac[active] = better
             pending = np.flatnonzero(~better)  # positions in active still looking for a step
             for lo in range(0, len(rungs), DAMPING_LADDER):
@@ -337,7 +346,6 @@ def _newton_batch(resid_fn, wrap_fn, seeds: np.ndarray, newton: NewtonConfig, ro
                 pick = np.argmax(better, axis=0)[hit] * len(pending) + np.flatnonzero(hit)
                 took = active[pending[hit]]
                 p[took], r[took] = trials[pick], r_try[pick]
-                has_path[took] = False
                 pending = pending[~hit]
             status[active[pending]] = _STUCK
             done = np.max(np.abs(r), axis=1) <= newton.tol
@@ -349,7 +357,7 @@ def _newton_batch(resid_fn, wrap_fn, seeds: np.ndarray, newton: NewtonConfig, ro
         fresh = fresh[np.all(np.isfinite(jac[fresh]), axis=(1, 2))]
         if len(fresh):
             conds[fresh] = np.linalg.cond(jac[fresh])
-        return p, r, status, conds, paths, has_path
+        return p, r, status, conds, stored
 
 
 def _solve_stack(jac: np.ndarray, rhs: np.ndarray):
@@ -382,11 +390,11 @@ def _solve_seeds(ham, level: LevelStructure, seeds: np.ndarray, newton: NewtonCo
 
     row_path = (integ.n_steps + 1, level.copies, level.space.dim)
     wrap = partial(_wrap_params, level.space)
-    ps, rs, status, conds, traj, kept = _newton_batch(resid, wrap, seeds, newton, row_path)
+    ps, rs, status, conds, stored = _newton_batch(resid, wrap, seeds, newton, row_path)
     params = ps.reshape(len(ps), *shape)
     converged = np.flatnonzero(status == _CONVERGED)
     z0 = embed_diagonal_params(level, 0, params[converged])
-    paths = iter(_accepted_paths(ham, level, converged, z0, traj, kept, integ))
+    paths = iter(_accepted_paths(ham, level, converged, z0, stored, integ))
     results = []
     for p, r, s, cond in zip(params, rs, status, conds):
         norm = float(np.max(np.abs(r)))
@@ -454,13 +462,13 @@ def enumerate_chords(
             failures[result.reason] = failures.get(result.reason, 0) + 1
     chords.sort(key=lambda c: tuple(c.params.ravel()))
     kept: list[Chord] = []
-    kept_paths = np.empty((len(chords),) + (chords[0].path.samples.shape if chords else ()))
+    kept_paths = np.empty((0, integ.n_steps + 1, level.copies, level.space.dim))
     for c in chords:
-        if np.all(level.space.distances(c.path.samples, kept_paths[: len(kept)]) > DEDUP_TOL):
-            kept_paths[len(kept)] = c.path.samples
+        if np.all(level.space.distances(c.path.samples, kept_paths) > DEDUP_TOL):
+            kept_paths = np.concatenate([kept_paths, c.path.samples[None]])
             kept.append(c)
     singular_fraction = failures["singular-jacobian"] / max(len(seeds), 1)
-    separations = [level.space.distances(kept_paths[i], kept_paths[i + 1 : len(kept)]) for i in range(len(kept) - 1)]
+    separations = [level.space.distances(kept_paths[i], kept_paths[i + 1 :]) for i in range(len(kept) - 1)]
     min_separation = float(np.concatenate(separations).min()) if separations else math.inf
     degenerate = (
         any(c.degenerate for c in kept)
@@ -734,9 +742,9 @@ def flow_fixed_points(
         return displacement(flat_batch[:, None, :], path).reshape(flat_batch.shape[0], -1)
 
     row_path = (integ.n_steps + 1, 1, space.dim)
-    ps, rs, status, conds, traj, kept = _newton_batch(resid, partial(_wrap_params, space), seeds, newton, row_path)
+    ps, rs, status, conds, stored = _newton_batch(resid, partial(_wrap_params, space), seeds, newton, row_path)
     converged = np.flatnonzero(status == _CONVERGED)
-    paths = _accepted_paths(ham, level0, converged, ps[converged, None, :], traj, kept, integ)
+    paths = _accepted_paths(ham, level0, converged, ps[converged, None, :], stored, integ)
     found = [
         FixedPoint(ps[i], float(np.max(np.abs(rs[i]))), float(conds[i]), DiscreteCurve(space, 0, path.samples, True))
         for i, path in zip(converged, paths)

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction as Fr
+from functools import partial
 from importlib import resources
 from pathlib import Path
 
@@ -259,12 +260,22 @@ def test_solve_chord_matches_enumerate_rows(name, steps, grid):
 
 
 def test_rung_converged_seeds_take_paths_from_integrate(monkeypatch):
-    """In the sum-n2 deep-ladder scan some seeds take their final step from a
-    damping rung: only they ride one integrate sweep, the others keep the
-    trajectories of their Newton sweeps, and every path is bitwise the one
-    integrate gives from the chord's parameters."""
-    name, steps, grid, newton = ORACLE_CASES["sum-n2-deep-ladder"]
-    ham, lev, spec, integ = _preset_problem(name, steps, grid)
+    """With the loose tolerance 0.1, some sum-n2 seeds take their final step
+    from a damping rung (the oracle's record of step lengths says which):
+    exactly they ride one integrate sweep, the others keep the trajectories
+    of their Newton sweeps, and every path is bitwise the one integrate
+    gives from the chord's parameters."""
+    newton = NewtonConfig(max_iter=12, tol=0.1)
+    ham, lev, spec, integ = _preset_problem("sum-n2", 8, 2)
+    seeds = _seed_grid(lev, spec)
+    shape = (2 ** (lev.level - 1), lev.space.dim)
+
+    def resid(flat):
+        return shoot_residual(ham, lev, flat.reshape(len(flat), *shape), integ).reshape(len(flat), -1)
+
+    final_lam = np.ones(len(seeds))
+    status = _newton_sequential(resid, partial(solvers._wrap_params, lev.space), seeds, newton, final_lam)[2]
+    on_rung = np.count_nonzero((status == solvers._CONVERGED) & (final_lam < 1))
     rows = []
 
     def counted(ham, level, z0, cfg):
@@ -272,8 +283,8 @@ def test_rung_converged_seeds_take_paths_from_integrate(monkeypatch):
         return integrate(ham, level, z0, cfg)
 
     monkeypatch.setattr(solvers, "integrate", counted)
-    chords = [c for c in _solve_seeds(ham, lev, _seed_grid(lev, spec), newton, integ) if isinstance(c, Chord)]
-    assert len(rows) == 1 and 0 < rows[0] < len(chords)
+    chords = [c for c in _solve_seeds(ham, lev, seeds, newton, integ) if isinstance(c, Chord)]
+    assert 0 < on_rung < len(chords) and rows == [on_rung]
     for chord in chords:
         single = integrate(ham, lev, embed_diagonal_params(lev, 0, chord.params), integ)
         assert np.array_equal(chord.path.samples, single.samples)
@@ -309,9 +320,11 @@ def test_enumerate_dedup_matches_pairwise_distances(name, steps, grid):
     assert orbits.diagnostics["min_separation"] == min(seps)
 
 
-def _newton_sequential(resid_fn, wrap_fn, seeds, newton):
+def _newton_sequential(resid_fn, wrap_fn, seeds, newton, final_lam=None):
     """Oracle for _newton_batch: the damped Newton loop that halves the step
-    one residual sweep at a time, after a separate Jacobian sweep."""
+    one residual sweep at a time, after a separate Jacobian sweep.  Given an
+    array final_lam of ones, one per seed, it records there the step length
+    of each seed's last accepted iterate."""
 
     def fd_jacobians(p, h):
         nb, dim = p.shape
@@ -355,6 +368,8 @@ def _newton_sequential(resid_fn, wrap_fn, seeds, newton):
                 better = np.linalg.norm(r_try, axis=1) < base_norm[trial_idx]
                 took = active[trial_idx[better]]
                 p[took], r[took] = trials[better], r_try[better]
+                if final_lam is not None:
+                    final_lam[took] = lam[trial_idx[better]]
                 accepted[trial_idx[better]] = True
                 lam[trial_idx[~better]] *= 0.5
             status[active[~accepted]] = STUCK
