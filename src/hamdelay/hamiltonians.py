@@ -294,9 +294,10 @@ class StructuredHamiltonian:
         return StructuredHamiltonian(data["level"], terms)
 
 
-# Scalar times whose time-profile values one compiled Hamiltonian keeps.  An
-# RK4 sweep of N steps visits the 2N + 1 stage times, and every Newton sweep
-# of a chord scan visits the same ones.
+# Scalar times, and arrays of slice times, whose time-profile values one
+# compiled Hamiltonian keeps.  An RK4 sweep of N steps visits the 2N + 1
+# stage times, a sliced sweep of S steps per slice 2S + 1 arrays, and every
+# Newton sweep of a chord scan visits the same ones.
 TIME_CACHE_SIZE = 2**14
 
 # Batches are evaluated in row blocks whose (slot, dim, row) arrays hold
@@ -306,14 +307,17 @@ BLOCK_ELEMENTS = 2**13
 
 
 def _sum0(x: np.ndarray) -> np.ndarray:
-    """x.sum(0), adding x[0], x[1], ... in index order.  numpy adds slices
-    that way when they hold two or more elements and x is in C order; for
-    one-element slices it reduces along axis 0 itself, pairwise from eight
-    terms on, and a batch of one row would round differently from a larger
-    batch."""
-    if len(x) > 1 and x[0].size == 1:
-        return np.add.accumulate(x, 0)[-1]
-    return x.sum(0)
+    """x.sum(0) as explicit adds x[0] + x[1] + ... in index order, whatever
+    the layout of x.  numpy's own reduction order is unspecified: over one
+    element per slice, or over an operand not in C order, it may go
+    pairwise along axis 0, and a batch of one row would round differently
+    from a larger batch."""
+    if len(x) < 2:
+        return x.sum(0)
+    out = x[0] + x[1]
+    for term in x[2:]:
+        out += term
+    return out
 
 
 class _Compiled:
@@ -405,7 +409,14 @@ class _Compiled:
     def weights(self, t, grad: bool = False):
         """Time-profile values per slot, the pad 1, as (S + 1, 1, 1) for a
         float t, read through the cache, or (S + 1, 1, rows) for per-row t;
-        with grad, the pair of them and the gradient coefficients times them."""
+        with grad, the pair of them and the gradient coefficients times them.
+        Per-row t is an array of times, on which every profile is called,
+        or a pair (times, rows) that gives row b the time times[rows[b]]:
+        each of those times is read through the float path, the tables of
+        one times array are cached by its bytes, and the rows gather from
+        them.  So a pair gives every row bitwise a float-t call's weights,
+        and a sweep whose rows share a few times (the slices of a
+        multiple-shooting sweep) makes no profile call per row."""
         if isinstance(t, float):
             entry = self.time_cache.get(t)
             if entry is None:
@@ -416,6 +427,17 @@ class _Compiled:
                 if len(self.time_cache) < TIME_CACHE_SIZE:
                     self.time_cache[t] = entry
             return entry if grad else entry[0]
+        if isinstance(t, tuple):
+            times, rows = t
+            key = times.tobytes()
+            tables = self.time_cache.get(key)
+            if tables is None:
+                entries = [self.weights(u, True) for u in times.tolist()]
+                tables = tuple(np.concatenate(parts, axis=2) for parts in zip(*entries))
+                if len(self.time_cache) < TIME_CACHE_SIZE:
+                    self.time_cache[key] = tables
+            gathered = tuple(np.take(a, rows, axis=2) for a in tables)
+            return gathered if grad else gathered[0]
         w = np.stack([p(t) for p in self.profiles] + [np.ones(t.shape)])[:, None]
         return (w, self.grad_coeff * w[:-1]) if grad else w
 
@@ -426,11 +448,12 @@ class _Compiled:
         (..., *tail)."""
         lead = z.shape[:-2]
         zb = z.reshape(-1, *z.shape[-2:])
-        per_row = not isinstance(t, float) and np.ndim(t) > 0
-        if per_row:
-            w = self.weights(np.broadcast_to(np.asarray(t, float), lead).reshape(-1), grad)
+        if isinstance(t, tuple):
+            per_row, w = True, self.weights(t, grad)
+        elif not isinstance(t, float) and np.ndim(t) > 0:
+            per_row, w = True, self.weights(np.broadcast_to(np.asarray(t, float), lead).reshape(-1), grad)
         else:
-            w = self.weights(float(t), grad)
+            per_row, w = False, self.weights(float(t), grad)
         rows_first = (len(tail),) + tuple(range(len(tail)))
         out = np.empty((len(zb),) + tail)
         for lo in range(0, len(zb), self.block):
@@ -565,7 +588,8 @@ def hamiltonian_field(grad):
 
 def vector_field(ham, level: LevelStructure, z, t):
     """Copy-j component eps_j * X of grad_j H, the Hamiltonian field for the
-    signed product form."""
+    signed product form.  t is a float, an array of per-row times, or a
+    pair (times, rows) that gives row b the time times[rows[b]]."""
     if ham.level != level.level:
         raise ValueError("Hamiltonian level does not match the level structure")
     z = np.asarray(z, float)

@@ -13,6 +13,17 @@ converged seed's path is the trajectory that the sweep accepting its final
 iterate kept; only seeds whose final step came from a damping rung get
 their paths from one more batched sweep.
 
+A narrow level-1 scan pays for every RK4 step in per-call overhead, not in
+rows, so it is solved by multiple shooting in M time slices
+(_SlicedShooting): the slice start states join the unknowns, one sweep
+runs every slice of every seed from per-row start steps, and the
+block-bidiagonal Newton system condenses to one P x P matrix per seed.
+_slice_count picks M per solve from the step count and the sweep width
+with a cost model fitted to the measured cost of an RK4 stage against its
+rows; wide scans, short grids and higher levels keep M = 1, the
+single-shooting path above.  A sliced chord's path comes from one
+integrate sweep, and its residual norm is that path's end mismatch.
+
 The periodic delay solve is Newton on midpoint collocation with a sparse
 forward-difference Jacobian.  Each collocation row reads a few nodes, which
 the descriptor's delay maps fix; the node columns are grouped after
@@ -138,21 +149,30 @@ class OrbitSet:
 # integration
 
 
-def _rk4(field, z0: np.ndarray, n_steps: int, path: np.ndarray | None = None) -> np.ndarray:
-    """Classical RK4 over [0, 1]; returns the end point.  Given a buffer of
-    shape (n_steps + 1, k, *z0.shape[1:]), it also keeps the trajectory of
-    the first k rows there, one copy per step."""
+def _rk4(field, z0: np.ndarray, n_steps: int, path: np.ndarray | None = None, start=0, steps=None) -> np.ndarray:
+    """Classical RK4 over [0, 1] in n_steps steps; returns the end point.
+    Given a buffer of shape (n_steps + 1, k, *z0.shape[1:]), it also keeps
+    the trajectory of the first k rows there, one copy per step.  Given
+    per-row start steps (an integer array over the rows of z0) and a step
+    count, row b takes the steps start[b] ... start[b] + steps - 1 of that
+    grid instead, at the same times a whole sweep gives them: field then
+    gets the pair (times, rows), row b at times[rows[b]]."""
     h = 1.0 / n_steps
     z = np.array(z0, dtype=float)
     if path is not None:
         keep = path.shape[1]
         path[0] = z[:keep]
-    for i in range(n_steps):
-        t = i * h
-        k1 = field(z, t)
-        k2 = field(z + 0.5 * h * k1, t + 0.5 * h)
-        k3 = field(z + 0.5 * h * k2, t + 0.5 * h)
-        k4 = field(z + h * k3, t + h)
+    first, rows = np.unique(start, return_inverse=True) if np.ndim(start) else (start, None)
+
+    def at(t):
+        return t if rows is None else (t, rows)
+
+    for i in range(n_steps if steps is None else steps):
+        t = (first + i) * h
+        k1 = field(z, at(t))
+        k2 = field(z + 0.5 * h * k1, at(t + 0.5 * h))
+        k3 = field(z + 0.5 * h * k2, at(t + 0.5 * h))
+        k4 = field(z + h * k3, at(t + h))
         z = z + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
         if path is not None:
             path[i + 1] = z[:keep]
@@ -215,8 +235,13 @@ def shoot_residual(ham, level: LevelStructure, params, cfg: IntegratorConfig = I
     """
     params = np.asarray(params, dtype=float)
     z0 = embed_diagonal_params(level, 0, params)
-    zT = _rk4(lambda z, t: vector_field(ham, level, z, t), z0, cfg.n_steps, path)
-    out = np.empty_like(params)
+    return _end_residual(level, _rk4(lambda z, t: vector_field(ham, level, z, t), z0, cfg.n_steps, path))
+
+
+def _end_residual(level: LevelStructure, zT: np.ndarray) -> np.ndarray:
+    """Wrapped mismatches (..., 2^{n-1}, dim) of the end-diagonal pairs of
+    product states zT (..., copies, dim)."""
+    out = np.empty(zT.shape[:-2] + (len(level.matching1), zT.shape[-1]))
     for i, (a, b) in enumerate(level.matching1):
         out[..., i, :] = level.space.wrapped_difference(zT[..., a, :], zT[..., b, :])
     return out
@@ -230,14 +255,6 @@ def _wrap_params(space, flat: np.ndarray) -> np.ndarray:
     return flat
 
 
-_RUNNING, _CONVERGED, _SINGULAR, _STUCK, _DIVERGED = 0, 1, 2, 3, 4
-
-# damping rungs lambda = 2^-k that seeds rejecting the full Newton step try
-# per residual sweep; the default min_damping 2^-20 allows 20 rungs, so a
-# default run tries them all in one sweep
-DAMPING_LADDER = 20
-
-
 def _fd_probes(p: np.ndarray, h: float) -> np.ndarray:
     """The 2P central-difference probe rows around every row of p, seed by seed."""
     dim = p.shape[1]
@@ -246,26 +263,186 @@ def _fd_probes(p: np.ndarray, h: float) -> np.ndarray:
 
 
 def _fd_difference(rr: np.ndarray, h: float) -> np.ndarray:
-    """Central-difference Jacobians from the residuals at the _fd_probes rows."""
-    dim = rr.shape[1]
-    rr = rr.reshape(-1, 2 * dim, dim)
-    return (rr[:, :dim, :] - rr[:, dim:, :]).transpose(0, 2, 1) / (2 * h)
+    """Central-difference Jacobians (..., m, n) from the outputs (..., 2n, m)
+    at the _fd_probes rows around one point each."""
+    n = rr.shape[-2] // 2
+    return np.swapaxes(rr[..., :n, :] - rr[..., n:, :], -1, -2) / (2 * h)
 
 
-def _resid_with_jacobians(resid_fn, p: np.ndarray, h: float, path: np.ndarray):
-    """Residuals at the rows of p and the Jacobians there, from one sweep
-    that keeps the trajectories of the rows of p in path."""
-    rr = resid_fn(np.concatenate([p, _fd_probes(p, h)]), path)
-    return rr[: len(p)], _fd_difference(rr[len(p) :], h)
+def _finite_rows(a: np.ndarray) -> np.ndarray:
+    """Which rows of a hold only finite numbers."""
+    return np.all(np.isfinite(a), axis=tuple(range(1, a.ndim)))
 
 
-def _newton_batch(resid_fn, wrap_fn, seeds: np.ndarray, newton: NewtonConfig, row_path: tuple):
+def _mv(a: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Stacked matrix-vector products a[i] @ v[i]."""
+    return (a @ v[..., None])[..., 0]
+
+
+class _SquareSystem:
+    """Newton systems of a square residual resid(rows, path=None): the 2P
+    central-difference probes around every row ride its sweeps, and the
+    Jacobian is the Newton matrix."""
+
+    def __init__(self, resid):
+        self.resid = resid
+
+    def linearize(self, x, h: float, path=None, values: bool = True):
+        """Residuals at the rows of x (None without values) and the Jacobians
+        there, from one sweep that keeps the trajectories of the rows of x
+        in path."""
+        rows = _fd_probes(x, h)
+        if values:
+            rows = np.concatenate([x, rows])
+        rr = self.resid(rows, path)
+        r, rr = (rr[: len(x)], rr[len(x) :]) if values else (None, rr)
+        return r, _fd_difference(rr.reshape(len(x), 2 * x.shape[1], -1), h)
+
+    def settled(self, r, jac, tol: float) -> np.ndarray:
+        """Which rows have converged: residual within tol."""
+        return np.max(np.abs(r), axis=1) <= tol
+
+    def condense(self, jac, r):
+        return jac, r
+
+    def expand(self, jac, r, step):
+        return step
+
+
+class _SlicedShooting:
+    """The chord shooting problem cut into M time slices: multiple shooting
+    (Bock & Plitt 1984; Stoer & Bulirsch, Introduction to Numerical
+    Analysis, 7.3.5).
+
+    A seed's unknowns are its diagonal parameters p (P numbers) followed by
+    the slice starts s_1 ... s_{M-1}, product states of D = 2P numbers each.
+    Its residual is the end-diagonal mismatch of slice M - 1 followed by the
+    wrapped continuity gaps Phi_{k-1}(s_{k-1}) - s_k, s_0 the embedded p.
+    Slice k takes the steps kS ... (k + 1)S - 1 of the n-step grid, S = n/M,
+    at the times a whole sweep gives them, and one sweep integrates every
+    slice of every seed: with central-difference probes, 2P on slice 0 (over
+    p) and 2D on each later slice.  Slice M - 1 differences the end residual,
+    the others their end states.  A seed's Jacobian is kept as (M, D, D)
+    blocks: G = dPhi_0/dp (D x P) in block 0, A_k = dPhi_k/ds_k in block k,
+    E = de/ds_{M-1} (P x D) in block M - 1.  The block-bidiagonal Newton
+    system condenses to the P x P matrix E A_{M-2} ... A_1 G, and the
+    slice-start steps follow from the parameter step by forward recursion.
+    """
+
+    def __init__(self, ham, level: LevelStructure, integ: IntegratorConfig, slices: int):
+        self.ham, self.level, self.integ, self.m = ham, level, integ, slices
+        self.steps = integ.n_steps // slices
+        self.pairs = (2 ** (level.level - 1), level.space.dim)
+        self.state = (level.copies, level.space.dim)
+        self.p, self.d = _flat_dim(level), level.copies * level.space.dim
+
+    def start(self, seeds: np.ndarray) -> np.ndarray:
+        """Unknown rows at the seed rows (B, P).  The slice starts are states
+        of one value sweep of each seed's trajectory, so the first sliced
+        sweep has zero gaps and shoot_residual's end residual."""
+        n, b = self.integ.n_steps, len(seeds)
+        traj = np.empty((n + 1, b) + self.state)
+        shoot_residual(self.ham, self.level, seeds.reshape(b, *self.pairs), self.integ, traj)
+        starts = np.moveaxis(traj[self.steps : n : self.steps], 0, 1).reshape(b, -1)
+        return np.concatenate([seeds, starts], axis=1)
+
+    def _ends(self, starts: np.ndarray, slices: np.ndarray) -> np.ndarray:
+        """End states of slices[i] started at starts[i], from one RK4 sweep."""
+
+        def field(z, t):
+            return vector_field(self.ham, self.level, z, t)
+
+        return _rk4(field, starts, self.integ.n_steps, start=slices * self.steps, steps=self.steps)
+
+    def _starts(self, x: np.ndarray) -> np.ndarray:
+        """Start states (B, M, copies, dim) of every slice of the rows of x."""
+        p = x[:, : self.p].reshape(len(x), *self.pairs)
+        s = x[:, self.p :].reshape(len(x), self.m - 1, *self.state)
+        return np.concatenate([embed_diagonal_params(self.level, 0, p)[:, None], s], axis=1)
+
+    def _residuals(self, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
+        b = len(starts)
+        gaps = self.level.space.wrapped_difference(ends[:, :-1], starts[:, 1:])
+        return np.concatenate([_end_residual(self.level, ends[:, -1]).reshape(b, -1), gaps.reshape(b, -1)], axis=1)
+
+    def resid(self, x: np.ndarray) -> np.ndarray:
+        """Residual rows at the unknown rows x, from one sweep of M rows each."""
+        starts = self._starts(x)
+        ends = self._ends(starts.reshape(-1, *self.state), np.tile(np.arange(self.m), len(x)))
+        return self._residuals(starts, ends.reshape(starts.shape))
+
+    def linearize(self, x, h: float, path=None, values: bool = True):
+        """Residuals at the rows of x (None without values) and their block
+        Jacobians, from one sweep; it keeps no trajectories."""
+        b, m, p, d = len(x), self.m, self.p, self.d
+        first = embed_diagonal_params(self.level, 0, _fd_probes(x[:, :p], h).reshape(-1, *self.pairs))
+        rows = [first, _fd_probes(x[:, p:].reshape(-1, d), h).reshape(-1, *self.state)]
+        slices = [np.zeros(len(first), dtype=int), np.repeat(np.tile(np.arange(1, m), b), 2 * d)]
+        if values:
+            starts = self._starts(x)
+            rows.insert(0, starts.reshape(-1, *self.state))
+            slices.insert(0, np.tile(np.arange(m), b))
+        ends = self._ends(np.concatenate(rows), np.concatenate(slices))
+        r = None
+        if values:
+            r = self._residuals(starts, ends[: b * m].reshape(starts.shape))
+            ends = ends[b * m :]
+        later = ends[len(first) :].reshape(b, m - 1, 2 * d, *self.state)
+        jac = np.zeros((b, m, d, d))
+        jac[:, 0, :, :p] = _fd_difference(ends[: len(first)].reshape(b, 2 * p, d), h)
+        jac[:, 1:-1] = _fd_difference(later[:, :-1].reshape(b, m - 2, 2 * d, d), h)
+        jac[:, -1, :p] = _fd_difference(_end_residual(self.level, later[:, -1]).reshape(b, 2 * d, p), h)
+        return r, jac
+
+    def settled(self, r, jac, tol: float) -> np.ndarray:
+        """Which rows have converged: residual within tol, and so is the
+        condensed right side, the linear prediction of the end mismatch of
+        the unsliced path, which adds up the gaps.  A Jacobian from the
+        previous iterate predicts it to first order in the last step."""
+        end = np.max(np.abs(self.condense(jac, r)[1]), axis=1)
+        return (np.max(np.abs(r), axis=1) <= tol) & (end <= tol)
+
+    def condense(self, jac, r):
+        """The condensed P x P Newton matrices and right sides: with
+        ds_k = W_k dp + w_k, W_1 = G, w_1 = -g_1, W_{k+1} = A_k W_k and
+        w_{k+1} = A_k w_k - g_{k+1}, the end rows read E W dp = e - E w."""
+        p = self.p
+        gaps = r[:, p:].reshape(len(r), self.m - 1, self.d)
+        w_mat, w_vec = jac[:, 0, :, :p], -gaps[:, 0]
+        for k in range(1, self.m - 1):
+            w_mat, w_vec = jac[:, k] @ w_mat, _mv(jac[:, k], w_vec) - gaps[:, k]
+        end = jac[:, -1, :p]
+        return end @ w_mat, r[:, :p] - _mv(end, w_vec)
+
+    def expand(self, jac, r, step):
+        """Full steps from parameter steps, slice starts by forward recursion."""
+        p = self.p
+        gaps = r[:, p:].reshape(len(r), self.m - 1, self.d)
+        ds = [_mv(jac[:, 0, :, :p], step) - gaps[:, 0]]
+        for k in range(1, self.m - 1):
+            ds.append(_mv(jac[:, k], ds[-1]) - gaps[:, k])
+        return np.concatenate([step] + ds, axis=1)
+
+
+_RUNNING, _CONVERGED, _SINGULAR, _STUCK, _DIVERGED = 0, 1, 2, 3, 4
+
+# damping rungs lambda = 2^-k that seeds rejecting the full Newton step try
+# per residual sweep; the default min_damping 2^-20 allows 20 rungs, so a
+# default run tries them all in one sweep
+DAMPING_LADDER = 20
+
+
+def _newton_batch(resid_fn, wrap_fn, seeds: np.ndarray, newton: NewtonConfig, row_path, system=None):
     """Damped Newton on a batch of square systems sharing batched residual sweeps.
 
-    resid_fn(rows, path=None) maps (B, P) parameter rows to (B, P) residual
+    resid_fn(rows, path=None) maps (B, U) unknown rows to (B, U) residual
     rows; given a buffer path of shape (row_path[0], k, *row_path[1:]), its
-    sweep also keeps the trajectories of the first k rows there.  The first
-    sweep evaluates every seed with its 2P central-difference probes.  Each
+    sweep also keeps the trajectories of the first k rows there.  system
+    builds the Newton systems: by default _SquareSystem(resid_fn), whose
+    central-difference Jacobians are the Newton matrices; a
+    _SlicedShooting instead condenses block Jacobians to P x P matrices and
+    expands their steps, and keeps no trajectories (row_path None).  The
+    first sweep evaluates every seed with its Jacobian probes.  Each
     iteration then makes one trial sweep: the full step (lambda = 1) for
     every running seed, together with the probes around its wrapped trial
     point, so a seed that takes the full step has its next Jacobian already.
@@ -279,29 +456,39 @@ def _newton_batch(resid_fn, wrap_fn, seeds: np.ndarray, newton: NewtonConfig, ro
     trajectories of their value rows; of those, only the trajectories of
     seeds that converge at the iterate the sweep gave them are stored, so a
     seed converging on a full step comes with its own path.  Rung sweeps keep
-    none.  Returns final parameters, residuals, per-seed status, Jacobian
-    condition estimates, and the stored trajectories as (seeds, traj) pairs,
-    traj of shape (row_path[0], len(seeds), *row_path[1:]).  A seed whose
-    residual or Jacobian is not finite is marked diverged and leaves the
-    iteration.
+    none.  Returns final unknowns, residuals, per-seed status, condition
+    estimates of the Newton matrices, and the stored trajectories as (seeds,
+    traj) pairs, traj of shape (row_path[0], len(seeds), *row_path[1:]).  A
+    seed whose residual or Jacobian is not finite is marked diverged and
+    leaves the iteration.
     """
+    system = _SquareSystem(resid_fn) if system is None else system
     h = newton.fd_step
     rungs = np.ldexp(1.0, -np.arange(1, 1075))  # down to 2^-1074, below any positive min_damping
     rungs = rungs[rungs >= newton.min_damping]
+
+    def buffer(count):
+        return None if row_path is None else np.empty((row_path[0], count) + row_path[1:])
+
+    def keep(which, paths, cols):
+        if paths is not None:
+            stored.append((which, paths[:, cols]))
+
     # diverging seeds overflow on their way to the 'diverged' status; the
     # status is the report, so numpy's warnings on them are noise
     with np.errstate(over="ignore", invalid="ignore"):
         p = np.array(seeds, dtype=float)
         dim = p.shape[1]
-        paths = np.empty((row_path[0], len(p)) + row_path[1:])
-        r, jac = _resid_with_jacobians(resid_fn, p, h, paths)
+        paths = buffer(len(p))
+        r, jac = system.linearize(p, h, paths)
         has_jac = np.ones(len(p), dtype=bool)  # jac[i] is the Jacobian at p[i]
         status = np.full(len(p), _RUNNING, dtype=int)
         conds = np.full(len(p), np.nan)
-        status[np.max(np.abs(r), axis=1) <= newton.tol] = _CONVERGED
+        status[system.settled(r, jac, newton.tol)] = _CONVERGED
         status[~np.all(np.isfinite(r), axis=1)] = _DIVERGED
         settled = np.flatnonzero(status == _CONVERGED)
-        stored = [(settled, paths[:, settled])]  # (seeds, their final trajectories)
+        stored: list = []  # (seeds, their final trajectories)
+        keep(settled, paths, settled)
         del paths
         for _ in range(newton.max_iter):
             active = np.flatnonzero(status == _RUNNING)
@@ -309,29 +496,31 @@ def _newton_batch(resid_fn, wrap_fn, seeds: np.ndarray, newton: NewtonConfig, ro
                 break
             stale = active[~has_jac[active]]
             if len(stale):
-                jac[stale] = _fd_difference(resid_fn(_fd_probes(p[stale], h)), h)
+                jac[stale] = system.linearize(p[stale], h, values=False)[1]
             jac_a = jac[active]
-            finite = np.all(np.isfinite(jac_a), axis=(1, 2))
+            finite = _finite_rows(jac_a)
             status[active[~finite]] = _DIVERGED
             active, jac_a = active[finite], jac_a[finite]
-            conds[active] = np.linalg.cond(jac_a)
+            mat, rhs = system.condense(jac_a, r[active])
+            conds[active] = np.linalg.cond(mat)
             solvable = np.isfinite(conds[active]) & (conds[active] <= newton.cond_limit)
             status[active[~solvable]] = _SINGULAR
             active, jac_a = active[solvable], jac_a[solvable]
-            step_rows, solved = _solve_stack(jac_a, r[active])
+            step_rows, solved = _solve_stack(mat[solvable], rhs[solvable])
             status[active[~solved]] = _SINGULAR
-            active, step_rows = active[solved], step_rows[solved]
+            active, jac_a, step_rows = active[solved], jac_a[solved], step_rows[solved]
             if len(active) == 0:
                 break
+            step_rows = system.expand(jac_a, r[active], step_rows)
             base_norm = np.linalg.norm(r[active], axis=1)
             trials = wrap_fn(p[active] - step_rows)
-            paths = np.empty((row_path[0], len(trials)) + row_path[1:])
-            r_try, jac_try = _resid_with_jacobians(resid_fn, trials, h, paths)
+            paths = buffer(len(trials))
+            r_try, jac_try = system.linearize(trials, h, paths)
             better = np.linalg.norm(r_try, axis=1) < base_norm
             took = active[better]
             p[took], r[took], jac[took] = trials[better], r_try[better], jac_try[better]
-            settled = better & (np.max(np.abs(r_try), axis=1) <= newton.tol)
-            stored.append((active[settled], paths[:, settled]))
+            settled = better & system.settled(r_try, jac_try, newton.tol)
+            keep(active[settled], paths, settled)
             del paths
             has_jac[active] = better
             pending = np.flatnonzero(~better)  # positions in active still looking for a step
@@ -348,15 +537,15 @@ def _newton_batch(resid_fn, wrap_fn, seeds: np.ndarray, newton: NewtonConfig, ro
                 p[took], r[took] = trials[pick], r_try[pick]
                 pending = pending[~hit]
             status[active[pending]] = _STUCK
-            done = np.max(np.abs(r), axis=1) <= newton.tol
+            done = system.settled(r, jac, newton.tol)
             status[(status == _RUNNING) & done] = _CONVERGED
         status[status == _RUNNING] = _STUCK
         # condition estimates for seeds that converged at their seed point,
         # from the Jacobians of the first sweep
         fresh = np.flatnonzero((status == _CONVERGED) & ~np.isfinite(conds))
-        fresh = fresh[np.all(np.isfinite(jac[fresh]), axis=(1, 2))]
+        fresh = fresh[_finite_rows(jac[fresh])]
         if len(fresh):
-            conds[fresh] = np.linalg.cond(jac[fresh])
+            conds[fresh] = np.linalg.cond(system.condense(jac[fresh], r[fresh])[0])
         return p, r, status, conds, stored
 
 
@@ -376,11 +565,68 @@ def _solve_stack(jac: np.ndarray, rhs: np.ndarray):
         return steps, solved
 
 
+# The cost model that picks the number of time slices, fitted to the cost
+# of one RK4 stage (a vector_field call and the stage arithmetic) against
+# its rows: process time on one core, product-T4, torus-morse-n1 and sum-n2
+# Hamiltonians, 1 to 1024 rows: 30-33 us + 0.10-0.21 us per row with a
+# float t, 8-12 us more with the (times, rows) form of a sliced sweep.  A
+# solve is costed at SOLVE_SWEEPS Newton sweeps, the count of a one-seed
+# product-T4 chord.  Slices take MIN_SLICE_STEPS steps or more, and there
+# are at most MAX_SLICES: beyond 32 a one-seed solve at 1024 steps got no
+# faster.  Slicing must predict at most SLICE_GAIN of the unsliced cost.
+# Only level 1 is sliced: from 12 random one-seed starts at 1024 steps,
+# sliced Newton (M = 32) reached a chord from 2 on sum-n2 and single
+# shooting from 9, while on product-T4, torus-morse-n1 and
+# plane-oscillator both reached one from every start.
+STAGE_US = 32.0
+SLICED_STAGE_US = 42.0
+ROW_US = 0.2
+SOLVE_SWEEPS = 5
+MIN_SLICE_STEPS = 8
+MAX_SLICES = 32
+SLICE_GAIN = 2 / 3
+
+
+def _slice_count(n_steps: int, seeds: int, level: LevelStructure) -> int:
+    """Time slices M for a shooting solve of seeds seeds at n_steps steps.
+
+    A sweep costs 4 stages per step on its rows: seeds (1 + 2P) unsliced,
+    and seeds (1 + 2P + (M - 1)(1 + 2D)) over n_steps / M steps when sliced.
+    M > 1 also pays two unsliced sweeps of seeds rows over all n_steps, the
+    value sweep that sets the slice starts and the path sweep.  M is the
+    power of two up to MAX_SLICES (n_steps / M >= MIN_SLICE_STEPS) with the
+    lowest predicted solve cost, if that is at most SLICE_GAIN of the cost
+    at M = 1, else 1.  So wide scans, whose stages cost their rows rather
+    than their overhead, short grids and levels above 1 stay at M = 1.
+    """
+    if level.level != 1:
+        return 1
+    p = _flat_dim(level)
+    d = 2 * p
+
+    def sweeps(count, steps, rows, stage_us):
+        return count * 4 * steps * (stage_us + ROW_US * rows)
+
+    best, best_cost = 1, SLICE_GAIN * sweeps(SOLVE_SWEEPS, n_steps, seeds * (1 + 2 * p), STAGE_US)
+    m = 2
+    while m <= MAX_SLICES and n_steps % m == 0 and n_steps // m >= MIN_SLICE_STEPS:
+        rows = seeds * (1 + 2 * p + (m - 1) * (1 + 2 * d))
+        cost = sweeps(SOLVE_SWEEPS, n_steps // m, rows, SLICED_STAGE_US) + sweeps(2, n_steps, seeds, STAGE_US)
+        if cost < best_cost:
+            best, best_cost = m, cost
+        m *= 2
+    return best
+
+
 def _solve_seeds(ham, level: LevelStructure, seeds: np.ndarray, newton: NewtonConfig, integ: IntegratorConfig) -> list:
     """The one chord shooting path: batched Newton on the shooting residual
-    from every seed row; each converged seed's path is the trajectory of
-    the sweep that accepted its final iterate, or for a final iterate from a
-    damping rung, a row of one integrate sweep.  Returns a Chord or
+    from every seed row, in _slice_count time slices.  Unsliced, each
+    converged seed's path is the trajectory of the sweep that accepted its
+    final iterate, or for a final iterate from a damping rung, a row of one
+    integrate sweep.  Sliced (_SlicedShooting), every converged seed's path
+    comes from that integrate sweep, and its residual norm is the path's end
+    mismatch; a path that misses the end diagonal by more than the Newton
+    tolerance makes the seed a no-convergence failure.  Returns a Chord or
     SolveFailure per seed."""
     shape = (2 ** (level.level - 1), level.space.dim)
 
@@ -388,10 +634,17 @@ def _solve_seeds(ham, level: LevelStructure, seeds: np.ndarray, newton: NewtonCo
         batch = flat_batch.reshape(flat_batch.shape[0], *shape)
         return shoot_residual(ham, level, batch, integ, path).reshape(flat_batch.shape[0], -1)
 
-    row_path = (integ.n_steps + 1, level.copies, level.space.dim)
     wrap = partial(_wrap_params, level.space)
-    ps, rs, status, conds, stored = _newton_batch(resid, wrap, seeds, newton, row_path)
-    params = ps.reshape(len(ps), *shape)
+    slices = _slice_count(integ.n_steps, len(seeds), level)
+    if slices == 1:
+        row_path = (integ.n_steps + 1, level.copies, level.space.dim)
+        xs, rs, status, conds, stored = _newton_batch(resid, wrap, seeds, newton, row_path)
+    else:
+        system = _SlicedShooting(ham, level, integ, slices)
+        with np.errstate(over="ignore", invalid="ignore"):
+            start = system.start(seeds)
+        xs, rs, status, conds, stored = _newton_batch(system.resid, wrap, start, newton, None, system)
+    params = xs[:, : _flat_dim(level)].reshape(len(xs), *shape)
     converged = np.flatnonzero(status == _CONVERGED)
     z0 = embed_diagonal_params(level, 0, params[converged])
     paths = iter(_accepted_paths(ham, level, converged, z0, stored, integ))
@@ -399,7 +652,14 @@ def _solve_seeds(ham, level: LevelStructure, seeds: np.ndarray, newton: NewtonCo
     for p, r, s, cond in zip(params, rs, status, conds):
         norm = float(np.max(np.abs(r)))
         if s == _CONVERGED:
-            results.append(Chord(p, next(paths), norm, float(cond)))
+            path = next(paths)
+            if slices > 1:
+                norm = float(np.max(np.abs(_end_residual(level, path.samples[-1]))))
+            if norm <= newton.tol:
+                results.append(Chord(p, path, norm, float(cond)))
+            else:
+                detail = f"{slices}-slice solution's path misses the end diagonal by {norm:.2e}"
+                results.append(SolveFailure("no-convergence", norm, detail))
         elif s == _SINGULAR:
             results.append(SolveFailure("singular-jacobian", norm, f"cond {cond:.2e}"))
         elif s == _DIVERGED:
@@ -417,7 +677,11 @@ def solve_chord(
     integ: IntegratorConfig = IntegratorConfig(),
 ):
     """Damped Newton on the shooting residual from one seed, the one-seed
-    case of enumerate_chords; returns Chord or SolveFailure."""
+    case of enumerate_chords; returns Chord or SolveFailure.  One seed is
+    the narrowest scan: at level 1 from 64 steps on, _slice_count cuts it
+    into time slices (multiple shooting), and the chord's path then comes
+    from one integrate sweep, its residual norm being that path's end
+    mismatch."""
     p = np.asarray(seed_params, dtype=float).reshape(-1)
     if p.size != _flat_dim(level):
         raise ValueError(f"seed must have {_flat_dim(level)} parameters")
@@ -439,6 +703,15 @@ def _seed_grid(level: LevelStructure, grid: GridSpec) -> np.ndarray:
 DEDUP_TOL = 1e-5
 
 
+def _order_key(values) -> tuple:
+    """Sort key of a solution: its values rounded to the DEDUP_TOL grid,
+    then the raw values as tie-break.  A rounding-level move reorders two
+    solutions only if a value crosses a grid boundary; raw tuples swap
+    whenever the leading values of two solutions agree to rounding."""
+    v = np.ravel(values)
+    return tuple(np.round(v / DEDUP_TOL).tolist() + v.tolist())
+
+
 def enumerate_chords(
     ham,
     level: LevelStructure,
@@ -448,6 +721,9 @@ def enumerate_chords(
 ) -> OrbitSet:
     """Multistart shooting over a uniform seed grid, deduplicated and sorted.
 
+    Chords are sorted by their parameters rounded to the DEDUP_TOL grid,
+    with the raw parameters as tie-break (_order_key), and a candidate is
+    kept unless its path lies within DEDUP_TOL of a chord kept before it.
     Failures are tallied, not fatal.  The degeneracy flag is set when
     Jacobians are singular at scale or when surviving solutions fail to
     separate cleanly, in which case counting is ill-posed.
@@ -460,7 +736,7 @@ def enumerate_chords(
             chords.append(result)
         else:
             failures[result.reason] = failures.get(result.reason, 0) + 1
-    chords.sort(key=lambda c: tuple(c.params.ravel()))
+    chords.sort(key=lambda c: _order_key(c.params))
     kept: list[Chord] = []
     kept_paths = np.empty((0, integ.n_steps + 1, level.copies, level.space.dim))
     for c in chords:
@@ -711,7 +987,9 @@ def flow_fixed_points(
     integ: IntegratorConfig = IntegratorConfig(),
 ) -> OrbitSet:
     """Scans the torus for fixed points of the time-1 flow map of a base
-    Hamiltonian, polishing local minima of the displacement with Newton."""
+    Hamiltonian, polishing local minima of the displacement with Newton.
+    Fixed points are sorted by their coordinates rounded to the DEDUP_TOL
+    grid, with the raw coordinates as tie-break (_order_key)."""
     if space.topology != "torus":
         raise ValueError("the fixed-point scan needs a compact (torus) base")
     level0 = build_level(space, 0)
@@ -749,7 +1027,7 @@ def flow_fixed_points(
         FixedPoint(ps[i], float(np.max(np.abs(rs[i]))), float(conds[i]), DiscreteCurve(space, 0, path.samples, True))
         for i, path in zip(converged, paths)
     ]
-    found.sort(key=lambda fp: tuple(fp.point))
+    found.sort(key=lambda fp: _order_key(fp.point))
     kept: list[FixedPoint] = []
     for fp in found:
         if all(space.distance(fp.point, k.point) > DEDUP_TOL for k in kept):

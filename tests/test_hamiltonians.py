@@ -402,6 +402,38 @@ def _assert_rows_independent(K, lev):
         assert np.array_equal(K.value(z[i : i + 1], 0.37)[0], values[i])
 
 
+@pytest.mark.parametrize("name", PRESETS)
+def test_slice_times_give_float_t_rows(name):
+    """t as a pair (times, rows) gives row b bitwise the field of a float-t
+    call at times[rows[b]], and caches one table per times array."""
+    data = json.loads(resources.files("hamdelay.presets").joinpath(f"{name}.json").read_text())
+    cfg = ExperimentConfig.from_dict(data)
+    K, lev = cfg.structured_hamiltonian(), build_level(cfg.space, cfg.chain.level)
+    rng = np.random.default_rng(5)
+    z = rng.uniform(-1.0, 1.0, (81, lev.copies, lev.space.dim))
+    times, rows = np.arange(5) * 0.125 + 0.0625, rng.integers(0, 5, 81)
+    got = vector_field(K, lev, z, (times, rows))
+    for i in range(81):
+        assert np.array_equal(got[i], vector_field(K, lev, z[i : i + 1], float(times[rows[i]]))[0])
+    assert np.array_equal(vector_field(K, lev, z, (times, rows)), got)
+    assert times.tobytes() in K._program(lev.space.dim).time_cache
+
+
+def test_sum0_adds_in_index_order_in_any_layout():
+    """A (monomials, slots, dims, rows) operand not in C order, as a
+    fancy-indexed table can make it: its one-row sum is that row of the
+    81-row sum, and both are the in-order adds.  numpy's own sum went
+    pairwise over the one-row operand here."""
+    batch = np.random.default_rng(0).standard_normal((9, 1, 2, 81))
+    one = np.asfortranarray(batch[..., :1])
+    assert one.shape == (9, 1, 2, 1) and not one.flags.c_contiguous
+    want = batch[0] + batch[1]
+    for term in batch[2:]:
+        want += term
+    assert np.array_equal(hamiltonians._sum0(batch), want)
+    assert np.array_equal(hamiltonians._sum0(one)[..., 0], want[..., 0])
+
+
 def test_time_cache_is_per_hamiltonian(torus, rng, monkeypatch):
     """Repeated times give identical arrays, a bounded cache stays correct,
     and two Hamiltonians that differ only in a time profile share nothing."""

@@ -45,9 +45,13 @@ from hamdelay.solvers import (
     write_chord_csv,
     write_loop_csv,
     _PeriodicCollocation,
+    _SlicedShooting,
+    _SquareSystem,
+    _end_residual,
     _newton_batch,
     _one_sided_derivatives,
     _seed_grid,
+    _slice_count,
     _solve_seeds,
     _solve_stack,
 )
@@ -306,7 +310,7 @@ def test_enumerate_dedup_matches_pairwise_distances(name, steps, grid):
     candidate-by-candidate PhaseSpace.distance loop."""
     ham, lev, spec, integ = _preset_problem(name, steps, grid)
     chords = [c for c in _solve_seeds(ham, lev, _seed_grid(lev, spec), BATCH_NEWTON, integ) if isinstance(c, Chord)]
-    chords.sort(key=lambda c: tuple(c.params.ravel()))
+    chords.sort(key=lambda c: tuple(np.round(c.params.ravel() / solvers.DEDUP_TOL)) + tuple(c.params.ravel()))
     dist = lev.space.distance
     kept = []
     for c in chords:
@@ -453,6 +457,128 @@ def test_newton_ladder_takes_fewer_sweeps(newton_against_oracle):
     (run,) = newton_against_oracle
     assert np.any(run["status"] == solvers._STUCK)
     assert run["ladder"] < run["oracle"]
+
+
+# ---------------------------------------------------------------------------
+# multiple shooting in time
+
+
+def test_first_sliced_sweep_has_zero_gaps(rng):
+    """Slice starts from the seeds' own trajectories: the first sliced sweep
+    (with its probes, and without) has exactly zero continuity gaps and the
+    end residual of shoot_residual, bit for bit, also for trajectories
+    that leave [0, 1)."""
+    ham, lev, _, integ = _preset_problem("product-T4", 128, 1)
+    seeds = np.vstack([[0.9999, 0.9999], [0.0001, 0.5], rng.random(2)])
+    system = _SlicedShooting(ham, lev, integ, 16)
+    x0 = system.start(seeds)
+    assert x0.shape == (3, 2 + 15 * 4)
+    single = shoot_residual(ham, lev, seeds.reshape(3, 1, 2), integ).reshape(3, -1)
+    for r in (system.linearize(x0, 1e-6)[0], system.resid(x0)):
+        assert np.all(r[:, 2:] == 0.0)
+        assert r[:, :2].tobytes() == single.tobytes()
+
+
+@pytest.mark.parametrize("name", ["product-T4", "torus-morse-n1"])
+def test_condensed_jacobian_matches_single_shooting(name, rng):
+    """E A_14 ... A_1 G from slice-by-slice central differences matches the
+    central-difference Jacobian of single shooting, and at zero gaps the
+    condensed right side is the end residual."""
+    ham, lev, _, integ = _preset_problem(name, 128, 1)
+    seeds = rng.random((2, 2))
+    system = _SlicedShooting(ham, lev, integ, 16)
+    x0 = system.start(seeds)
+    r, jac = system.linearize(x0, 1e-6)
+    mat, rhs = system.condense(jac, r)
+    def resid(flat, path=None):
+        return shoot_residual(ham, lev, flat.reshape(len(flat), 1, 2), integ, path).reshape(len(flat), -1)
+
+    want = _SquareSystem(resid).linearize(seeds, 1e-6)[1]
+    assert np.max(np.abs(mat - want)) <= 1e-6 * np.max(np.abs(want))
+    assert np.array_equal(rhs, r[:, :2])
+    # the recovered step satisfies every block row of the full Newton system
+    step = system.expand(jac, r, np.linalg.solve(mat, rhs[..., None])[..., 0])
+    ds = step[:, 2:].reshape(2, 15, 4)
+    np.testing.assert_allclose(ds[:, 0], (jac[:, 0, :, :2] @ step[:, :2, None])[..., 0], rtol=0, atol=1e-15)
+    end = (jac[:, -1, :2] @ ds[:, -1, :, None])[..., 0]
+    np.testing.assert_allclose(end, r[:, :2], rtol=1e-10, atol=1e-15)
+
+
+@pytest.mark.parametrize("name,seed", [("product-T4", (0.3, 0.7)), ("torus-morse-n1", (0.1, 0.05))])
+def test_sliced_solve_finds_the_unsliced_chord(name, seed, monkeypatch):
+    """A one-seed solve at 128 steps is sliced by the rule; it finds the
+    chord of the unsliced solve within DEDUP_TOL, its path is bitwise the
+    one integrate gives from its parameters, and its residual norm is that
+    path's end mismatch, within the Newton tolerance."""
+    ham, lev, _, integ = _preset_problem(name, 128, 1)
+    seeds = np.array([seed])
+    assert _slice_count(integ.n_steps, 1, lev) > 1
+    (sliced,) = _solve_seeds(ham, lev, seeds, NewtonConfig(), integ)
+    monkeypatch.setattr(solvers, "_slice_count", lambda *args: 1)
+    (single,) = _solve_seeds(ham, lev, seeds, NewtonConfig(), integ)
+    assert isinstance(sliced, Chord) and isinstance(single, Chord)
+    assert lev.space.distance(sliced.params, single.params) <= solvers.DEDUP_TOL
+    path = integrate(ham, lev, embed_diagonal_params(lev, 0, sliced.params), integ)
+    assert np.array_equal(sliced.path.samples, path.samples)
+    assert sliced.residual_norm == np.max(np.abs(_end_residual(lev, path.samples[-1])))
+    assert sliced.residual_norm <= NewtonConfig().tol
+
+
+def test_slice_rule_keeps_scans_unsliced(plane):
+    """M = 1 for the benchmark's chord-scan and tower-scan shapes, every
+    batch and oracle scan of these tests, the 9-seed diverging plane scan,
+    the product-T4 preset and a level-2 seed; one or two level-1 seeds at
+    128 steps and up are sliced."""
+    shapes = [(name, 32, 4) for name in ("torus-morse-n1", "product-T4", "plane-oscillator")]
+    shapes += [("sum-n2", 8, 3), ("rr-chain-13", 9, 3), ("product-T4", 4096, 4)]
+    shapes += [case[:3] for case in BATCH_CASES + list(ORACLE_CASES.values())]
+    for name, steps, grid in shapes:
+        lev = _preset_problem(name, steps, grid)[1]
+        assert _slice_count(steps, grid ** solvers._flat_dim(lev), lev) == 1, (name, steps, grid)
+    assert _slice_count(64, 9, build_level(plane, 1)) == 1
+    assert _slice_count(1024, 1, _preset_problem("sum-n2", 1024, 1)[1]) == 1
+    for steps in (128, 1024):
+        for seeds in (1, 2):
+            assert _slice_count(steps, seeds, build_level(plane, 1)) > 1
+
+
+def test_sliced_scan_tallies_diverging_seeds(plane, monkeypatch):
+    """Seeds whose trajectories overflow in the start sweep end 'diverged'
+    in a sliced scan too, and the seed at the origin still gives its chord."""
+    monkeypatch.setattr(solvers, "_slice_count", lambda *args: 8)
+    lev = build_level(plane, 1)
+    grid = GridSpec(3, bounds=((-50.0, 50.0), (-50.0, 50.0)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        orbits = enumerate_chords(quartic_plane_K(), lev, grid, integ=IntegratorConfig(64))
+    d = orbits.diagnostics
+    assert d["failures"]["diverged"] == 8 and d["solved"] == 1
+    assert orbits.count() == 1 and np.all(orbits.members[0].params == 0.0)
+
+
+def test_chord_order_survives_rounding_moves(torus, monkeypatch):
+    """Members are ordered by their parameters on the DEDUP_TOL grid: moving
+    chord parameters by 1e-13 reorders nothing, also where two chords'
+    leading parameters agree to rounding, which raw tuples would swap."""
+    lev = build_level(torus, 1)
+    base = np.array([[0.5, 0.5], [0.5, 0.0], [0.25, 0.75], [0.0, 0.5]])
+
+    def members(params):
+        def solve(ham, level, seeds, newton, integ):
+            out = []
+            for p in params:
+                samples = np.repeat(embed_diagonal_params(lev, 0, p[None])[None], integ.n_steps + 1, axis=0)
+                out.append(Chord(p[None], DiscreteCurve(torus, 1, samples, False), 0.0, 1.0))
+            return out
+
+        monkeypatch.setattr(solvers, "_solve_seeds", solve)
+        return enumerate_chords(ZERO_K1, lev, GridSpec(1), integ=IntegratorConfig(2)).members
+
+    moved = base + np.array([[-1e-13, 0.0], [1e-13, 0.0], [1e-13, -1e-13], [-1e-13, 1e-13]])
+    assert tuple(moved[0]) < tuple(moved[1]) and tuple(base[1]) < tuple(base[0])
+    before, after = members(base), members(moved)
+    assert len(before) == len(after) == 4
+    for a, b in zip(before, after):
+        assert np.max(np.abs(a.params - b.params)) <= 2e-13
 
 
 def test_plane_enumeration_needs_bounds(plane):
