@@ -2,7 +2,7 @@
 
 Configs are JSON (see presets/); stdout carries the report, stderr the
 diagnostics.  Exit codes: 0 success, 1 a finding (bound violation, residual
-over tolerance, table mismatch), 2 config errors.
+over tolerance, no chord to verify, table mismatch), 2 config errors.
 """
 
 from __future__ import annotations
@@ -338,8 +338,13 @@ def cmd_verify(args) -> int:
         "max_delay_residual": worst_res,
         "max_route_distance": worst_dist,
         "tolerances": {"delay_residual": tol_res, "route_distance": tol_dist},
-        "ok": ok,
     }
+    if not rows:  # nothing verified is a finding, not a pass
+        failures = orbits.diagnostics["failures"]
+        print("no chord to verify; seed failures: " + ", ".join(f"{k} {v}" for k, v in failures.items()))
+        report["seed_failures"] = failures
+        ok = False
+    report["ok"] = ok
     (out / "verify_report.json").write_text(json.dumps(report, indent=2, default=float) + "\n")
     return 0 if ok else 1
 

@@ -18,11 +18,15 @@ rows, so it is solved by multiple shooting in M time slices
 (_SlicedShooting): the slice start states join the unknowns, one sweep
 runs every slice of every seed from per-row start steps, and the
 block-bidiagonal Newton system condenses to one P x P matrix per seed.
-_slice_count picks M per solve from the step count and the sweep width
-with a cost model fitted to the measured cost of an RK4 stage against its
-rows; wide scans, short grids and higher levels keep M = 1, the
-single-shooting path above.  A sliced chord's path comes from one
-integrate sweep, and its residual norm is that path's end mismatch.
+The slice starts begin as the states of one coarse RK4 sweep of M steps
+from the seeds, and no unsliced sweep runs.  _slice_count picks M per
+solve from the step count and the sweep width with a cost model fitted to
+the measured cost of an RK4 stage against its rows; wide scans, short
+grids and higher levels keep M = 1, the single-shooting path above.  A
+sliced chord's path is the slice trajectories of the sweep that accepted
+its final iterate, laid end to end (or the integrate path after a damping
+rung), and its residual norm is the max of that path's end mismatch and
+its slice-boundary jumps.
 
 The periodic delay solve is Newton on midpoint collocation with a sparse
 forward-difference Jacobian.  Each collocation row reads a few nodes, which
@@ -327,6 +331,11 @@ class _SlicedShooting:
     E = de/ds_{M-1} (P x D) in block M - 1.  The block-bidiagonal Newton
     system condenses to the P x P matrix E A_{M-2} ... A_1 G, and the
     slice-start steps follow from the parameter step by forward recursion.
+    The first slice starts come from a coarse sweep of M steps (start), so
+    the first sweep's gaps are small, not zero, and Newton closes them
+    together with the parameter step.  The value rows lead each sweep, so
+    a sweep keeps the slice trajectories of its iterates, and joined lays
+    them end to end as a converged seed's path.
     """
 
     def __init__(self, ham, level: LevelStructure, integ: IntegratorConfig, slices: int):
@@ -337,22 +346,27 @@ class _SlicedShooting:
         self.p, self.d = _flat_dim(level), level.copies * level.space.dim
 
     def start(self, seeds: np.ndarray) -> np.ndarray:
-        """Unknown rows at the seed rows (B, P).  The slice starts are states
-        of one value sweep of each seed's trajectory, so the first sliced
-        sweep has zero gaps and shoot_residual's end residual."""
-        n, b = self.integ.n_steps, len(seeds)
-        traj = np.empty((n + 1, b) + self.state)
-        shoot_residual(self.ham, self.level, seeds.reshape(b, *self.pairs), self.integ, traj)
-        starts = np.moveaxis(traj[self.steps : n : self.steps], 0, 1).reshape(b, -1)
-        return np.concatenate([seeds, starts], axis=1)
+        """Unknown rows at the seed rows (B, P).  The slice starts are the
+        states of one coarse RK4 sweep of M steps, one per slice, from the
+        embedded seeds (the coarse propagator of Parareal, Lions, Maday &
+        Turinici 2001).  For a power-of-two n its stage times are times of
+        the n-step grid, so it reads the same time cache.  The first sliced
+        sweep then has small gaps, which Newton closes with the parameter
+        step.  Constant starts (every s_k the embedded seed) send some
+        starts to other chords than starts on the fine trajectory do."""
+        b = len(seeds)
+        z0 = embed_diagonal_params(self.level, 0, seeds.reshape(b, *self.pairs))
+        traj = np.empty((self.m + 1,) + z0.shape)
+        _rk4(self._field, z0, self.m, traj)
+        return np.concatenate([seeds, np.moveaxis(traj[1:-1], 0, 1).reshape(b, -1)], axis=1)
 
-    def _ends(self, starts: np.ndarray, slices: np.ndarray) -> np.ndarray:
-        """End states of slices[i] started at starts[i], from one RK4 sweep."""
+    def _field(self, z, t):
+        return vector_field(self.ham, self.level, z, t)
 
-        def field(z, t):
-            return vector_field(self.ham, self.level, z, t)
-
-        return _rk4(field, starts, self.integ.n_steps, start=slices * self.steps, steps=self.steps)
+    def _ends(self, starts: np.ndarray, slices: np.ndarray, path=None) -> np.ndarray:
+        """End states of slices[i] started at starts[i], from one RK4 sweep
+        that keeps the trajectories of the first path.shape[1] rows in path."""
+        return _rk4(self._field, starts, self.integ.n_steps, path, slices * self.steps, self.steps)
 
     def _starts(self, x: np.ndarray) -> np.ndarray:
         """Start states (B, M, copies, dim) of every slice of the rows of x."""
@@ -373,7 +387,9 @@ class _SlicedShooting:
 
     def linearize(self, x, h: float, path=None, values: bool = True):
         """Residuals at the rows of x (None without values) and their block
-        Jacobians, from one sweep; it keeps no trajectories."""
+        Jacobians, from one sweep.  The value rows come first in it, so given
+        a buffer path of shape (S + 1, k, M, copies, dim), it keeps there the
+        slice trajectories of the first k rows of x."""
         b, m, p, d = len(x), self.m, self.p, self.d
         first = embed_diagonal_params(self.level, 0, _fd_probes(x[:, :p], h).reshape(-1, *self.pairs))
         rows = [first, _fd_probes(x[:, p:].reshape(-1, d), h).reshape(-1, *self.state)]
@@ -382,7 +398,9 @@ class _SlicedShooting:
             starts = self._starts(x)
             rows.insert(0, starts.reshape(-1, *self.state))
             slices.insert(0, np.tile(np.arange(m), b))
-        ends = self._ends(np.concatenate(rows), np.concatenate(slices))
+        if path is not None:
+            path = path.reshape(len(path), -1, *self.state)
+        ends = self._ends(np.concatenate(rows), np.concatenate(slices), path)
         r = None
         if values:
             r = self._residuals(starts, ends[: b * m].reshape(starts.shape))
@@ -393,6 +411,14 @@ class _SlicedShooting:
         jac[:, 1:-1] = _fd_difference(later[:, :-1].reshape(b, m - 2, 2 * d, d), h)
         jac[:, -1, :p] = _fd_difference(_end_residual(self.level, later[:, -1]).reshape(b, 2 * d, p), h)
         return r, jac
+
+    def joined(self, traj: np.ndarray) -> np.ndarray:
+        """Trajectories (n + 1, B, copies, dim) on the n-step grid from slice
+        trajectories traj (S + 1, B, M, copies, dim): the M slices laid end
+        to end, sample kS the slice start s_k, the last sample the end of
+        the last slice."""
+        laid = np.moveaxis(traj[:-1], 2, 0).reshape(self.integ.n_steps, traj.shape[1], *self.state)
+        return np.concatenate([laid, traj[-1:, :, -1]])
 
     def settled(self, r, jac, tol: float) -> np.ndarray:
         """Which rows have converged: residual within tol, and so is the
@@ -441,9 +467,9 @@ def _newton_batch(resid_fn, wrap_fn, seeds: np.ndarray, newton: NewtonConfig, ro
     builds the Newton systems: by default _SquareSystem(resid_fn), whose
     central-difference Jacobians are the Newton matrices; a
     _SlicedShooting instead condenses block Jacobians to P x P matrices and
-    expands their steps, and keeps no trajectories (row_path None).  The
-    first sweep evaluates every seed with its Jacobian probes.  Each
-    iteration then makes one trial sweep: the full step (lambda = 1) for
+    expands their steps, and its sweeps keep slice trajectories (row_path
+    (S + 1, M, copies, dim)).  The first sweep evaluates every seed with
+    its Jacobian probes.  Each iteration then makes one trial sweep: the full step (lambda = 1) for
     every running seed, together with the probes around its wrapped trial
     point, so a seed that takes the full step has its next Jacobian already.
     Seeds that reject the full step try the damping rungs lambda = 2^-k
@@ -468,11 +494,7 @@ def _newton_batch(resid_fn, wrap_fn, seeds: np.ndarray, newton: NewtonConfig, ro
     rungs = rungs[rungs >= newton.min_damping]
 
     def buffer(count):
-        return None if row_path is None else np.empty((row_path[0], count) + row_path[1:])
-
-    def keep(which, paths, cols):
-        if paths is not None:
-            stored.append((which, paths[:, cols]))
+        return np.empty((row_path[0], count) + row_path[1:])
 
     # diverging seeds overflow on their way to the 'diverged' status; the
     # status is the report, so numpy's warnings on them are noise
@@ -487,8 +509,7 @@ def _newton_batch(resid_fn, wrap_fn, seeds: np.ndarray, newton: NewtonConfig, ro
         status[system.settled(r, jac, newton.tol)] = _CONVERGED
         status[~np.all(np.isfinite(r), axis=1)] = _DIVERGED
         settled = np.flatnonzero(status == _CONVERGED)
-        stored: list = []  # (seeds, their final trajectories)
-        keep(settled, paths, settled)
+        stored = [(settled, paths[:, settled])]  # (seeds, their final trajectories)
         del paths
         for _ in range(newton.max_iter):
             active = np.flatnonzero(status == _RUNNING)
@@ -520,7 +541,7 @@ def _newton_batch(resid_fn, wrap_fn, seeds: np.ndarray, newton: NewtonConfig, ro
             took = active[better]
             p[took], r[took], jac[took] = trials[better], r_try[better], jac_try[better]
             settled = better & system.settled(r_try, jac_try, newton.tol)
-            keep(active[settled], paths, settled)
+            stored.append((active[settled], paths[:, settled]))
             del paths
             has_jac[active] = better
             pending = np.flatnonzero(~better)  # positions in active still looking for a step
@@ -571,8 +592,11 @@ def _solve_stack(jac: np.ndarray, rhs: np.ndarray):
 # Hamiltonians, 1 to 1024 rows: 30-33 us + 0.10-0.21 us per row with a
 # float t, 8-12 us more with the (times, rows) form of a sliced sweep.  A
 # solve is costed at SOLVE_SWEEPS Newton sweeps, the count of a one-seed
-# product-T4 chord.  Slices take MIN_SLICE_STEPS steps or more, and there
-# are at most MAX_SLICES: beyond 32 a one-seed solve at 1024 steps got no
+# product-T4 chord.  A sliced solve is also charged two unsliced sweeps
+# over all steps, though it runs none (its slice starts come from an M-step
+# sweep, its paths from its own sweeps): a conservative margin that keeps M
+# as fitted.  Slices take MIN_SLICE_STEPS steps or more, and there are at
+# most MAX_SLICES: beyond 32 a one-seed solve at 1024 steps got no
 # faster.  Slicing must predict at most SLICE_GAIN of the unsliced cost.
 # Only level 1 is sliced: from 12 random one-seed starts at 1024 steps,
 # sliced Newton (M = 32) reached a chord from 2 on sum-n2 and single
@@ -592,8 +616,9 @@ def _slice_count(n_steps: int, seeds: int, level: LevelStructure) -> int:
 
     A sweep costs 4 stages per step on its rows: seeds (1 + 2P) unsliced,
     and seeds (1 + 2P + (M - 1)(1 + 2D)) over n_steps / M steps when sliced.
-    M > 1 also pays two unsliced sweeps of seeds rows over all n_steps, the
-    value sweep that sets the slice starts and the path sweep.  M is the
+    M > 1 is also charged two unsliced sweeps of seeds rows over all
+    n_steps, a conservative margin (a sliced solve runs no unsliced sweep,
+    only the M-step sweep of its slice starts).  M is the
     power of two up to MAX_SLICES (n_steps / M >= MIN_SLICE_STEPS) with the
     lowest predicted solve cost, if that is at most SLICE_GAIN of the cost
     at M = 1, else 1.  So wide scans, whose stages cost their rows rather
@@ -620,14 +645,16 @@ def _slice_count(n_steps: int, seeds: int, level: LevelStructure) -> int:
 
 def _solve_seeds(ham, level: LevelStructure, seeds: np.ndarray, newton: NewtonConfig, integ: IntegratorConfig) -> list:
     """The one chord shooting path: batched Newton on the shooting residual
-    from every seed row, in _slice_count time slices.  Unsliced, each
-    converged seed's path is the trajectory of the sweep that accepted its
-    final iterate, or for a final iterate from a damping rung, a row of one
-    integrate sweep.  Sliced (_SlicedShooting), every converged seed's path
-    comes from that integrate sweep, and its residual norm is the path's end
-    mismatch; a path that misses the end diagonal by more than the Newton
-    tolerance makes the seed a no-convergence failure.  Returns a Chord or
-    SolveFailure per seed."""
+    from every seed row, in _slice_count time slices.  Each converged seed's
+    path is the trajectory of the sweep that accepted its final iterate, or
+    for a final iterate from a damping rung, a row of one integrate sweep.
+    Sliced (_SlicedShooting), the accepting sweep's trajectory is the M
+    slice trajectories laid end to end (_SlicedShooting.joined), and the
+    residual norm is the max of the path's end mismatch and its slice-
+    boundary jumps: max |r| of the accepted sliced residual, or the end
+    mismatch alone for an integrate path, which has no jumps.  A path that
+    misses the end diagonal by more than the Newton tolerance makes the seed
+    a no-convergence failure.  Returns a Chord or SolveFailure per seed."""
     shape = (2 ** (level.level - 1), level.space.dim)
 
     def resid(flat_batch, path=None):
@@ -643,17 +670,20 @@ def _solve_seeds(ham, level: LevelStructure, seeds: np.ndarray, newton: NewtonCo
         system = _SlicedShooting(ham, level, integ, slices)
         with np.errstate(over="ignore", invalid="ignore"):
             start = system.start(seeds)
-        xs, rs, status, conds, stored = _newton_batch(system.resid, wrap, start, newton, None, system)
+        row_path = (system.steps + 1, slices, level.copies, level.space.dim)
+        xs, rs, status, conds, stored = _newton_batch(system.resid, wrap, start, newton, row_path, system)
+        stored = [(rows, system.joined(traj)) for rows, traj in stored]
+    swept = {i for rows, _ in stored for i in rows.tolist()}
     params = xs[:, : _flat_dim(level)].reshape(len(xs), *shape)
     converged = np.flatnonzero(status == _CONVERGED)
     z0 = embed_diagonal_params(level, 0, params[converged])
     paths = iter(_accepted_paths(ham, level, converged, z0, stored, integ))
     results = []
-    for p, r, s, cond in zip(params, rs, status, conds):
+    for i, (p, r, s, cond) in enumerate(zip(params, rs, status, conds)):
         norm = float(np.max(np.abs(r)))
         if s == _CONVERGED:
             path = next(paths)
-            if slices > 1:
+            if slices > 1 and i not in swept:
                 norm = float(np.max(np.abs(_end_residual(level, path.samples[-1]))))
             if norm <= newton.tol:
                 results.append(Chord(p, path, norm, float(cond)))
@@ -679,9 +709,11 @@ def solve_chord(
     """Damped Newton on the shooting residual from one seed, the one-seed
     case of enumerate_chords; returns Chord or SolveFailure.  One seed is
     the narrowest scan: at level 1 from 64 steps on, _slice_count cuts it
-    into time slices (multiple shooting), and the chord's path then comes
-    from one integrate sweep, its residual norm being that path's end
-    mismatch."""
+    into time slices (multiple shooting).  The chord's path is then the
+    slice trajectories of the sweep that accepted its final iterate, laid
+    end to end, and its residual norm the max of the path's end mismatch
+    and its slice-boundary jumps (an integrate path, for a final step from
+    a damping rung, has no jumps)."""
     p = np.asarray(seed_params, dtype=float).reshape(-1)
     if p.size != _flat_dim(level):
         raise ValueError(f"seed must have {_flat_dim(level)} parameters")
@@ -837,18 +869,25 @@ class _LinearLoopInterpolant:
 def _colour_columns(rows: np.ndarray, cols: np.ndarray, n: int) -> np.ndarray:
     """Greedy Curtis-Powell-Reid colouring of n column blocks, given the
     (row block, column block) pairs of a sparsity pattern: blocks of one
-    colour feed no common row block, so one difference sweep serves them all."""
-    order = np.lexsort((rows, cols))
-    readers = np.split(rows[order], np.cumsum(np.bincount(cols, minlength=n))[:-1])
-    colour = np.empty(n, dtype=int)
-    fed: list[np.ndarray] = []  # per colour, the row blocks its columns feed
-    for j, rs in enumerate(readers):
-        c = next((c for c, mask in enumerate(fed) if not mask[rs].any()), len(fed))
-        if c == len(fed):
-            fed.append(np.zeros(n, dtype=bool))
-        fed[c][rs] = True
-        colour[j] = c
-    return colour
+    colour feed no common row block, so one difference sweep serves them all.
+    Column j takes the lowest colour that feeds none of its row blocks: each
+    row block keeps a bitmask of the colours feeding it, and the colour is
+    the lowest bit free in all of them."""
+    readers = rows[np.argsort(cols, kind="stable")].tolist()
+    used = [0] * n  # per row block, the colours that feed it
+    colour = []
+    lo = 0
+    for hi in np.cumsum(np.bincount(cols, minlength=n)).tolist():
+        rs = readers[lo:hi]
+        taken = 0
+        for r in rs:
+            taken |= used[r]
+        free = ~taken & (taken + 1)
+        for r in rs:
+            used[r] |= free
+        colour.append(free.bit_length() - 1)
+        lo = hi
+    return np.array(colour, dtype=int)
 
 
 class _PeriodicCollocation:

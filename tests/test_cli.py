@@ -215,6 +215,25 @@ def test_verify_tolerance_violation_exits_one(tmp_path, capsys):
     assert code == 1
 
 
+def test_verify_without_chords_is_a_finding(tmp_path, capsys):
+    """One Newton iteration finds no chord from the one product-T4 seed:
+    verify then exits 1, reports ok false and gives the seed failure tally."""
+    from importlib import resources
+
+    cfg = json.loads(resources.files("hamdelay.presets").joinpath("product-T4.json").read_text())
+    cfg["newton"] = {"max_iter": 1}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    code = run(["verify", "--config", str(path), "--steps", "128", "--grid", "1", "--out", str(tmp_path / "o")])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert "verifying 0 chords" in out
+    assert "no chord to verify; seed failures: no-convergence 1, singular-jacobian 0" in out.splitlines()
+    report = json.loads((tmp_path / "o" / "verify_report.json").read_text())
+    assert report["chords"] == [] and report["ok"] is False
+    assert report["seed_failures"] == {"no-convergence": 1, "singular-jacobian": 0}
+
+
 def test_verify_too_few_steps_is_config_error(tmp_path, capsys):
     """Four steps leave two intervals per segment, too few for the delay
     residual's one-sided stencils: a config error before any chord is solved."""

@@ -463,20 +463,34 @@ def test_newton_ladder_takes_fewer_sweeps(newton_against_oracle):
 # multiple shooting in time
 
 
-def test_first_sliced_sweep_has_zero_gaps(rng):
-    """Slice starts from the seeds' own trajectories: the first sliced sweep
-    (with its probes, and without) has exactly zero continuity gaps and the
-    end residual of shoot_residual, bit for bit, also for trajectories
-    that leave [0, 1)."""
+def _zero_gap_unknowns(system, seeds):
+    """Unknown rows whose slice starts are states of one fine sweep of each
+    seed's trajectory, so the sliced residual has zero gaps."""
+    n, b = system.integ.n_steps, len(seeds)
+    traj = np.empty((n + 1, b) + system.state)
+    shoot_residual(system.ham, system.level, seeds.reshape(b, *system.pairs), system.integ, traj)
+    starts = np.moveaxis(traj[system.steps : n : system.steps], 0, 1).reshape(b, -1)
+    return np.concatenate([seeds, starts], axis=1)
+
+
+def test_slice_starts_come_from_a_coarse_sweep(rng):
+    """The slice starts are bitwise the states of an RK4 sweep of M steps
+    from the embedded seeds, also for trajectories that leave [0, 1); the
+    first sliced sweep (with its probes, and without) then has small gaps."""
     ham, lev, _, integ = _preset_problem("product-T4", 128, 1)
     seeds = np.vstack([[0.9999, 0.9999], [0.0001, 0.5], rng.random(2)])
     system = _SlicedShooting(ham, lev, integ, 16)
     x0 = system.start(seeds)
     assert x0.shape == (3, 2 + 15 * 4)
-    single = shoot_residual(ham, lev, seeds.reshape(3, 1, 2), integ).reshape(3, -1)
-    for r in (system.linearize(x0, 1e-6)[0], system.resid(x0)):
-        assert np.all(r[:, 2:] == 0.0)
-        assert r[:, :2].tobytes() == single.tobytes()
+    coarse = np.empty((17, 3, lev.copies, lev.space.dim))
+    z0 = embed_diagonal_params(lev, 0, seeds.reshape(3, 1, 2))
+    solvers._rk4(lambda z, t: solvers.vector_field(ham, lev, z, t), z0, 16, coarse)
+    assert np.any((coarse < 0) | (coarse >= 1))
+    assert np.array_equal(x0[:, :2], seeds)
+    assert x0[:, 2:].tobytes() == np.moveaxis(coarse[1:16], 0, 1).reshape(3, -1).tobytes()
+    r = system.resid(x0)
+    assert system.linearize(x0, 1e-6)[0].tobytes() == r.tobytes()
+    assert 0 < np.max(np.abs(r[:, 2:])) <= 1e-7
 
 
 @pytest.mark.parametrize("name", ["product-T4", "torus-morse-n1"])
@@ -487,7 +501,7 @@ def test_condensed_jacobian_matches_single_shooting(name, rng):
     ham, lev, _, integ = _preset_problem(name, 128, 1)
     seeds = rng.random((2, 2))
     system = _SlicedShooting(ham, lev, integ, 16)
-    x0 = system.start(seeds)
+    x0 = _zero_gap_unknowns(system, seeds)
     r, jac = system.linearize(x0, 1e-6)
     mat, rhs = system.condense(jac, r)
     def resid(flat, path=None):
@@ -506,22 +520,106 @@ def test_condensed_jacobian_matches_single_shooting(name, rng):
 
 @pytest.mark.parametrize("name,seed", [("product-T4", (0.3, 0.7)), ("torus-morse-n1", (0.1, 0.05))])
 def test_sliced_solve_finds_the_unsliced_chord(name, seed, monkeypatch):
-    """A one-seed solve at 128 steps is sliced by the rule; it finds the
-    chord of the unsliced solve within DEDUP_TOL, its path is bitwise the
-    one integrate gives from its parameters, and its residual norm is that
-    path's end mismatch, within the Newton tolerance."""
+    """A one-seed solve at 128 steps is sliced by the rule and finds the
+    chord of the unsliced solve within DEDUP_TOL.  Its path is the slice
+    trajectories of the sweep that accepted it: slice k is bitwise _rk4
+    from the path's sample kS over S steps at the slice times.  Its
+    residual norm is exactly the max of the path's end mismatch and its
+    slice-boundary jumps, within the Newton tolerance, and the path lies
+    within 1e-9 of the one integrate gives from its parameters."""
     ham, lev, _, integ = _preset_problem(name, 128, 1)
     seeds = np.array([seed])
-    assert _slice_count(integ.n_steps, 1, lev) > 1
+    m = _slice_count(integ.n_steps, 1, lev)
+    assert m > 1
+    monkeypatch.setattr(solvers, "integrate", None)  # the path comes from a Newton sweep
     (sliced,) = _solve_seeds(ham, lev, seeds, NewtonConfig(), integ)
+    monkeypatch.undo()
     monkeypatch.setattr(solvers, "_slice_count", lambda *args: 1)
     (single,) = _solve_seeds(ham, lev, seeds, NewtonConfig(), integ)
     assert isinstance(sliced, Chord) and isinstance(single, Chord)
     assert lev.space.distance(sliced.params, single.params) <= solvers.DEDUP_TOL
-    path = integrate(ham, lev, embed_diagonal_params(lev, 0, sliced.params), integ)
-    assert np.array_equal(sliced.path.samples, path.samples)
-    assert sliced.residual_norm == np.max(np.abs(_end_residual(lev, path.samples[-1])))
+    samples, steps = sliced.path.samples, integ.n_steps // m
+    field = partial(solvers.vector_field, ham, lev)
+    jumps = []
+    for k in range(m):
+        traj = np.empty((steps + 1, 1, lev.copies, lev.space.dim))
+        end = solvers._rk4(field, samples[k * steps][None], integ.n_steps, traj, np.array([k * steps]), steps)
+        if k < m - 1:
+            assert np.array_equal(lev.space.normalize(traj[:-1, 0]), samples[k * steps : (k + 1) * steps])
+            jumps.append(lev.space.wrapped_difference(end[0], samples[(k + 1) * steps]))
+        else:
+            assert np.array_equal(lev.space.normalize(traj[:, 0]), samples[k * steps :])
+    mismatch = np.max(np.abs(_end_residual(lev, end[0])))
+    assert sliced.residual_norm == max(mismatch, np.max(np.abs(jumps)))
     assert sliced.residual_norm <= NewtonConfig().tol
+    path = integrate(ham, lev, embed_diagonal_params(lev, 0, sliced.params), integ)
+    assert lev.space.distance(sliced.path.samples, path.samples) <= 1e-9
+
+
+@pytest.mark.parametrize("seed,tol", [((0.32, 0.75), 0.01), ((0.8163, 0.3794), 0.005)])
+def test_rung_converged_sliced_seed_takes_its_path_from_integrate(seed, tol, monkeypatch):
+    """With a loose tolerance, this sliced product-T4 seed takes its final
+    step from a damping rung (a rung sweep runs): its path is then the one
+    integrate sweep's, and its residual norm that path's end mismatch; a
+    mismatch above the tolerance (the second seed) is a no-convergence."""
+    ham, lev, _, integ = _preset_problem("product-T4", 128, 1)
+    assert _slice_count(integ.n_steps, 1, lev) > 1
+    rows, rung_sweeps = [], []
+    resid = _SlicedShooting.resid
+
+    def counted_integrate(ham, level, z0, cfg):
+        rows.append(len(z0))
+        return integrate(ham, level, z0, cfg)
+
+    def counted_resid(system, x):
+        rung_sweeps.append(len(x))
+        return resid(system, x)
+
+    monkeypatch.setattr(solvers, "integrate", counted_integrate)
+    monkeypatch.setattr(_SlicedShooting, "resid", counted_resid)
+    (result,) = _solve_seeds(ham, lev, np.array([seed]), NewtonConfig(tol=tol), integ)
+    assert rung_sweeps and rows == [1]
+    if isinstance(result, SolveFailure):
+        assert result.reason == "no-convergence" and result.residual_norm > tol
+        assert result.detail == f"16-slice solution's path misses the end diagonal by {result.residual_norm:.2e}"
+        return
+    path = integrate(ham, lev, embed_diagonal_params(lev, 0, result.params), integ)
+    assert np.array_equal(result.path.samples, path.samples)
+    assert result.residual_norm == np.max(np.abs(_end_residual(lev, path.samples[-1]))) <= tol
+
+
+# (preset, steps, lower and upper bound of the start coordinates)
+BASIN_CASES = [("product-T4", 128, 0.0, 1.0), ("torus-morse-n1", 128, 0.0, 1.0), ("plane-oscillator", 512, -0.8, 0.8)]
+
+
+@pytest.mark.parametrize("name,steps,lo,hi", BASIN_CASES)
+def test_coarse_slice_starts_keep_the_basins(name, steps, lo, hi, monkeypatch):
+    """From 8 fixed random starts, the sliced solve reaches the chord that
+    the sliced solve from zero-gap slice starts (one fine sweep) reaches,
+    and the chord of single shooting from exactly the starts from which
+    that one does.  (Multiple-shooting iterates leave single shooting's
+    after the first step, so from 3 of these 24 starts both sliced solves
+    reach another chord; constant slice starts, every s_k the embedded
+    seed, miss the zero-gap chord from 5.)"""
+    ham, lev, _, integ = _preset_problem(name, steps, 1)
+    starts = lo + (hi - lo) * np.random.default_rng(7).random((8, 2))
+    assert _slice_count(steps, 1, lev) > 1
+
+    def one_by_one():
+        return [_solve_seeds(ham, lev, s[None], NewtonConfig(), integ)[0] for s in starts]
+
+    coarse = one_by_one()
+    monkeypatch.setattr(_SlicedShooting, "start", _zero_gap_unknowns)
+    zero_gap = one_by_one()
+    monkeypatch.setattr(solvers, "_slice_count", lambda *args: 1)
+    single = _solve_seeds(ham, lev, starts, NewtonConfig(), integ)
+
+    def same(a, b):
+        return isinstance(a, Chord) and isinstance(b, Chord) and lev.space.distance(a.params, b.params) <= solvers.DEDUP_TOL
+
+    assert all(same(a, b) for a, b in zip(coarse, zero_gap))
+    hits = [same(a, c) for a, c in zip(coarse, single)]
+    assert sum(hits) >= 6 and hits == [same(b, c) for b, c in zip(zero_gap, single)]
 
 
 def test_slice_rule_keeps_scans_unsliced(plane):
@@ -957,6 +1055,31 @@ def test_grouped_jacobian_matches_dense_oracle(case, torus, rng):
     for cols in colloc.groups:
         assert np.all(np.count_nonzero(in_pattern[:, cols], axis=1) <= 1)
     assert len(colloc.groups) < n
+
+
+def _colour_columns_oracle(rows, cols, n):
+    """The greedy colouring that tests a boolean mask per colour per column."""
+    order = np.lexsort((rows, cols))
+    readers = np.split(rows[order], np.cumsum(np.bincount(cols, minlength=n))[:-1])
+    colour = np.empty(n, dtype=int)
+    fed = []  # per colour, the row blocks its columns feed
+    for j, rs in enumerate(readers):
+        c = next((c for c, mask in enumerate(fed) if not mask[rs].any()), len(fed))
+        if c == len(fed):
+            fed.append(np.zeros(n, dtype=bool))
+        fed[c][rs] = True
+        colour[j] = c
+    return colour
+
+
+@pytest.mark.parametrize("n", [64, 512, 4096])
+@pytest.mark.parametrize("case", ["level1", "rr-chain-13", "spline"])
+def test_colouring_matches_mask_oracle(case, n, torus):
+    """The bitmask colouring gives the mask oracle's colours, column by column."""
+    colloc = _PeriodicCollocation(COLLOCATION_CASES[case][0](), torus, n)
+    rows, cols = colloc._pattern()
+    colour = solvers._colour_columns(rows, cols, n)
+    assert colour.dtype == int and np.array_equal(colour, _colour_columns_oracle(rows, cols, n))
 
 
 def test_grouped_jacobian_product_t4_group_count(torus):
