@@ -345,6 +345,10 @@ class _Compiled:
     contraction is an elementwise product and a sum in index order (no BLAS,
     no numpy reduction over slots), so a row's result does not depend on the
     batch it rides in.
+
+    stage(signs) is that kernel on one batch-last row block: field runs it
+    over blocks of at most `block` rows, and the solvers' RK4 sweeps, whose
+    state stays batch-last, call it once per stage.
     """
 
     def __init__(self, ham: "StructuredHamiltonian", dim: int):
@@ -503,10 +507,17 @@ class _Compiled:
     def field(self, z, t, signs=None):
         """grad H at z of shape (..., copies, dim); given a level's sign
         vector, the signed field eps_j * FIELD_SIGN * J grad_j H instead."""
+        return self.blockwise(z, t, self.stage(signs), (self.copies, self.dim), grad=True)
+
+    def stage(self, signs=None):
+        """The field kernel, frame(signs) bound: block(zc, weights) maps a
+        C-ordered copy array (copies, dim, rows) and its weights(t, True)
+        to the field there, (copies, dim, rows)."""
         direction, dcoeff, dexp = self.frame(signs)
+        nt, n = self.n_trig, self.n_slots
+        first, *rest = self.ranks
 
         def block(zc, weights):
-            nt, n = self.n_trig, self.n_slots
             w, scale = weights
             ph = self.phases(zc)
             if self.others:
@@ -520,13 +531,12 @@ class _Compiled:
                 g[nt:n] = _sum0(dcoeff * np.prod(zc[self.poly_copy][:, None] ** dexp, axis=3))
             g[:n] *= scale
             g[n] = 0.0
-            first, *rest = self.ranks
             out = g[first]
             for src in rest:
                 out += g[src]
             return out
 
-        return self.blockwise(z, t, block, (self.copies, self.dim), grad=True)
+        return block
 
     def frame(self, signs):
         """Trig direction table and polynomial derivative coefficients and

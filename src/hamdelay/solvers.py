@@ -5,13 +5,16 @@ The chord boundary value problem (start on the matched start diagonal, end
 on the level diagonal) is solved by damped Newton on a shooting residual;
 the residual dimension equals the diagonal parameter dimension, so the
 finite-difference Jacobians stay small.  Batched initial conditions share
-one fixed-step RK4 sweep, which keeps multistart scans cheap: all seeds ride
-each Newton sweep, a seed that takes the full step costs one sweep per
-iteration (its trial point and the probes of its next Jacobian ride
-together), and damping step lengths are tried several to a sweep.  A
-converged seed's path is the trajectory that the sweep accepting its final
-iterate kept; only seeds whose final step came from a damping rung get
-their paths from one more batched sweep.
+one fixed-step RK4 sweep, which keeps multistart scans cheap.  A sweep keeps
+its state batch-last, (copies, dim, rows), from its first step to its last,
+one row block at a time, and each RK4 stage is one call of the compiled
+field kernel (_stage); rows are independent, so it gives bitwise the values
+of one vector_field call per stage.  All seeds ride each Newton sweep, a
+seed that takes the full step costs one sweep per iteration (its trial point
+and the probes of its next Jacobian ride together), and damping step lengths
+are tried several to a sweep.  A converged seed's path is the trajectory
+that the sweep accepting its final iterate kept; only seeds whose final step
+came from a damping rung get their paths from one more batched sweep.
 
 A narrow level-1 scan pays for every RK4 step in per-call overhead, not in
 rows, so it is solved by multiple shooting in M time slices
@@ -21,8 +24,9 @@ block-bidiagonal Newton system condenses to one P x P matrix per seed.
 The slice starts begin as the states of one coarse RK4 sweep of M steps
 from the seeds, and no unsliced sweep runs.  _slice_count picks M per
 solve from the step count and the sweep width with a cost model fitted to
-the measured cost of an RK4 stage against its rows; wide scans, short
-grids and higher levels keep M = 1, the single-shooting path above.  A
+the measured cost of an RK4 stage against its rows (one vector_field call
+per stage; kept as fitted since); wide scans, short grids and higher
+levels keep M = 1, the single-shooting path above.  A
 sliced chord's path is the slice trajectories of the sweep that accepted
 its final iterate, laid end to end (or the integrate path after a damping
 rung), and its residual norm is the max of that path's end mismatch and
@@ -38,7 +42,6 @@ scipy.sparse.linalg.splu factors the result.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass, field
@@ -48,7 +51,7 @@ import numpy as np
 
 from .geometry import LevelStructure, build_level, embed_diagonal_params
 from .transforms import DiscreteCurve, TransformChain, phi_chain
-from .hamiltonians import vector_field
+from .hamiltonians import vector_field  # noqa: F401 (perfbench/tracing.py patches it here)
 from .delaygen import DelayEquationDescriptor, read_times, rhs_eval
 
 
@@ -153,34 +156,58 @@ class OrbitSet:
 # integration
 
 
-def _rk4(field, z0: np.ndarray, n_steps: int, path: np.ndarray | None = None, start=0, steps=None) -> np.ndarray:
-    """Classical RK4 over [0, 1] in n_steps steps; returns the end point.
-    Given a buffer of shape (n_steps + 1, k, *z0.shape[1:]), it also keeps
-    the trajectory of the first k rows there, one copy per step.  Given
-    per-row start steps (an integer array over the rows of z0) and a step
-    count, row b takes the steps start[b] ... start[b] + steps - 1 of that
-    grid instead, at the same times a whole sweep gives them: field then
-    gets the pair (times, rows), row b at times[rows[b]]."""
+def _stage(ham, level: LevelStructure):
+    """The RK4 stage of the signed field of ham on level: its compiled
+    program and that program's field kernel for the level's signs."""
+    if ham.level != level.level:
+        raise ValueError("Hamiltonian level does not match the level structure")
+    prog = ham._program(level.space.dim)
+    return prog, prog.stage(level.sign_vector)
+
+
+def _rk4(stage, z0: np.ndarray, n_steps: int, path: np.ndarray | None = None, start=0, steps=None) -> np.ndarray:
+    """Classical RK4 over [0, 1] in n_steps steps of the field of a _stage;
+    returns the end point.  Given a buffer of shape (n_steps + 1, k,
+    *z0.shape[1:]), it also keeps the trajectory of the first k rows there,
+    one copy per step.  Given per-row start steps (an integer array over the
+    rows of z0) and a step count, row b takes the steps start[b] ...
+    start[b] + steps - 1 of that grid instead, at the same times a whole
+    sweep gives them: the weights then come from the pair (times, rows),
+    row b at times[rows[b]].  Blocks of at most prog.block rows are swept
+    one after another, each batch-last, (copies, dim, rows), from its first
+    step to its last, so a stage is one kernel call; rows are independent,
+    so every row ends bitwise where vector_field calls on the whole batch
+    take it."""
+    prog, kernel = stage
     h = 1.0 / n_steps
-    z = np.array(z0, dtype=float)
-    if path is not None:
-        keep = path.shape[1]
-        path[0] = z[:keep]
+    z0 = np.asarray(z0, dtype=float)
+    batch = z0.reshape(-1, *z0.shape[-2:])
+    out = np.empty_like(batch)
+    keep = 0 if path is None else path.shape[1]
     first, rows = np.unique(start, return_inverse=True) if np.ndim(start) else (start, None)
 
-    def at(t):
-        return t if rows is None else (t, rows)
+    def weights(t, part):
+        return prog.weights(t if part is None else (t, part), True)
 
-    for i in range(n_steps if steps is None else steps):
-        t = (first + i) * h
-        k1 = field(z, at(t))
-        k2 = field(z + 0.5 * h * k1, at(t + 0.5 * h))
-        k3 = field(z + 0.5 * h * k2, at(t + 0.5 * h))
-        k4 = field(z + h * k3, at(t + h))
-        z = z + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        if path is not None:
-            path[i + 1] = z[:keep]
-    return z
+    for lo in range(0, len(batch), prog.block):
+        hi = min(lo + prog.block, len(batch))
+        part = None if rows is None else rows[lo:hi]
+        kept = max(0, min(hi, keep) - lo)  # rows of this block the path keeps
+        z = np.ascontiguousarray(batch[lo:hi].transpose(1, 2, 0))
+        if kept:
+            path[0, lo : lo + kept] = batch[lo : lo + kept]
+        for i in range(n_steps if steps is None else steps):
+            t = (first + i) * h
+            k1 = kernel(z, weights(t, part))
+            w_mid = weights(t + 0.5 * h, part)
+            k2 = kernel(z + 0.5 * h * k1, w_mid)
+            k3 = kernel(z + 0.5 * h * k2, w_mid)
+            k4 = kernel(z + h * k3, weights(t + h, part))
+            z = z + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+            if kept:
+                path[i + 1, lo : lo + kept] = z[..., :kept].transpose(2, 0, 1)
+        out[lo:hi] = z.transpose(2, 0, 1)
+    return out.reshape(z0.shape)
 
 
 def integrate(ham, level: LevelStructure, z0, cfg: IntegratorConfig = IntegratorConfig()):
@@ -192,7 +219,7 @@ def integrate(ham, level: LevelStructure, z0, cfg: IntegratorConfig = Integrator
     z0 = np.asarray(z0, dtype=float)
     batch = z0.reshape(-1, *z0.shape[-2:])
     traj = np.empty((cfg.n_steps + 1,) + batch.shape)
-    _rk4(lambda z, t: vector_field(ham, level, z, t), batch, cfg.n_steps, traj)
+    _rk4(_stage(ham, level), batch, cfg.n_steps, traj)
     curves = _curves(level, traj)
     return curves[0] if z0.ndim == 2 else curves
 
@@ -239,7 +266,7 @@ def shoot_residual(ham, level: LevelStructure, params, cfg: IntegratorConfig = I
     """
     params = np.asarray(params, dtype=float)
     z0 = embed_diagonal_params(level, 0, params)
-    return _end_residual(level, _rk4(lambda z, t: vector_field(ham, level, z, t), z0, cfg.n_steps, path))
+    return _end_residual(level, _rk4(_stage(ham, level), z0, cfg.n_steps, path))
 
 
 def _end_residual(level: LevelStructure, zT: np.ndarray) -> np.ndarray:
@@ -344,6 +371,7 @@ class _SlicedShooting:
         self.pairs = (2 ** (level.level - 1), level.space.dim)
         self.state = (level.copies, level.space.dim)
         self.p, self.d = _flat_dim(level), level.copies * level.space.dim
+        self.stage = _stage(ham, level)
 
     def start(self, seeds: np.ndarray) -> np.ndarray:
         """Unknown rows at the seed rows (B, P).  The slice starts are the
@@ -357,16 +385,13 @@ class _SlicedShooting:
         b = len(seeds)
         z0 = embed_diagonal_params(self.level, 0, seeds.reshape(b, *self.pairs))
         traj = np.empty((self.m + 1,) + z0.shape)
-        _rk4(self._field, z0, self.m, traj)
+        _rk4(self.stage, z0, self.m, traj)
         return np.concatenate([seeds, np.moveaxis(traj[1:-1], 0, 1).reshape(b, -1)], axis=1)
-
-    def _field(self, z, t):
-        return vector_field(self.ham, self.level, z, t)
 
     def _ends(self, starts: np.ndarray, slices: np.ndarray, path=None) -> np.ndarray:
         """End states of slices[i] started at starts[i], from one RK4 sweep
         that keeps the trajectories of the first path.shape[1] rows in path."""
-        return _rk4(self._field, starts, self.integ.n_steps, path, slices * self.steps, self.steps)
+        return _rk4(self.stage, starts, self.integ.n_steps, path, slices * self.steps, self.steps)
 
     def _starts(self, x: np.ndarray) -> np.ndarray:
         """Start states (B, M, copies, dim) of every slice of the rows of x."""
@@ -601,7 +626,10 @@ def _solve_stack(jac: np.ndarray, rhs: np.ndarray):
 # Only level 1 is sliced: from 12 random one-seed starts at 1024 steps,
 # sliced Newton (M = 32) reached a chord from 2 on sum-n2 and single
 # shooting from 9, while on product-T4, torus-morse-n1 and
-# plane-oscillator both reached one from every start.
+# plane-oscillator both reached one from every start.  The stage costs
+# were measured with one vector_field call per stage, before the batch-last
+# sweeps of _rk4.  They are not refitted: a new M moves the chord that some
+# one-seed solves reach, not only their cost.
 STAGE_US = 32.0
 SLICED_STAGE_US = 42.0
 ROW_US = 0.2
@@ -706,14 +734,17 @@ def solve_chord(
     newton: NewtonConfig = NewtonConfig(),
     integ: IntegratorConfig = IntegratorConfig(),
 ):
-    """Damped Newton on the shooting residual from one seed, the one-seed
-    case of enumerate_chords; returns Chord or SolveFailure.  One seed is
-    the narrowest scan: at level 1 from 64 steps on, _slice_count cuts it
-    into time slices (multiple shooting).  The chord's path is then the
-    slice trajectories of the sweep that accepted its final iterate, laid
-    end to end, and its residual norm the max of the path's end mismatch
-    and its slice-boundary jumps (an integrate path, for a final step from
-    a damping rung, has no jumps)."""
+    """Damped Newton on the shooting residual from one seed; returns Chord
+    or SolveFailure.  It runs the one-seed case of the solve that
+    enumerate_chords runs, but one seed is the narrowest scan: at level 1
+    from 64 steps on, _slice_count cuts it into time slices (multiple
+    shooting), where a grid scan stays unsliced.  Such a sliced solve can
+    reach another chord than the same seed in an unsliced scan: from 8
+    random product-T4 starts at 128 steps, 2 did.  The chord's path is then
+    the slice trajectories of the sweep that accepted its final iterate,
+    laid end to end, and its residual norm the max of the path's end
+    mismatch and its slice-boundary jumps (an integrate path, for a final
+    step from a damping rung, has no jumps)."""
     p = np.asarray(seed_params, dtype=float).reshape(-1)
     if p.size != _flat_dim(level):
         raise ValueError(f"seed must have {_flat_dim(level)} parameters")
@@ -1036,8 +1067,10 @@ def flow_fixed_points(
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([m.ravel() for m in mesh], axis=-1)[:, None, :]  # (B, 1, dim)
 
+    stage = _stage(ham, level0)
+
     def displacement(z, path=None):
-        zT = _rk4(lambda w, t: vector_field(ham, level0, w, t), z, integ.n_steps, path)
+        zT = _rk4(stage, z, integ.n_steps, path)
         return space.wrapped_difference(zT, z)
 
     disp = displacement(pts)
@@ -1095,23 +1128,25 @@ def _grid_local_minima(norms: np.ndarray) -> list[tuple]:
 
 def write_loop_csv(path, loop: DiscreteCurve) -> None:
     """Base-loop CSV: t,coord_index,value."""
-    ts = loop.times()
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t", "coord_index", "value"])
-        for k, t in enumerate(ts):
-            for i in range(loop.space.dim):
-                w.writerow([f"{t:.12g}", i, f"{loop.samples[k, 0, i]:.17g}"])
+    heads = [f"{i}," for i in range(loop.space.dim)]
+    _write_csv(path, "t,coord_index,value", heads, loop.times(), loop.samples[:, 0])
 
 
 def write_chord_csv(path, chord: Chord) -> None:
     """Chord CSV: t,copy,coord_index,value (copies 1-based)."""
     curve = chord.path
-    ts = curve.times()
+    heads = [f"{j},{i}," for j in range(1, curve.copies + 1) for i in range(curve.space.dim)]
+    _write_csv(path, "t,copy,coord_index,value", heads, curve.times(), curve.samples)
+
+
+def _write_csv(path, header: str, heads: list, times: np.ndarray, samples: np.ndarray) -> None:
+    """The header, then for each time t and sample row the lines t,head,value
+    over heads and the row's values in C order: t to 12 significant digits,
+    values to 17.  Lines end in CR LF, the csv module's terminator; no field
+    needs quotes.  The file is written in one call."""
+    lines = [header + "\r\n"]
+    for t, row in zip(times.tolist(), samples.reshape(len(samples), -1).tolist()):
+        t = f"{t:.12g},"
+        lines += [f"{t}{head}{v:.17g}\r\n" for head, v in zip(heads, row)]
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t", "copy", "coord_index", "value"])
-        for k, t in enumerate(ts):
-            for j in range(curve.copies):
-                for i in range(curve.space.dim):
-                    w.writerow([f"{t:.12g}", j + 1, i, f"{curve.samples[k, j, i]:.17g}"])
+        fh.write("".join(lines))

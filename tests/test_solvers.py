@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -113,6 +114,73 @@ def test_rk4_convergence_order(torus, rng):
     e1 = np.max(np.abs(ends[0] - ends[2]))
     e2 = np.max(np.abs(ends[1] - ends[2]))
     assert e2 < e1 / 10
+
+
+def _rk4_oracle(ham, level, z0, n_steps, path=None, start=0, steps=None):
+    """The stage-per-call RK4 sweep: one vector_field call per stage over
+    the whole batch, the state rows-first, (rows, copies, dim)."""
+    h = 1.0 / n_steps
+    z = np.array(z0, dtype=float)
+    if path is not None:
+        keep = path.shape[1]
+        path[0] = z[:keep]
+    first, rows = np.unique(start, return_inverse=True) if np.ndim(start) else (start, None)
+
+    def field(z, t):
+        return solvers.vector_field(ham, level, z, t if rows is None else (t, rows))
+
+    for i in range(n_steps if steps is None else steps):
+        t = (first + i) * h
+        k1 = field(z, t)
+        k2 = field(z + 0.5 * h * k1, t + 0.5 * h)
+        k3 = field(z + 0.5 * h * k2, t + 0.5 * h)
+        k4 = field(z + h * k3, t + h)
+        z = z + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        if path is not None:
+            path[i + 1] = z[:keep]
+    return z
+
+
+def _assert_rk4_matches_oracle(ham, lev, z0, n_steps, keep, start=0, steps=None):
+    """End states and the kept paths of _rk4 and _rk4_oracle agree bitwise."""
+    length = (n_steps if steps is None else steps) + 1
+    paths = [np.full((length, keep) + z0.shape[1:], np.nan) for _ in range(2)]
+    got = solvers._rk4(solvers._stage(ham, lev), z0, n_steps, paths[0], start, steps)
+    want = _rk4_oracle(ham, lev, z0, n_steps, paths[1], start, steps)
+    assert got.tobytes() == want.tobytes()
+    assert paths[0].tobytes() == paths[1].tobytes()
+
+
+PRESETS = sorted(f.name[: -len(".json")] for f in resources.files("hamdelay.presets").iterdir() if f.name.endswith(".json"))
+
+
+@pytest.mark.parametrize("name", PRESETS)
+def test_rk4_sweep_matches_stage_per_call_oracle(name, rng):
+    """The batch-last sweep gives bitwise the end states and kept paths of
+    one vector_field call per stage, for every packaged Hamiltonian: at
+    float times over the whole grid, and from per-row start steps (the
+    (times, rows) form of a sliced sweep), keeping fewer rows than it
+    sweeps, and for one row alone."""
+    ham, lev, _, _ = _preset_problem(name, 16, 1)
+    z0 = rng.random((7, lev.copies, lev.space.dim))
+    _assert_rk4_matches_oracle(ham, lev, z0, 16, 7)
+    _assert_rk4_matches_oracle(ham, lev, z0[:1], 16, 1)
+    _assert_rk4_matches_oracle(ham, lev, z0, 16, 3, rng.integers(0, 13, len(z0)), 4)
+
+
+@pytest.mark.parametrize("name", ["sum-n2", "product-T4"])
+def test_rk4_sweep_wider_than_a_block_matches_oracle(name, rng):
+    """A sweep of 2304 rows runs in three row blocks of the compiled
+    program, and its ends and kept paths, also from per-row start steps and
+    for a path that keeps rows of two blocks only, are bitwise the oracle's.
+    (The product-T4 field depends on the time, so a block that read
+    another block's start steps would show.)"""
+    ham, lev, _, _ = _preset_problem(name, 8, 1)
+    block = ham._program(lev.space.dim).block
+    assert 2 * block < 2304 < 3 * block
+    z0 = rng.random((2304, lev.copies, lev.space.dim))
+    _assert_rk4_matches_oracle(ham, lev, z0, 8, 2304)
+    _assert_rk4_matches_oracle(ham, lev, z0, 8, block + 5, rng.integers(0, 6, len(z0)), 2)
 
 
 def test_shoot_residual_zero_k(torus, rng):
@@ -484,7 +552,7 @@ def test_slice_starts_come_from_a_coarse_sweep(rng):
     assert x0.shape == (3, 2 + 15 * 4)
     coarse = np.empty((17, 3, lev.copies, lev.space.dim))
     z0 = embed_diagonal_params(lev, 0, seeds.reshape(3, 1, 2))
-    solvers._rk4(lambda z, t: solvers.vector_field(ham, lev, z, t), z0, 16, coarse)
+    solvers._rk4(solvers._stage(ham, lev), z0, 16, coarse)
     assert np.any((coarse < 0) | (coarse >= 1))
     assert np.array_equal(x0[:, :2], seeds)
     assert x0[:, 2:].tobytes() == np.moveaxis(coarse[1:16], 0, 1).reshape(3, -1).tobytes()
@@ -539,11 +607,11 @@ def test_sliced_solve_finds_the_unsliced_chord(name, seed, monkeypatch):
     assert isinstance(sliced, Chord) and isinstance(single, Chord)
     assert lev.space.distance(sliced.params, single.params) <= solvers.DEDUP_TOL
     samples, steps = sliced.path.samples, integ.n_steps // m
-    field = partial(solvers.vector_field, ham, lev)
+    stage = solvers._stage(ham, lev)
     jumps = []
     for k in range(m):
         traj = np.empty((steps + 1, 1, lev.copies, lev.space.dim))
-        end = solvers._rk4(field, samples[k * steps][None], integ.n_steps, traj, np.array([k * steps]), steps)
+        end = solvers._rk4(stage, samples[k * steps][None], integ.n_steps, traj, np.array([k * steps]), steps)
         if k < m - 1:
             assert np.array_equal(lev.space.normalize(traj[:-1, 0]), samples[k * steps : (k + 1) * steps])
             jumps.append(lev.space.wrapped_difference(end[0], samples[(k + 1) * steps]))
@@ -638,6 +706,17 @@ def test_slice_rule_keeps_scans_unsliced(plane):
     for steps in (128, 1024):
         for seeds in (1, 2):
             assert _slice_count(steps, seeds, build_level(plane, 1)) > 1
+
+
+@pytest.mark.parametrize(
+    "name,steps,slices",
+    [("product-T4", 128, 16), ("product-T4", 1024, 32), ("torus-morse-n1", 128, 16), ("plane-oscillator", 512, 32)],
+)
+def test_slice_rule_pins_one_seed_slice_counts(name, steps, slices):
+    """The slice counts of one-seed solves stay as fitted: a new M moves
+    the chord that some one-seed starts reach (see the cost model's note)."""
+    lev = _preset_problem(name, steps, 1)[1]
+    assert _slice_count(steps, 1, lev) == slices
 
 
 def test_sliced_scan_tallies_diverging_seeds(plane, monkeypatch):
@@ -1171,6 +1250,51 @@ def test_csv_writers(tmp_path, torus):
     lines = (tmp_path / "l.csv").read_text().splitlines()
     assert lines[0] == "t,coord_index,value"
     assert len(lines) == 1 + 5 * 2
+
+
+def _write_loop_csv_oracle(path, loop):
+    """write_loop_csv as one csv.writer row per value."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["t", "coord_index", "value"])
+        for k, t in enumerate(loop.times()):
+            for i in range(loop.space.dim):
+                w.writerow([f"{t:.12g}", i, f"{loop.samples[k, 0, i]:.17g}"])
+
+
+def _write_chord_csv_oracle(path, chord):
+    """write_chord_csv as one csv.writer row per value."""
+    curve = chord.path
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["t", "copy", "coord_index", "value"])
+        for k, t in enumerate(curve.times()):
+            for j in range(curve.copies):
+                for i in range(curve.space.dim):
+                    w.writerow([f"{t:.12g}", j + 1, i, f"{curve.samples[k, j, i]:.17g}"])
+
+
+@pytest.mark.parametrize("level", [0, 1, 2])
+def test_csv_writers_match_csv_module_oracle(level, tmp_path, plane, rng):
+    """Chord files at levels 1 and 2 and a loop file at level 0 are
+    byte-identical to the csv module's, with values that need all 17
+    digits, -0.0 and 1e-300, and times that need 12 digits or end in an
+    exact 1.0."""
+    samples = rng.random((8, 2**level, plane.dim)) - 0.5
+    samples.flat[:4] = [-0.0, 1e-300, 0.1 + 0.2, -1.0 / 3.0]
+    curve = DiscreteCurve(plane, level, samples, level == 0)
+    assert curve.times()[-1] == 1.0
+    if level == 0:
+        write_loop_csv(tmp_path / "got.csv", curve)
+        _write_loop_csv_oracle(tmp_path / "want.csv", curve)
+    else:
+        chord = Chord(samples[0, :1], curve, 0.0, 1.0)
+        write_chord_csv(tmp_path / "got.csv", chord)
+        _write_chord_csv_oracle(tmp_path / "want.csv", chord)
+    got = (tmp_path / "got.csv").read_bytes()
+    assert got == (tmp_path / "want.csv").read_bytes()
+    assert b",-0\r\n" in got and b",1e-300\r\n" in got
+    assert b",0.30000000000000004\r\n" in got and got.endswith(b"\r\n") and b"\n1," in got
 
 
 def test_orbitset_summary_json(torus):
