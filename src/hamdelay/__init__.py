@@ -40,7 +40,6 @@ from .hamiltonians import (
     StructuredHamiltonian,
     lift,
     vector_field,
-    fd_gradient_oracle,
 )
 from .delaygen import DelayEquationDescriptor, generate, rhs_eval, render
 from .action import (

@@ -9,17 +9,22 @@ with all intervals, time profiles, and delayed-time maps exact rationals
 for affine chains.  Delayed-time maps are stored unreduced with a mod-1
 flag; on affine chains their values already lie in [0, 1], which is the
 canonical representative renderers display.
+
+The sum over terms is rate_k(t) * FIELD_SIGN * J grad_k K(Z, theta_k(t))
+with Z_k = v(t) and Z_m = v(delta^k_m(t) mod 1), since delta^k_m depends on
+the copies alone.  So rhs_eval evaluates it through K's compiled program,
+the one evaluator of every Hamiltonian, and the descriptor keeps K for it.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
-from .hamiltonians import Factor, StructuredHamiltonian, hamiltonian_field
+from .hamiltonians import Factor, StructuredHamiltonian
 from .transforms import (
     AffineMap,
     DiscreteCurve,
@@ -89,6 +94,8 @@ class DelayEquationDescriptor:
     level: int
     chain: TransformChain
     segments: tuple[SegmentEquation, ...]
+    hamiltonian: StructuredHamiltonian = field(repr=False)
+    _plans: dict = field(default_factory=dict, init=False, repr=False)
 
     def breakpoints(self) -> tuple:
         return tuple(s.lo for s in self.segments[1:])
@@ -121,60 +128,74 @@ def generate(K: StructuredHamiltonian, chain: TransformChain) -> DelayEquationDe
             )
             terms.append(DelayTermSpec(p, c, by_copy[k], coeffs))
         segments.append(SegmentEquation(k, entry.lo, entry.hi, entry.theta, entry.sign, tuple(terms)))
-    return DelayEquationDescriptor(chain.level, chain, tuple(segments))
+    return DelayEquationDescriptor(chain.level, chain, tuple(segments), K)
 
 
 def read_times(d: DelayEquationDescriptor, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Times the right-hand side reads at each of ts: (reads, idx).
 
     idx is the segment owning each time (reduced mod 1), right limit at
-    breakpoints.  reads[:, 0] is ts mod 1, then one column per delay
-    coefficient of the owning segment in term order, each reduced mod 1;
-    rows of segments with fewer coefficients repeat ts.  rhs_eval and the
+    breakpoints.  reads has one column per copy: the owning copy k reads at
+    ts mod 1, a copy m that shares a term with k at delayed_time(chain, k,
+    m)(ts) mod 1, and every other copy repeats ts mod 1.  rhs_eval and the
     periodic solver's sparsity pattern both read through this rule.
     """
     ts = np.mod(ts, 1.0)
     los = np.array([float(s.lo) for s in d.segments])
     idx = np.clip(np.searchsorted(los, ts, side="right") - 1, 0, len(d.segments) - 1)
-    delays = [[c.delay for term in seg.terms for c in term.coefficients] for seg in d.segments]
-    reads = np.repeat(ts[:, None], 1 + max(map(len, delays)), axis=1)
-    for i, seg_delays in enumerate(delays):
+    reads = np.repeat(ts[:, None], 2**d.level, axis=1)
+    for i, seg in enumerate(d.segments):
         sel = np.flatnonzero(idx == i)
         if len(sel):  # a bisection inverse takes no empty array
-            for j, delay in enumerate(seg_delays, 1):
-                reads[sel, j] = np.mod(np.asarray(delay(ts[sel])), 1.0)
+            delays = {c.factor.copy: c.delay for term in seg.terms for c in term.coefficients}
+            for m, delay in delays.items():
+                reads[sel, m] = np.mod(np.asarray(delay(ts[sel])), 1.0)
     return reads, idx
+
+
+# Times arrays whose read plan one descriptor keeps: a periodic solve makes
+# its ~10 residual sweeps at one midpoint array, delay_residual reads at one
+# node array per grid.
+PLAN_CACHE_SIZE = 64
+
+
+def _plan(d: DelayEquationDescriptor, ts: np.ndarray) -> tuple:
+    """The time-only part of rhs_eval at ts, cached by the bytes of ts:
+    read_times' reads, the rows' owning copies, the pair (theta, rows) that
+    gives row b its chord time theta_k(ts[b]), and the rows' rates (N, 1)."""
+    key = ts.tobytes()
+    plan = d._plans.get(key)
+    if plan is None:
+        reads, idx = read_times(d, ts)
+        theta, rate = np.empty(len(ts)), np.empty(len(ts))
+        for i, seg in enumerate(d.segments):
+            sel = np.flatnonzero(idx == i)
+            if len(sel):
+                theta[sel] = seg.theta(reads[sel, seg.copy])
+                rate[sel] = seg.rate(reads[sel, seg.copy])
+        owner = np.array([seg.copy for seg in d.segments])[idx]
+        plan = (reads, owner, (theta, np.arange(len(ts))), rate[:, None])
+        if len(d._plans) < PLAN_CACHE_SIZE:
+            d._plans[key] = plan
+    return plan
 
 
 def rhs_eval(d: DelayEquationDescriptor, loop, t):
     """Right-hand side along a periodic loop at times t (scalar or array).
 
     loop is a level-0 DiscreteCurve or any object with .evaluate(times)
-    returning (len(times), 1, dim); every read of read_times goes through
-    one evaluate call.
+    returning (len(times), 1, dim).  A row's copies read the loop at
+    read_times, all through one evaluate call; one call of the compiled
+    field at the rows' chord times theta_k(t) gives each row its owning
+    copy's component, rate_k * FIELD_SIGN * J grad_k K.
     """
     interp = loop.interpolant() if isinstance(loop, DiscreteCurve) else loop
     scalar = np.ndim(t) == 0
-    reads, idx = read_times(d, np.atleast_1d(np.asarray(t, float)))
-    vals = interp.evaluate(reads.ravel())[:, 0, :].reshape(*reads.shape, -1)
-    v = vals[:, 0]
-    out = np.zeros(v.shape)
-    for i, seg in enumerate(d.segments):
-        mask = idx == i
-        if not np.any(mask):
-            continue
-        tt = reads[mask, 0]
-        theta = np.asarray(seg.theta(tt))
-        rate = np.asarray(seg.rate(tt))
-        v_now = v[mask]
-        delayed = iter(vals[mask, 1:].swapaxes(0, 1))  # one (len(tt), dim) read per coefficient, term order
-        acc = np.zeros((len(tt), out.shape[-1]))
-        for term in seg.terms:
-            pref = np.full(len(tt), term.coeff)
-            for coeff in term.coefficients:
-                pref = pref * coeff.factor.value(next(delayed), theta)
-            acc += pref[:, None] * hamiltonian_field(term.driver.grad(v_now, theta))
-        out[mask] = rate[:, None] * acc
+    reads, owner, theta, rate = _plan(d, np.atleast_1d(np.asarray(t, float)))
+    z = interp.evaluate(reads.ravel())[:, 0, :].reshape(*reads.shape, -1)
+    K = d.hamiltonian
+    X = K._program(z.shape[-1]).field(z, theta, (1,) * K.copies)
+    out = rate * X[theta[1], owner]
     return out[0] if scalar else out
 
 

@@ -10,7 +10,7 @@ copy indices.  All indices are 0-based in code; JSON uses 1-based pairs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -109,6 +109,22 @@ class LevelStructure:
             return self.matching1
         raise ValueError(f"no matching named {which!r}")
 
+    def pair_index(self, which) -> np.ndarray:
+        """The pairs on_diagonal compares, as a read-only (pairs, 2) index
+        array: matching 0 or 1, or for "tot" copy 0 against every other."""
+        key = "tot" if which in ("tot", "total") else which
+        index = self._pair_index.get(key)
+        if index is None:
+            pairs = [(0, j) for j in range(1, self.copies)] if key == "tot" else self.matching(which)
+            index = np.array(pairs, dtype=np.intp).reshape(-1, 2)
+            index.flags.writeable = False
+            self._pair_index[key] = index
+        return index
+
+    @cached_property
+    def _pair_index(self) -> dict:
+        return {}
+
     def to_json(self) -> dict:
         return {
             "level": self.level,
@@ -158,11 +174,9 @@ def on_diagonal(level: LevelStructure, which, p, tol: float = DIAG_TOL) -> bool:
     p = np.asarray(p, dtype=float)
     if p.shape != (level.copies, level.space.dim):
         raise ValueError(f"expected point of shape {(level.copies, level.space.dim)}")
-    if which in ("tot", "total"):
-        pairs = [(0, j) for j in range(1, level.copies)]
-    else:
-        pairs = list(level.matching(which))
-    return not any(level.space.distance(p[a], p[b]) > tol for a, b in pairs)
+    pairs = p[level.pair_index(which)]  # (pairs, 2, dim)
+    gaps = np.abs(level.space.wrapped_difference(pairs[:, 0], pairs[:, 1])).max(axis=1)
+    return not np.any(gaps > tol)
 
 
 def embed_diagonal_params(level: LevelStructure, which, params) -> np.ndarray:

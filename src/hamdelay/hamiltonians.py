@@ -38,16 +38,6 @@ class TrigSpatial:
     def __post_init__(self):
         object.__setattr__(self, "freq", tuple(int(f) for f in self.freq))
 
-    def value(self, z):
-        ph = TWO_PI * (np.asarray(z, float) @ np.asarray(self.freq, float)) + self.phase
-        return self.amp * np.cos(ph)
-
-    def grad(self, z):
-        z = np.asarray(z, float)
-        f = np.asarray(self.freq, float)
-        ph = TWO_PI * (z @ f) + self.phase
-        return (-self.amp * TWO_PI * np.sin(ph))[..., None] * f
-
     def to_json(self):
         return {"kind": "trig", "amp": self.amp, "freq": list(self.freq), "phase": self.phase}
 
@@ -63,25 +53,6 @@ class PolySpatial:
             self, "terms", tuple((float(c), tuple(int(e) for e in es)) for c, es in self.terms)
         )
 
-    def value(self, z):
-        z = np.asarray(z, float)
-        out = np.zeros(z.shape[:-1])
-        for c, es in self.terms:
-            out += c * np.prod(z ** np.asarray(es), axis=-1)
-        return out
-
-    def grad(self, z):
-        z = np.asarray(z, float)
-        out = np.zeros_like(z)
-        for c, es in self.terms:
-            for i, e in enumerate(es):
-                if e == 0:
-                    continue
-                des = list(es)
-                des[i] -= 1
-                out[..., i] += c * e * np.prod(z ** np.asarray(des), axis=-1)
-        return out
-
     def to_json(self):
         return {"kind": "poly", "terms": [[c, list(es)] for c, es in self.terms]}
 
@@ -89,12 +60,6 @@ class PolySpatial:
 @dataclass(frozen=True)
 class ConstSpatial:
     value_const: float = 1.0
-
-    def value(self, z):
-        return np.full(np.asarray(z, float).shape[:-1], self.value_const)
-
-    def grad(self, z):
-        return np.zeros_like(np.asarray(z, float))
 
     def to_json(self):
         return {"kind": "const", "value": self.value_const}
@@ -224,12 +189,6 @@ class Factor:
     spatial: object
     time: object = ConstTime()
 
-    def value(self, z_copy, t):
-        return self.spatial.value(z_copy) * np.asarray(self.time(t))
-
-    def grad(self, z_copy, t):
-        return self.spatial.grad(z_copy) * np.asarray(self.time(t))[..., None]
-
     def to_json(self):
         return {"copy": self.copy + 1, "space": self.spatial.to_json(), "time": self.time.to_json()}
 
@@ -297,7 +256,8 @@ class StructuredHamiltonian:
 # Scalar times, and arrays of slice times, whose time-profile values one
 # compiled Hamiltonian keeps.  An RK4 sweep of N steps visits the 2N + 1
 # stage times, a sliced sweep of S steps per slice 2S + 1 arrays, and every
-# Newton sweep of a chord scan visits the same ones.
+# Newton sweep of a chord scan visits the same ones; the delay right-hand
+# side keeps one array of chord times per times array it is read at.
 TIME_CACHE_SIZE = 2**14
 
 # Batches are evaluated in row blocks whose (slot, dim, row) arrays hold
@@ -412,20 +372,24 @@ class _Compiled:
 
     def weights(self, t, grad: bool = False):
         """Time-profile values per slot, the pad 1, as (S + 1, 1, 1) for a
-        float t, read through the cache, or (S + 1, 1, rows) for per-row t;
-        with grad, the pair of them and the gradient coefficients times them.
-        Per-row t is an array of times, on which every profile is called,
-        or a pair (times, rows) that gives row b the time times[rows[b]]:
-        each of those times is read through the float path, the tables of
-        one times array are cached by its bytes, and the rows gather from
-        them.  So a pair gives every row bitwise a float-t call's weights,
-        and a sweep whose rows share a few times (the slices of a
-        multiple-shooting sweep) makes no profile call per row."""
+        float t, or (S + 1, 1, rows) for per-row t; with grad, the pair of
+        them and the gradient coefficients times them.  Per-row t is an
+        array of times, or a pair (times, rows) that gives row b the time
+        times[rows[b]]: the rows gather from the table of one times array,
+        which is cached by its bytes, so a sweep whose rows share a few
+        times (the slices of a multiple-shooting sweep, the delay equation's
+        rows at its fixed times) makes no profile call per row.  A float t
+        is cached too.
+
+        Every profile is evaluated in one place, _table, on a 1-D times
+        array: a float t as a one-element array.  Profiles give an element
+        bitwise the same value in a one-element and in a longer array (not
+        always at a 0-d time), so a float t, a pair and per-row t give a
+        time bitwise the same weights."""
         if isinstance(t, float):
             entry = self.time_cache.get(t)
             if entry is None:
-                w = np.array([np.asarray(p(t), float) for p in self.profiles] + [1.0])[:, None, None]
-                entry = (w, self.grad_coeff * w[:-1])
+                entry = self._table(np.array([t]))
                 for a in entry:
                     a.flags.writeable = False
                 if len(self.time_cache) < TIME_CACHE_SIZE:
@@ -436,14 +400,19 @@ class _Compiled:
             key = times.tobytes()
             tables = self.time_cache.get(key)
             if tables is None:
-                entries = [self.weights(u, True) for u in times.tolist()]
-                tables = tuple(np.concatenate(parts, axis=2) for parts in zip(*entries))
+                tables = self._table(times)
                 if len(self.time_cache) < TIME_CACHE_SIZE:
                     self.time_cache[key] = tables
             gathered = tuple(np.take(a, rows, axis=2) for a in tables)
             return gathered if grad else gathered[0]
-        w = np.stack([p(t) for p in self.profiles] + [np.ones(t.shape)])[:, None]
-        return (w, self.grad_coeff * w[:-1]) if grad else w
+        entry = self._table(t)
+        return entry if grad else entry[0]
+
+    def _table(self, times: np.ndarray) -> tuple:
+        """Weights (S + 1, 1, len(times)) and gradient weights at a 1-D
+        times array, from one call per profile."""
+        w = np.stack([p(times) for p in self.profiles] + [np.ones(times.shape)])[:, None]
+        return w, self.grad_coeff * w[:-1]
 
     def blockwise(self, z, t, fn, tail: tuple, grad: bool = False) -> np.ndarray:
         """fn(zc, w) over row blocks of z (..., copies, dim): zc is a block
@@ -573,27 +542,12 @@ def _padded(lists, pad: int, min_width: int) -> np.ndarray:
     return out
 
 
-def apply_j(vec):
-    """Standard complex structure per copy: (g_x, g_y) -> (-g_y, g_x)."""
-    vec = np.asarray(vec, float)
-    d = vec.shape[-1] // 2
-    out = np.empty_like(vec)
-    out[..., :d] = -vec[..., d:]
-    out[..., d:] = vec[..., :d]
-    return out
-
-
 # Orientation of the Hamiltonian field relative to J grad H.  The displayed
 # systems are symbolic in X and match either choice; the action functional
 # (minus area minus perturbation) singles one out: its critical points must
 # be the Hamiltonian orbits, and the directional-derivative consistency test
 # selects -1 (the classical q' = dH/dp, p' = -dH/dq orientation).
 FIELD_SIGN = -1.0
-
-
-def hamiltonian_field(grad):
-    """X_H from a gradient: the configured orientation of J grad H."""
-    return FIELD_SIGN * apply_j(grad)
 
 
 def vector_field(ham, level: LevelStructure, z, t):
@@ -604,20 +558,6 @@ def vector_field(ham, level: LevelStructure, z, t):
         raise ValueError("Hamiltonian level does not match the level structure")
     z = np.asarray(z, float)
     return ham._program(z.shape[-1]).field(z, t, level.sign_vector)
-
-
-def fd_gradient_oracle(ham, level: LevelStructure, z, t, h: float = 1e-5):
-    """Signed field from central differences of ham.value; test oracle only."""
-    z = np.asarray(z, float)
-    g = np.zeros_like(z)
-    for j in range(z.shape[-2]):
-        for i in range(z.shape[-1]):
-            zp = z.copy()
-            zm = z.copy()
-            zp[..., j, i] += h
-            zm[..., j, i] -= h
-            g[..., j, i] = (ham.value(zp, t) - ham.value(zm, t)) / (2 * h)
-    return hamiltonian_field(g) * level.signs[:, None]
 
 
 # ---------------------------------------------------------------------------

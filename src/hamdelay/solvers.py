@@ -952,7 +952,7 @@ class _PeriodicCollocation:
     def _pattern(self):
         """(row block, node block) pairs the residual reads, unique, row-major."""
         n = self.n
-        node = _cell(read_times(self.d, self.mids)[0], n)[0]  # column 0 gives blocks k and k+1
+        node = _cell(read_times(self.d, self.mids)[0], n)[0]  # the owning copy's read gives blocks k and k+1
         key = np.unique(np.arange(n)[:, None] * n + np.hstack([node, (node + 1) % n]))
         return key // n, key % n
 

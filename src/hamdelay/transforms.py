@@ -12,7 +12,7 @@ reparametrizations fall back to monotone splines with bisection inverses.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
@@ -405,6 +405,7 @@ class SegmentTable:
     """Per-copy intervals, time maps, and rates; the single source of truth."""
 
     entries: tuple[SegmentEntry, ...]
+    _nodes: dict = field(default_factory=dict, init=False, repr=False)  # n -> nodes(n)
 
     def __getitem__(self, copy: int) -> SegmentEntry:
         return self.entries[copy]
@@ -415,14 +416,21 @@ class SegmentTable:
     def by_interval(self) -> list[SegmentEntry]:
         return sorted(self.entries, key=lambda e: float(e.lo))
 
+    @cached_property
+    def _breakpoints(self) -> tuple:
+        return tuple(sorted({e.lo for e in self.entries} | {e.hi for e in self.entries}, key=float))
+
     def breakpoints(self) -> list:
-        pts = sorted({e.lo for e in self.entries} | {e.hi for e in self.entries}, key=float)
-        return pts
+        return list(self._breakpoints)
 
     def nodes(self, n: int) -> list[int]:
         """Node index of every breakpoint, 0 and n included, on an n-interval
-        grid; ValueError if one misses it.  The one node-alignment rule."""
-        return _validate_grid(n, self.breakpoints())
+        grid; ValueError if one misses it.  The one node-alignment rule; a
+        grid that passes is kept, so a pullback per chord checks it once."""
+        nodes = self._nodes.get(n)
+        if nodes is None:
+            nodes = self._nodes[n] = tuple(_validate_grid(n, self._breakpoints))
+        return list(nodes)
 
     def to_json(self) -> dict:
         return {"segments": [e.to_json() for e in self.by_interval()]}

@@ -29,7 +29,6 @@ from hamdelay.hamiltonians import (
     StructuredHamiltonian,
     TrigSpatial,
     TrigTime,
-    fd_gradient_oracle,
     lift,
     vector_field,
 )
@@ -48,6 +47,7 @@ from hamdelay.solvers import (
     solve_periodic_delay,
 )
 from hamdelay.cli import _random_base_hamiltonian, _random_trig_loop
+from tests.oracles import fd_gradient_oracle
 from tests.test_transforms import trig_loop_fn
 
 TORUS = PhaseSpace(1, "torus")

@@ -1,6 +1,12 @@
+import json
+from fractions import Fraction as Fr
+from importlib import resources
+
 import numpy as np
 import pytest
-from fractions import Fraction as Fr
+
+from hamdelay import delaygen
+from hamdelay.cli import ExperimentConfig
 
 from hamdelay.geometry import PhaseSpace, build_level
 from hamdelay.transforms import AffineMap, DiscreteCurve, TransformChain
@@ -16,6 +22,7 @@ from hamdelay.hamiltonians import (
 from hamdelay.delaygen import generate, render, rhs_eval
 from hamdelay.solvers import IntegratorConfig, integrate, pullback_chord
 from hamdelay.solvers import Chord
+from tests.oracles import rhs_eval_oracle
 
 
 def trig_factor(copy, freq, phase=0.0, amp=0.2):
@@ -296,3 +303,79 @@ def test_symbolic_generation_scales_past_desk_size():
         for c in seg.terms[0].coefficients:
             assert abs(c.delay.slope) == 1
             assert (c.delay.intercept * 64).denominator == 1
+
+
+# ---------------------------------------------------------------------------
+# the compiled right-hand side against the per-factor definition
+
+
+def _assert_matches_rhs_oracle(d, loop, ts):
+    """rhs_eval matches rhs_eval_oracle to 1e-13 relative to the oracle's
+    largest entry (exactly where that is 0), at the array ts and at some of
+    its times as scalars."""
+    want = rhs_eval_oracle(d, loop, ts)
+    scale = np.max(np.abs(want))
+    got = rhs_eval(d, loop, ts)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-13 * scale
+    for t in ts[:: max(1, len(ts) // 7)]:
+        assert np.max(np.abs(rhs_eval(d, loop, float(t)) - rhs_eval_oracle(d, loop, float(t)))) <= 1e-13 * scale
+
+
+def _preset_descriptor_and_loop(name, rng):
+    data = json.loads(resources.files("hamdelay.presets").joinpath(f"{name}.json").read_text())
+    cfg = ExperimentConfig.from_dict(data)
+    d = generate(cfg.structured_hamiltonian(), cfg.chain)
+    n = cfg.aligned_nodes(64)
+    a, b = rng.random(cfg.space.dim), 0.2 * rng.standard_normal((2, cfg.space.dim))
+    loop = DiscreteCurve.from_function(
+        cfg.space, lambda t: a + b[0] * np.sin(2 * np.pi * t) + b[1] * np.cos(4 * np.pi * t), n,
+        breakpoints=d.breakpoints(),
+    )
+    return d, loop
+
+
+PRESETS = sorted(e.name[:-5] for e in resources.files("hamdelay.presets").iterdir() if e.name.endswith(".json"))
+
+
+@pytest.mark.parametrize("name", PRESETS)
+def test_rhs_matches_per_factor_oracle_on_presets(name):
+    rng = np.random.default_rng(11)
+    d, loop = _preset_descriptor_and_loop(name, rng)
+    _assert_matches_rhs_oracle(d, loop, np.sort(rng.random(97)))
+    _assert_matches_rhs_oracle(d, loop, (np.arange(512) + 0.5) / 512)
+
+
+def test_rhs_matches_per_factor_oracle_on_spline_chain(torus):
+    """The non-affine chain of the solver tests, with delayed reads through
+    bisection inverses, and a three-factor level-1-product term."""
+    from tests.test_solvers import _spline_chain, product_T4
+
+    chain = _spline_chain()
+    loop = DiscreteCurve.from_function(
+        torus, lambda t: np.hstack([0.3 + 0.1 * np.sin(2 * np.pi * t), 0.6 + 0.1 * np.cos(2 * np.pi * t)]), 64,
+        breakpoints=chain.table.breakpoints()[1:-1],
+    )
+    ts = np.linspace(0.0, 1.0, 41)[:-1]
+    _assert_matches_rhs_oracle(generate(product_T4(), chain), loop, ts)
+
+
+def test_rhs_plan_cache_is_per_times_array_and_bounded(monkeypatch):
+    """Repeated times give bitwise the same rows from one cached plan,
+    another times array gets its own plan, and the cache stops at its
+    bound while uncached times still evaluate correctly."""
+    monkeypatch.setattr(delaygen, "PLAN_CACHE_SIZE", 3)
+    rng = np.random.default_rng(4)
+    d, loop = _preset_descriptor_and_loop("product-T4", rng)
+    ts = (np.arange(64) + 0.5) / 64
+    first = rhs_eval(d, loop, ts)
+    assert np.array_equal(rhs_eval(d, loop, ts.copy()), first)
+    assert list(d._plans) == [ts.tobytes()]
+    other = ts[::-1].copy()
+    assert np.array_equal(rhs_eval(d, loop, other), first[::-1])
+    assert len(d._plans) == 2
+    for k in range(4):
+        shifted = ts + 0.001 * (k + 1)
+        _assert_matches_rhs_oracle(d, loop, shifted)
+    assert len(d._plans) == 3
+    assert np.array_equal(rhs_eval(d, loop, ts), first)

@@ -103,6 +103,27 @@ def test_on_diagonal_partial(torus):
     assert not on_diagonal(lv, "tot", p)
 
 
+@pytest.mark.parametrize("topology", ["torus", "plane"])
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+def test_on_diagonal_matches_per_pair_rule(n, topology):
+    """The one-gather test decides as the pair-by-pair distance rule does,
+    also on points holding NaN and inf, where a NaN gap fails no pair."""
+    space = PhaseSpace(1, topology)
+    lv = build_level(space, n)
+    rng = np.random.default_rng(n)
+
+    def per_pair(which, p, tol):
+        pairs = [(0, j) for j in range(1, lv.copies)] if which == "tot" else lv.matching(which)
+        return not any(space.distance(p[a], p[b]) > tol for a, b in pairs)
+
+    for _ in range(40):
+        p = np.tile(rng.random(2), (lv.copies, 1)) + rng.choice([0.0, 1e-10, 1e-7, 1.0], (lv.copies, 2))
+        p[rng.random(p.shape) < 0.05] = rng.choice([np.nan, np.inf])
+        for which in (0, 1, "tot") if n else ("tot",):
+            with np.errstate(invalid="ignore"):
+                assert on_diagonal(lv, which, p, tol=1e-9) == per_pair(which, p, 1e-9)
+
+
 @given(st.integers(1, 5), st.data())
 def test_both_diagonals_force_total(n, data):
     """Constraint propagation along the union cycle pins every copy."""

@@ -21,11 +21,11 @@ from hamdelay.hamiltonians import (
     TabulatedTime,
     TrigSpatial,
     TrigTime,
-    fd_gradient_oracle,
     lift,
     vector_field,
 )
 from hamdelay.transforms import copy_time_map, copy_time_map_printed, psi_chain
+from tests.oracles import factor_grad, factor_value, fd_gradient_oracle, hamiltonian_field, spatial_grad, spatial_value
 
 
 def morse_base(eps=0.05):
@@ -38,21 +38,30 @@ def morse_base(eps=0.05):
     )
 
 
+def _one_factor(spatial):
+    """Value and gradient of spatial at one point z, through the compiled
+    program of the level-0 Hamiltonian with that one factor."""
+    K = StructuredHamiltonian(0, ((1.0, (Factor(0, spatial),)),))
+    return (lambda z: K.value(z[None], 0.0)), (lambda z: K.gradient(z[None], 0.0)[0])
+
+
 def test_trig_spatial_value_and_grad():
     f = TrigSpatial(0.5, (1, -2), 0.3)
+    value, grad = _one_factor(f)
     z = np.array([0.2, 0.7])
     ph = 2 * np.pi * (0.2 - 1.4) + 0.3
-    assert np.isclose(f.value(z), 0.5 * np.cos(ph))
-    g = f.grad(z)
+    assert np.isclose(value(z), 0.5 * np.cos(ph))
+    g = grad(z)
     assert np.allclose(g, -0.5 * 2 * np.pi * np.sin(ph) * np.array([1, -2]))
 
 
 def test_poly_spatial_grad():
     # pi (x^2 + y^2)
     f = PolySpatial(((np.pi, (2, 0)), (np.pi, (0, 2))))
+    value, grad = _one_factor(f)
     z = np.array([1.5, -0.5])
-    assert np.isclose(f.value(z), np.pi * 2.5)
-    assert np.allclose(f.grad(z), 2 * np.pi * z)
+    assert np.isclose(value(z), np.pi * 2.5)
+    assert np.allclose(grad(z), 2 * np.pi * z)
 
 
 def test_time_profiles_periodic():
@@ -82,7 +91,7 @@ def test_eval_product_splits(rng):
     G = TrigSpatial(0.7, (0, 2), 0.9)
     K = StructuredHamiltonian(1, ((1.0, (Factor(0, F), Factor(1, G))),))
     z = rng.random((2, 2))
-    assert np.isclose(K.value(z, 0.1), F.value(z[0]) * G.value(z[1]))
+    assert np.isclose(K.value(z, 0.1), spatial_value(F, z[0]) * spatial_value(G, z[1]))
 
 
 def test_term_copy_uniqueness():
@@ -95,18 +104,16 @@ def test_term_copy_uniqueness():
 
 def test_vector_field_signs_level1(torus, rng):
     """Component 1 carries +X of the z1-slice, component 2 carries -X."""
-    from hamdelay.hamiltonians import hamiltonian_field
-
     lev = build_level(torus, 1)
     F = TrigSpatial(0.7, (2, 1), 0.3)
     z = rng.random((2, 2))
     K1 = StructuredHamiltonian(1, ((1.0, (Factor(0, F),)),))
     X = vector_field(K1, lev, z, 0.0)
-    assert np.allclose(X[0], hamiltonian_field(F.grad(z[0])))
+    assert np.allclose(X[0], hamiltonian_field(spatial_grad(F, z[0])))
     assert np.allclose(X[1], 0.0)
     K2 = StructuredHamiltonian(1, ((1.0, (Factor(1, F),)),))
     X2 = vector_field(K2, lev, z, 0.0)
-    assert np.allclose(X2[1], -hamiltonian_field(F.grad(z[1])))
+    assert np.allclose(X2[1], -hamiltonian_field(spatial_grad(F, z[1])))
     assert np.allclose(X2[0], 0.0)
 
 
@@ -119,18 +126,16 @@ def test_vector_field_constant_k(torus, rng):
 
 def test_vector_field_product_expansion(torus, rng):
     """Four signed components of a full product match the hand expansion."""
-    from hamdelay.hamiltonians import hamiltonian_field
-
     lev = build_level(torus, 2)
     Fs = [TrigSpatial(0.5, (1, 0), 0.2 * j) for j in range(4)]
     K = StructuredHamiltonian(2, ((1.0, tuple(Factor(j, Fs[j]) for j in range(4))),))
     z = rng.random((4, 2))
     X = vector_field(K, lev, z, 0.0)
-    vals = [Fs[j].value(z[j]) for j in range(4)]
+    vals = [spatial_value(Fs[j], z[j]) for j in range(4)]
     signs = (1, -1, -1, 1)
     for j in range(4):
         others = np.prod([vals[m] for m in range(4) if m != j])
-        assert np.allclose(X[j], signs[j] * others * hamiltonian_field(Fs[j].grad(z[j])))
+        assert np.allclose(X[j], signs[j] * others * hamiltonian_field(spatial_grad(Fs[j], z[j])))
 
 
 def test_fd_oracle_matches_analytic(torus, rng):
@@ -295,17 +300,17 @@ def test_lift_time_profile():
 
 
 def _oracle(K, z, t):
-    """Value and gradient of K by the product rule over Factor.value and
-    Factor.grad, term by term."""
+    """Value and gradient of K by the product rule over factor_value and
+    factor_grad, term by term."""
     lead = np.broadcast_shapes(z.shape[:-2], np.shape(t))
     value = np.zeros(lead)
     grad = np.zeros(lead + z.shape[-2:])
     for c, factors in K.terms:
-        vals = [f.value(z[..., f.copy, :], t) for f in factors]
+        vals = [factor_value(f, z[..., f.copy, :], t) for f in factors]
         value = value + c * np.prod(vals, axis=0)
         for i, f in enumerate(factors):
             others = c * np.prod([v for j, v in enumerate(vals) if j != i], axis=0)
-            grad[..., f.copy, :] += np.asarray(others)[..., None] * f.grad(z[..., f.copy, :], t)
+            grad[..., f.copy, :] += np.asarray(others)[..., None] * factor_grad(f, z[..., f.copy, :], t)
     return value, grad
 
 
@@ -354,7 +359,7 @@ def _hamiltonians(draw):
 )
 def test_compiled_matches_product_rule_oracle(K, lead, t_kind, seed):
     """value and gradient of the compiled form match the product rule over
-    Factor.value / Factor.grad for trig, poly and const factors, every kind
+    factor_value / factor_grad for trig, poly and const factors, every kind
     of time profile, 0-3 factors per term, any leading shape and t form."""
     rng = np.random.default_rng(seed)
     z = rng.uniform(-1.0, 1.0, lead + (K.copies, 2))
@@ -511,8 +516,8 @@ class _ScatterOracle:
         self.block = max(1, hamiltonians.BLOCK_ELEMENTS // ((n + 1) * dim))
 
     def weights(self, t):
-        if isinstance(t, float):
-            return np.array([np.asarray(p(t), float) for p in self.profiles] + [1.0])[:, None]
+        if isinstance(t, float):  # the one profile rule: a float t as a one-element array
+            return np.array([p(np.array([t]))[0] for p in self.profiles] + [1.0])[:, None]
         return np.stack([p(t) for p in self.profiles] + [np.ones(t.shape)])
 
     def spatial(self, zf, value):
@@ -636,3 +641,35 @@ def test_field_matches_scatter_oracle(K, lead, per_row, seed):
     z = rng.uniform(-1.0, 1.0, lead + (K.copies, 2))
     t = rng.random(lead) if per_row else float(rng.random())
     _assert_matches_scatter(K, lev, z, t)
+
+
+@pytest.mark.parametrize("n_steps", [9, 128, 1000])
+def test_float_pair_and_per_row_weights_are_bitwise_equal(n_steps):
+    """At every stage time of an RK4 sweep, a float t, the pair (times,
+    rows) and per-row t give bitwise the same weights and gradient weights,
+    for every kind of time profile: constant, trig, bump, tabulated, and
+    lifted over an affine and over non-affine time maps."""
+    from tests.test_solvers import _spline_chain
+
+    spline = _spline_chain().table
+    profiles = [
+        ConstTime(1.3),
+        TrigTime(0.4, 2, 0.3, 0.5),
+        BumpTime(0.4, 0.3, 1.2),
+        BumpTime(0.3, 0.2),
+        TabulatedTime((0.1, 0.5, 0.9, 0.4)),
+        LiftTime(TrigTime(0.3, 1, 0.2, 1.0), AffineMap(Fr(-1, 4), 1)),
+        LiftTime(BumpTime(0.6, 0.3), copy_time_map(_spline_chain(), 1)),
+        LiftTime(TrigTime(0.3, 1, 0.2, 1.0), spline[0].theta),
+    ]
+    F = TrigSpatial(0.5, (1, 0))
+    prog = StructuredHamiltonian(0, tuple((1.0, (Factor(0, F, p),)) for p in profiles))._program(2)
+    h = 1.0 / n_steps
+    stages = {u for i in range(n_steps) for u in (i * h, i * h + 0.5 * h, i * h + h)}
+    # BumpTime(0.4, 0.3, 1.2) at a 0-d time rounds this one differently
+    times = np.array(sorted(stages | {0.45710433692881935}))
+    pair = prog.weights((times, np.arange(len(times))), True)
+    per_row = prog.weights(times, True)
+    for b, u in enumerate(times.tolist()):
+        for got_float, got_pair, got_row in zip(prog.weights(u, True), pair, per_row):
+            assert got_float[..., 0].tobytes() == got_pair[..., b].tobytes() == got_row[..., b].tobytes()

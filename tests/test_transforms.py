@@ -332,6 +332,17 @@ def test_segment_table_nodes():
         table.nodes(6)
 
 
+def test_segment_table_caches_return_fresh_lists():
+    """Breakpoints and nodes are computed once per table (and grid), and
+    a caller that edits a returned list changes nothing kept."""
+    table = TransformChain.affine([Fr(1, 3), Fr(1, 2)]).table
+    bps, nodes = table.breakpoints(), table.nodes(36)
+    bps.pop(), nodes.pop()
+    assert table.breakpoints() == sorted({e.lo for e in table.entries} | {e.hi for e in table.entries}, key=float)
+    assert table.nodes(36) == [int(b * 36) for b in table.breakpoints()]
+    assert len(table.nodes(36)) == len(table.breakpoints()) == 5
+
+
 def test_psi_step_rejects_open_curve(torus):
     samples = np.linspace(0, 0.4, 17)[:, None, None] * np.ones((1, 1, 2))
     v = DiscreteCurve(torus, 0, samples, True)
