@@ -64,14 +64,11 @@ def action_loop(ham, loop: DiscreteCurve) -> float:
 
 
 def chord_lifts(path: DiscreteCurve, level: LevelStructure):
-    """Per-copy planar lifts glued along the matching cycle.
-
-    The two matchings form one alternating cycle through every copy
-    (build_level guarantees it).  Walking it from copy 0, each partner's
-    lift is shifted by the integer that glues the matched boundary values,
-    at sample 0 for matching0 and at sample -1 for matching1.  A non-integer
-    gap, or a walk that does not close with zero shift, raises
-    NonContractibleError (the pulled-back loop would wind).
+    """Per-copy planar lifts glued along the matching cycle: walking it
+    from copy 0, each partner's lift is shifted by the integer that glues
+    the matched boundary values, at sample 0 for matching0 and at sample -1
+    for matching1.  A non-integer gap, or a walk that does not close with
+    zero shift, raises NonContractibleError (the loop would wind).
     """
     lifted = path.space.unwrap(path.samples)
     if path.space.topology != "torus" or level.level == 0:

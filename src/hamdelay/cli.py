@@ -2,7 +2,8 @@
 
 Configs are JSON (see presets/); stdout carries the report, stderr the
 diagnostics.  Exit codes: 0 success, 1 a finding (bound violation, residual
-over tolerance, no chord to verify, table mismatch), 2 config errors.
+over tolerance, no chord to verify, table mismatch), 2 config errors,
+including step and node counts above geometry.MAX_NODES.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .geometry import MAX_LEVEL, PhaseSpace, build_level
+from .geometry import MAX_LEVEL, MAX_NODES, PhaseSpace, build_level
 from .transforms import (
     DiscreteCurve,
     TransformChain,
@@ -60,13 +61,15 @@ def _config_errors():
         raise ConfigError(str(exc)) from exc
 
 
-def _integer(value, name: str, minimum: int | None = None) -> int:
+def _integer(value, name: str, minimum: int | None = None, maximum: int | None = None) -> int:
     """value as an int; integral floats pass, fractions, bools and strings do not."""
     integral = isinstance(value, int) or isinstance(value, float) and value.is_integer()
     if isinstance(value, bool) or not integral:
         raise ConfigError(f"{name} must be an integer, got {value!r}")
     if minimum is not None and value < minimum:
         raise ConfigError(f"{name} must be >= {minimum}, got {value!r}")
+    if maximum is not None and value > maximum:
+        raise ConfigError(f"{name} must be <= {maximum}, got {value!r}")
     return int(value)
 
 
@@ -78,16 +81,16 @@ def _action_settings(data: dict) -> dict:
     """The action section with its integer fields as ints; rejects values
     that would crash the sweep or leave no convergence order to measure."""
     out = dict(data)
-    for key, distinct in (("levels", 1), ("sweep", 2)):
+    for key, distinct, maximum in (("levels", 1, MAX_LEVEL), ("sweep", 2, MAX_NODES)):
         if key in out:
             if not isinstance(out[key], list):
                 raise ConfigError(f"action.{key} must be a list, got {out[key]!r}")
-            out[key] = [_integer(n, f"action.{key} entry", 1) for n in out[key]]
+            out[key] = [_integer(n, f"action.{key} entry", 1, maximum) for n in out[key]]
             if len(set(out[key])) < distinct:
                 raise ConfigError(f"action.{key} needs at least {distinct} distinct values, got {out[key]!r}")
-    for key in ("loops", "roundtrip_nodes"):
+    for key, maximum in (("loops", None), ("roundtrip_nodes", MAX_NODES)):
         if key in out:
-            out[key] = _integer(out[key], f"action.{key}", 1)
+            out[key] = _integer(out[key], f"action.{key}", 1, maximum)
     amp = out.get("amp", 0.25)
     if not _is_finite_number(amp):
         raise ConfigError(f"action.amp must be a finite number, got {amp!r}")
@@ -105,7 +108,7 @@ def _tolerance_settings(data) -> dict:
         if key in out and not (_is_finite_number(out[key]) and out[key] > 0):
             raise ConfigError(f"tolerances.{key} must be a finite number > 0, got {out[key]!r}")
     if "verify_nodes" in out:
-        out["verify_nodes"] = _integer(out["verify_nodes"], "tolerances.verify_nodes", 1)
+        out["verify_nodes"] = _integer(out["verify_nodes"], "tolerances.verify_nodes", 1, MAX_NODES)
     return out
 
 
@@ -134,7 +137,8 @@ class ExperimentConfig:
         with _config_errors():
             space = PhaseSpace(**data.get("space", {"half_dim": 1, "topology": "torus"}))
             chain = TransformChain.from_json(data.get("chain", {"steps": []}))
-            integ = IntegratorConfig(_integer(data.get("integrator", {}).get("steps", 2**10), "integrator.steps"))
+            steps = _integer(data.get("integrator", {}).get("steps", 2**10), "integrator.steps", maximum=MAX_NODES)
+            integ = IntegratorConfig(steps)
             newton = NewtonConfig(**data.get("newton", {}))
             grid_data = data.get("grid", {})
             grid = GridSpec(
@@ -179,8 +183,12 @@ class ExperimentConfig:
 
     def aligned_nodes(self, n: int) -> int:
         """Smallest node count >= n that puts every breakpoint of an affine
-        chain on a node; n itself for other chains."""
-        return aligned_steps(n, self.chain.grid_denominator()) if self.chain.is_affine else n
+        chain on a node; n itself for other chains.  A chain whose breakpoint
+        denominators lift the count above MAX_NODES is a config error."""
+        nodes = aligned_steps(n, self.chain.grid_denominator()) if self.chain.is_affine else n
+        if nodes > MAX_NODES:
+            raise ConfigError(f"the chain's breakpoints need {nodes} grid nodes, more than {MAX_NODES}")
+        return nodes
 
     def check_seed_bounds(self) -> None:
         """Plane chord scans seed a grid between grid.bounds: one [lo, hi]
@@ -229,7 +237,7 @@ def _load_config(args) -> ExperimentConfig:
         cfg.seed = _integer(args.seed, "--seed", 0)
     with _config_errors():
         if args.steps is not None:
-            cfg.integrator = IntegratorConfig(_parse_steps(args.steps))
+            cfg.integrator = IntegratorConfig(_integer(_parse_steps(args.steps), "--steps", maximum=MAX_NODES))
         if args.grid is not None:
             cfg.grid = GridSpec(args.grid, cfg.grid.bounds)
     return cfg
@@ -309,11 +317,11 @@ def cmd_verify(args) -> int:
         stencil_segments(descriptor, steps)  # pulled-back loops share the chord grid
     except ValueError as exc:
         raise ConfigError(f"{steps} integrator steps: {exc}") from exc
+    n_verify = cfg.aligned_nodes(cfg.tolerances.get("verify_nodes", 512))
     out = _outdir(args)
     orbits = enumerate_chords(ham, level, cfg.grid, cfg.newton, IntegratorConfig(steps))
     tol_res = float(cfg.tolerances.get("delay_residual", 1e-4))
     tol_dist = float(cfg.tolerances.get("route_distance", 1e-4))
-    n_verify = cfg.aligned_nodes(cfg.tolerances.get("verify_nodes", 512))
     print(f"verifying {orbits.count()} chords (delay residual tol {tol_res:g}, route tol {tol_dist:g})")
     worst_res, worst_dist = 0.0, 0.0
     rows = []
@@ -369,18 +377,9 @@ def _random_base_hamiltonian(space: PhaseSpace, rng, amp: float) -> StructuredHa
     terms = []
     for _ in range(2):
         freq = tuple(int(x) for x in rng.integers(-2, 3, size=space.dim))
-        terms.append(
-            (
-                1.0,
-                (
-                    Factor(
-                        0,
-                        TrigSpatial(amp * (0.5 + rng.random()), freq, float(2 * np.pi * rng.random())),
-                        TrigTime(0.5 * rng.random(), int(rng.integers(1, 3)), float(2 * np.pi * rng.random()), 1.0),
-                    ),
-                ),
-            )
-        )
+        spatial = TrigSpatial(amp * (0.5 + rng.random()), freq, float(2 * np.pi * rng.random()))
+        time = TrigTime(0.5 * rng.random(), int(rng.integers(1, 3)), float(2 * np.pi * rng.random()), 1.0)
+        terms.append((1.0, (Factor(0, spatial, time),)))
     return StructuredHamiltonian(0, tuple(terms))
 
 

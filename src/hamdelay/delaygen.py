@@ -6,14 +6,10 @@ On the segment owned by copy k the pulled-back loop satisfies
             F^{p,m}(v(delta^k_m(t) mod 1), theta_k(t))] * X_{F^{p,k}}(v(t), theta_k(t))
 
 with all intervals, time profiles, and delayed-time maps exact rationals
-for affine chains.  Delayed-time maps are stored unreduced with a mod-1
-flag; on affine chains their values already lie in [0, 1], which is the
-canonical representative renderers display.
-
-The sum over terms is rate_k(t) * FIELD_SIGN * J grad_k K(Z, theta_k(t))
-with Z_k = v(t) and Z_m = v(delta^k_m(t) mod 1), since delta^k_m depends on
-the copies alone.  So rhs_eval evaluates it through K's compiled program,
-the one evaluator of every Hamiltonian, and the descriptor keeps K for it.
+for affine chains, whose delayed times already lie in [0, 1].  The sum is
+rate_k(t) * FIELD_SIGN * J grad_k K(Z, theta_k(t)) with Z_k = v(t) and
+Z_m = v(delta^k_m(t) mod 1), so rhs_eval evaluates it through K's compiled
+program, and the descriptor keeps K for it.
 """
 
 from __future__ import annotations
@@ -132,13 +128,12 @@ def generate(K: StructuredHamiltonian, chain: TransformChain) -> DelayEquationDe
 
 
 def read_times(d: DelayEquationDescriptor, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Times the right-hand side reads at each of ts: (reads, idx).
-
-    idx is the segment owning each time (reduced mod 1), right limit at
-    breakpoints.  reads has one column per copy: the owning copy k reads at
-    ts mod 1, a copy m that shares a term with k at delayed_time(chain, k,
-    m)(ts) mod 1, and every other copy repeats ts mod 1.  rhs_eval and the
-    periodic solver's sparsity pattern both read through this rule.
+    """Times the right-hand side reads at each of ts: (reads, idx), idx the
+    segment owning each time (mod 1, right limit at breakpoints) and reads
+    one column per copy: the owning copy k at ts mod 1, a copy m sharing a
+    term with k at delayed_time(chain, k, m)(ts) mod 1, any other copy at
+    ts mod 1.  rhs_eval and the periodic solver's sparsity pattern both
+    read through this rule.
     """
     ts = np.mod(ts, 1.0)
     los = np.array([float(s.lo) for s in d.segments])
@@ -153,9 +148,8 @@ def read_times(d: DelayEquationDescriptor, ts: np.ndarray) -> tuple[np.ndarray, 
     return reads, idx
 
 
-# Times arrays whose read plan one descriptor keeps: a periodic solve makes
-# its ~10 residual sweeps at one midpoint array, delay_residual reads at one
-# node array per grid.
+# Times arrays whose read plan one descriptor keeps: a periodic solve sweeps
+# one midpoint array, delay_residual one node array per grid.
 PLAN_CACHE_SIZE = 64
 
 
@@ -181,14 +175,11 @@ def _plan(d: DelayEquationDescriptor, ts: np.ndarray) -> tuple:
 
 
 def rhs_eval(d: DelayEquationDescriptor, loop, t):
-    """Right-hand side along a periodic loop at times t (scalar or array).
-
-    loop is a level-0 DiscreteCurve or any object with .evaluate(times)
-    returning (len(times), 1, dim).  A row's copies read the loop at
-    read_times, all through one evaluate call; one call of the compiled
-    field at the rows' chord times theta_k(t) gives each row its owning
-    copy's component, rate_k * FIELD_SIGN * J grad_k K.
-    """
+    """Right-hand side along a periodic loop (a level-0 DiscreteCurve, or
+    any .evaluate(times) giving (len(times), 1, dim)) at times t: one
+    evaluate call reads every copy at read_times, and one compiled field
+    call at the chord times theta_k(t) gives each row its owning copy's
+    rate_k * FIELD_SIGN * J grad_k K."""
     interp = loop.interpolant() if isinstance(loop, DiscreteCurve) else loop
     scalar = np.ndim(t) == 0
     reads, owner, theta, rate = _plan(d, np.atleast_1d(np.asarray(t, float)))

@@ -15,6 +15,9 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 MAX_LEVEL = 12
+# the largest step or node count a config may ask for: every time grid is
+# allocated per row, so larger grids exhaust memory instead of failing cleanly
+MAX_NODES = 2**20
 DIAG_TOL = 1e-9
 
 
@@ -62,12 +65,9 @@ class PhaseSpace:
         return np.abs(self.wrapped_difference(a, bs)).max(axis=tuple(range(1, np.ndim(bs))))
 
     def unwrap(self, samples) -> np.ndarray:
-        """Continuous lift of samples along axis 0, as a new array.
-
-        On the torus each step is the wrapped difference of consecutive
-        samples, so the lift starts at samples[0] and never jumps by more
-        than 1/2 per coordinate; on the plane this is a plain copy.
-        """
+        """Continuous lift of samples along axis 0, as a new array: on the
+        torus each step is the wrapped difference of consecutive samples,
+        from samples[0]; on the plane a plain copy."""
         s = np.array(samples, dtype=float)
         if self.topology == "torus":
             s[1:] = s[0] + np.cumsum(self.wrapped_difference(s[1:], s[:-1]), axis=0)
@@ -81,12 +81,10 @@ def wrapped_difference(space: PhaseSpace, a, b):
 @dataclass(frozen=True)
 class LevelStructure:
     """Product level M^{2^n} with sign vector and boundary matchings.
-
     matching1 pairs the two halves (the level diagonal); matching0 follows
-    the start-diagonal recursion.  Matched pairs always carry opposite
-    signs, and the union of the two matchings is a single cycle, which is
-    what forces points on both diagonals onto the total diagonal.
-    """
+    the start-diagonal recursion.  Matched pairs carry opposite signs, and
+    the two matchings form a single cycle, which forces points on both
+    diagonals onto the total diagonal."""
 
     space: PhaseSpace
     level: int
@@ -110,8 +108,9 @@ class LevelStructure:
         raise ValueError(f"no matching named {which!r}")
 
     def pair_index(self, which) -> np.ndarray:
-        """The pairs on_diagonal compares, as a read-only (pairs, 2) index
-        array: matching 0 or 1, or for "tot" copy 0 against every other."""
+        """Matched pairs as a read-only (pairs, 2) index array, the one form
+        the package reads them in: matching 0 or 1, or for "tot" copy 0
+        against every other."""
         key = "tot" if which in ("tot", "total") else which
         index = self._pair_index.get(key)
         if index is None:
@@ -167,10 +166,8 @@ def build_level(space: PhaseSpace, n: int) -> LevelStructure:
 
 
 def on_diagonal(level: LevelStructure, which, p, tol: float = DIAG_TOL) -> bool:
-    """True iff every matched pair of copies coincides up to tol (sup norm).
-
-    which is 0, 1, or "tot"; "tot" compares all copies pairwise.
-    """
+    """True iff every matched pair of copies coincides up to tol (sup norm);
+    which is 0, 1, or "tot", which compares all copies."""
     p = np.asarray(p, dtype=float)
     if p.shape != (level.copies, level.space.dim):
         raise ValueError(f"expected point of shape {(level.copies, level.space.dim)}")
@@ -180,50 +177,16 @@ def on_diagonal(level: LevelStructure, which, p, tol: float = DIAG_TOL) -> bool:
 
 
 def embed_diagonal_params(level: LevelStructure, which, params) -> np.ndarray:
-    """Places one base point per matched pair onto both copies of the pair.
-
-    params has shape (2^{n-1}, dim), ordered like the matching (which is
-    sorted by smaller pair index); supports leading batch axes.
-    """
+    """Places one base point per matched pair onto both copies of the pair:
+    params (..., 2^{n-1}, dim) in the order of the matching."""
     if level.level < 1:
         raise ValueError("diagonal parametrization needs level >= 1")
     params = np.asarray(params, dtype=float)
-    pairs = level.matching(which)
+    if which in ("tot", "total"):
+        raise ValueError("the total diagonal has no pair parametrization")
+    pairs = level.pair_index(which)
     if params.shape[-2:] != (len(pairs), level.space.dim):
         raise ValueError(f"expected params of shape (..., {len(pairs)}, {level.space.dim})")
-    out = np.empty(params.shape[:-2] + (level.copies, level.space.dim))
-    for i, (a, b) in enumerate(pairs):
-        out[..., a, :] = params[..., i, :]
-        out[..., b, :] = params[..., i, :]
-    return out
-
-
-def reduce_diagonal_params(level: LevelStructure, which, p, tol: float = DIAG_TOL) -> np.ndarray:
-    """Inverse of embed_diagonal_params; rejects points off the diagonal."""
-    p = np.asarray(p, dtype=float)
-    if not on_diagonal(level, which, p, tol=tol):
-        raise ValueError(f"point is not on diagonal {which} at tol {tol}")
-    pairs = level.matching(which)
-    return np.stack([p[a] for a, _ in pairs])
-
-
-def union_graph_is_single_cycle(level: LevelStructure) -> bool:
-    """Checks that matching0 and matching1 together form one 2^n-cycle."""
-    if level.level < 1:
-        return False
-    copies = level.copies
-    adj: list[list[int]] = [[] for _ in range(copies)]
-    for a, b in level.matching0 + level.matching1:
-        adj[a].append(b)
-        adj[b].append(a)
-    if any(len(nb) != 2 for nb in adj):
-        return False
-    seen = {0}
-    stack = [0]
-    while stack:
-        v = stack.pop()
-        for w in adj[v]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == copies
+    pair_of = np.empty(level.copies, dtype=np.intp)  # the pair holding each copy
+    pair_of[pairs] = np.arange(len(pairs))[:, None]
+    return np.take(params, pair_of, axis=-2)

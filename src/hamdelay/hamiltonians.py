@@ -2,13 +2,11 @@
 
 A structured Hamiltonian is a sum of weighted products of per-copy factors,
 each factor a closed-form spatial part times a time profile.  The
-Hamiltonian vector field uses the convention X_H = J grad H per copy, signed
-by the level's alternating sign vector.  Each Hamiltonian compiles on first
-use into flat per-factor arrays, which value, gradient and vector_field
-evaluate in a fixed number of numpy calls.  Lifting a base Hamiltonian along a
-chain distributes it over the copies, reading each copy's time through its
-copy time map and weighting by that map's rate so perturbation integrals
-pull back exactly.
+Hamiltonian vector field is X_H = J grad H per copy, signed by the level's
+alternating sign vector.  Each Hamiltonian compiles on first use into flat
+per-factor arrays (_Compiled), its one evaluator.  Lifting a base
+Hamiltonian along a chain distributes it over the copies, each copy reading
+its time through its copy time map, weighted by that map's rate.
 """
 
 from __future__ import annotations
@@ -253,11 +251,8 @@ class StructuredHamiltonian:
         return StructuredHamiltonian(data["level"], terms)
 
 
-# Scalar times, and arrays of slice times, whose time-profile values one
-# compiled Hamiltonian keeps.  An RK4 sweep of N steps visits the 2N + 1
-# stage times, a sliced sweep of S steps per slice 2S + 1 arrays, and every
-# Newton sweep of a chord scan visits the same ones; the delay right-hand
-# side keeps one array of chord times per times array it is read at.
+# Time-profile tables one compiled Hamiltonian keeps, by scalar time or by
+# times array: every Newton sweep of a scan revisits the same RK4 stage times.
 TIME_CACHE_SIZE = 2**14
 
 # Batches are evaluated in row blocks whose (slot, dim, row) arrays hold
@@ -285,30 +280,19 @@ class _Compiled:
 
     Factors get slots kind-major: the trig slots first, then the polynomial
     slots (a ConstSpatial is the zero-exponent monomial), each kind
-    copy-major.  Slot S, one past the last, is a pad: its value is 1 and its
-    gradient 0.  Arrays are laid out batch-last, (slot, dim, row), per-slot
-    scalars as (slot, 1, row).  Trig slots evaluate through their phases,
-    polynomial slots through monomial tables.  value multiplies each term's
-    slot values through a (terms, width) table.  The gradient of slot s is
-    its direction times its scale, the gradient coefficient, time weight and
-    co-factor values.  A copy's gradient adds its slots in term order, one
-    explicit add per rank: rank j reads each copy's j-th slot, or the pad
-    for a copy with fewer, from a (copies,) index table.
+    copy-major, and slot S is a pad of value 1 and gradient 0.  Arrays are
+    batch-last, (slot, dim, row).  The gradient of slot s is its direction
+    times its scale: gradient coefficient, time weight and co-factor
+    values.  A copy's gradient adds its slots in term order, one add per
+    rank, rank j reading each copy's j-th slot or the pad.
 
-    The output frame is compiled in, once per sign vector (frame): for a
-    level's signs eps, the J column roll, FIELD_SIGN and eps_c are folded
-    into the trig direction table, freq[s, cols[d]] * sign[c, d], and into
-    the polynomial derivative coefficients, so the field eps_c * FIELD_SIGN *
-    J grad_c H costs what the gradient costs.  Multiplying by +-1 is exact
-    and commutes with rounding, so folding moves no value (an exact zero
-    may come out with the other sign, which compares equal).  Every
-    contraction is an elementwise product and a sum in index order (no BLAS,
-    no numpy reduction over slots), so a row's result does not depend on the
-    batch it rides in.
-
-    stage(signs) is that kernel on one batch-last row block: field runs it
-    over blocks of at most `block` rows, and the solvers' RK4 sweeps, whose
-    state stays batch-last, call it once per stage.
+    frame folds the J column roll, FIELD_SIGN and a level's signs into the
+    direction tables, so the signed field costs what the gradient costs;
+    multiplying by +-1 is exact, so folding moves no value (an exact zero
+    may change sign, which compares equal).  Every contraction is an
+    elementwise product and a sum in index order (no BLAS, no numpy
+    reduction over slots), so a row's result does not depend on the batch
+    it rides in.  stage(signs) is that kernel on one row block.
     """
 
     def __init__(self, ham: "StructuredHamiltonian", dim: int):
@@ -375,17 +359,11 @@ class _Compiled:
         float t, or (S + 1, 1, rows) for per-row t; with grad, the pair of
         them and the gradient coefficients times them.  Per-row t is an
         array of times, or a pair (times, rows) that gives row b the time
-        times[rows[b]]: the rows gather from the table of one times array,
-        which is cached by its bytes, so a sweep whose rows share a few
-        times (the slices of a multiple-shooting sweep, the delay equation's
-        rows at its fixed times) makes no profile call per row.  A float t
-        is cached too.
-
-        Every profile is evaluated in one place, _table, on a 1-D times
-        array: a float t as a one-element array.  Profiles give an element
-        bitwise the same value in a one-element and in a longer array (not
-        always at a 0-d time), so a float t, a pair and per-row t give a
-        time bitwise the same weights."""
+        times[rows[b]] from the cached table of times.  Every table comes
+        from _table on a 1-D times array, a float t as a one-element array:
+        profiles give an element bitwise the same value in a one-element and
+        a longer array (not always at a 0-d time), so a time gets the same
+        weights however it is passed."""
         if isinstance(t, float):
             entry = self.time_cache.get(t)
             if entry is None:
@@ -415,10 +393,9 @@ class _Compiled:
         return w, self.grad_coeff * w[:-1]
 
     def blockwise(self, z, t, fn, tail: tuple, grad: bool = False) -> np.ndarray:
-        """fn(zc, w) over row blocks of z (..., copies, dim): zc is a block
-        as the batch-last copy array (copies, dim, rows), w the block's
-        weights(t, grad), and fn returns (*tail, rows); the result has shape
-        (..., *tail)."""
+        """fn(zc, w) over row blocks of z (..., copies, dim), zc a batch-last
+        block (copies, dim, rows) and w its weights(t, grad); fn returns
+        (*tail, rows) and the result has shape (..., *tail)."""
         lead = z.shape[:-2]
         zb = z.reshape(-1, *z.shape[-2:])
         if isinstance(t, tuple):
@@ -509,9 +486,8 @@ class _Compiled:
 
     def frame(self, signs):
         """Trig direction table and polynomial derivative coefficients and
-        exponents in the output frame: the gradient's for signs None, with
-        the J column roll, FIELD_SIGN and the level signs folded in for a
-        level's sign vector."""
+        exponents: the gradient's for signs None, else with the J column
+        roll, FIELD_SIGN and the level's signs folded in."""
         frame = self.frames.get(signs)
         if frame is None:
             frame = (self.freq, self.deriv_coeff, self.deriv_exp)
@@ -565,16 +541,11 @@ def vector_field(ham, level: LevelStructure, z, t):
 
 
 def lift(base: StructuredHamiltonian, chain: TransformChain, variant: str = "derived") -> StructuredHamiltonian:
-    """Lifts a 1-periodic base Hamiltonian along the chain.
-
-    The lift is sum_j |tau_j'(t)| H(z_j, tau_j(t)) over the copies j, with
-    tau_j the copy time maps: every base term becomes one single-factor term
-    per copy whose time profile is LiftTime(time, tau_j).  The weight is the
-    constant 1/2^n for the standard chain and is forced in general by the
-    change of variables in the perturbation integral.
-
-    variant "printed" swaps in the alternative halving-recursion copy time
-    maps (standard chains only); kept for the side-by-side comparison.
+    """Lifts a 1-periodic base Hamiltonian along the chain: sum_j
+    |tau_j'(t)| H(z_j, tau_j(t)) over the copies j, tau_j the copy time
+    maps, whose rate weight the change of variables in the perturbation
+    integral forces.  variant "printed" swaps in the alternative
+    halving-recursion maps (standard chains only).
     """
     if base.level != 0:
         raise ValueError("lift starts from a level-0 Hamiltonian")

@@ -1,43 +1,16 @@
 """Numerical engines: flow integration, chord shooting, pullback, and the
 independent periodic delay-orbit solver.
 
-The chord boundary value problem (start on the matched start diagonal, end
-on the level diagonal) is solved by damped Newton on a shooting residual;
-the residual dimension equals the diagonal parameter dimension, so the
-finite-difference Jacobians stay small.  Batched initial conditions share
-one fixed-step RK4 sweep, which keeps multistart scans cheap.  A sweep keeps
-its state batch-last, (copies, dim, rows), from its first step to its last,
-one row block at a time, and each RK4 stage is one call of the compiled
-field kernel (_stage); rows are independent, so it gives bitwise the values
-of one vector_field call per stage.  All seeds ride each Newton sweep, a
-seed that takes the full step costs one sweep per iteration (its trial point
-and the probes of its next Jacobian ride together), and damping step lengths
-are tried several to a sweep.  A converged seed's path is the trajectory
-that the sweep accepting its final iterate kept; only seeds whose final step
-came from a damping rung get their paths from one more batched sweep.
-
-A narrow level-1 scan pays for every RK4 step in per-call overhead, not in
-rows, so it is solved by multiple shooting in M time slices
-(_SlicedShooting): the slice start states join the unknowns, one sweep
-runs every slice of every seed from per-row start steps, and the
-block-bidiagonal Newton system condenses to one P x P matrix per seed.
-The slice starts begin as the states of one coarse RK4 sweep of M steps
-from the seeds, and no unsliced sweep runs.  _slice_count picks M per
-solve from the step count and the sweep width with a cost model fitted to
-the measured cost of an RK4 stage against its rows (one vector_field call
-per stage; kept as fitted since); wide scans, short grids and higher
-levels keep M = 1, the single-shooting path above.  A
-sliced chord's path is the slice trajectories of the sweep that accepted
-its final iterate, laid end to end (or the integrate path after a damping
-rung), and its residual norm is the max of that path's end mismatch and
-its slice-boundary jumps.
+Chords (start on the matched start diagonal, end on the level diagonal) are
+found by damped Newton on a square shooting residual from many seeds at
+once: the seeds share batch-last RK4 sweeps, one compiled-kernel call per
+stage, and no row's values depend on its batch.  Narrow level-1 scans are
+solved by multiple shooting in time slices instead (_SlicedShooting).
 
 The periodic delay solve is Newton on midpoint collocation with a sparse
-forward-difference Jacobian.  Each collocation row reads a few nodes, which
-the descriptor's delay maps fix; the node columns are grouped after
-Curtis, Powell and Reid (1974) so that one residual sweep per group (a
-handful, independent of the node count) gives every entry, and
-scipy.sparse.linalg.splu factors the result.
+forward-difference Jacobian, whose columns are grouped after Curtis, Powell
+and Reid (1974) so that a handful of residual sweeps, however many nodes,
+give every entry; scipy.sparse.linalg.splu factors it.
 """
 
 from __future__ import annotations
@@ -45,7 +18,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
@@ -168,16 +140,11 @@ def _stage(ham, level: LevelStructure):
 def _rk4(stage, z0: np.ndarray, n_steps: int, path: np.ndarray | None = None, start=0, steps=None) -> np.ndarray:
     """Classical RK4 over [0, 1] in n_steps steps of the field of a _stage;
     returns the end point.  Given a buffer of shape (n_steps + 1, k,
-    *z0.shape[1:]), it also keeps the trajectory of the first k rows there,
-    one copy per step.  Given per-row start steps (an integer array over the
-    rows of z0) and a step count, row b takes the steps start[b] ...
-    start[b] + steps - 1 of that grid instead, at the same times a whole
-    sweep gives them: the weights then come from the pair (times, rows),
-    row b at times[rows[b]].  Blocks of at most prog.block rows are swept
-    one after another, each batch-last, (copies, dim, rows), from its first
-    step to its last, so a stage is one kernel call; rows are independent,
-    so every row ends bitwise where vector_field calls on the whole batch
-    take it."""
+    *z0.shape[1:]), it also keeps the trajectory of the first k rows there.
+    Given per-row start steps (an integer array over the rows of z0) and a
+    step count, row b takes the steps start[b] ... start[b] + steps - 1 of
+    that grid instead, with weights from the pair (times, rows).  Blocks of
+    at most prog.block rows are swept batch-last, a stage one kernel call."""
     prog, kernel = stage
     h = 1.0 / n_steps
     z0 = np.asarray(z0, dtype=float)
@@ -211,11 +178,8 @@ def _rk4(stage, z0: np.ndarray, n_steps: int, path: np.ndarray | None = None, st
 
 
 def integrate(ham, level: LevelStructure, z0, cfg: IntegratorConfig = IntegratorConfig()):
-    """RK4 trajectory of z' = X_K(z, t) over [0, 1].
-
-    z0 of shape (copies, dim) gives one DiscreteCurve; a batch of shape
-    (B, copies, dim) gives a list of B curves, one per row, from one sweep.
-    """
+    """RK4 trajectory of z' = X_K(z, t) over [0, 1]: one DiscreteCurve for
+    z0 of shape (copies, dim), a list of B for (B, copies, dim)."""
     z0 = np.asarray(z0, dtype=float)
     batch = z0.reshape(-1, *z0.shape[-2:])
     traj = np.empty((cfg.n_steps + 1,) + batch.shape)
@@ -234,11 +198,10 @@ def _curves(level: LevelStructure, traj: np.ndarray) -> list:
 
 
 def _accepted_paths(ham, level: LevelStructure, rows, z0, stored: list, cfg: IntegratorConfig) -> list:
-    """One curve per Newton row in rows, z0 holding their start points
-    (len(rows), copies, dim): the stored trajectories, (seeds, traj) pairs
-    with traj[:, i] from seeds[i], and one integrate sweep for the others.
-    A row's trajectory does not depend on its batch, so both are the curve
-    integrate gives the row alone."""
+    """One curve per Newton row in rows, z0 holding their start points: the
+    stored (seeds, traj) pairs, traj[:, i] from seeds[i], and one integrate
+    sweep for the others.  A row's trajectory does not depend on its batch,
+    so both are the curve integrate gives the row alone."""
     curves = {}
     for seeds, traj in stored:
         curves.update(zip(seeds.tolist(), _curves(level, traj)))
@@ -257,14 +220,10 @@ def _flat_dim(level: LevelStructure) -> int:
 
 
 def shoot_residual(ham, level: LevelStructure, params, cfg: IntegratorConfig = IntegratorConfig(), path=None):
-    """Wrapped endpoint mismatches over the end-diagonal pairs.
-
-    params has shape (..., 2^{n-1}, dim); the residual has the same shape,
-    one row per end-matching pair, so the shooting system is square.  Given
-    a buffer path of shape (n_steps + 1, k, copies, dim), the sweep also
-    keeps the trajectories of the first k rows there.
-    """
-    params = np.asarray(params, dtype=float)
+    """Wrapped endpoint mismatches over the end-diagonal pairs: params
+    (..., 2^{n-1}, dim) give a residual of the same shape, so the shooting
+    system is square.  Given a buffer path (n_steps + 1, k, copies, dim),
+    the sweep keeps the trajectories of the first k rows there."""
     z0 = embed_diagonal_params(level, 0, params)
     return _end_residual(level, _rk4(_stage(ham, level), z0, cfg.n_steps, path))
 
@@ -272,10 +231,8 @@ def shoot_residual(ham, level: LevelStructure, params, cfg: IntegratorConfig = I
 def _end_residual(level: LevelStructure, zT: np.ndarray) -> np.ndarray:
     """Wrapped mismatches (..., 2^{n-1}, dim) of the end-diagonal pairs of
     product states zT (..., copies, dim)."""
-    out = np.empty(zT.shape[:-2] + (len(level.matching1), zT.shape[-1]))
-    for i, (a, b) in enumerate(level.matching1):
-        out[..., i, :] = level.space.wrapped_difference(zT[..., a, :], zT[..., b, :])
-    return out
+    pairs = level.pair_index(1)
+    return level.space.wrapped_difference(np.take(zT, pairs[:, 0], axis=-2), np.take(zT, pairs[:, 1], axis=-2))
 
 
 def _wrap_params(space, flat: np.ndarray) -> np.ndarray:
@@ -311,12 +268,13 @@ def _mv(a: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 class _SquareSystem:
-    """Newton systems of a square residual resid(rows, path=None): the 2P
-    central-difference probes around every row ride its sweeps, and the
-    Jacobian is the Newton matrix."""
+    """Newton systems of a square residual resid(rows, path=None) on
+    unknowns in space: the central-difference Jacobian is the Newton matrix.
+    A sweep keeps the trajectories of its first k rows in a buffer of shape
+    (row_path[0], k, *row_path[1:])."""
 
-    def __init__(self, resid):
-        self.resid = resid
+    def __init__(self, resid, space, row_path: tuple):
+        self.resid, self.space, self.row_path = resid, space, row_path
 
     def linearize(self, x, h: float, path=None, values: bool = True):
         """Residuals at the rows of x (None without values) and the Jacobians
@@ -345,31 +303,26 @@ class _SlicedShooting:
     (Bock & Plitt 1984; Stoer & Bulirsch, Introduction to Numerical
     Analysis, 7.3.5).
 
-    A seed's unknowns are its diagonal parameters p (P numbers) followed by
-    the slice starts s_1 ... s_{M-1}, product states of D = 2P numbers each.
-    Its residual is the end-diagonal mismatch of slice M - 1 followed by the
-    wrapped continuity gaps Phi_{k-1}(s_{k-1}) - s_k, s_0 the embedded p.
-    Slice k takes the steps kS ... (k + 1)S - 1 of the n-step grid, S = n/M,
-    at the times a whole sweep gives them, and one sweep integrates every
-    slice of every seed: with central-difference probes, 2P on slice 0 (over
-    p) and 2D on each later slice.  Slice M - 1 differences the end residual,
-    the others their end states.  A seed's Jacobian is kept as (M, D, D)
-    blocks: G = dPhi_0/dp (D x P) in block 0, A_k = dPhi_k/ds_k in block k,
-    E = de/ds_{M-1} (P x D) in block M - 1.  The block-bidiagonal Newton
-    system condenses to the P x P matrix E A_{M-2} ... A_1 G, and the
-    slice-start steps follow from the parameter step by forward recursion.
-    The first slice starts come from a coarse sweep of M steps (start), so
-    the first sweep's gaps are small, not zero, and Newton closes them
-    together with the parameter step.  The value rows lead each sweep, so
-    a sweep keeps the slice trajectories of its iterates, and joined lays
-    them end to end as a converged seed's path.
+    A seed's unknowns are its diagonal parameters p (P numbers) and the
+    slice starts s_1 ... s_{M-1} (D = 2P numbers each); its residual is the
+    end-diagonal mismatch of slice M - 1 and the wrapped gaps
+    Phi_{k-1}(s_{k-1}) - s_k, s_0 the embedded p.  Slice k takes the steps
+    kS ... (k + 1)S - 1 of the n-step grid, S = n/M, and one sweep runs
+    every slice of every seed with its central-difference probes.  The
+    Jacobian is kept as (M, D, D) blocks G = dPhi_0/dp, A_k = dPhi_k/ds_k
+    and E = de/ds_{M-1}, and the Newton system condenses to the P x P matrix
+    E A_{M-2} ... A_1 G.  The value rows lead each sweep, so a sweep keeps
+    the slice trajectories of its iterates, row_path (S + 1, M, copies, dim)
+    per row, which joined lays end to end.
     """
 
     def __init__(self, ham, level: LevelStructure, integ: IntegratorConfig, slices: int):
         self.ham, self.level, self.integ, self.m = ham, level, integ, slices
+        self.space = level.space
         self.steps = integ.n_steps // slices
         self.pairs = (2 ** (level.level - 1), level.space.dim)
         self.state = (level.copies, level.space.dim)
+        self.row_path = (self.steps + 1, slices) + self.state
         self.p, self.d = _flat_dim(level), level.copies * level.space.dim
         self.stage = _stage(ham, level)
 
@@ -377,11 +330,8 @@ class _SlicedShooting:
         """Unknown rows at the seed rows (B, P).  The slice starts are the
         states of one coarse RK4 sweep of M steps, one per slice, from the
         embedded seeds (the coarse propagator of Parareal, Lions, Maday &
-        Turinici 2001).  For a power-of-two n its stage times are times of
-        the n-step grid, so it reads the same time cache.  The first sliced
-        sweep then has small gaps, which Newton closes with the parameter
-        step.  Constant starts (every s_k the embedded seed) send some
-        starts to other chords than starts on the fine trajectory do."""
+        Turinici 2001), so the first sliced sweep has small gaps, which
+        Newton closes together with the parameter step."""
         b = len(seeds)
         z0 = embed_diagonal_params(self.level, 0, seeds.reshape(b, *self.pairs))
         traj = np.empty((self.m + 1,) + z0.shape)
@@ -483,43 +433,30 @@ _RUNNING, _CONVERGED, _SINGULAR, _STUCK, _DIVERGED = 0, 1, 2, 3, 4
 DAMPING_LADDER = 20
 
 
-def _newton_batch(resid_fn, wrap_fn, seeds: np.ndarray, newton: NewtonConfig, row_path, system=None):
-    """Damped Newton on a batch of square systems sharing batched residual sweeps.
+def _newton_batch(system, seeds: np.ndarray, newton: NewtonConfig):
+    """Damped Newton on a batch of square systems sharing residual sweeps.
 
-    resid_fn(rows, path=None) maps (B, U) unknown rows to (B, U) residual
-    rows; given a buffer path of shape (row_path[0], k, *row_path[1:]), its
-    sweep also keeps the trajectories of the first k rows there.  system
-    builds the Newton systems: by default _SquareSystem(resid_fn), whose
-    central-difference Jacobians are the Newton matrices; a
-    _SlicedShooting instead condenses block Jacobians to P x P matrices and
-    expands their steps, and its sweeps keep slice trajectories (row_path
-    (S + 1, M, copies, dim)).  The first sweep evaluates every seed with
-    its Jacobian probes.  Each iteration then makes one trial sweep: the full step (lambda = 1) for
-    every running seed, together with the probes around its wrapped trial
-    point, so a seed that takes the full step has its next Jacobian already.
-    Seeds that reject the full step try the damping rungs lambda = 2^-k
-    (k >= 1, while 2^-k >= min_damping) DAMPING_LADDER at a time, one sweep
-    per block, and take their first rung that lowers the residual norm;
-    only they need a separate Jacobian sweep in the next iteration.  A row's
-    residual does not depend on its batch, so every iterate, status and
-    condition estimate is the one the sequential halving loop of a scalar
-    solver gives.  The first sweep and every full-step sweep keep the
-    trajectories of their value rows; of those, only the trajectories of
-    seeds that converge at the iterate the sweep gave them are stored, so a
-    seed converging on a full step comes with its own path.  Rung sweeps keep
-    none.  Returns final unknowns, residuals, per-seed status, condition
-    estimates of the Newton matrices, and the stored trajectories as (seeds,
-    traj) pairs, traj of shape (row_path[0], len(seeds), *row_path[1:]).  A
-    seed whose residual or Jacobian is not finite is marked diverged and
-    leaves the iteration.
+    system (a _SquareSystem or _SlicedShooting) gives the residual resid,
+    the Newton matrices and steps (linearize, condense, expand, settled),
+    the space whose torus wraps the iterates, and row_path, the layout of
+    one row's trajectory.  Each iteration makes one sweep with the full step
+    of every running seed and the Jacobian probes around its trial point;
+    seeds that reject it try the rungs lambda = 2^-k >= min_damping,
+    DAMPING_LADDER to a sweep, and take the first that lowers the residual
+    norm.  A row's residual does not depend on its batch, so every iterate,
+    status and condition estimate is that of the sequential halving loop.
+    Value sweeps store the trajectories of the seeds that converge at the
+    iterate they gave; rung sweeps keep none.  Returns final unknowns,
+    residuals, statuses, condition estimates of the Newton matrices, and the
+    stored (seeds, traj) pairs, traj of shape (row_path[0], len(seeds),
+    *row_path[1:]).
     """
-    system = _SquareSystem(resid_fn) if system is None else system
     h = newton.fd_step
     rungs = np.ldexp(1.0, -np.arange(1, 1075))  # down to 2^-1074, below any positive min_damping
     rungs = rungs[rungs >= newton.min_damping]
 
     def buffer(count):
-        return np.empty((row_path[0], count) + row_path[1:])
+        return np.empty((system.row_path[0], count) + system.row_path[1:])
 
     # diverging seeds overflow on their way to the 'diverged' status; the
     # status is the report, so numpy's warnings on them are noise
@@ -559,7 +496,7 @@ def _newton_batch(resid_fn, wrap_fn, seeds: np.ndarray, newton: NewtonConfig, ro
                 break
             step_rows = system.expand(jac_a, r[active], step_rows)
             base_norm = np.linalg.norm(r[active], axis=1)
-            trials = wrap_fn(p[active] - step_rows)
+            trials = _wrap_params(system.space, p[active] - step_rows)
             paths = buffer(len(trials))
             r_try, jac_try = system.linearize(trials, h, paths)
             better = np.linalg.norm(r_try, axis=1) < base_norm
@@ -574,8 +511,8 @@ def _newton_batch(resid_fn, wrap_fn, seeds: np.ndarray, newton: NewtonConfig, ro
                 if len(pending) == 0:
                     break
                 lam = rungs[lo : lo + DAMPING_LADDER, None, None]
-                trials = wrap_fn(p[active[pending]] - lam * step_rows[pending]).reshape(-1, dim)
-                r_try = resid_fn(trials)
+                trials = _wrap_params(system.space, p[active[pending]] - lam * step_rows[pending]).reshape(-1, dim)
+                r_try = system.resid(trials)
                 better = np.linalg.norm(r_try, axis=1).reshape(len(lam), -1) < base_norm[pending]
                 hit = np.any(better, axis=0)
                 pick = np.argmax(better, axis=0)[hit] * len(pending) + np.flatnonzero(hit)
@@ -611,25 +548,8 @@ def _solve_stack(jac: np.ndarray, rhs: np.ndarray):
         return steps, solved
 
 
-# The cost model that picks the number of time slices, fitted to the cost
-# of one RK4 stage (a vector_field call and the stage arithmetic) against
-# its rows: process time on one core, product-T4, torus-morse-n1 and sum-n2
-# Hamiltonians, 1 to 1024 rows: 30-33 us + 0.10-0.21 us per row with a
-# float t, 8-12 us more with the (times, rows) form of a sliced sweep.  A
-# solve is costed at SOLVE_SWEEPS Newton sweeps, the count of a one-seed
-# product-T4 chord.  A sliced solve is also charged two unsliced sweeps
-# over all steps, though it runs none (its slice starts come from an M-step
-# sweep, its paths from its own sweeps): a conservative margin that keeps M
-# as fitted.  Slices take MIN_SLICE_STEPS steps or more, and there are at
-# most MAX_SLICES: beyond 32 a one-seed solve at 1024 steps got no
-# faster.  Slicing must predict at most SLICE_GAIN of the unsliced cost.
-# Only level 1 is sliced: from 12 random one-seed starts at 1024 steps,
-# sliced Newton (M = 32) reached a chord from 2 on sum-n2 and single
-# shooting from 9, while on product-T4, torus-morse-n1 and
-# plane-oscillator both reached one from every start.  The stage costs
-# were measured with one vector_field call per stage, before the batch-last
-# sweeps of _rk4.  They are not refitted: a new M moves the chord that some
-# one-seed solves reach, not only their cost.
+# The cost model of _slice_count, frozen: a refit moves the chord that some
+# one-seed solves reach (test_slice_rule_pins_one_seed_slice_counts).
 STAGE_US = 32.0
 SLICED_STAGE_US = 42.0
 ROW_US = 0.2
@@ -640,17 +560,13 @@ SLICE_GAIN = 2 / 3
 
 
 def _slice_count(n_steps: int, seeds: int, level: LevelStructure) -> int:
-    """Time slices M for a shooting solve of seeds seeds at n_steps steps.
-
-    A sweep costs 4 stages per step on its rows: seeds (1 + 2P) unsliced,
-    and seeds (1 + 2P + (M - 1)(1 + 2D)) over n_steps / M steps when sliced.
-    M > 1 is also charged two unsliced sweeps of seeds rows over all
-    n_steps, a conservative margin (a sliced solve runs no unsliced sweep,
-    only the M-step sweep of its slice starts).  M is the
-    power of two up to MAX_SLICES (n_steps / M >= MIN_SLICE_STEPS) with the
-    lowest predicted solve cost, if that is at most SLICE_GAIN of the cost
-    at M = 1, else 1.  So wide scans, whose stages cost their rows rather
-    than their overhead, short grids and levels above 1 stay at M = 1.
+    """Time slices M for a shooting solve of seeds seeds at n_steps steps:
+    the power of two up to MAX_SLICES (n_steps / M >= MIN_SLICE_STEPS) with
+    the lowest predicted cost, if that is at most SLICE_GAIN of the cost at
+    M = 1.  A solve costs SOLVE_SWEEPS sweeps of 4 stages per step over
+    seeds (1 + 2P) rows; sliced, over seeds (1 + 2P + (M - 1)(1 + 2D)) rows
+    and n_steps / M steps, plus two unsliced sweeps of seeds rows.  Wide
+    scans, short grids and levels above 1 stay at M = 1.
     """
     if level.level != 1:
         return 1
@@ -673,33 +589,28 @@ def _slice_count(n_steps: int, seeds: int, level: LevelStructure) -> int:
 
 def _solve_seeds(ham, level: LevelStructure, seeds: np.ndarray, newton: NewtonConfig, integ: IntegratorConfig) -> list:
     """The one chord shooting path: batched Newton on the shooting residual
-    from every seed row, in _slice_count time slices.  Each converged seed's
-    path is the trajectory of the sweep that accepted its final iterate, or
-    for a final iterate from a damping rung, a row of one integrate sweep.
-    Sliced (_SlicedShooting), the accepting sweep's trajectory is the M
-    slice trajectories laid end to end (_SlicedShooting.joined), and the
-    residual norm is the max of the path's end mismatch and its slice-
-    boundary jumps: max |r| of the accepted sliced residual, or the end
-    mismatch alone for an integrate path, which has no jumps.  A path that
-    misses the end diagonal by more than the Newton tolerance makes the seed
-    a no-convergence failure.  Returns a Chord or SolveFailure per seed."""
+    from every seed row, in _slice_count time slices.  A converged seed's
+    path is the trajectory of the sweep that accepted its final iterate
+    (sliced, the slices laid end to end), or after a damping rung a row of
+    one integrate sweep.  A path that misses the end diagonal by more than
+    the Newton tolerance, slice-boundary jumps included, makes the seed a
+    no-convergence failure.  Returns a Chord or SolveFailure per seed."""
     shape = (2 ** (level.level - 1), level.space.dim)
 
     def resid(flat_batch, path=None):
         batch = flat_batch.reshape(flat_batch.shape[0], *shape)
         return shoot_residual(ham, level, batch, integ, path).reshape(flat_batch.shape[0], -1)
 
-    wrap = partial(_wrap_params, level.space)
     slices = _slice_count(integ.n_steps, len(seeds), level)
     if slices == 1:
-        row_path = (integ.n_steps + 1, level.copies, level.space.dim)
-        xs, rs, status, conds, stored = _newton_batch(resid, wrap, seeds, newton, row_path)
+        system = _SquareSystem(resid, level.space, (integ.n_steps + 1, level.copies, level.space.dim))
+        start = seeds
     else:
         system = _SlicedShooting(ham, level, integ, slices)
         with np.errstate(over="ignore", invalid="ignore"):
             start = system.start(seeds)
-        row_path = (system.steps + 1, slices, level.copies, level.space.dim)
-        xs, rs, status, conds, stored = _newton_batch(system.resid, wrap, start, newton, row_path, system)
+    xs, rs, status, conds, stored = _newton_batch(system, start, newton)
+    if slices > 1:
         stored = [(rows, system.joined(traj)) for rows, traj in stored]
     swept = {i for rows, _ in stored for i in rows.tolist()}
     params = xs[:, : _flat_dim(level)].reshape(len(xs), *shape)
@@ -739,12 +650,7 @@ def solve_chord(
     enumerate_chords runs, but one seed is the narrowest scan: at level 1
     from 64 steps on, _slice_count cuts it into time slices (multiple
     shooting), where a grid scan stays unsliced.  Such a sliced solve can
-    reach another chord than the same seed in an unsliced scan: from 8
-    random product-T4 starts at 128 steps, 2 did.  The chord's path is then
-    the slice trajectories of the sweep that accepted its final iterate,
-    laid end to end, and its residual norm the max of the path's end
-    mismatch and its slice-boundary jumps (an integrate path, for a final
-    step from a damping rung, has no jumps)."""
+    reach another chord than the same seed in an unsliced scan."""
     p = np.asarray(seed_params, dtype=float).reshape(-1)
     if p.size != _flat_dim(level):
         raise ValueError(f"seed must have {_flat_dim(level)} parameters")
@@ -775,6 +681,19 @@ def _order_key(values) -> tuple:
     return tuple(np.round(v / DEDUP_TOL).tolist() + v.tolist())
 
 
+def _distinct(space, found: list, key, value, shape: tuple):
+    """The distinct set of the solutions found: in the order of
+    _order_key(key(x)), each x is kept unless value(x), of shape shape,
+    lies within DEDUP_TOL of the value of a solution kept before it.
+    Returns the kept solutions and the stack of their values."""
+    kept, values = [], np.empty((0,) + shape)
+    for x in sorted(found, key=lambda x: _order_key(key(x))):
+        if np.all(space.distances(value(x), values) > DEDUP_TOL):
+            values = np.concatenate([values, value(x)[None]])
+            kept.append(x)
+    return kept, values
+
+
 def enumerate_chords(
     ham,
     level: LevelStructure,
@@ -782,11 +701,8 @@ def enumerate_chords(
     newton: NewtonConfig = NewtonConfig(),
     integ: IntegratorConfig = IntegratorConfig(),
 ) -> OrbitSet:
-    """Multistart shooting over a uniform seed grid, deduplicated and sorted.
-
-    Chords are sorted by their parameters rounded to the DEDUP_TOL grid,
-    with the raw parameters as tie-break (_order_key), and a candidate is
-    kept unless its path lies within DEDUP_TOL of a chord kept before it.
+    """Multistart shooting over a uniform seed grid; the chords are the
+    _distinct set of the solved paths, in the order of their parameters.
     Failures are tallied, not fatal.  The degeneracy flag is set when
     Jacobians are singular at scale or when surviving solutions fail to
     separate cleanly, in which case counting is ill-posed.
@@ -799,13 +715,8 @@ def enumerate_chords(
             chords.append(result)
         else:
             failures[result.reason] = failures.get(result.reason, 0) + 1
-    chords.sort(key=lambda c: _order_key(c.params))
-    kept: list[Chord] = []
-    kept_paths = np.empty((0, integ.n_steps + 1, level.copies, level.space.dim))
-    for c in chords:
-        if np.all(level.space.distances(c.path.samples, kept_paths) > DEDUP_TOL):
-            kept_paths = np.concatenate([kept_paths, c.path.samples[None]])
-            kept.append(c)
+    shape = (integ.n_steps + 1, level.copies, level.space.dim)
+    kept, kept_paths = _distinct(level.space, chords, lambda c: c.params, lambda c: c.path.samples, shape)
     singular_fraction = failures["singular-jacobian"] / max(len(seeds), 1)
     separations = [level.space.distances(kept_paths[i], kept_paths[i + 1 :]) for i in range(len(kept) - 1)]
     min_separation = float(np.concatenate(separations).min()) if separations else math.inf
@@ -834,11 +745,9 @@ def pullback_chord(chord: Chord, chain: TransformChain) -> DiscreteCurve:
 
 
 def _one_sided_derivatives(loop: DiscreteCurve, k0: int, k1: int) -> np.ndarray:
-    """Second-order one-sided derivatives at interior nodes of [k0, k1].
-
-    Right-sided stencils stay inside the segment; the last interior node
-    uses the left-sided stencil.  Torus samples are unwrapped locally.
-    """
+    """Second-order one-sided derivatives at interior nodes of [k0, k1], on
+    the locally unwrapped samples: right-sided stencils stay inside the
+    segment, and the last interior node takes the left-sided one."""
     n = loop.n_intervals
     h = 1.0 / n
     seg = loop.space.unwrap(loop.samples[k0 : k1 + 1, 0, :])
@@ -849,11 +758,9 @@ def _one_sided_derivatives(loop: DiscreteCurve, k0: int, k1: int) -> np.ndarray:
 
 
 def stencil_segments(d: DelayEquationDescriptor, n: int) -> list:
-    """First and last node of every segment on an n-interval loop grid.
-
-    Raises ValueError if a breakpoint misses the grid or a segment has fewer
-    than the 3 intervals the one-sided derivative stencils need.
-    """
+    """First and last node of every segment on an n-interval loop grid;
+    ValueError if a breakpoint misses the grid or a segment has fewer than
+    the 3 intervals the one-sided derivative stencils need."""
     nodes = d.chain.table.nodes(n)  # the segments tile [0, 1] in this order
     segments = list(zip(nodes, nodes[1:]))
     for k0, k1 in segments:
@@ -899,11 +806,9 @@ class _LinearLoopInterpolant:
 
 def _colour_columns(rows: np.ndarray, cols: np.ndarray, n: int) -> np.ndarray:
     """Greedy Curtis-Powell-Reid colouring of n column blocks, given the
-    (row block, column block) pairs of a sparsity pattern: blocks of one
-    colour feed no common row block, so one difference sweep serves them all.
-    Column j takes the lowest colour that feeds none of its row blocks: each
-    row block keeps a bitmask of the colours feeding it, and the colour is
-    the lowest bit free in all of them."""
+    (row block, column block) pairs of a sparsity pattern: column j takes
+    the lowest colour that feeds none of its row blocks, the lowest bit free
+    in the bitmasks of the colours feeding each of them."""
     readers = rows[np.argsort(cols, kind="stable")].tolist()
     used = [0] * n  # per row block, the colours that feed it
     colour = []
@@ -925,14 +830,12 @@ class _PeriodicCollocation:
     """Midpoint collocation of the periodic delay system on n nodes, and its
     column-grouped forward-difference Jacobian.
 
-    Row block k, (v_{k+1} - v_k)/h - rhs(t_{k+1/2}), reads only a few node
-    blocks: k, k+1, and the two interpolation neighbours of every read of
-    rhs_eval at t_{k+1/2}.  The pattern comes from read_times at the
-    midpoints, the read rule rhs_eval uses, so it holds for affine and spline
-    chains alike.  Node blocks are coloured so that no two of one colour feed
-    a common row block; each (colour, component) group then costs one
-    residual sweep, and since a row reads only its pattern, every entry is
-    bitwise the dense per-column difference.
+    Row block k, (v_{k+1} - v_k)/h - rhs(t_{k+1/2}), reads node blocks k,
+    k+1 and the interpolation neighbours of every read_times read at
+    t_{k+1/2}, for affine and spline chains alike.  Node blocks of one
+    colour feed no common row block, so each (colour, component) group costs
+    one residual sweep, and every entry is bitwise the dense per-column
+    difference.
     """
 
     def __init__(self, d: DelayEquationDescriptor, space, n: int):
@@ -983,13 +886,11 @@ def solve_periodic_delay(
 ):
     """Newton on midpoint collocation of the periodic delay system.
 
-    Unknowns are the N loop nodes; each interval contributes the equation
-    (v_{k+1} - v_k)/h = rhs(t_{k+1/2}) with delayed reads through a periodic
-    linear interpolant, matching the collocation order.  The Jacobian is a
-    sparse forward-difference one, built from one residual sweep per column
-    group of _PeriodicCollocation (a few, however large N is) and factored
-    by scipy's splu.  A non-finite residual or Jacobian ends as "diverged",
-    an exactly singular factor as "singular-jacobian".
+    Unknowns are the N loop nodes; delayed reads go through a periodic
+    linear interpolant, matching the collocation order.  The sparse Jacobian
+    of _PeriodicCollocation is factored by scipy's splu.  A non-finite
+    residual or Jacobian ends as "diverged", an exactly singular factor as
+    "singular-jacobian".
     """
     from scipy.sparse.linalg import splu
 
@@ -1057,24 +958,21 @@ def flow_fixed_points(
     integ: IntegratorConfig = IntegratorConfig(),
 ) -> OrbitSet:
     """Scans the torus for fixed points of the time-1 flow map of a base
-    Hamiltonian, polishing local minima of the displacement with Newton.
-    Fixed points are sorted by their coordinates rounded to the DEDUP_TOL
-    grid, with the raw coordinates as tie-break (_order_key)."""
+    Hamiltonian, polishing local minima of the displacement with Newton;
+    the fixed points are the _distinct set of the converged points."""
     if space.topology != "torus":
         raise ValueError("the fixed-point scan needs a compact (torus) base")
     level0 = build_level(space, 0)
     axes = [np.linspace(0.0, 1.0, grid_n, endpoint=False) for _ in range(space.dim)]
     mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=-1)[:, None, :]  # (B, 1, dim)
-
+    pts = np.stack([m.ravel() for m in mesh], axis=-1)
     stage = _stage(ham, level0)
 
-    def displacement(z, path=None):
-        zT = _rk4(stage, z, integ.n_steps, path)
-        return space.wrapped_difference(zT, z)
+    def displacement(flat, path=None):
+        z = flat[:, None, :]
+        return space.wrapped_difference(_rk4(stage, z, integ.n_steps, path), z).reshape(len(flat), -1)
 
-    disp = displacement(pts)
-    norms = np.max(np.abs(disp), axis=(1, 2)).reshape([grid_n] * space.dim)
+    norms = np.max(np.abs(displacement(pts)), axis=1).reshape([grid_n] * space.dim)
     trivial_fraction = float(np.mean(norms <= 1e-12))
     if trivial_fraction > 0.1:
         return OrbitSet(
@@ -1087,23 +985,15 @@ def flow_fixed_points(
     if not candidates:
         return OrbitSet((), False, DEDUP_TOL, {"grid": grid_n, "candidates": 0})
     seeds = np.array([[axes[i][idx[i]] for i in range(space.dim)] for idx in candidates])
-
-    def resid(flat_batch, path=None):
-        return displacement(flat_batch[:, None, :], path).reshape(flat_batch.shape[0], -1)
-
-    row_path = (integ.n_steps + 1, 1, space.dim)
-    ps, rs, status, conds, stored = _newton_batch(resid, partial(_wrap_params, space), seeds, newton, row_path)
+    system = _SquareSystem(displacement, space, (integ.n_steps + 1, 1, space.dim))
+    ps, rs, status, conds, stored = _newton_batch(system, seeds, newton)
     converged = np.flatnonzero(status == _CONVERGED)
     paths = _accepted_paths(ham, level0, converged, ps[converged, None, :], stored, integ)
     found = [
         FixedPoint(ps[i], float(np.max(np.abs(rs[i]))), float(conds[i]), DiscreteCurve(space, 0, path.samples, True))
         for i, path in zip(converged, paths)
     ]
-    found.sort(key=lambda fp: _order_key(fp.point))
-    kept: list[FixedPoint] = []
-    for fp in found:
-        if all(space.distance(fp.point, k.point) > DEDUP_TOL for k in kept):
-            kept.append(fp)
+    kept = _distinct(space, found, lambda fp: fp.point, lambda fp: fp.point, (space.dim,))[0]
     degenerate = any(fp.degenerate for fp in kept)
     return OrbitSet(
         tuple(kept),

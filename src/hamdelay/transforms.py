@@ -3,10 +3,9 @@
 All time bookkeeping lives here.  A chain of (alpha, beta) reparametrization
 pairs identifies loops on the base space with paths on the product tower;
 the derived segment table assigns each product copy a subinterval of [0,1],
-a monotone time map onto chord time, and a positive rate.  Affine
-reparametrizations are carried as exact rationals so the piecewise maps of
-the induced delay equations come out symbolically exact; tabulated smooth
-reparametrizations fall back to monotone splines with bisection inverses.
+a monotone time map onto chord time, and a positive rate.  Affine chains
+are exact rationals, so the induced delay equations come out symbolically
+exact; smooth chains are monotone splines with bisection inverses.
 """
 
 from __future__ import annotations
@@ -81,13 +80,6 @@ class AffineMap:
         if isinstance(inner, AffineMap):
             return AffineMap(self.slope * inner.slope, self.slope * inner.intercept + self.intercept)
         return ComposedMap((self,) + _map_sequence(inner))
-
-    def equals_mod1(self, other) -> bool:
-        return (
-            isinstance(other, AffineMap)
-            and self.slope == other.slope
-            and (self.intercept - other.intercept).denominator == 1
-        )
 
     def pretty(self, var: str = "t") -> str:
         s, c = self.slope, self.intercept
@@ -242,10 +234,8 @@ class ComposedMap:
 
 @dataclass(frozen=True, eq=False)
 class ReparamPair:
-    """One chain step: increasing alpha and decreasing beta meeting at tau.
-
-    alpha(0) = 0, beta(0) = 1, alpha(1) = beta(1) = tau in (0, 1).
-    """
+    """One chain step: increasing alpha and decreasing beta meeting at tau,
+    alpha(0) = 0, beta(0) = 1, alpha(1) = beta(1) = tau in (0, 1)."""
 
     alpha: object
     beta: object
@@ -476,11 +466,9 @@ def copy_time_map(chain: TransformChain, copy: int):
 
 
 def delayed_time(chain: TransformChain, segment_copy: int, coeff_copy: int):
-    """Map delta(t) = theta_m^{-1}(theta_k(t)) on segment k's interval.
-
-    For affine chains the result is an exact affine map whose values lie in
-    copy m's interval, i.e. already the mod-1 canonical representative.
-    """
+    """Map delta(t) = theta_m^{-1}(theta_k(t)) on segment k's interval; for
+    affine chains an exact affine map whose values lie in copy m's interval,
+    already the mod-1 canonical representative."""
     if segment_copy == coeff_copy:
         raise ValueError("delayed time needs two distinct copies")
     table = chain.table
@@ -489,10 +477,8 @@ def delayed_time(chain: TransformChain, segment_copy: int, coeff_copy: int):
 
 def printed_time_maps(n: int) -> list[AffineMap]:
     """The 2^n halving-chain copy time maps of the alternative halving
-    recursion, copy by copy, from one pass of the recursion.
-
-    Kept alongside the composition-derived maps for comparison; the two
-    disagree on some copies for n >= 2 (see compare_tau_tables).
+    recursion, copy by copy, kept for comparison with the composed maps;
+    the two disagree on some copies for n >= 2 (see compare_tau_tables).
     """
     maps = [AffineMap(1, 0)]
     for _ in range(n):
@@ -533,11 +519,9 @@ def compare_tau_tables(n: int) -> list[dict]:
 @dataclass(eq=False)
 class DiscreteCurve:
     """Uniformly sampled curve at some level; loops close up, paths do not.
-
-    samples has shape (N+1, copies, dim) with torus coordinates stored
-    canonically in [0, 1).  breakpoints mark where the curve is only
-    continuous; interpolation never crosses them.
-    """
+    samples has shape (N+1, copies, dim), torus coordinates in [0, 1).
+    breakpoints mark where the curve is only continuous; interpolation
+    never crosses them."""
 
     space: PhaseSpace
     level: int
@@ -575,11 +559,9 @@ class DiscreteCurve:
 
     @staticmethod
     def from_function(space, fn, n_intervals, level=0, is_loop=True, breakpoints=()):
-        """Samples fn at the n_intervals + 1 uniform nodes of [0, 1].
-
-        fn is called once with the node column ts[:, None], of shape (N+1, 1),
-        and returns (N+1, dim) or (N+1, copies, dim): one row per node.
-        """
+        """Samples fn at the n_intervals + 1 uniform nodes of [0, 1]: one call
+        on the node column ts[:, None], returning (N+1, dim) or (N+1,
+        copies, dim)."""
         ts = np.linspace(0.0, 1.0, n_intervals + 1)
         samples = np.asarray(fn(ts[:, None]), dtype=float)
         if samples.shape[:1] != ts.shape:
@@ -610,12 +592,9 @@ def _validate_grid(n: int, breakpoints) -> list[int]:
 
 
 class CurveInterpolant:
-    """Cubic interpolation per smooth segment, torus-aware.
-
-    Evaluations return the locally lifted representative (continuous within
-    each segment); periodic factors and wrapped comparisons do not need the
-    canonical form, and callers that store samples normalize afterwards.
-    """
+    """Cubic interpolation per smooth segment, torus-aware.  Evaluations
+    return the locally lifted representative, continuous within each
+    segment; callers that store samples normalize them."""
 
     def __init__(self, curve: DiscreteCurve):
         from scipy.interpolate import CubicSpline
@@ -656,20 +635,17 @@ class CurveInterpolant:
 def _map_on_nodes(curve: DiscreteCurve, n_out: int, jobs) -> list:
     """Reads the curve on output nodes for every job (tmap, copy, k0, k1):
     curve_copy(tmap(k/n_out)) for k = k0..k1, one (k1 - k0 + 1, dim) block
-    per job, exact at rational node hits.
+    per job, from one array expression and one interpolant call.
 
-    All jobs are one array expression and one interpolant call, so a chain
-    with many short windows pays numpy's fixed cost once.  An affine map
-    (ps/qs) t + pi/qi sends node k to num_k / den, with
+    An affine map (ps/qs) t + pi/qi sends node k to num_k / den, with
     num_k = ps*qi*k + pi*qs*n_out and den = qs*qi*n_out.  Node k hits input
-    node num_k*n_in // den when the remainder is zero; a hit copies the
-    stored sample bitwise (a loop wraps hits outside [0, n_in]), a miss is
-    read from the interpolant at num_k / den.  The rows are int64 when every
-    |num_k|*n_in < 2^62 and every |num_k|, den < 2^53, else dtype object,
-    whose elements are Python ints.  Both floor like divmod, and dividing
-    integers below 2^53 as floats is correctly rounded like Python's
-    int / int, so every hit and miss time is the exact rational one.  Other
-    maps go through the interpolant at every node.
+    node num_k*n_in // den when the remainder is zero and then copies the
+    stored sample bitwise (a loop wraps hits outside [0, n_in]); a miss, or
+    any node of another map, is read from the interpolant.  The rows are
+    int64 when every |num_k|*n_in < 2^62 and every |num_k|, den < 2^53, else
+    Python ints in an object array: both floor like divmod, and dividing
+    integers below 2^53 as floats is correctly rounded, so every hit and
+    miss time is the exact rational one.
     """
     n_in = curve.n_intervals
     params, sizes, starts, bound, den_max = [], [], [0], 0, 1
@@ -780,12 +756,9 @@ def phi_step(pair: ReparamPair, curve: DiscreteCurve) -> DiscreteCurve:
 
 
 def psi_chain(chain: TransformChain, loop: DiscreteCurve) -> DiscreteCurve:
-    """Full transform of a loop to a path at the chain's level.
-
-    Copy j of the output reads the loop at its copy time map, which is the
-    composition of the chain's steps; node values are exact whenever the
-    image time lands on the loop's grid.
-    """
+    """Full transform of a loop to a path at the chain's level: copy j
+    reads the loop at its copy time map, exactly where the image time lands
+    on the loop's grid."""
     if chain.level == 0:
         return loop
     if loop.level != 0:

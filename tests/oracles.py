@@ -1,10 +1,12 @@
-"""Per-object evaluations of Hamiltonians and of the delay right-hand side.
+"""Straightforward definitions that the tests compare the package against.
 
-The package evaluates every Hamiltonian through its compiled program; these
-are the straightforward definitions that the tests compare it against:
-spatial parts and factors one at a time, the complex structure J, central
-differences of the value, and the delay right-hand side by a loop over
-segments, terms and factors.
+The package evaluates every Hamiltonian through its compiled program and
+reads matched pairs through one index gather; these are the per-object
+forms: spatial parts and factors one at a time, the complex structure J,
+central differences of the value, the delay right-hand side by a loop over
+segments, terms and factors, and the diagonal maps pair by pair.  The
+test-only inverses and invariants of the geometry and the time maps live
+here too.
 """
 
 from __future__ import annotations
@@ -12,8 +14,9 @@ from __future__ import annotations
 import numpy as np
 
 from hamdelay.delaygen import DelayEquationDescriptor
+from hamdelay.geometry import DIAG_TOL, LevelStructure, on_diagonal
 from hamdelay.hamiltonians import FIELD_SIGN, TWO_PI, ConstSpatial, PolySpatial, TrigSpatial
-from hamdelay.transforms import DiscreteCurve
+from hamdelay.transforms import AffineMap, DiscreteCurve
 
 
 def spatial_value(s, z):
@@ -109,3 +112,59 @@ def rhs_eval_oracle(d: DelayEquationDescriptor, loop, t):
             acc += pref[:, None] * hamiltonian_field(factor_grad(term.driver, v[mask], theta))
         out[mask] = np.asarray(seg.rate(tt))[:, None] * acc
     return out[0] if scalar else out
+
+
+def embed_diagonal_params_oracle(level: LevelStructure, which, params):
+    """embed_diagonal_params pair by pair: both copies of matched pair i
+    take params[..., i, :]."""
+    params = np.asarray(params, dtype=float)
+    out = np.empty(params.shape[:-2] + (level.copies, level.space.dim))
+    for i, (a, b) in enumerate(level.matching(which)):
+        out[..., a, :] = params[..., i, :]
+        out[..., b, :] = params[..., i, :]
+    return out
+
+
+def end_residual_oracle(level: LevelStructure, zT):
+    """The shooting end residual pair by pair: the wrapped mismatch of each
+    end-diagonal pair of the product states zT (..., copies, dim)."""
+    out = np.empty(zT.shape[:-2] + (len(level.matching1), zT.shape[-1]))
+    for i, (a, b) in enumerate(level.matching1):
+        out[..., i, :] = level.space.wrapped_difference(zT[..., a, :], zT[..., b, :])
+    return out
+
+
+def reduce_diagonal_params(level: LevelStructure, which, p, tol: float = DIAG_TOL):
+    """Inverse of embed_diagonal_params; rejects points off the diagonal."""
+    p = np.asarray(p, dtype=float)
+    if not on_diagonal(level, which, p, tol=tol):
+        raise ValueError(f"point is not on diagonal {which} at tol {tol}")
+    return np.stack([p[a] for a, _ in level.matching(which)])
+
+
+def union_graph_is_single_cycle(level: LevelStructure) -> bool:
+    """Checks that matching0 and matching1 together form one 2^n-cycle."""
+    if level.level < 1:
+        return False
+    copies = level.copies
+    adj: list[list[int]] = [[] for _ in range(copies)]
+    for a, b in level.matching0 + level.matching1:
+        adj[a].append(b)
+        adj[b].append(a)
+    if any(len(nb) != 2 for nb in adj):
+        return False
+    seen = {0}
+    stack = [0]
+    while stack:
+        v = stack.pop()
+        for w in adj[v]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return len(seen) == copies
+
+
+def equals_mod1(a: AffineMap, b) -> bool:
+    """Whether the exact affine time maps a and b agree mod 1: the same
+    slope, and intercepts an integer apart."""
+    return isinstance(b, AffineMap) and a.slope == b.slope and (a.intercept - b.intercept).denominator == 1

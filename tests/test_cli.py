@@ -295,7 +295,15 @@ def test_action_tau_compat_mode(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "flag,value",
-    [("--grid", "0"), ("--grid", "-1"), ("--steps", "0"), ("--steps", "abc"), ("--steps", "2^x")],
+    [
+        ("--grid", "0"),
+        ("--grid", "-1"),
+        ("--steps", "0"),
+        ("--steps", "abc"),
+        ("--steps", "2^x"),
+        ("--steps", "2^50"),
+        ("--steps", "2^70"),
+    ],
 )
 def test_bad_override_is_config_error(flag, value, tmp_path, capsys):
     code = run(["chords", "--preset", "torus-morse-n1", flag, value, "--out", str(tmp_path)])
@@ -315,6 +323,8 @@ def test_bad_override_is_config_error(flag, value, tmp_path, capsys):
         ("grid", "points_per_dim", 2.7),
         ("integrator", "steps", 64.9),
         ("integrator", "steps", "64"),
+        ("integrator", "steps", 2**50),
+        ("chain", "steps", [{"kind": "affine_r", "r": "1/3000001"}]),
     ],
 )
 def test_bad_config_value_is_config_error(section, key, value, tmp_path, capsys):
@@ -340,12 +350,15 @@ def test_bad_config_value_is_config_error(section, key, value, tmp_path, capsys)
         ("action", "sweep", 64),
         ("action", "levels", [0]),
         ("action", "levels", []),
+        ("action", "levels", [13]),
+        ("action", "sweep", [2**50, 2**10]),
         ("action", "loops", 0),
         ("action", "amp", float("nan")),
         ("action", "amp", "0.25"),
         ("action", "amp", 10**400),
         ("roundtrip", "roundtrip_nodes", 0),
         ("roundtrip", "roundtrip_nodes", "x"),
+        ("roundtrip", "roundtrip_nodes", 2**50),
         ("roundtrip", "amp", float("inf")),
     ],
 )
@@ -447,6 +460,7 @@ def test_directory_config_is_config_error(tmp_path, capsys):
         ("verify_nodes", 0),
         ("verify_nodes", 512.7),
         ("verify_nodes", -8),
+        ("verify_nodes", 2**50),
     ],
 )
 def test_bad_tolerance_is_config_error(key, value, tmp_path, capsys):

@@ -22,7 +22,7 @@ from hamdelay.hamiltonians import (
 from hamdelay.delaygen import generate, render, rhs_eval
 from hamdelay.solvers import IntegratorConfig, integrate, pullback_chord
 from hamdelay.solvers import Chord
-from tests.oracles import rhs_eval_oracle
+from tests.oracles import equals_mod1, rhs_eval_oracle
 
 
 def trig_factor(copy, freq, phase=0.0, amp=0.2):
@@ -64,7 +64,7 @@ def test_product_1423_structure():
     for seg in d.segments:
         assert len(seg.terms) == 1
         delay = seg.terms[0].coefficients[0].delay
-        assert delay.equals_mod1(AffineMap(1, Fr(1, 2)))
+        assert equals_mod1(delay, AffineMap(1, Fr(1, 2)))
 
 
 def test_product_form_level1():
@@ -76,7 +76,7 @@ def test_product_form_level1():
     assert (first.terms[0].driver.copy, first.terms[0].coefficients[0].factor.copy) == (0, 1)
     assert (second.terms[0].driver.copy, second.terms[0].coefficients[0].factor.copy) == (1, 0)
     for seg in d.segments:
-        assert seg.terms[0].coefficients[0].delay.equals_mod1(AffineMap(-1, 1))
+        assert equals_mod1(seg.terms[0].coefficients[0].delay, AffineMap(-1, 1))
     assert first.theta == AffineMap(2, 0) and second.theta == AffineMap(-2, 2)
 
 
@@ -98,7 +98,7 @@ def test_full_product_level2_three_delay_rows():
         assert term.driver.copy + 1 == driver
         got = {c.factor.copy + 1: c.delay for c in term.coefficients}
         for s, copy in enumerate(slots):
-            assert got[copy].equals_mod1(slot_maps[s]), (driver, copy, got[copy])
+            assert equals_mod1(got[copy], slot_maps[s]), (driver, copy, got[copy])
 
 
 def test_zero_hamiltonian_all_zero_rows(torus):
@@ -260,8 +260,8 @@ def test_render_rr_zero_segments():
         (Fr(7, 9), Fr(1), True),
     ]
     active = [seg for seg in d.segments if seg.terms]
-    assert active[0].terms[0].coefficients[0].delay.equals_mod1(AffineMap(1, 1 - r))
-    assert active[1].terms[0].coefficients[0].delay.equals_mod1(AffineMap(1, r - 1))
+    assert equals_mod1(active[0].terms[0].coefficients[0].delay, AffineMap(1, 1 - r))
+    assert equals_mod1(active[1].terms[0].coefficients[0].delay, AffineMap(1, r - 1))
     assert active[0].constant_rate() == Fr(9, 2)
 
 

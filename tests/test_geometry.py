@@ -8,9 +8,14 @@ from hamdelay.geometry import (
     build_level,
     embed_diagonal_params,
     on_diagonal,
+    wrapped_difference,
+)
+from hamdelay.solvers import _end_residual
+from tests.oracles import (
+    embed_diagonal_params_oracle,
+    end_residual_oracle,
     reduce_diagonal_params,
     union_graph_is_single_cycle,
-    wrapped_difference,
 )
 
 
@@ -104,10 +109,12 @@ def test_on_diagonal_partial(torus):
 
 
 @pytest.mark.parametrize("topology", ["torus", "plane"])
-@pytest.mark.parametrize("n", [0, 1, 2, 3])
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
 def test_on_diagonal_matches_per_pair_rule(n, topology):
     """The one-gather test decides as the pair-by-pair distance rule does,
-    also on points holding NaN and inf, where a NaN gap fails no pair."""
+    also on points holding NaN and inf, where a NaN gap fails no pair; the
+    gathered diagonal embedding and shooting end residual are bitwise the
+    pair-by-pair loops, for every batch shape."""
     space = PhaseSpace(1, topology)
     lv = build_level(space, n)
     rng = np.random.default_rng(n)
@@ -122,6 +129,15 @@ def test_on_diagonal_matches_per_pair_rule(n, topology):
         for which in (0, 1, "tot") if n else ("tot",):
             with np.errstate(invalid="ignore"):
                 assert on_diagonal(lv, which, p, tol=1e-9) == per_pair(which, p, 1e-9)
+
+    for batch in ((), (5,), (2, 3)) if n else ():
+        z = 3 * rng.standard_normal(batch + (lv.copies, 2))
+        got, want = _end_residual(lv, z), end_residual_oracle(lv, z)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        for which in (0, 1):
+            params = z[..., : lv.copies // 2, :]
+            got, want = embed_diagonal_params(lv, which, params), embed_diagonal_params_oracle(lv, which, params)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 @given(st.integers(1, 5), st.data())

@@ -463,18 +463,18 @@ def newton_against_oracle(monkeypatch):
     call the statuses and the residual sweeps each took."""
     runs = []
 
-    def both(resid_fn, wrap_fn, seeds, newton, row_path):
+    def both(system, seeds, newton):
         sweeps = {"ladder": 0, "oracle": 0}
 
         def counted(key):
             def fn(x, path=None):
                 sweeps[key] += 1
-                return resid_fn(x, path)
+                return system.resid(x, path)
 
             return fn
 
-        got = _newton_batch(counted("ladder"), wrap_fn, seeds, newton, row_path)
-        want = _newton_sequential(counted("oracle"), wrap_fn, seeds, newton)
+        got = _newton_batch(_SquareSystem(counted("ladder"), system.space, system.row_path), seeds, newton)
+        want = _newton_sequential(counted("oracle"), partial(solvers._wrap_params, system.space), seeds, newton)
         for a, b in zip(got[:4], want, strict=True):
             assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
         runs.append({"status": got[2], **sweeps})
@@ -575,7 +575,7 @@ def test_condensed_jacobian_matches_single_shooting(name, rng):
     def resid(flat, path=None):
         return shoot_residual(ham, lev, flat.reshape(len(flat), 1, 2), integ, path).reshape(len(flat), -1)
 
-    want = _SquareSystem(resid).linearize(seeds, 1e-6)[1]
+    want = _SquareSystem(resid, lev.space, None).linearize(seeds, 1e-6)[1]
     assert np.max(np.abs(mat - want)) <= 1e-6 * np.max(np.abs(want))
     assert np.array_equal(rhs, r[:, :2])
     # the recovered step satisfies every block row of the full Newton system
@@ -883,7 +883,7 @@ def test_transverse_product_count_bound(torus):
 
 def test_two_route_reverse_seeding(torus):
     """Route 2 first, then lift the orbit and shoot for its chord."""
-    from hamdelay.geometry import reduce_diagonal_params
+    from tests.oracles import reduce_diagonal_params
     from hamdelay.transforms import psi_chain
 
     lev = build_level(torus, 1)

@@ -24,6 +24,7 @@ from hamdelay.transforms import (
     segment_table,
     sup_distance,
 )
+from tests.oracles import equals_mod1
 
 
 def trig_loop_fn(rng, dim=2, scale=0.3):
@@ -61,9 +62,9 @@ def test_affine_inverse_roundtrip(slope, intercept):
 
 
 def test_affine_mod1():
-    assert AffineMap(1, Fr(3, 2)).equals_mod1(AffineMap(1, Fr(1, 2)))
-    assert not AffineMap(1, Fr(3, 2)).equals_mod1(AffineMap(1, Fr(1, 3)))
-    assert not AffineMap(2, Fr(1, 2)).equals_mod1(AffineMap(1, Fr(1, 2)))
+    assert equals_mod1(AffineMap(1, Fr(3, 2)), AffineMap(1, Fr(1, 2)))
+    assert not equals_mod1(AffineMap(1, Fr(3, 2)), AffineMap(1, Fr(1, 3)))
+    assert not equals_mod1(AffineMap(2, Fr(1, 2)), AffineMap(1, Fr(1, 2)))
 
 
 def test_affine_pretty():
@@ -237,7 +238,7 @@ def test_derived_and_printed_agree_as_sets():
 
 def test_delayed_time_examples():
     ch2 = TransformChain.standard(2)
-    assert delayed_time(ch2, 0, 3).equals_mod1(AffineMap(1, Fr(-1, 2)))
+    assert equals_mod1(delayed_time(ch2, 0, 3), AffineMap(1, Fr(-1, 2)))
     ch3 = TransformChain.standard(3)
     assert delayed_time(ch3, 0, 6) == AffineMap(1, Fr(1, 4))
     r = Fr(1, 3)
@@ -279,7 +280,7 @@ def test_section5_equal_r_specializations(r):
     ch = TransformChain.affine([r, r])
     assert delayed_time(ch, 0, 3) == AffineMap(((1 - r) / r) ** 2, r)
     assert delayed_time(ch, 2, 1) == AffineMap(1, 1 - r)
-    assert delayed_time(ch, 1, 2).equals_mod1(AffineMap(1, r - 1))
+    assert equals_mod1(delayed_time(ch, 1, 2), AffineMap(1, r - 1))
     assert delayed_time(ch, 3, 0) == AffineMap((r / (1 - r)) ** 2, -r * (r / (1 - r)) ** 2)
 
 
