@@ -105,12 +105,21 @@ def action_chord(ham, path: DiscreteCurve, level: LevelStructure) -> float:
     return -area - _h_quadrature(ham, path.samples, path.times())
 
 
-def pushforward_gap(ham, loop: DiscreteCurve, chain: TransformChain, variant: str = "derived") -> float:
-    """|A_{H^n}(Psi^n v) - A_H(v)| at the loop's sampling resolution."""
-    lifted_ham = lift(ham, chain, variant=variant)
+def pushforward_gap(ham, loop: DiscreteCurve, chain: TransformChain, variant: str | tuple = "derived") -> float | tuple:
+    """|A_{H^n}(Psi^n v) - A_H(v)| at the loop's sampling resolution.
+
+    variant is a tau variant name, which gives one gap, or a tuple of names,
+    which gives a tuple of gaps in that order.  Only the lifted Hamiltonian
+    depends on the variant: Psi^n v, its half-disk area and A_H(v) are
+    computed once per call, and each gap is A_K(w) - A_H(v) by the same
+    arithmetic as action_chord and action_loop."""
+    names = (variant,) if isinstance(variant, str) else tuple(variant)
     w = psi_chain(chain, loop)
-    level = build_level(loop.space, chain.level)
-    return abs(action_chord(lifted_ham, w, level) - action_loop(ham, loop))
+    area = chord_area(w, build_level(loop.space, chain.level))
+    base = action_loop(ham, loop)
+    ts = w.times()
+    gaps = tuple(abs((-area - _h_quadrature(lift(ham, chain, variant=v), w.samples, ts)) - base) for v in names)
+    return gaps[0] if isinstance(variant, str) else gaps
 
 
 def action_report(ham, loop: DiscreteCurve) -> dict:

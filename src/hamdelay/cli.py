@@ -390,7 +390,7 @@ def cmd_action(args) -> int:
     sweep = cfg.action.get("sweep", [2**10, 2**11, 2**12, 2**13])
     n_loops = cfg.action.get("loops", 3)
     amp = float(cfg.action.get("amp", 0.25))
-    variants = ["derived", "printed"] if args.tau_compat else ["derived"]
+    variants = ("derived", "printed") if args.tau_compat else ("derived",)
     out = _outdir(args)
     worst_order = np.inf
     unmeasured = []
@@ -404,8 +404,8 @@ def cmd_action(args) -> int:
             gaps = {v: [] for v in variants}
             for N in sweep:
                 loop = DiscreteCurve.from_function(cfg.space, f, N)
-                for v in variants:
-                    gaps[v].append(pushforward_gap(H, loop, chain, variant=v))
+                for v, g in zip(variants, pushforward_gap(H, loop, chain, variant=variants)):
+                    gaps[v].append(g)
                 records.append(
                     {"level": n, "loop": i, "N": N}
                     | {f"gap_{v}": gaps[v][-1] for v in variants}

@@ -386,6 +386,17 @@ class _Compiled:
         entry = self._table(t)
         return entry if grad else entry[0]
 
+    def fill(self, ts: list) -> None:
+        """Caches the float times ts that the cache lacks, as long as it has
+        room, from one _table call: the read-only entries weights(t) would
+        make one at a time, bitwise (see weights)."""
+        cache = self.time_cache
+        missing = list(dict.fromkeys(t for t in ts if t not in cache))[: max(0, TIME_CACHE_SIZE - len(cache))]
+        if missing:
+            w, scale = self._table(np.array(missing))
+            w.flags.writeable = scale.flags.writeable = False
+            cache.update((t, (w[..., j : j + 1], scale[..., j : j + 1])) for j, t in enumerate(missing))
+
     def _table(self, times: np.ndarray) -> tuple:
         """Weights (S + 1, 1, len(times)) and gradient weights at a 1-D
         times array, from one call per profile."""

@@ -143,8 +143,10 @@ def _rk4(stage, z0: np.ndarray, n_steps: int, path: np.ndarray | None = None, st
     *z0.shape[1:]), it also keeps the trajectory of the first k rows there.
     Given per-row start steps (an integer array over the rows of z0) and a
     step count, row b takes the steps start[b] ... start[b] + steps - 1 of
-    that grid instead, with weights from the pair (times, rows).  Blocks of
-    at most prog.block rows are swept batch-last, a stage one kernel call."""
+    that grid instead, with weights from the pair (times, rows); a sweep
+    from one start step first caches the weights of all its stage times
+    (prog.fill).  Blocks of at most prog.block rows are swept batch-last, a
+    stage one kernel call."""
     prog, kernel = stage
     h = 1.0 / n_steps
     z0 = np.asarray(z0, dtype=float)
@@ -152,6 +154,10 @@ def _rk4(stage, z0: np.ndarray, n_steps: int, path: np.ndarray | None = None, st
     out = np.empty_like(batch)
     keep = 0 if path is None else path.shape[1]
     first, rows = np.unique(start, return_inverse=True) if np.ndim(start) else (start, None)
+    count = n_steps if steps is None else steps
+    if rows is None:
+        ts = [(first + i) * h for i in range(count)]
+        prog.fill([u for t in ts for u in (t, t + 0.5 * h, t + h)])
 
     def weights(t, part):
         return prog.weights(t if part is None else (t, part), True)
@@ -163,7 +169,7 @@ def _rk4(stage, z0: np.ndarray, n_steps: int, path: np.ndarray | None = None, st
         z = np.ascontiguousarray(batch[lo:hi].transpose(1, 2, 0))
         if kept:
             path[0, lo : lo + kept] = batch[lo : lo + kept]
-        for i in range(n_steps if steps is None else steps):
+        for i in range(count):
             t = (first + i) * h
             k1 = kernel(z, weights(t, part))
             w_mid = weights(t + 0.5 * h, part)

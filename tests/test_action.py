@@ -217,6 +217,34 @@ def test_printed_variant_documented_discrepancy(torus, rng):
         assert gp > 100 * gd
 
 
+def test_pushforward_gap_tuple_matches_single_names(torus, plane, rng):
+    """A tuple of variants gives bitwise the gaps of one-name calls and of
+    A_K(Psi^n v) - A_H(v) through action_chord and action_loop, on standard
+    chains at levels 1-3 (both variants), affine r = 1/3 chains at levels
+    1-2 (derived only), torus and plane, and the zero Hamiltonian."""
+    H = StructuredHamiltonian(
+        0,
+        ((1.0, (Factor(0, TrigSpatial(0.4, (1, 0), 0.3), TrigTime(0.5, 1, 0.2, 1.0)),)),
+         (0.7, (Factor(0, TrigSpatial(0.3, (1, -1), 1.1), TrigTime(0.2, 2, 0.4, 1.0)),))),
+    )
+    both = ("derived", "printed")
+    cases = [(TransformChain.standard(n), both) for n in (1, 2, 3)]
+    cases += [(TransformChain.affine([Fr(1, 3)] * n), ("derived",)) for n in (1, 2)]
+    for space in (torus, plane):
+        f = trig_loop_fn(rng, scale=0.25)
+        for chain, variants in cases:
+            v = DiscreteCurve.from_function(space, f, chain.grid_denominator() * 64)
+            w, level = psi_chain(chain, v), build_level(space, chain.level)
+            for ham in (H, ZERO_H):
+                gaps = pushforward_gap(ham, v, chain, variant=variants)
+                assert isinstance(gaps, tuple) and len(gaps) == len(variants)
+                for name, gap in zip(variants, gaps):
+                    single = pushforward_gap(ham, v, chain, variant=name)
+                    direct = abs(action_chord(lift(ham, chain, variant=name), w, level) - action_loop(ham, v))
+                    assert isinstance(single, float)
+                    assert gap.hex() == single.hex() == direct.hex()
+
+
 def test_action_chord_scaling(torus, rng):
     """Scaling K scales only the perturbation term of the chord action."""
     from hamdelay.action import _h_quadrature

@@ -4,9 +4,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import hamdelay.action
+from hamdelay import cli
+from hamdelay.action import pushforward_gap
 from hamdelay.cli import main
+from hamdelay.geometry import PhaseSpace
+from hamdelay.transforms import DiscreteCurve, TransformChain
 
 
 def run(argv):
@@ -291,6 +297,35 @@ def test_action_tau_compat_mode(tmp_path, capsys):
     assert code == 0
     assert "mismatched copies [2, 3]" in out
     assert "gap[printed]" in out
+    # every gap record equals per-variant recomputations from the same draws
+    space, rng = PhaseSpace(1, "torus"), np.random.default_rng(11)
+    expected = []
+    for n in (1, 2):
+        chain = TransformChain.standard(n)
+        f = cli._random_trig_loop(space, rng, 0.25)
+        H = cli._random_base_hamiltonian(space, rng, 0.25)
+        for N in (256, 512, 1024):
+            loop = DiscreteCurve.from_function(space, f, N)
+            gaps = {f"gap_{v}": pushforward_gap(H, loop, chain, variant=v) for v in ("derived", "printed")}
+            expected.append({"level": n, "loop": 0, "N": N} | gaps)
+    records = json.loads((tmp_path / "o2" / "action_gaps.json").read_text())
+    assert [r for r in records if "N" in r] == expected
+
+
+def test_action_tau_compat_maps_each_loop_once(tmp_path, monkeypatch):
+    """--tau-compat shares one Psi^n image per (level, loop, N) between the
+    variants: psi_chain runs once for each."""
+    calls = []
+    psi_chain = hamdelay.action.psi_chain
+
+    def counting(chain, loop):
+        calls.append((chain.level, loop.n_intervals))
+        return psi_chain(chain, loop)
+
+    monkeypatch.setattr(hamdelay.action, "psi_chain", counting)
+    code = run(["action", "--config", _small_action_config(tmp_path), "--tau-compat", "--out", str(tmp_path / "o")])
+    assert code == 0
+    assert calls == [(n, N) for n in (1, 2) for N in (256, 512, 1024)]
 
 
 @pytest.mark.parametrize(

@@ -644,11 +644,14 @@ def test_field_matches_scatter_oracle(K, lead, per_row, seed):
 
 
 @pytest.mark.parametrize("n_steps", [9, 128, 1000])
-def test_float_pair_and_per_row_weights_are_bitwise_equal(n_steps):
+def test_float_pair_and_per_row_weights_are_bitwise_equal(n_steps, monkeypatch):
     """At every stage time of an RK4 sweep, a float t, the pair (times,
     rows) and per-row t give bitwise the same weights and gradient weights,
     for every kind of time profile: constant, trig, bump, tabulated, and
-    lifted over an affine and over non-affine time maps."""
+    lifted over an affine and over non-affine time maps.  The entries an
+    RK4 sweep caches in one table call (fill) are the one-element tables,
+    bitwise and read-only, and stop at TIME_CACHE_SIZE."""
+    from hamdelay.solvers import _rk4, _stage
     from tests.test_solvers import _spline_chain
 
     spline = _spline_chain().table
@@ -663,7 +666,9 @@ def test_float_pair_and_per_row_weights_are_bitwise_equal(n_steps):
         LiftTime(TrigTime(0.3, 1, 0.2, 1.0), spline[0].theta),
     ]
     F = TrigSpatial(0.5, (1, 0))
-    prog = StructuredHamiltonian(0, tuple((1.0, (Factor(0, F, p),)) for p in profiles))._program(2)
+    terms = tuple((1.0, (Factor(0, F, p),)) for p in profiles)
+    lazy = StructuredHamiltonian(0, terms)
+    prog = lazy._program(2)
     h = 1.0 / n_steps
     stages = {u for i in range(n_steps) for u in (i * h, i * h + 0.5 * h, i * h + h)}
     # BumpTime(0.4, 0.3, 1.2) at a 0-d time rounds this one differently
@@ -673,3 +678,20 @@ def test_float_pair_and_per_row_weights_are_bitwise_equal(n_steps):
     for b, u in enumerate(times.tolist()):
         for got_float, got_pair, got_row in zip(prog.weights(u, True), pair, per_row):
             assert got_float[..., 0].tobytes() == got_pair[..., b].tobytes() == got_row[..., b].tobytes()
+
+    # prog now holds every stage time's one-element table, so its sweep fills nothing
+    lev = build_level(PhaseSpace(1, "torus"), 0)
+    z0 = np.random.default_rng(3).uniform(-1.0, 1.0, (5, 1, 2))
+    K = StructuredHamiltonian(0, terms)
+    end = _rk4(_stage(K, lev), z0, n_steps)
+    filled = K._program(2).time_cache
+    assert sorted(filled) == sorted(stages)
+    for u, entry in filled.items():
+        for got, want in zip(entry, prog.time_cache[u]):
+            assert got.tobytes() == want.tobytes() and not got.flags.writeable
+    assert _rk4(_stage(lazy, lev), z0, n_steps).tobytes() == end.tobytes()
+    monkeypatch.setattr(hamiltonians, "TIME_CACHE_SIZE", 5)
+    small = StructuredHamiltonian(0, terms)._program(2)
+    small.fill([0.0, 0.5 * h, h, h, 1.5 * h, 2 * h, 2.5 * h, 3 * h])
+    small.fill([0.75, 1.0])
+    assert list(small.time_cache) == [0.0, 0.5 * h, h, 1.5 * h, 2 * h]
