@@ -29,7 +29,7 @@ from .transforms import (
     resample,
     sup_distance,
 )
-from .hamiltonians import StructuredHamiltonian, lift
+from .hamiltonians import StructuredHamiltonian, is_integer, lift
 from .delaygen import generate, render
 from .action import pushforward_gap
 from .solvers import (
@@ -63,8 +63,7 @@ def _config_errors():
 
 def _integer(value, name: str, minimum: int | None = None, maximum: int | None = None) -> int:
     """value as an int; integral floats pass, fractions, bools and strings do not."""
-    integral = isinstance(value, int) or isinstance(value, float) and value.is_integer()
-    if isinstance(value, bool) or not integral:
+    if not is_integer(value):
         raise ConfigError(f"{name} must be an integer, got {value!r}")
     if minimum is not None and value < minimum:
         raise ConfigError(f"{name} must be >= {minimum}, got {value!r}")
@@ -159,19 +158,22 @@ class ExperimentConfig:
             )
 
     def structured_hamiltonian(self) -> StructuredHamiltonian:
-        """The Hamiltonian at the chain's level, given directly or lifted."""
+        """The Hamiltonian at the chain's level, given directly or lifted;
+        every trig freq and poly exponent list needs one entry per coordinate."""
         h = self.hamiltonian
         kind = h.get("kind", "structured")
         try:
             if kind == "structured":
                 K = StructuredHamiltonian.from_json(h["structured"])
+                K.check_dim(self.space.dim)
                 if K.level != self.chain.level:
                     raise ConfigError("Hamiltonian level does not match the chain")
                 return K
             if kind == "lift":
                 base = StructuredHamiltonian.from_json(h["base"])
+                base.check_dim(self.space.dim)
                 return lift(base, self.chain, h.get("variant", "derived"))
-        except (KeyError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(str(exc)) from exc
         raise ConfigError(f"unknown hamiltonian kind {kind!r}")
 

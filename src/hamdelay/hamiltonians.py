@@ -25,6 +25,35 @@ TWO_PI = 2.0 * np.pi
 # spatial parts
 
 
+def is_integer(x) -> bool:
+    """An int, or a float with an integer value; bools do not count."""
+    return not isinstance(x, bool) and (isinstance(x, (int, np.integer)) or isinstance(x, float) and x.is_integer())
+
+
+# the largest |freq| or exponent: integral floats up to it are exact, and
+# so are the float and int64 tables compiled from them
+MAX_INTEGER = 2**53
+
+
+def _integer(x, what: str, minimum: int = -MAX_INTEGER) -> int:
+    """x as an int; raises on a fraction or on x outside [minimum,
+    MAX_INTEGER], so nothing is truncated or clamped into range."""
+    if not is_integer(x):
+        raise ValueError(f"{what}: {x!r} is not an integer")
+    if not minimum <= x <= MAX_INTEGER:
+        raise ValueError(f"{what}: {x!r} is outside [{minimum}, {MAX_INTEGER}]")
+    return int(x)
+
+
+def _integers(values, what: str, minimum: int = -MAX_INTEGER) -> tuple[int, ...]:
+    """values as a tuple of ints by _integer; raises on a scalar."""
+    try:
+        entries = list(values)
+    except TypeError:
+        raise TypeError(f"{what} must be a list of integers, got {values!r}") from None
+    return tuple(_integer(x, what, minimum) for x in entries)
+
+
 @dataclass(frozen=True)
 class TrigSpatial:
     """amp * cos(2 pi freq . z + phase); integer freq keeps it torus-valued."""
@@ -34,7 +63,7 @@ class TrigSpatial:
     phase: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "freq", tuple(int(f) for f in self.freq))
+        object.__setattr__(self, "freq", _integers(self.freq, "trig freq"))
 
     def to_json(self):
         return {"kind": "trig", "amp": self.amp, "freq": list(self.freq), "phase": self.phase}
@@ -48,7 +77,7 @@ class PolySpatial:
 
     def __post_init__(self):
         object.__setattr__(
-            self, "terms", tuple((float(c), tuple(int(e) for e in es)) for c, es in self.terms)
+            self, "terms", tuple((float(c), _integers(es, "poly exponents", minimum=0)) for c, es in self.terms)
         )
 
     def to_json(self):
@@ -86,6 +115,9 @@ class TrigTime:
     freq: int = 1
     phase: float = 0.0
     offset: float = 0.0
+
+    def __post_init__(self):
+        object.__setattr__(self, "freq", _integer(self.freq, "trig time freq"))
 
     def __call__(self, t):
         return self.offset + self.amp * np.cos(TWO_PI * self.freq * np.asarray(t, float) + self.phase)
@@ -158,9 +190,9 @@ class LiftTime:
 def spatial_from_json(data: dict):
     kind = data["kind"]
     if kind == "trig":
-        return TrigSpatial(data["amp"], tuple(data["freq"]), data.get("phase", 0.0))
+        return TrigSpatial(data["amp"], data["freq"], data.get("phase", 0.0))
     if kind == "poly":
-        return PolySpatial(tuple((c, tuple(es)) for c, es in data["terms"]))
+        return PolySpatial(tuple((c, es) for c, es in data["terms"]))
     if kind == "const":
         return ConstSpatial(data.get("value", 1.0))
     raise ValueError(f"unknown spatial kind {kind!r}")
@@ -244,11 +276,31 @@ class StructuredHamiltonian:
 
     @staticmethod
     def from_json(data: dict) -> "StructuredHamiltonian":
-        terms = tuple(
-            (term["coeff"], tuple(Factor.from_json(f) for f in term["factors"]))
-            for term in data["terms"]
-        )
-        return StructuredHamiltonian(data["level"], terms)
+        """Reads the JSON form; a factor that does not parse raises a
+        ValueError that names it by term and factor, counted from 1."""
+        terms = []
+        for i, term in enumerate(data["terms"], 1):
+            factors = []
+            for j, f in enumerate(term["factors"], 1):
+                try:
+                    factors.append(Factor.from_json(f))
+                except (KeyError, TypeError, ValueError) as exc:
+                    raise ValueError(f"term {i} factor {j}: {exc}") from exc
+            terms.append((term["coeff"], tuple(factors)))
+        return StructuredHamiltonian(data["level"], tuple(terms))
+
+    def check_dim(self, dim: int) -> None:
+        """Raises a ValueError naming the first factor whose trig freq or
+        poly exponents do not have one entry per coordinate."""
+        for i, (_, factors) in enumerate(self.terms, 1):
+            for j, f in enumerate(factors, 1):
+                s = f.spatial
+                lists = [("trig freq", s.freq)] if isinstance(s, TrigSpatial) else []
+                if isinstance(s, PolySpatial):
+                    lists = [("poly exponents", es) for _, es in s.terms]
+                for what, entries in lists:
+                    if len(entries) != dim:
+                        raise ValueError(f"term {i} factor {j}: {what} {list(entries)} must have {dim} entries, one per coordinate")
 
 
 # Time-profile tables one compiled Hamiltonian keeps, by scalar time or by

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -591,45 +591,172 @@ def _validate_grid(n: int, breakpoints) -> list[int]:
     return nodes
 
 
+# Cubic splines on a uniform grid.  On knots of spacing h, scipy's
+# CubicSpline system for u = h s, the slopes s times h, has interior rows
+# u[i-1] + 4 u[i] + u[i+1] = 3 (d[i-1] + d[i]), d the first differences of
+# the samples; natural ends read 2 u[0] + u[1] = 3 d[0] (and mirrored), and
+# not-a-knot ends u[0] + 2 u[1] = (5 d[0] + d[1]) / 2 (and mirrored).
+# Subtracting a not-a-knot end row from its neighbour leaves the system of
+# the inner unknowns with the natural-end matrix, so both rules solve
+# T_k = tridiag(1, (2, 4, ..., 4, 2), 1): diagonally dominant, so cyclic
+# reduction needs no pivoting (de Boor, A Practical Guide to Splines, ch. IV;
+# Buzbee, Golub & Nielson, SIAM J. Numer. Anal. 7 (1970) 627).
+
+
+@lru_cache(maxsize=32)
+def _reduction(k: int) -> tuple:
+    """Cyclic reduction of T_k, k >= 1: per level, the stride of its
+    unknowns, the multipliers that fold the odd rows into the even ones,
+    and the odd rows' coefficients over their pivots; then the last pivot."""
+    a, b, c = np.ones(k), np.full(k, 4.0), np.ones(k)
+    a[0] = c[-1] = 0.0
+    b[0] = b[-1] = 2.0
+    levels, stride = [], 1
+    while len(b) > 1:
+        ne, no = (len(b) + 1) // 2, len(b) // 2
+        ao, bo, co = a[1::2], b[1::2], c[1::2]
+        left, right = -a[2::2] / bo[: ne - 1], -c[0::2][:no] / bo
+        levels.append((stride, left, right, ao / bo, (co / bo)[: ne - 1], 1.0 / bo))
+        a, b, c = a[0::2].copy(), b[0::2].copy(), c[0::2].copy()
+        a[1:] = left * ao[: ne - 1]
+        b[1:] += left * co[: ne - 1]
+        b[:no] += right * ao
+        c[:no] = right * co
+        stride *= 2
+    return tuple(levels), b[0]
+
+
+def _solve_reduced(r: np.ndarray) -> None:
+    """Solves T_k x = r along the last axis of r, in place, by cyclic
+    reduction over strided views: r[..., ::2 s] holds the reduced system of
+    stride s, and each odd row keeps its right-hand side until its
+    unknown is solved."""
+    levels, pivot = _reduction(r.shape[-1])
+    for s, left, right, _, _, _ in levels:
+        even, odd = r[..., :: 2 * s], r[..., s :: 2 * s]
+        even[..., 1:] += left * odd[..., : even.shape[-1] - 1]
+        even[..., : odd.shape[-1]] += right * odd
+    r[..., :1] /= pivot
+    for s, _, _, lower, upper, inverse in reversed(levels):
+        even, odd = r[..., :: 2 * s], r[..., s :: 2 * s]
+        odd *= inverse
+        odd -= lower * even[..., : odd.shape[-1]]
+        odd[..., : even.shape[-1] - 1] -= upper * even[..., 1:]
+
+
+def _scaled_slopes(y: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """u = h s, the spline slopes times the knot spacing, at the samples y
+    (..., m) with differences d along the last axis, by scipy's rules: the
+    chord at m = 2, natural ends at 3 and not-a-knot ends from 4."""
+    if y.shape[-1] == 2:
+        return np.concatenate([d, d], axis=-1)
+    u = np.empty_like(y)
+    np.add(d[..., :-1], d[..., 1:], out=u[..., 1:-1])
+    u[..., 1:-1] *= 3.0
+    if y.shape[-1] == 3:
+        u[..., 0], u[..., -1] = 3.0 * d[..., 0], 3.0 * d[..., -1]
+        _solve_reduced(u)
+        return u
+    first = 0.5 * (5.0 * d[..., 0] + d[..., 1])
+    last = 0.5 * (d[..., -2] + 5.0 * d[..., -1])
+    u[..., 1] -= first
+    u[..., -2] -= last
+    _solve_reduced(u[..., 1:-1])
+    u[..., 0] = first - 2.0 * u[..., 1]
+    u[..., -1] = last - 2.0 * u[..., -2]
+    return u
+
+
+class UniformSpline:
+    """Cubic splines through samples on the grid t_k = k/n, one per smooth
+    segment of nodes, as one table of PPoly-style coefficients: row k holds
+    the cubic on [t_k, t_{k+1}) in powers of t - t_k, and row n the constant
+    sample at t_n, so every node reads its sample bitwise.  A segment of 4
+    or more nodes gets not-a-knot ends, one of 3 natural ends and one of 2
+    the chord, the rules of scipy's CubicSpline, which this matches to
+    rounding.
+
+    pieces holds one (start, k0, y) per segment, in order: y of shape (m,
+    groups, width) is read at nodes k0 .. k0 + m - 1, the last node of a
+    segment is the first of the next, and start is the time from which the
+    segment is read (t_k0, or a breakpoint just off it).  A call reads
+    times in [0, 1], every group or one group per time."""
+
+    def __init__(self, n: int, pieces):
+        groups, width = pieces[0][2].shape[1:]
+        self.knots = np.arange(n + 1) / n  # correctly rounded, as float(Fraction(k, n)) is
+        self.keys = np.append(self.knots, np.inf)
+        self._rows = n + 1
+        # (power, width, group, row), read as (power, width, group * row)
+        table = np.empty((4, width, groups, n + 1))
+        for start, k0, y in pieces:
+            y = np.ascontiguousarray(y.transpose(2, 1, 0))
+            m = y.shape[-1]
+            self.keys[k0] = start
+            d = np.diff(y)
+            u = _scaled_slopes(y, d)
+            c = table[:, :, :, k0 : k0 + m - 1]
+            t = u[..., :-1] + u[..., 1:]
+            t -= 2.0 * d
+            np.multiply(t, float(n) ** 3, out=c[0])
+            np.subtract(d, u[..., :-1], out=c[1])
+            c[1] -= t
+            c[1] *= float(n) ** 2
+            np.multiply(u[..., :-1], float(n), out=c[2])
+            c[3] = y[..., :-1]
+        table[:3, :, :, n] = 0.0
+        table[3, :, :, n] = y[..., -1]
+        self._table = table.reshape(4, width, groups * (n + 1))
+
+    def __call__(self, t, group=None) -> np.ndarray:
+        """Values at the times t, (len(t), groups, width), or (len(t),
+        width) when group gives each time the group to read."""
+        # the row whose key is the last <= t: floor(t n), then one step each
+        # way, since rounding and a breakpoint just off its node move it by one
+        row = (t * (self._rows - 1)).astype(np.intp)
+        np.clip(row, 0, self._rows - 1, out=row)
+        row -= t < self.keys[row]
+        row += t >= self.keys[row + 1]
+        s = t - self.knots[row]
+        groups = self._table.shape[-1] // self._rows
+        if group is None:
+            col = (np.arange(groups)[:, None] * self._rows + row).T.ravel()
+            s = np.repeat(s, groups)
+        else:
+            col = np.asarray(group) * self._rows + row
+        c = np.take(self._table, col, axis=-1)
+        out = c[0]
+        for k in (1, 2, 3):
+            out *= s
+            out += c[k]
+        return out.T if group is not None else out.T.reshape(len(t), groups, out.shape[0])
+
+
 class CurveInterpolant:
     """Cubic interpolation per smooth segment, torus-aware.  Evaluations
     return the locally lifted representative, continuous within each
     segment; callers that store samples normalize them."""
 
     def __init__(self, curve: DiscreteCurve):
-        from scipy.interpolate import CubicSpline
-
         self.curve = curve
         n = curve.n_intervals
         inner = sorted({float(b) for b in curve.breakpoints} - {0.0, 1.0})
         bounds = [0.0] + inner + [1.0]
-        self._bounds = np.array(bounds)
-        self._pieces = []
-        flat = curve.samples.reshape(n + 1, -1)
+        pieces = []
         for lo, hi in zip(bounds[:-1], bounds[1:]):
             k0, k1 = round(lo * n), round(hi * n)
-            ts = np.linspace(k0 / n, k1 / n, k1 - k0 + 1)
-            ys = curve.space.unwrap(flat[k0 : k1 + 1])
-            if len(ts) >= 4:
-                self._pieces.append(CubicSpline(ts, ys, axis=0, bc_type="not-a-knot"))
-            elif len(ts) >= 2:
-                self._pieces.append(CubicSpline(ts, ys, axis=0, bc_type="natural"))
-            else:
+            if k1 - k0 < 1:
                 raise ValueError("each smooth segment needs at least two sample nodes")
+            pieces.append((lo, k0, curve.space.unwrap(curve.samples[k0 : k1 + 1])))
+        self._spline = UniformSpline(n, pieces)
 
-    def evaluate(self, t):
-        """Values at float times t, shape (len(t), copies, dim)."""
+    def evaluate(self, t, copy=None):
+        """Values at float times t, shape (len(t), copies, dim), or (len(t),
+        dim) when copy gives each time the copy to read."""
         t = np.atleast_1d(np.asarray(t, dtype=float))
         if self.curve.is_loop:
             t = np.where(t == 1.0, 1.0, np.mod(t, 1.0))
-        t = np.clip(t, 0.0, 1.0)
-        idx = np.searchsorted(self._bounds[1:-1], t, side="right")
-        out = np.empty((len(t),) + self.curve.samples.shape[1:])
-        for i, piece in enumerate(self._pieces):
-            mask = idx == i
-            if np.any(mask):
-                out[mask] = piece(t[mask]).reshape(-1, *self.curve.samples.shape[1:])
-        return out
+        return self._spline(np.clip(t, 0.0, 1.0), copy)
 
 
 def _map_on_nodes(curve: DiscreteCurve, n_out: int, jobs) -> list:
@@ -682,8 +809,7 @@ def _map_on_nodes(curve: DiscreteCurve, n_out: int, jobs) -> list:
     out[is_hit] = curve.samples[node[is_hit].astype(np.intp), copy[is_hit]]
     miss = ~is_hit
     if miss.any():
-        vals = curve.interpolant().evaluate(ts[miss])
-        out[miss] = curve.space.normalize(vals[np.arange(len(vals)), copy[miss]])
+        out[miss] = curve.space.normalize(curve.interpolant().evaluate(ts[miss], copy[miss]))
     return [out[lo:hi] for lo, hi in zip(starts, starts[1:])]
 
 

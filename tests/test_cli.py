@@ -459,6 +459,54 @@ print(json.dumps(loaded))
     assert (tmp_path / "orbitset.json").exists()
 
 
+def test_curve_reads_load_no_scipy(tmp_path):
+    """Reading curves between nodes needs no scipy: in a fresh interpreter,
+    chords on a 9-step r = 1/3 chain (whose pullbacks read between nodes),
+    the action sweep and the roundtrip load no scipy module, and verify
+    loads the sparse solver but not scipy.interpolate."""
+    probe = f"""
+import contextlib, io, json, sys
+import hamdelay.cli, hamdelay.transforms
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+reads = []
+evaluate = hamdelay.transforms.CurveInterpolant.evaluate
+def counted(self, t, copy=None):
+    reads.append(len(t))
+    return evaluate(self, t, copy)
+hamdelay.transforms.CurveInterpolant.evaluate = counted
+out = {str(tmp_path)!r}
+report = {{}}
+for name, argv in [
+    ("chords", ["chords", "--preset", "rr-chain-13", "--steps", "9", "--grid", "2"]),
+    ("action", ["action", "--preset", "action-sweep", "--tau-compat"]),
+    ("roundtrip", ["roundtrip", "--preset", "rr-chain-13"]),
+    ("verify", ["verify", "--preset", "product-T4", "--steps", "128", "--grid", "1"]),
+]:
+    del reads[:]
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = hamdelay.cli.main(argv + ["--out", out])
+    report[name] = {{"code": code, "reads": len(reads), "scipy": scipy_modules()}}
+print(json.dumps(report))
+"""
+    proc = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": SRC},
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    for name in ("chords", "action", "roundtrip"):
+        assert report[name]["code"] == 0
+        assert report[name]["reads"] > 0, name  # the run reads between nodes
+        assert report[name]["scipy"] == [], name
+    assert report["verify"]["code"] == 0 and report["verify"]["reads"] > 0
+    assert "scipy.sparse.linalg" in report["verify"]["scipy"]
+    assert not [m for m in report["verify"]["scipy"] if m.startswith("scipy.interpolate")]
+
+
 @pytest.mark.parametrize("content", ["{not json", "", "[1, 2]", b"\xff\xfe\x00"])
 def test_unparsable_config_is_config_error(content, tmp_path, capsys):
     path = tmp_path / "cfg.json"
@@ -638,3 +686,52 @@ def test_plane_roundtrip_needs_no_seed_bounds(tmp_path, capsys):
     code = run(["roundtrip", "--config", _plane_config(tmp_path, None), "--out", str(tmp_path / "o")])
     assert code == 0
     assert "roundtrip at N=384" in capsys.readouterr().out
+
+
+def _edit_first_factor(tmp_path, preset, key, value):
+    """The preset with one field of its first base factor replaced: a key of
+    the spatial part, "exponents" for the first monomial's, or "time"."""
+    from importlib import resources
+
+    cfg = json.loads(resources.files("hamdelay.presets").joinpath(f"{preset}.json").read_text())
+    factor = cfg["hamiltonian"]["base"]["terms"][0]["factors"][0]
+    if key == "exponents":
+        factor["space"]["terms"][0][1] = value
+    elif key == "time":
+        factor["time"] = value
+    else:
+        factor["space"][key] = value
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "preset,key,value",
+    [
+        ("plane-oscillator", "exponents", [1.5, 0]),
+        ("torus-morse-n1", "freq", [1.5, 0]),
+        ("plane-oscillator", "exponents", [-1, 0]),
+        ("plane-oscillator", "exponents", [2]),
+        ("plane-oscillator", "exponents", [2, 0, 1]),
+        ("torus-morse-n1", "freq", [1]),
+        ("torus-morse-n1", "freq", [1, 0, 1]),
+        ("torus-morse-n1", "freq", 1),
+        ("plane-oscillator", "exponents", 2),
+        ("torus-morse-n1", "time", {"kind": "trig", "amp": 0.3, "freq": 1.5, "offset": 1.0}),
+        ("plane-oscillator", "exponents", [1e30, 0]),
+        ("torus-morse-n1", "freq", [0, -1e30]),
+        ("torus-morse-n1", "time", {"kind": "trig", "amp": 0.3, "freq": 1e30, "offset": 1.0}),
+    ],
+)
+def test_malformed_factor_is_config_error(preset, key, value, tmp_path, capsys):
+    """A fractional, negative, huge, scalar or wrongly sized freq or
+    exponent list, or a fractional or huge time freq, stops the run before
+    any work, naming the factor; none is truncated, clamped or broadcast
+    into a valid one."""
+    code = run(["chords", "--config", _edit_first_factor(tmp_path, preset, key, value), "--out", str(tmp_path / "o")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("config error: term 1 factor 1: ")
+    assert captured.out == ""
+    assert not (tmp_path / "o").exists()

@@ -11,6 +11,7 @@ from hamdelay.transforms import (
     MonotoneSplineMap,
     ReparamPair,
     TransformChain,
+    UniformSpline,
     _map_on_nodes,
     compare_tau_tables,
     copy_time_map,
@@ -578,3 +579,135 @@ def test_two_step_table_thetas_are_composed_inverses():
     assert tab[3].theta == b2.inverse().compose(b1.inverse())
     assert tab[0].lo == 0 and tab[0].hi == a1(r2)
     assert tab[3].lo == r1 and tab[3].hi == b1(r2)
+
+
+# ---------------------------------------------------------------------------
+# the numpy spline against scipy's CubicSpline
+
+
+def _rel_close(got, want, rtol=1e-13):
+    """got equals want to rtol relative to the largest value of want."""
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= rtol * max(np.max(np.abs(want)), 1.0)
+
+
+@pytest.mark.parametrize("nodes", [2, 3, 4, 5, 129, 2049])
+@pytest.mark.parametrize("columns", [1, 16])
+def test_uniform_spline_matches_scipy(nodes, columns):
+    """Random times and the knots, columns as groups and as width, against
+    scipy's spline with the end rule the node count picks: not-a-knot from
+    4 nodes, natural at 3 and 2 (where both give the chord)."""
+    from scipy.interpolate import CubicSpline
+
+    rng = np.random.default_rng(nodes * 31 + columns)
+    knots = np.linspace(0.0, 1.0, nodes)
+    y = np.cumsum(rng.standard_normal((nodes, columns)), axis=0) / np.sqrt(nodes) + rng.standard_normal(columns)
+    want_spline = CubicSpline(knots, y, axis=0, bc_type="not-a-knot" if nodes >= 4 else "natural")
+    ts = np.concatenate([rng.random(500), knots, rng.permutation(knots)])
+    want = want_spline(ts)
+    for layout in (y[:, :, None], y[:, None, :]):  # (groups, width) = (columns, 1) and (1, columns)
+        got = UniformSpline(nodes - 1, [(0.0, 0, layout)])(ts)
+        _rel_close(got.reshape(len(ts), columns), want)
+
+
+@pytest.mark.parametrize("nodes", [2, 3, 4, 129])
+def test_uniform_spline_knots_are_samples_bitwise(nodes):
+    """Every knot reads its sample bitwise, the last one included, a time
+    per group reads what the all-groups call reads for that group, and no
+    times read an empty array."""
+    rng = np.random.default_rng(nodes)
+    y = rng.standard_normal((nodes, 3, 2))
+    spline = UniformSpline(nodes - 1, [(0.0, 0, y)])
+    assert spline(spline.knots).tobytes() == y.tobytes()
+    ts = np.concatenate([rng.random(200), spline.knots])
+    group = rng.integers(0, 3, len(ts))
+    assert spline(ts, group).tobytes() == np.ascontiguousarray(spline(ts)[np.arange(len(ts)), group]).tobytes()
+    empty = np.empty(0)
+    assert spline(empty).shape == (0, 3, 2)
+    assert spline(empty, empty.astype(np.intp)).shape == (0, 2)
+
+
+def _scipy_interpolant(curve):
+    """The per-segment scipy splines CurveInterpolant used to build: the
+    oracle of its pieces and boundary rules.  Returns evaluate(t)."""
+    from scipy.interpolate import CubicSpline
+
+    n = curve.n_intervals
+    bounds = [0.0] + sorted({float(b) for b in curve.breakpoints} - {0.0, 1.0}) + [1.0]
+    pieces = []
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        k0, k1 = round(lo * n), round(hi * n)
+        ts = np.linspace(k0 / n, k1 / n, k1 - k0 + 1)
+        ys = curve.space.unwrap(curve.samples.reshape(n + 1, -1)[k0 : k1 + 1])
+        pieces.append(CubicSpline(ts, ys, axis=0, bc_type="not-a-knot" if len(ts) >= 4 else "natural"))
+
+    def evaluate(t):
+        t = np.atleast_1d(np.asarray(t, dtype=float))
+        if curve.is_loop:
+            t = np.where(t == 1.0, 1.0, np.mod(t, 1.0))
+        t = np.clip(t, 0.0, 1.0)
+        idx = np.searchsorted(np.array(bounds[1:-1]), t, side="right")
+        out = np.empty((len(t),) + curve.samples.shape[1:])
+        for i, piece in enumerate(pieces):
+            out[idx == i] = piece(t[idx == i]).reshape(-1, *curve.samples.shape[1:])
+        return out
+
+    return evaluate
+
+
+@pytest.mark.parametrize("topology", ["torus", "plane"])
+@pytest.mark.parametrize(
+    "n,breakpoints",
+    [
+        (48, ()),
+        (48, (Fr(1, 3), Fr(1, 2), Fr(7, 12))),  # segments of 16, 8, 4 and 20 intervals
+        (48, (Fr(1, 48), Fr(3, 48), Fr(45, 48))),  # segments of 1, 2, 42 and 3 intervals
+        (48, (1 / 3 - 1.5e-11, 0.5 + 2e-11)),  # float breakpoints just off their nodes
+    ],
+)
+def test_curve_interpolant_pieces_match_scipy(topology, n, breakpoints):
+    """A curve is split at its breakpoints into the segments, boundary rules
+    and lifts of the scipy splines, and a time on or just off a breakpoint
+    reads the same segment."""
+    space = PhaseSpace(1, topology)
+    rng = np.random.default_rng(n + len(breakpoints))
+    samples = rng.random((n + 1, 2, 2)) if topology == "torus" else rng.standard_normal((n + 1, 2, 2))
+    curve = DiscreteCurve(space, 1, samples, False, breakpoints)
+    bps = np.array([float(b) for b in breakpoints])
+    ts = np.concatenate([rng.random(400), curve.times(), bps, bps - 1e-11, bps + 1e-11, [0.0, 1.0]])
+    got = curve.interpolant().evaluate(ts)
+    _rel_close(got, _scipy_interpolant(curve)(ts))
+    if topology == "plane" and all(isinstance(b, Fr) for b in breakpoints):
+        assert curve.interpolant().evaluate(np.arange(n + 1) / n).tobytes() == samples.tobytes()
+
+
+def test_loop_reads_its_last_node_at_one(plane):
+    """A loop reads t = 1.0 at its last node, bitwise, and every other time
+    mod 1; a path clips."""
+    rng = np.random.default_rng(5)
+    samples = rng.standard_normal((33, 1, 2))
+    samples[-1] = samples[0] + 1e-9  # closes within the boundary tolerance, not bitwise
+    loop = DiscreteCurve(plane, 0, samples, True)
+    interp = loop.interpolant()
+    assert interp.evaluate(1.0).tobytes() == samples[-1:].tobytes()
+    assert interp.evaluate([]).shape == (0, 1, 2)
+    assert interp.evaluate(2.0).tobytes() == interp.evaluate(0.0).tobytes() == samples[:1].tobytes()
+    ts = rng.random(50)
+    assert np.array_equal(interp.evaluate(ts - 3.0), interp.evaluate(np.mod(ts - 3.0, 1.0)))
+    _rel_close(interp.evaluate(ts + 1.0), _scipy_interpolant(loop)(ts + 1.0))
+    path = DiscreteCurve(plane, 0, samples, False)
+    assert path.interpolant().evaluate(np.array([-0.5, 1.5])).tobytes() == samples[[0, -1]].tobytes()
+
+
+def test_map_on_nodes_hits_copy_samples_bitwise(torus):
+    """On the r = 1/3 maps every third output node hits an input node and
+    copies its sample; the other nodes read the interpolant."""
+    rng = np.random.default_rng(9)
+    curve = DiscreteCurve(torus, 1, rng.random((28, 2, 2)), False)
+    jobs = [(AffineMap(Fr(1, 3)), 0, 0, 27), (AffineMap(Fr(-2, 3), 1), 1, 0, 27)]
+    first, second = _map_on_nodes(curve, 27, jobs)
+    assert first[::3].tobytes() == curve.samples[:10, 0].tobytes()
+    assert second[::3].tobytes() == curve.samples[27::-2, 1][:10].tobytes()
+    miss = np.arange(28) % 3 != 0
+    want = curve.interpolant().evaluate(np.arange(28)[miss] / 81)[:, 0]
+    assert first[miss].tobytes() == torus.normalize(want).tobytes()
