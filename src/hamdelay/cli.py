@@ -134,7 +134,10 @@ class ExperimentConfig:
     @staticmethod
     def from_dict(data: dict) -> "ExperimentConfig":
         with _config_errors():
-            space = PhaseSpace(**data.get("space", {"half_dim": 1, "topology": "torus"}))
+            space_data = dict(data.get("space", {"half_dim": 1, "topology": "torus"}))
+            if "half_dim" in space_data:
+                space_data["half_dim"] = _integer(space_data["half_dim"], "space.half_dim", 1)
+            space = PhaseSpace(**space_data)
             chain = TransformChain.from_json(data.get("chain", {"steps": []}))
             steps = _integer(data.get("integrator", {}).get("steps", 2**10), "integrator.steps", maximum=MAX_NODES)
             integ = IntegratorConfig(steps)

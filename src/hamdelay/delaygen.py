@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -91,7 +92,6 @@ class DelayEquationDescriptor:
     chain: TransformChain
     segments: tuple[SegmentEquation, ...]
     hamiltonian: StructuredHamiltonian = field(repr=False)
-    _plans: dict = field(default_factory=dict, init=False, repr=False)
 
     def breakpoints(self) -> tuple:
         return tuple(s.lo for s in self.segments[1:])
@@ -127,67 +127,54 @@ def generate(K: StructuredHamiltonian, chain: TransformChain) -> DelayEquationDe
     return DelayEquationDescriptor(chain.level, chain, tuple(segments), K)
 
 
-def read_times(d: DelayEquationDescriptor, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Times the right-hand side reads at each of ts: (reads, idx), idx the
-    segment owning each time (mod 1, right limit at breakpoints) and reads
-    one column per copy: the owning copy k at ts mod 1, a copy m sharing a
-    term with k at delayed_time(chain, k, m)(ts) mod 1, any other copy at
-    ts mod 1.  rhs_eval and the periodic solver's sparsity pattern both
-    read through this rule.
-    """
+class RhsPlan(NamedTuple):
+    """The time-only part of rhs_eval at N times (rhs_plan)."""
+
+    reads: np.ndarray  # the times each row reads, one column per copy, (N, copies)
+    owner: np.ndarray  # each row's owning copy k
+    weights: tuple  # K's weight table at the chord times theta_k
+    rate: np.ndarray  # each row's rate_k, (N, 1)
+
+
+def rhs_plan(d: DelayEquationDescriptor, ts: np.ndarray, dim: int) -> RhsPlan:
+    """The plan of rhs_eval at the times ts for loops in dim coordinates.
+    A row is owned by the segment of its time (mod 1, right limit at
+    breakpoints), of copy k, and reads the owning copy k at ts mod 1, a
+    copy m sharing a term with k at delayed_time(chain, k, m)(ts) mod 1,
+    any other copy at ts mod 1.  rhs_eval and the periodic solver's
+    sparsity pattern both read through this rule."""
     ts = np.mod(ts, 1.0)
     los = np.array([float(s.lo) for s in d.segments])
     idx = np.clip(np.searchsorted(los, ts, side="right") - 1, 0, len(d.segments) - 1)
     reads = np.repeat(ts[:, None], 2**d.level, axis=1)
+    theta, rate = np.empty(len(ts)), np.empty(len(ts))
     for i, seg in enumerate(d.segments):
         sel = np.flatnonzero(idx == i)
         if len(sel):  # a bisection inverse takes no empty array
             delays = {c.factor.copy: c.delay for term in seg.terms for c in term.coefficients}
             for m, delay in delays.items():
                 reads[sel, m] = np.mod(np.asarray(delay(ts[sel])), 1.0)
-    return reads, idx
+            theta[sel], rate[sel] = seg.theta(ts[sel]), seg.rate(ts[sel])
+    owner = np.array([seg.copy for seg in d.segments])[idx]
+    return RhsPlan(reads, owner, d.hamiltonian._program(dim).table(theta), rate[:, None])
 
 
-# Times arrays whose read plan one descriptor keeps: a periodic solve sweeps
-# one midpoint array, delay_residual one node array per grid.
-PLAN_CACHE_SIZE = 64
-
-
-def _plan(d: DelayEquationDescriptor, ts: np.ndarray) -> tuple:
-    """The time-only part of rhs_eval at ts, cached by the bytes of ts:
-    read_times' reads, the rows' owning copies, the pair (theta, rows) that
-    gives row b its chord time theta_k(ts[b]), and the rows' rates (N, 1)."""
-    key = ts.tobytes()
-    plan = d._plans.get(key)
-    if plan is None:
-        reads, idx = read_times(d, ts)
-        theta, rate = np.empty(len(ts)), np.empty(len(ts))
-        for i, seg in enumerate(d.segments):
-            sel = np.flatnonzero(idx == i)
-            if len(sel):
-                theta[sel] = seg.theta(reads[sel, seg.copy])
-                rate[sel] = seg.rate(reads[sel, seg.copy])
-        owner = np.array([seg.copy for seg in d.segments])[idx]
-        plan = (reads, owner, (theta, np.arange(len(ts))), rate[:, None])
-        if len(d._plans) < PLAN_CACHE_SIZE:
-            d._plans[key] = plan
-    return plan
-
-
-def rhs_eval(d: DelayEquationDescriptor, loop, t):
+def rhs_eval(d: DelayEquationDescriptor, loop, t, plan: RhsPlan | None = None):
     """Right-hand side along a periodic loop (a level-0 DiscreteCurve, or
-    any .evaluate(times) giving (len(times), 1, dim)) at times t: one
-    evaluate call reads every copy at read_times, and one compiled field
-    call at the chord times theta_k(t) gives each row its owning copy's
+    any object with a .space and .evaluate(times) giving (len(times), 1,
+    dim)) at times t through plan, rhs_plan(d, t, dim) unless given: one
+    evaluate call reads every copy at the plan's reads, and one compiled
+    field call on its weight table gives each row its owning copy's
     rate_k * FIELD_SIGN * J grad_k K."""
     interp = loop.interpolant() if isinstance(loop, DiscreteCurve) else loop
-    scalar = np.ndim(t) == 0
-    reads, owner, theta, rate = _plan(d, np.atleast_1d(np.asarray(t, float)))
+    if plan is None:
+        plan = rhs_plan(d, np.atleast_1d(np.asarray(t, float)), loop.space.dim)
+    reads = plan.reads
     z = interp.evaluate(reads.ravel())[:, 0, :].reshape(*reads.shape, -1)
     K = d.hamiltonian
-    X = K._program(z.shape[-1]).field(z, theta, (1,) * K.copies)
-    out = rate * X[theta[1], owner]
-    return out[0] if scalar else out
+    X = K._program(z.shape[-1]).field(z, plan.weights, (1,) * K.copies)
+    out = plan.rate * X[np.arange(len(X)), plan.owner]
+    return out[0] if np.ndim(t) == 0 else out
 
 
 # ---------------------------------------------------------------------------

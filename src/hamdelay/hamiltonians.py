@@ -11,7 +11,9 @@ its time through its copy time map, weighted by that map's rate.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
@@ -45,6 +47,14 @@ def _integer(x, what: str, minimum: int = -MAX_INTEGER) -> int:
     return int(x)
 
 
+def _finite(what: str, **values) -> None:
+    """Raises unless every value is a finite real number, naming it by what
+    and its key; bools do not count."""
+    for key, x in values.items():
+        if isinstance(x, bool) or not isinstance(x, Real) or not math.isfinite(x):
+            raise ValueError(f"{what} {key} must be a finite number, got {x!r}")
+
+
 def _integers(values, what: str, minimum: int = -MAX_INTEGER) -> tuple[int, ...]:
     """values as a tuple of ints by _integer; raises on a scalar."""
     try:
@@ -63,6 +73,7 @@ class TrigSpatial:
     phase: float = 0.0
 
     def __post_init__(self):
+        _finite("trig", amp=self.amp, phase=self.phase)
         object.__setattr__(self, "freq", _integers(self.freq, "trig freq"))
 
     def to_json(self):
@@ -76,6 +87,8 @@ class PolySpatial:
     terms: tuple
 
     def __post_init__(self):
+        for c, _ in self.terms:
+            _finite("poly", coefficient=c)
         object.__setattr__(
             self, "terms", tuple((float(c), _integers(es, "poly exponents", minimum=0)) for c, es in self.terms)
         )
@@ -88,6 +101,9 @@ class PolySpatial:
 class ConstSpatial:
     value_const: float = 1.0
 
+    def __post_init__(self):
+        _finite("const", value=self.value_const)
+
     def to_json(self):
         return {"kind": "const", "value": self.value_const}
 
@@ -99,6 +115,9 @@ class ConstSpatial:
 @dataclass(frozen=True)
 class ConstTime:
     value_const: float = 1.0
+
+    def __post_init__(self):
+        _finite("const time", value=self.value_const)
 
     def __call__(self, t):
         return self.value_const * np.ones_like(np.asarray(t, float))
@@ -117,6 +136,7 @@ class TrigTime:
     offset: float = 0.0
 
     def __post_init__(self):
+        _finite("trig time", amp=self.amp, phase=self.phase, offset=self.offset)
         object.__setattr__(self, "freq", _integer(self.freq, "trig time freq"))
 
     def __call__(self, t):
@@ -133,6 +153,11 @@ class BumpTime:
     center: float = 0.5
     width: float = 0.25
     height: float = 1.0
+
+    def __post_init__(self):
+        _finite("bump", center=self.center, width=self.width, height=self.height)
+        if self.width <= 0:
+            raise ValueError(f"bump width must be > 0, got {self.width!r}")
 
     def __call__(self, t):
         u = np.asarray(t, float) - self.center
@@ -155,6 +180,8 @@ class TabulatedTime:
     values: tuple
 
     def __post_init__(self):
+        for x in self.values:
+            _finite("tabulated", value=x)
         from scipy.interpolate import CubicSpline
 
         vals = np.asarray(self.values, float)
@@ -235,6 +262,8 @@ class StructuredHamiltonian:
     terms: tuple  # ((coeff, (Factor, ...)), ...)
 
     def __post_init__(self):
+        for i, (c, _) in enumerate(self.terms, 1):
+            _finite(f"term {i}:", coeff=c)
         object.__setattr__(
             self, "terms", tuple((float(c), tuple(fs)) for c, fs in self.terms)
         )
@@ -303,10 +332,6 @@ class StructuredHamiltonian:
                         raise ValueError(f"term {i} factor {j}: {what} {list(entries)} must have {dim} entries, one per coordinate")
 
 
-# Time-profile tables one compiled Hamiltonian keeps, by scalar time or by
-# times array: every Newton sweep of a scan revisits the same RK4 stage times.
-TIME_CACHE_SIZE = 2**14
-
 # Batches are evaluated in row blocks whose (slot, dim, row) arrays hold
 # about this many floats.  Temporaries much larger than that come fresh from
 # the system allocator on every call and cost a page fault per 4 KiB page.
@@ -359,7 +384,7 @@ class _Compiled:
         self.dim, self.n_slots, self.n_trig, self.copies = dim, n, nt, ham.copies
         self.copy = np.array([factors[i][1].copy for i in order], dtype=int)
         self.profiles = tuple(factors[i][1].time for i in order)
-        self.time_cache: dict[float, tuple] = {}
+        self.sweep_table = (None, None)  # the last RK4 sweep table, by its times' bytes
         self.frames: dict = {}
 
         trig, poly = range(nt), range(nt, n)
@@ -406,75 +431,35 @@ class _Compiled:
         self.ranks = list(_padded(by_copy, n, 1).T)
         self.block = max(1, BLOCK_ELEMENTS // ((n + 1) * dim))
 
-    def weights(self, t, grad: bool = False):
-        """Time-profile values per slot, the pad 1, as (S + 1, 1, 1) for a
-        float t, or (S + 1, 1, rows) for per-row t; with grad, the pair of
-        them and the gradient coefficients times them.  Per-row t is an
-        array of times, or a pair (times, rows) that gives row b the time
-        times[rows[b]] from the cached table of times.  Every table comes
-        from _table on a 1-D times array, a float t as a one-element array:
-        profiles give an element bitwise the same value in a one-element and
-        a longer array (not always at a 0-d time), so a time gets the same
-        weights however it is passed."""
-        if isinstance(t, float):
-            entry = self.time_cache.get(t)
-            if entry is None:
-                entry = self._table(np.array([t]))
-                for a in entry:
-                    a.flags.writeable = False
-                if len(self.time_cache) < TIME_CACHE_SIZE:
-                    self.time_cache[t] = entry
-            return entry if grad else entry[0]
-        if isinstance(t, tuple):
-            times, rows = t
-            key = times.tobytes()
-            tables = self.time_cache.get(key)
-            if tables is None:
-                tables = self._table(times)
-                if len(self.time_cache) < TIME_CACHE_SIZE:
-                    self.time_cache[key] = tables
-            gathered = tuple(np.take(a, rows, axis=2) for a in tables)
-            return gathered if grad else gathered[0]
-        entry = self._table(t)
-        return entry if grad else entry[0]
-
-    def fill(self, ts: list) -> None:
-        """Caches the float times ts that the cache lacks, as long as it has
-        room, from one _table call: the read-only entries weights(t) would
-        make one at a time, bitwise (see weights)."""
-        cache = self.time_cache
-        missing = list(dict.fromkeys(t for t in ts if t not in cache))[: max(0, TIME_CACHE_SIZE - len(cache))]
-        if missing:
-            w, scale = self._table(np.array(missing))
-            w.flags.writeable = scale.flags.writeable = False
-            cache.update((t, (w[..., j : j + 1], scale[..., j : j + 1])) for j, t in enumerate(missing))
-
-    def _table(self, times: np.ndarray) -> tuple:
-        """Weights (S + 1, 1, len(times)) and gradient weights at a 1-D
-        times array, from one call per profile."""
+    def table(self, times: np.ndarray) -> tuple:
+        """The weight table at a 1-D times array, from one call per profile:
+        time-profile values per slot and the pad 1, (S + 1, 1, len(times)),
+        and the gradient coefficients times them.  Column j serves the rows
+        at times[j], a one-column table every row; profiles give an element
+        bitwise the same value in a one-element and a longer array (not
+        always at a 0-d time), so a time gets the same weights in any table."""
         w = np.stack([p(times) for p in self.profiles] + [np.ones(times.shape)])[:, None]
         return w, self.grad_coeff * w[:-1]
 
     def blockwise(self, z, t, fn, tail: tuple, grad: bool = False) -> np.ndarray:
         """fn(zc, w) over row blocks of z (..., copies, dim), zc a batch-last
-        block (copies, dim, rows) and w its weights(t, grad); fn returns
-        (*tail, rows) and the result has shape (..., *tail)."""
+        block (copies, dim, rows) and w the weights of its rows, the pair
+        (weights, gradient weights) with grad; fn returns (*tail, rows) and
+        the result has shape (..., *tail).  t is a weight table, or a float
+        or per-row times that it is built at."""
         lead = z.shape[:-2]
         zb = z.reshape(-1, *z.shape[-2:])
-        if isinstance(t, tuple):
-            per_row, w = True, self.weights(t, grad)
-        elif not isinstance(t, float) and np.ndim(t) > 0:
-            per_row, w = True, self.weights(np.broadcast_to(np.asarray(t, float), lead).reshape(-1), grad)
-        else:
-            per_row, w = False, self.weights(float(t), grad)
+        if not isinstance(t, tuple):
+            t = np.asarray(t, float)
+            t = self.table(np.broadcast_to(t, lead).reshape(-1) if t.ndim else t.reshape(1))
+        per_row = t[0].shape[-1] != 1
         rows_first = (len(tail),) + tuple(range(len(tail)))
         out = np.empty((len(zb),) + tail)
         for lo in range(0, len(zb), self.block):
-            hi = lo + self.block
-            wb = w
-            if per_row:
-                wb = tuple(a[..., lo:hi] for a in w) if grad else w[..., lo:hi]
-            out[lo:hi] = fn(np.ascontiguousarray(zb[lo:hi].transpose(1, 2, 0)), wb).transpose(rows_first)
+            wb = tuple(a[..., lo : lo + self.block] for a in t) if per_row else t
+            out[lo : lo + self.block] = fn(
+                np.ascontiguousarray(zb[lo : lo + self.block].transpose(1, 2, 0)), wb if grad else wb[0]
+            ).transpose(rows_first)
         return out.reshape(lead + tail)
 
     def phases(self, zc):
@@ -520,8 +505,8 @@ class _Compiled:
 
     def stage(self, signs=None):
         """The field kernel, frame(signs) bound: block(zc, weights) maps a
-        C-ordered copy array (copies, dim, rows) and its weights(t, True)
-        to the field there, (copies, dim, rows)."""
+        C-ordered copy array (copies, dim, rows) and its rows' columns of a
+        weight table to the field there, (copies, dim, rows)."""
         direction, dcoeff, dexp = self.frame(signs)
         nt, n = self.n_trig, self.n_slots
         first, *rest = self.ranks
@@ -592,7 +577,7 @@ FIELD_SIGN = -1.0
 def vector_field(ham, level: LevelStructure, z, t):
     """Copy-j component eps_j * X of grad_j H, the Hamiltonian field for the
     signed product form.  t is a float, an array of per-row times, or a
-    pair (times, rows) that gives row b the time times[rows[b]]."""
+    weight table of ham's program (_Compiled.table)."""
     if ham.level != level.level:
         raise ValueError("Hamiltonian level does not match the level structure")
     z = np.asarray(z, float)

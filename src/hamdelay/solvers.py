@@ -24,7 +24,7 @@ import numpy as np
 from .geometry import LevelStructure, build_level, embed_diagonal_params
 from .transforms import DiscreteCurve, TransformChain, phi_chain
 from .hamiltonians import vector_field  # noqa: F401 (perfbench/tracing.py patches it here)
-from .delaygen import DelayEquationDescriptor, read_times, rhs_eval
+from .delaygen import DelayEquationDescriptor, rhs_eval, rhs_plan
 
 
 @dataclass(frozen=True)
@@ -137,50 +137,66 @@ def _stage(ham, level: LevelStructure):
     return prog, prog.stage(level.sign_vector)
 
 
+# Stage times one weight table of an RK4 sweep holds at most: longer sweeps
+# tabulate their stage times in chunks of whole steps.
+TABLE_SIZE = 2**14
+
+
 def _rk4(stage, z0: np.ndarray, n_steps: int, path: np.ndarray | None = None, start=0, steps=None) -> np.ndarray:
     """Classical RK4 over [0, 1] in n_steps steps of the field of a _stage;
     returns the end point.  Given a buffer of shape (n_steps + 1, k,
     *z0.shape[1:]), it also keeps the trajectory of the first k rows there.
     Given per-row start steps (an integer array over the rows of z0) and a
     step count, row b takes the steps start[b] ... start[b] + steps - 1 of
-    that grid instead, with weights from the pair (times, rows); a sweep
-    from one start step first caches the weights of all its stage times
-    (prog.fill).  Blocks of at most prog.block rows are swept batch-last, a
-    stage one kernel call."""
+    that grid instead.  The weights come from weight tables with one column
+    per (step, stage time, distinct start step), TABLE_SIZE columns at most;
+    a row reads its start step's columns.  The program keeps the last table
+    built, which the sweeps of one Newton solve share.  Blocks of at most
+    prog.block rows are swept batch-last, a stage one kernel call."""
     prog, kernel = stage
     h = 1.0 / n_steps
     z0 = np.asarray(z0, dtype=float)
     batch = z0.reshape(-1, *z0.shape[-2:])
-    out = np.empty_like(batch)
+    if not len(batch):
+        return batch.reshape(z0.shape).copy()
     keep = 0 if path is None else path.shape[1]
-    first, rows = np.unique(start, return_inverse=True) if np.ndim(start) else (start, None)
+    first = np.flatnonzero(np.bincount(np.ravel(start)))  # the distinct start steps
+    col = np.searchsorted(first, np.ravel(start))  # each row's among them
     count = n_steps if steps is None else steps
-    if rows is None:
-        ts = [(first + i) * h for i in range(count)]
-        prog.fill([u for t in ts for u in (t, t + 0.5 * h, t + h)])
+    span = max(1, TABLE_SIZE // (3 * len(first)))  # steps per table
+    blocks = range(0, len(batch), prog.block)
+    zs = [np.ascontiguousarray(batch[lo : lo + prog.block].transpose(1, 2, 0)) for lo in blocks]
+    if keep:
+        path[0] = batch[:keep]
+    for i0 in range(0, count, span):
+        i1 = min(i0 + span, count)
+        t = (first + np.arange(i0, i1)[:, None]) * h
+        times = np.stack([t, t + 0.5 * h, t + h], axis=1).ravel()
+        if prog.sweep_table[0] != times.tobytes():
+            prog.sweep_table = (times.tobytes(), prog.table(times))
+        w, scale = prog.sweep_table[1]
+        for b, lo in enumerate(blocks):
+            z = zs[b]
+            kept = max(0, min(lo + prog.block, keep) - lo)  # rows of this block the path keeps
+            cols = col[lo : lo + prog.block]
 
-    def weights(t, part):
-        return prog.weights(t if part is None else (t, part), True)
+            def weights(j):
+                if len(first) == 1:  # one column for all rows
+                    return w[..., j : j + 1], scale[..., j : j + 1]
+                return np.take(w, j * len(first) + cols, axis=2), np.take(scale, j * len(first) + cols, axis=2)
 
-    for lo in range(0, len(batch), prog.block):
-        hi = min(lo + prog.block, len(batch))
-        part = None if rows is None else rows[lo:hi]
-        kept = max(0, min(hi, keep) - lo)  # rows of this block the path keeps
-        z = np.ascontiguousarray(batch[lo:hi].transpose(1, 2, 0))
-        if kept:
-            path[0, lo : lo + kept] = batch[lo : lo + kept]
-        for i in range(count):
-            t = (first + i) * h
-            k1 = kernel(z, weights(t, part))
-            w_mid = weights(t + 0.5 * h, part)
-            k2 = kernel(z + 0.5 * h * k1, w_mid)
-            k3 = kernel(z + 0.5 * h * k2, w_mid)
-            k4 = kernel(z + h * k3, weights(t + h, part))
-            z = z + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-            if kept:
-                path[i + 1, lo : lo + kept] = z[..., :kept].transpose(2, 0, 1)
-        out[lo:hi] = z.transpose(2, 0, 1)
-    return out.reshape(z0.shape)
+            for i in range(i0, i1):
+                j = 3 * (i - i0)
+                k1 = kernel(z, weights(j))
+                w_mid = weights(j + 1)
+                k2 = kernel(z + 0.5 * h * k1, w_mid)
+                k3 = kernel(z + 0.5 * h * k2, w_mid)
+                k4 = kernel(z + h * k3, weights(j + 2))
+                z = z + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+                if kept:
+                    path[i + 1, lo : lo + kept] = z[..., :kept].transpose(2, 0, 1)
+            zs[b] = z
+    return np.concatenate([z.transpose(2, 0, 1) for z in zs]).reshape(z0.shape)
 
 
 def integrate(ham, level: LevelStructure, z0, cfg: IntegratorConfig = IntegratorConfig()):
@@ -837,7 +853,7 @@ class _PeriodicCollocation:
     column-grouped forward-difference Jacobian.
 
     Row block k, (v_{k+1} - v_k)/h - rhs(t_{k+1/2}), reads node blocks k,
-    k+1 and the interpolation neighbours of every read_times read at
+    k+1 and the interpolation neighbours of every read of its rhs plan at
     t_{k+1/2}, for affine and spline chains alike.  Node blocks of one
     colour feed no common row block, so each (colour, component) group costs
     one residual sweep, and every entry is bitwise the dense per-column
@@ -848,6 +864,7 @@ class _PeriodicCollocation:
         self.d, self.space, self.n, self.dim = d, space, n, space.dim
         self.h = 1.0 / n
         self.mids = (np.arange(n) + 0.5) * self.h
+        self.plan = rhs_plan(d, self.mids, self.dim)
         rows, cols = self._pattern()
         colour = _colour_columns(rows, cols, n)
         dim, comp = self.dim, np.arange(self.dim)
@@ -861,13 +878,13 @@ class _PeriodicCollocation:
     def _pattern(self):
         """(row block, node block) pairs the residual reads, unique, row-major."""
         n = self.n
-        node = _cell(read_times(self.d, self.mids)[0], n)[0]  # the owning copy's read gives blocks k and k+1
+        node = _cell(self.plan.reads, n)[0]  # the owning copy's read gives blocks k and k+1
         key = np.unique(np.arange(n)[:, None] * n + np.hstack([node, (node + 1) % n]))
         return key // n, key % n
 
     def resid(self, flat: np.ndarray) -> np.ndarray:
         nodes = flat.reshape(self.n, self.dim)
-        f = rhs_eval(self.d, _LinearLoopInterpolant(nodes, self.space), self.mids)
+        f = rhs_eval(self.d, _LinearLoopInterpolant(nodes, self.space), self.mids, plan=self.plan)
         du = self.space.wrapped_difference(nodes[(np.arange(self.n) + 1) % self.n], nodes)
         return (du / self.h - f).reshape(-1)
 

@@ -304,7 +304,11 @@ class ReparamPair:
         if kind == "halving":
             return ReparamPair.halving()
         if kind == "affine_r":
-            return ReparamPair.affine(Fraction(data["r"]))
+            try:
+                r = Fraction(data["r"])
+            except ZeroDivisionError:
+                raise ValueError(f"chain step r {data['r']!r} has a zero denominator") from None
+            return ReparamPair.affine(r)
         if kind == "spline":
             return ReparamPair.spline(data["alpha"], data["beta"])
         raise ValueError(f"unknown reparametrization kind {kind!r}")

@@ -14,6 +14,8 @@ from hamdelay.cli import main
 from hamdelay.geometry import PhaseSpace
 from hamdelay.transforms import DiscreteCurve, TransformChain
 
+NAN, INF = float("nan"), float("inf")
+
 
 def run(argv):
     return main(argv)
@@ -360,6 +362,10 @@ def test_bad_override_is_config_error(flag, value, tmp_path, capsys):
         ("integrator", "steps", "64"),
         ("integrator", "steps", 2**50),
         ("chain", "steps", [{"kind": "affine_r", "r": "1/3000001"}]),
+        ("space", "half_dim", 1.5),
+        ("space", "half_dim", True),
+        ("space", "half_dim", 0),
+        ("chain", "steps", [{"kind": "affine_r", "r": "1/0"}]),
     ],
 )
 def test_bad_config_value_is_config_error(section, key, value, tmp_path, capsys):
@@ -373,6 +379,29 @@ def test_bad_config_value_is_config_error(section, key, value, tmp_path, capsys)
     assert code == 2
     assert capsys.readouterr().err.startswith("config error:")
     assert not (tmp_path / "o" / "orbitset.json").exists()
+
+
+@pytest.mark.parametrize("command", ["chords", "roundtrip", "delaygen"])
+@pytest.mark.parametrize(
+    "section,key,value,field",
+    [
+        ("space", "half_dim", 1.5, "space.half_dim"),
+        ("chain", "steps", [{"kind": "affine_r", "r": "1/0"}], "chain step r"),
+    ],
+)
+def test_bad_config_value_names_its_field(command, section, key, value, field, tmp_path, capsys):
+    """A fractional half_dim and a zero denominator in an affine r end in
+    a config error that names the field on every command, not in a
+    traceback or, on delaygen, in a run."""
+    from importlib import resources
+
+    cfg = json.loads(resources.files("hamdelay.presets").joinpath("torus-morse-n1.json").read_text())
+    cfg[section][key] = value
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert run([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and field in err
 
 
 @pytest.mark.parametrize(
@@ -681,6 +710,16 @@ def test_bad_plane_seed_bounds_are_config_errors(command, bounds, tmp_path, caps
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("value", [NAN, -INF, "x"])
+def test_non_finite_term_coeff_is_config_error(value, tmp_path, capsys):
+    """A term coefficient must be a finite number too; the error names the term."""
+    code = run(["chords", "--config", _edit_first_factor(tmp_path, "torus-morse-n1", "coeff", value), "--out", str(tmp_path / "o")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("config error: term 1: coeff must be a finite number")
+    assert not (tmp_path / "o").exists()
+
+
 def test_plane_roundtrip_needs_no_seed_bounds(tmp_path, capsys):
     """Only chord scans seed from grid.bounds; a plane roundtrip runs without them."""
     code = run(["roundtrip", "--config", _plane_config(tmp_path, None), "--out", str(tmp_path / "o")])
@@ -690,15 +729,19 @@ def test_plane_roundtrip_needs_no_seed_bounds(tmp_path, capsys):
 
 def _edit_first_factor(tmp_path, preset, key, value):
     """The preset with one field of its first base factor replaced: a key of
-    the spatial part, "exponents" for the first monomial's, or "time"."""
+    the spatial part, "exponents" or "coefficient" for the first monomial's,
+    "space" or "time" for the whole part, or "coeff" for the term's."""
     from importlib import resources
 
     cfg = json.loads(resources.files("hamdelay.presets").joinpath(f"{preset}.json").read_text())
-    factor = cfg["hamiltonian"]["base"]["terms"][0]["factors"][0]
-    if key == "exponents":
-        factor["space"]["terms"][0][1] = value
-    elif key == "time":
-        factor["time"] = value
+    term = cfg["hamiltonian"]["base"]["terms"][0]
+    factor = term["factors"][0]
+    if key in ("exponents", "coefficient"):
+        factor["space"]["terms"][0][1 if key == "exponents" else 0] = value
+    elif key in ("space", "time"):
+        factor[key] = value
+    elif key == "coeff":
+        term[key] = value
     else:
         factor["space"][key] = value
     path = tmp_path / "cfg.json"
@@ -722,13 +765,31 @@ def _edit_first_factor(tmp_path, preset, key, value):
         ("plane-oscillator", "exponents", [1e30, 0]),
         ("torus-morse-n1", "freq", [0, -1e30]),
         ("torus-morse-n1", "time", {"kind": "trig", "amp": 0.3, "freq": 1e30, "offset": 1.0}),
+        ("torus-morse-n1", "amp", NAN),
+        ("torus-morse-n1", "amp", INF),
+        ("torus-morse-n1", "amp", "x"),
+        ("torus-morse-n1", "amp", True),
+        ("torus-morse-n1", "phase", -INF),
+        ("plane-oscillator", "coefficient", NAN),
+        ("plane-oscillator", "coefficient", "1"),
+        ("torus-morse-n1", "space", {"kind": "const", "value": INF}),
+        ("torus-morse-n1", "time", {"kind": "const", "value": NAN}),
+        ("torus-morse-n1", "time", {"kind": "trig", "amp": NAN, "offset": 1.0}),
+        ("torus-morse-n1", "time", {"kind": "trig", "amp": 0.3, "phase": INF}),
+        ("torus-morse-n1", "time", {"kind": "trig", "amp": 0.3, "offset": "1"}),
+        ("torus-morse-n1", "time", {"kind": "bump", "center": NAN}),
+        ("torus-morse-n1", "time", {"kind": "bump", "height": INF}),
+        ("torus-morse-n1", "time", {"kind": "bump", "width": 0.0}),
+        ("torus-morse-n1", "time", {"kind": "bump", "width": -0.25}),
+        ("torus-morse-n1", "time", {"kind": "tabulated", "values": [0.1, NAN, 0.3]}),
     ],
 )
 def test_malformed_factor_is_config_error(preset, key, value, tmp_path, capsys):
     """A fractional, negative, huge, scalar or wrongly sized freq or
-    exponent list, or a fractional or huge time freq, stops the run before
-    any work, naming the factor; none is truncated, clamped or broadcast
-    into a valid one."""
+    exponent list, a fractional or huge time freq, a non-finite or
+    non-numeric spatial or time-profile number, or a bump of no width
+    stops the run before any work, naming the factor; none is truncated,
+    clamped or broadcast into a valid one."""
     code = run(["chords", "--config", _edit_first_factor(tmp_path, preset, key, value), "--out", str(tmp_path / "o")])
     captured = capsys.readouterr()
     assert code == 2

@@ -5,7 +5,6 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from hamdelay import delaygen
 from hamdelay.cli import ExperimentConfig
 
 from hamdelay.geometry import PhaseSpace, build_level
@@ -19,7 +18,7 @@ from hamdelay.hamiltonians import (
     TrigTime,
     lift,
 )
-from hamdelay.delaygen import generate, render, rhs_eval
+from hamdelay.delaygen import generate, render, rhs_eval, rhs_plan
 from hamdelay.solvers import IntegratorConfig, integrate, pullback_chord
 from hamdelay.solvers import Chord
 from tests.oracles import equals_mod1, rhs_eval_oracle
@@ -360,22 +359,21 @@ def test_rhs_matches_per_factor_oracle_on_spline_chain(torus):
     _assert_matches_rhs_oracle(generate(product_T4(), chain), loop, ts)
 
 
-def test_rhs_plan_cache_is_per_times_array_and_bounded(monkeypatch):
-    """Repeated times give bitwise the same rows from one cached plan,
-    another times array gets its own plan, and the cache stops at its
-    bound while uncached times still evaluate correctly."""
-    monkeypatch.setattr(delaygen, "PLAN_CACHE_SIZE", 3)
+def test_rhs_plan_is_an_explicit_value():
+    """rhs_eval through a plan passed in and through the plan it builds is
+    bitwise equal; a plan serves any loop, and the descriptor holds no
+    per-call state.  Reversed and shifted times, each with its own plan,
+    still match the oracle."""
     rng = np.random.default_rng(4)
     d, loop = _preset_descriptor_and_loop("product-T4", rng)
+    state = dict(vars(d))
     ts = (np.arange(64) + 0.5) / 64
+    plan = rhs_plan(d, ts, loop.space.dim)
     first = rhs_eval(d, loop, ts)
-    assert np.array_equal(rhs_eval(d, loop, ts.copy()), first)
-    assert list(d._plans) == [ts.tobytes()]
-    other = ts[::-1].copy()
-    assert np.array_equal(rhs_eval(d, loop, other), first[::-1])
-    assert len(d._plans) == 2
+    assert np.array_equal(rhs_eval(d, loop, ts, plan), first)
+    other = DiscreteCurve(loop.space, 0, loop.space.normalize(0.9 * loop.samples + 0.05), True, loop.breakpoints)
+    assert np.array_equal(rhs_eval(d, other, ts, plan), rhs_eval(d, other, ts))
+    assert np.array_equal(rhs_eval(d, loop, ts[::-1].copy()), first[::-1])
     for k in range(4):
-        shifted = ts + 0.001 * (k + 1)
-        _assert_matches_rhs_oracle(d, loop, shifted)
-    assert len(d._plans) == 3
-    assert np.array_equal(rhs_eval(d, loop, ts), first)
+        _assert_matches_rhs_oracle(d, loop, ts + 0.001 * (k + 1))
+    assert vars(d).keys() == state.keys() and all(vars(d)[k] is v for k, v in state.items())

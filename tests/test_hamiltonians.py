@@ -409,19 +409,20 @@ def _assert_rows_independent(K, lev):
 
 @pytest.mark.parametrize("name", PRESETS)
 def test_slice_times_give_float_t_rows(name):
-    """t as a pair (times, rows) gives row b bitwise the field of a float-t
-    call at times[rows[b]], and caches one table per times array."""
+    """Per-row times, as the rows of a sliced sweep read them, and a weight
+    table passed in give row b bitwise the field of a float-t call at its
+    time."""
     data = json.loads(resources.files("hamdelay.presets").joinpath(f"{name}.json").read_text())
     cfg = ExperimentConfig.from_dict(data)
     K, lev = cfg.structured_hamiltonian(), build_level(cfg.space, cfg.chain.level)
     rng = np.random.default_rng(5)
     z = rng.uniform(-1.0, 1.0, (81, lev.copies, lev.space.dim))
     times, rows = np.arange(5) * 0.125 + 0.0625, rng.integers(0, 5, 81)
-    got = vector_field(K, lev, z, (times, rows))
+    got = vector_field(K, lev, z, times[rows])
     for i in range(81):
         assert np.array_equal(got[i], vector_field(K, lev, z[i : i + 1], float(times[rows[i]]))[0])
-    assert np.array_equal(vector_field(K, lev, z, (times, rows)), got)
-    assert times.tobytes() in K._program(lev.space.dim).time_cache
+    table = K._program(lev.space.dim).table(times[rows])
+    assert np.array_equal(vector_field(K, lev, z, table), got)
 
 
 def test_sum0_adds_in_index_order_in_any_layout():
@@ -439,29 +440,32 @@ def test_sum0_adds_in_index_order_in_any_layout():
     assert np.array_equal(hamiltonians._sum0(one)[..., 0], want[..., 0])
 
 
-def test_time_cache_is_per_hamiltonian(torus, rng, monkeypatch):
-    """Repeated times give identical arrays, a bounded cache stays correct,
-    and two Hamiltonians that differ only in a time profile share nothing."""
-    monkeypatch.setattr(hamiltonians, "TIME_CACHE_SIZE", 4)
+def test_two_hamiltonians_share_no_table(torus, rng):
+    """Two Hamiltonians that differ only in a time profile share nothing:
+    sweeps and float-t calls that alternate between them give each its own
+    field, bitwise what a fresh copy gives."""
+    from hamdelay.solvers import _rk4, _stage
+
     lev = build_level(torus, 1)
     F = TrigSpatial(0.6, (1, 1), 0.2)
 
     def ham(profile):
         return StructuredHamiltonian(1, ((0.7, (Factor(0, F, profile), Factor(1, F))), (0.2, (Factor(1, F, profile),))))
 
-    K1, K2 = ham(TrigTime(0.3, 1, 0.0, 1.0)), ham(TrigTime(0.5, 2, 0.1, 1.0))
+    profiles = TrigTime(0.3, 1, 0.0, 1.0), TrigTime(0.5, 2, 0.1, 1.0)
+    K1, K2 = (ham(p) for p in profiles)
     z = rng.random((5, 2, 2))
     first = vector_field(K1, lev, z, 0.25)
-    others = [vector_field(K1, lev, z, t) for t in np.linspace(0.0, 1.0, 9)]
-    assert np.array_equal(vector_field(K1, lev, z, 0.25), first)
     assert np.array_equal(vector_field(K1, lev, z, np.float64(0.25)), first)
-    for t, X in zip(np.linspace(0.0, 1.0, 9), others):
-        assert np.array_equal(vector_field(K1, lev, z, t), X)
     X2 = vector_field(K2, lev, z, 0.25)
     assert not np.allclose(X2, first)
     np.testing.assert_allclose(K2.gradient(z, 0.25), _oracle(K2, z, 0.25)[1], rtol=1e-13, atol=1e-13)
     assert np.array_equal(vector_field(K1, lev, z, 0.25), first)
-    assert len(K1._program(2).time_cache) <= 4
+    order = (0, 1, 0, 1)
+    ends = [_rk4(_stage((K1, K2)[k], lev), z, 16) for k in order]
+    assert not np.array_equal(ends[0], ends[1])
+    for k, end in zip(order, ends):
+        assert end.tobytes() == _rk4(_stage(ham(profiles[k]), lev), z, 16).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -644,14 +648,12 @@ def test_field_matches_scatter_oracle(K, lead, per_row, seed):
 
 
 @pytest.mark.parametrize("n_steps", [9, 128, 1000])
-def test_float_pair_and_per_row_weights_are_bitwise_equal(n_steps, monkeypatch):
-    """At every stage time of an RK4 sweep, a float t, the pair (times,
-    rows) and per-row t give bitwise the same weights and gradient weights,
-    for every kind of time profile: constant, trig, bump, tabulated, and
-    lifted over an affine and over non-affine time maps.  The entries an
-    RK4 sweep caches in one table call (fill) are the one-element tables,
-    bitwise and read-only, and stop at TIME_CACHE_SIZE."""
-    from hamdelay.solvers import _rk4, _stage
+def test_sweep_and_one_element_tables_are_bitwise_equal(n_steps):
+    """At every stage time of an RK4 sweep, the column of the sweep's table,
+    of a per-row table and the one-element table of a float t hold bitwise
+    the same weights and gradient weights, for every kind of time profile:
+    constant, trig, bump, tabulated, and lifted over an affine and over
+    non-affine time maps."""
     from tests.test_solvers import _spline_chain
 
     spline = _spline_chain().table
@@ -666,32 +668,16 @@ def test_float_pair_and_per_row_weights_are_bitwise_equal(n_steps, monkeypatch):
         LiftTime(TrigTime(0.3, 1, 0.2, 1.0), spline[0].theta),
     ]
     F = TrigSpatial(0.5, (1, 0))
-    terms = tuple((1.0, (Factor(0, F, p),)) for p in profiles)
-    lazy = StructuredHamiltonian(0, terms)
-    prog = lazy._program(2)
+    prog = StructuredHamiltonian(0, tuple((1.0, (Factor(0, F, p),)) for p in profiles))._program(2)
     h = 1.0 / n_steps
-    stages = {u for i in range(n_steps) for u in (i * h, i * h + 0.5 * h, i * h + h)}
+    t = np.arange(n_steps)[:, None] * h
+    sweep = np.stack([t, t + 0.5 * h, t + h], axis=1).ravel()  # the stage times as _rk4 lays them out
     # BumpTime(0.4, 0.3, 1.2) at a 0-d time rounds this one differently
-    times = np.array(sorted(stages | {0.45710433692881935}))
-    pair = prog.weights((times, np.arange(len(times))), True)
-    per_row = prog.weights(times, True)
+    times = np.append(sweep, 0.45710433692881935)
+    rng = np.random.default_rng(2)
+    rows = rng.permutation(len(times))
+    tables = prog.table(times), prog.table(times[rows])
     for b, u in enumerate(times.tolist()):
-        for got_float, got_pair, got_row in zip(prog.weights(u, True), pair, per_row):
-            assert got_float[..., 0].tobytes() == got_pair[..., b].tobytes() == got_row[..., b].tobytes()
-
-    # prog now holds every stage time's one-element table, so its sweep fills nothing
-    lev = build_level(PhaseSpace(1, "torus"), 0)
-    z0 = np.random.default_rng(3).uniform(-1.0, 1.0, (5, 1, 2))
-    K = StructuredHamiltonian(0, terms)
-    end = _rk4(_stage(K, lev), z0, n_steps)
-    filled = K._program(2).time_cache
-    assert sorted(filled) == sorted(stages)
-    for u, entry in filled.items():
-        for got, want in zip(entry, prog.time_cache[u]):
-            assert got.tobytes() == want.tobytes() and not got.flags.writeable
-    assert _rk4(_stage(lazy, lev), z0, n_steps).tobytes() == end.tobytes()
-    monkeypatch.setattr(hamiltonians, "TIME_CACHE_SIZE", 5)
-    small = StructuredHamiltonian(0, terms)._program(2)
-    small.fill([0.0, 0.5 * h, h, h, 1.5 * h, 2 * h, 2.5 * h, 3 * h])
-    small.fill([0.75, 1.0])
-    assert list(small.time_cache) == [0.0, 0.5 * h, h, 1.5 * h, 2 * h]
+        position = np.flatnonzero(rows == b)[0]
+        for one, whole, per_row in zip(prog.table(np.array([u])), *tables):
+            assert one[..., 0].tobytes() == whole[..., b].tobytes() == per_row[..., position].tobytes()

@@ -118,19 +118,19 @@ def test_rk4_convergence_order(torus, rng):
 
 def _rk4_oracle(ham, level, z0, n_steps, path=None, start=0, steps=None):
     """The stage-per-call RK4 sweep: one vector_field call per stage over
-    the whole batch, the state rows-first, (rows, copies, dim)."""
+    the whole batch, the state rows-first, (rows, copies, dim), at a float
+    time or, from per-row start steps, at per-row times."""
     h = 1.0 / n_steps
     z = np.array(z0, dtype=float)
     if path is not None:
         keep = path.shape[1]
         path[0] = z[:keep]
-    first, rows = np.unique(start, return_inverse=True) if np.ndim(start) else (start, None)
 
     def field(z, t):
-        return solvers.vector_field(ham, level, z, t if rows is None else (t, rows))
+        return solvers.vector_field(ham, level, z, t)
 
     for i in range(n_steps if steps is None else steps):
-        t = (first + i) * h
+        t = (start + i) * h
         k1 = field(z, t)
         k2 = field(z + 0.5 * h * k1, t + 0.5 * h)
         k3 = field(z + 0.5 * h * k2, t + 0.5 * h)
@@ -158,9 +158,8 @@ PRESETS = sorted(f.name[: -len(".json")] for f in resources.files("hamdelay.pres
 def test_rk4_sweep_matches_stage_per_call_oracle(name, rng):
     """The batch-last sweep gives bitwise the end states and kept paths of
     one vector_field call per stage, for every packaged Hamiltonian: at
-    float times over the whole grid, and from per-row start steps (the
-    (times, rows) form of a sliced sweep), keeping fewer rows than it
-    sweeps, and for one row alone."""
+    float times over the whole grid, and from per-row start steps (a sliced
+    sweep), keeping fewer rows than it sweeps, and for one row alone."""
     ham, lev, _, _ = _preset_problem(name, 16, 1)
     z0 = rng.random((7, lev.copies, lev.space.dim))
     _assert_rk4_matches_oracle(ham, lev, z0, 16, 7)
@@ -181,6 +180,43 @@ def test_rk4_sweep_wider_than_a_block_matches_oracle(name, rng):
     z0 = rng.random((2304, lev.copies, lev.space.dim))
     _assert_rk4_matches_oracle(ham, lev, z0, 8, 2304)
     _assert_rk4_matches_oracle(ham, lev, z0, 8, block + 5, rng.integers(0, 6, len(z0)), 2)
+
+
+@pytest.mark.parametrize("name", PRESETS)
+def test_rk4_sweep_across_tables_matches_oracle(name, rng, monkeypatch):
+    """With a table bound of 7 stage times, two steps per table from one
+    start step and one from several, the sweeps of the two tests above
+    cross table boundaries and stay bitwise the oracle's."""
+    monkeypatch.setattr(solvers, "TABLE_SIZE", 7)
+    test_rk4_sweep_matches_stage_per_call_oracle(name, rng)
+    if name in ("sum-n2", "product-T4"):
+        test_rk4_sweep_wider_than_a_block_matches_oracle(name, rng)
+
+
+def test_rk4_sweep_tables(rng, monkeypatch):
+    """An n-step sweep makes ceil(3n / TABLE_SIZE) table calls, one per
+    chunk of its stage times.  The program keeps the last table it built:
+    a repeated sweep of one table makes none, from other start points too,
+    and a sweep at other stage times makes its own."""
+    ham, lev, _, _ = _preset_problem("product-T4", 16, 1)
+    prog = ham._program(lev.space.dim)
+    calls = []
+    real = prog.table
+    monkeypatch.setattr(prog, "table", lambda times: calls.append(len(times)) or real(times))
+    z0 = rng.random((5, lev.copies, lev.space.dim))
+    stage = solvers._stage(ham, lev)
+    monkeypatch.setattr(solvers, "TABLE_SIZE", 12)
+    solvers._rk4(stage, z0, 16)
+    assert calls == [12] * 4  # ceil(3 * 16 / 12)
+    monkeypatch.setattr(solvers, "TABLE_SIZE", 2**14)
+    calls.clear()
+    end = solvers._rk4(stage, z0, 16)
+    assert calls == [48]
+    assert solvers._rk4(stage, z0, 16).tobytes() == end.tobytes()
+    solvers._rk4(stage, rng.random(z0.shape), 16)
+    assert calls == [48]
+    solvers._rk4(stage, z0, 16, None, np.array([0, 4, 4, 8, 0]), 4)
+    assert calls == [48, 36]
 
 
 def test_shoot_residual_zero_k(torus, rng):
