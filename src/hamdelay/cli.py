@@ -29,7 +29,7 @@ from .transforms import (
     resample,
     sup_distance,
 )
-from .hamiltonians import StructuredHamiltonian, is_integer, lift
+from .hamiltonians import StructuredHamiltonian, _finite, _integer, lift
 from .delaygen import generate, render
 from .action import pushforward_gap
 from .solvers import (
@@ -61,61 +61,41 @@ def _config_errors():
         raise ConfigError(str(exc)) from exc
 
 
-def _integer(value, name: str, minimum: int | None = None, maximum: int | None = None) -> int:
-    """value as an int; integral floats pass, fractions, bools and strings do not."""
-    if not is_integer(value):
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
-    if minimum is not None and value < minimum:
-        raise ConfigError(f"{name} must be >= {minimum}, got {value!r}")
-    if maximum is not None and value > maximum:
-        raise ConfigError(f"{name} must be <= {maximum}, got {value!r}")
-    return int(value)
-
-
-def _is_finite_number(value) -> bool:
-    return not isinstance(value, bool) and isinstance(value, (int, float)) and math.isfinite(value)
+def _section(data: dict, name: str, default=None) -> dict:
+    """Section name of the config, default (an empty one) if absent; a given one must be an object."""
+    section = data.get(name, default or {})
+    if not isinstance(section, dict):
+        raise ConfigError(f"{name} must be an object, got {section!r}")
+    return section
 
 
 def _action_settings(data: dict) -> dict:
-    """The action section with its integer fields as ints; rejects values
-    that would crash the sweep or leave no convergence order to measure."""
-    out = dict(data)
+    """The action section, defaults filled and integer fields as ints; rejects
+    values that would crash the sweep or leave no convergence order to measure."""
+    defaults = {"levels": [1, 2, 3], "sweep": [2**10, 2**11, 2**12, 2**13], "loops": 3, "amp": 0.25, "roundtrip_nodes": 384}
+    out = defaults | data
     for key, distinct, maximum in (("levels", 1, MAX_LEVEL), ("sweep", 2, MAX_NODES)):
-        if key in out:
-            if not isinstance(out[key], list):
-                raise ConfigError(f"action.{key} must be a list, got {out[key]!r}")
-            out[key] = [_integer(n, f"action.{key} entry", 1, maximum) for n in out[key]]
-            if len(set(out[key])) < distinct:
-                raise ConfigError(f"action.{key} needs at least {distinct} distinct values, got {out[key]!r}")
-    for key, maximum in (("loops", None), ("roundtrip_nodes", MAX_NODES)):
-        if key in out:
-            out[key] = _integer(out[key], f"action.{key}", 1, maximum)
-    amp = out.get("amp", 0.25)
-    if not _is_finite_number(amp):
-        raise ConfigError(f"action.amp must be a finite number, got {amp!r}")
+        if not isinstance(out[key], list):
+            raise ConfigError(f"action.{key} must be a list, got {out[key]!r}")
+        out[key] = [_integer(n, f"action.{key} entry", 1, maximum) for n in out[key]]
+        if len(set(out[key])) < distinct:
+            raise ConfigError(f"action.{key} needs at least {distinct} distinct values, got {out[key]!r}")
+    out["loops"] = _integer(out["loops"], "action.loops", 1)
+    out["roundtrip_nodes"] = _integer(out["roundtrip_nodes"], "action.roundtrip_nodes", 1, MAX_NODES)
+    _finite(out["amp"], "action.amp")
     return out
 
 
-def _tolerance_settings(data) -> dict:
-    """The tolerances section with verify_nodes as an int; the two verify
-    tolerances must be finite and positive, so no value passes or fails
-    every run regardless of the chords."""
-    if not isinstance(data, dict):
-        raise ConfigError(f"tolerances must be an object, got {data!r}")
-    out = dict(data)
+def _tolerance_settings(data: dict) -> dict:
+    """The tolerances section with its defaults filled and verify_nodes as
+    an int; the two verify tolerances must be finite and positive, so no
+    value passes or fails every run regardless of the chords."""
+    out = {"delay_residual": 1e-4, "route_distance": 1e-4, "verify_nodes": 512} | data
     for key in ("delay_residual", "route_distance"):
-        if key in out and not (_is_finite_number(out[key]) and out[key] > 0):
-            raise ConfigError(f"tolerances.{key} must be a finite number > 0, got {out[key]!r}")
-    if "verify_nodes" in out:
-        out["verify_nodes"] = _integer(out["verify_nodes"], "tolerances.verify_nodes", 1, MAX_NODES)
+        if not _finite(out[key], f"tolerances.{key}") > 0:
+            raise ConfigError(f"tolerances.{key} must be > 0, got {out[key]!r}")
+    out["verify_nodes"] = _integer(out["verify_nodes"], "tolerances.verify_nodes", 1, MAX_NODES)
     return out
-
-
-def _bound_settings(data) -> dict:
-    """The bounds section with every orbit-count bound as an int >= 0."""
-    if not isinstance(data, dict):
-        raise ConfigError(f"bounds must be an object, got {data!r}")
-    return {name: _integer(bound, f"bounds.{name}", 0) for name, bound in data.items()}
 
 
 @dataclass
@@ -133,16 +113,16 @@ class ExperimentConfig:
 
     @staticmethod
     def from_dict(data: dict) -> "ExperimentConfig":
+        """Parses each section once, through _section, _integer and _finite, and fills its defaults."""
         with _config_errors():
-            space_data = dict(data.get("space", {"half_dim": 1, "topology": "torus"}))
+            space_data = dict(_section(data, "space", {"half_dim": 1, "topology": "torus"}))
             if "half_dim" in space_data:
                 space_data["half_dim"] = _integer(space_data["half_dim"], "space.half_dim", 1)
             space = PhaseSpace(**space_data)
-            chain = TransformChain.from_json(data.get("chain", {"steps": []}))
-            steps = _integer(data.get("integrator", {}).get("steps", 2**10), "integrator.steps", maximum=MAX_NODES)
-            integ = IntegratorConfig(steps)
-            newton = NewtonConfig(**data.get("newton", {}))
-            grid_data = data.get("grid", {})
+            chain = TransformChain.from_json(_section(data, "chain", {"steps": []}))
+            steps = _integer(_section(data, "integrator").get("steps", 2**10), "integrator.steps", maximum=MAX_NODES)
+            newton = NewtonConfig(**_section(data, "newton"))
+            grid_data = _section(data, "grid")
             grid = GridSpec(
                 _integer(grid_data.get("points_per_dim", 8), "grid.points_per_dim"),
                 tuple(tuple(b) for b in grid_data["bounds"]) if "bounds" in grid_data else None,
@@ -150,14 +130,14 @@ class ExperimentConfig:
             return ExperimentConfig(
                 space=space,
                 chain=chain,
-                hamiltonian=data.get("hamiltonian", {"kind": "structured", "structured": {"level": chain.level, "terms": []}}),
-                integrator=integ,
+                hamiltonian=_section(data, "hamiltonian", {"kind": "structured", "structured": {"level": chain.level, "terms": []}}),
+                integrator=IntegratorConfig(steps),
                 newton=newton,
                 grid=grid,
-                seed=_integer(data.get("seed", 0), "seed", 0),
-                bounds=_bound_settings(data.get("bounds", {})),
-                tolerances=_tolerance_settings(data.get("tolerances", {})),
-                action=_action_settings(data.get("action", {})),
+                seed=_integer(data.get("seed", 0), "seed", 0, math.inf),
+                bounds={name: _integer(b, f"bounds.{name}", 0) for name, b in _section(data, "bounds").items()},
+                tolerances=_tolerance_settings(_section(data, "tolerances")),
+                action=_action_settings(_section(data, "action")),
             )
 
     def structured_hamiltonian(self) -> StructuredHamiltonian:
@@ -165,7 +145,7 @@ class ExperimentConfig:
         every trig freq and poly exponent list needs one entry per coordinate."""
         h = self.hamiltonian
         kind = h.get("kind", "structured")
-        try:
+        with _config_errors():
             if kind == "structured":
                 K = StructuredHamiltonian.from_json(h["structured"])
                 K.check_dim(self.space.dim)
@@ -176,8 +156,6 @@ class ExperimentConfig:
                 base = StructuredHamiltonian.from_json(h["base"])
                 base.check_dim(self.space.dim)
                 return lift(base, self.chain, h.get("variant", "derived"))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(str(exc)) from exc
         raise ConfigError(f"unknown hamiltonian kind {kind!r}")
 
     def build_hamiltonian(self):
@@ -196,18 +174,27 @@ class ExperimentConfig:
         return nodes
 
     def check_seed_bounds(self) -> None:
-        """Plane chord scans seed a grid between grid.bounds: one [lo, hi]
-        pair of finite numbers per diagonal parameter, 2^(n-1) * dim pairs."""
+        """Chord scans seed k^P grid points, k = grid.points_per_dim, over
+        the P = 2^(n-1) * dim diagonal parameters: at most MAX_NODES of them.
+        Plane scans seed between grid.bounds: one [lo, hi] pair of finite
+        numbers per diagonal parameter."""
+        k, want = self.grid.points_per_dim, 2 ** (self.chain.level - 1) * self.space.dim
+        # k >= 2 seeds at least 2^P points, so P beyond MAX_NODES' bit length
+        # is over the limit whatever k, and the power stays small
+        if k ** min(want, MAX_NODES.bit_length()) > MAX_NODES:
+            raise ConfigError(f"grid.points_per_dim {k} seeds {k}^{want} points over {want} parameters, more than {MAX_NODES}")
         if self.space.topology != "plane":
             return
-        want = 2 ** (self.chain.level - 1) * self.space.dim
         bounds = self.grid.bounds
         if bounds is None or len(bounds) != want:
             got = "none" if bounds is None else len(bounds)
             raise ConfigError(f"plane chord scans need grid.bounds with {want} [lo, hi] pairs, got {got}")
-        for pair in bounds:
-            if len(pair) != 2 or not all(_is_finite_number(x) for x in pair):
-                raise ConfigError(f"grid.bounds entries must be [lo, hi] pairs of finite numbers, got {list(pair)!r}")
+        with _config_errors():
+            for pair in bounds:
+                if len(pair) != 2:
+                    raise ConfigError(f"grid.bounds entries must be [lo, hi] pairs, got {list(pair)!r}")
+                for x in pair:
+                    _finite(x, "grid.bounds entry")
 
     def torus_bounds(self) -> dict:
         """Orbit-count lower bounds; torus defaults derive from the dimension."""
@@ -238,9 +225,9 @@ def _load_config(args) -> ExperimentConfig:
     if not isinstance(data, dict):
         raise ConfigError(f"config {source} must hold a JSON object, got {type(data).__name__}")
     cfg = ExperimentConfig.from_dict(data)
-    if args.seed is not None:
-        cfg.seed = _integer(args.seed, "--seed", 0)
     with _config_errors():
+        if args.seed is not None:
+            cfg.seed = _integer(args.seed, "--seed", 0, math.inf)
         if args.steps is not None:
             cfg.integrator = IntegratorConfig(_integer(_parse_steps(args.steps), "--steps", maximum=MAX_NODES))
         if args.grid is not None:
@@ -322,11 +309,11 @@ def cmd_verify(args) -> int:
         stencil_segments(descriptor, steps)  # pulled-back loops share the chord grid
     except ValueError as exc:
         raise ConfigError(f"{steps} integrator steps: {exc}") from exc
-    n_verify = cfg.aligned_nodes(cfg.tolerances.get("verify_nodes", 512))
+    n_verify = cfg.aligned_nodes(cfg.tolerances["verify_nodes"])
     out = _outdir(args)
     orbits = enumerate_chords(ham, level, cfg.grid, cfg.newton, IntegratorConfig(steps))
-    tol_res = float(cfg.tolerances.get("delay_residual", 1e-4))
-    tol_dist = float(cfg.tolerances.get("route_distance", 1e-4))
+    tol_res = float(cfg.tolerances["delay_residual"])
+    tol_dist = float(cfg.tolerances["route_distance"])
     print(f"verifying {orbits.count()} chords (delay residual tol {tol_res:g}, route tol {tol_dist:g})")
     worst_res, worst_dist = 0.0, 0.0
     rows = []
@@ -391,14 +378,12 @@ def _random_base_hamiltonian(space: PhaseSpace, rng, amp: float) -> StructuredHa
 def cmd_action(args) -> int:
     cfg = _load_config(args)
     rng = np.random.default_rng(cfg.seed)
-    levels = cfg.action.get("levels", [1, 2, 3])
-    sweep = cfg.action.get("sweep", [2**10, 2**11, 2**12, 2**13])
-    n_loops = cfg.action.get("loops", 3)
-    amp = float(cfg.action.get("amp", 0.25))
+    levels, sweep, n_loops = cfg.action["levels"], cfg.action["sweep"], cfg.action["loops"]
+    amp = float(cfg.action["amp"])
     variants = ("derived", "printed") if args.tau_compat else ("derived",)
     out = _outdir(args)
     worst_order = np.inf
-    unmeasured = []
+    unmeasured, no_gap = [], []
     records = []
     print("level  loop  N        " + "  ".join(f"gap[{v}]" for v in variants))
     for n in levels:
@@ -406,18 +391,19 @@ def cmd_action(args) -> int:
         for i in range(n_loops):
             f = _random_trig_loop(cfg.space, rng, amp)
             H = _random_base_hamiltonian(cfg.space, rng, amp)
-            gaps = {v: [] for v in variants}
+            derived = []  # (N, the derived gap) per N that gave gaps
             for N in sweep:
                 loop = DiscreteCurve.from_function(cfg.space, f, N)
-                for v, g in zip(variants, pushforward_gap(H, loop, chain, variant=variants)):
-                    gaps[v].append(g)
-                records.append(
-                    {"level": n, "loop": i, "N": N}
-                    | {f"gap_{v}": gaps[v][-1] for v in variants}
-                )
-                row = f"{n:>5}  {i:>4}  {N:>7}  " + "  ".join(f"{gaps[v][-1]:.3e}" for v in variants)
-                print(row)
-            usable = [(np.log(N), np.log(g)) for N, g in zip(sweep, gaps["derived"]) if g > 1e-13]
+                try:
+                    gaps = pushforward_gap(H, loop, chain, variant=variants)
+                except ValueError as exc:  # a grid that misses a breakpoint, or a NonContractibleError
+                    no_gap.append((n, i, N))
+                    print(f"{n:>5}  {i:>4}  {N:>7}  no gap: {exc}")
+                    continue
+                derived.append((N, gaps[0]))
+                records.append({"level": n, "loop": i, "N": N} | {f"gap_{v}": g for v, g in zip(variants, gaps)})
+                print(f"{n:>5}  {i:>4}  {N:>7}  " + "  ".join(f"{g:.3e}" for g in gaps))
+            usable = [(np.log(N), np.log(g)) for N, g in derived if g > 1e-13]
             if len(usable) >= 2:
                 xs, ys = np.array([u[0] for u in usable]), np.array([u[1] for u in usable])
                 order = -np.polyfit(xs, ys, 1)[0]
@@ -433,6 +419,9 @@ def cmd_action(args) -> int:
         for n in levels:
             mism = [r["copy"] for r in compare_tau_tables(n) if not r["match"]]
             print(f"  n={n}: mismatched copies {mism if mism else 'none'}")
+    if no_gap:
+        print(f"FINDING: no gap at (level, loop, N) {no_gap}: a misaligned grid or a lift that does not close")
+        return 1
     if unmeasured:
         print(f"FINDING: no convergence order measured for (level, loop) {unmeasured}")
         return 1
@@ -465,8 +454,8 @@ def cmd_tau(args) -> int:
 def cmd_roundtrip(args) -> int:
     cfg = _load_config(args)
     rng = np.random.default_rng(cfg.seed)
-    f = _random_trig_loop(cfg.space, rng, float(cfg.action.get("amp", 0.25)))
-    n = cfg.aligned_nodes(cfg.action.get("roundtrip_nodes", 384))
+    f = _random_trig_loop(cfg.space, rng, float(cfg.action["amp"]))
+    n = cfg.aligned_nodes(cfg.action["roundtrip_nodes"])
     loop = DiscreteCurve.from_function(cfg.space, f, n)
     back = phi_chain(cfg.chain, psi_chain(cfg.chain, loop))
     exact = bool(np.array_equal(back.samples, loop.samples))

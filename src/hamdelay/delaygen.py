@@ -181,64 +181,11 @@ def rhs_eval(d: DelayEquationDescriptor, loop, t, plan: RhsPlan | None = None):
 # rendering
 
 
-def _factor_label(f: Factor, time_expr: str) -> str:
-    return f"F{f.copy + 1}[{time_expr}]"
-
-
 def _delay_expr(c: DelayCoefficient) -> str:
     # delayed_time maps already take values in [0,1], the canonical mod-1 form
     if isinstance(c.delay, AffineMap):
         return c.delay.pretty()
     return "delta(t)"
-
-
-def _term_text(term: DelayTermSpec, time_expr: str) -> str:
-    parts = []
-    if term.coeff != 1.0:
-        parts.append(f"{term.coeff:g}")
-    for c in term.coefficients:
-        parts.append(f"{_factor_label(c.factor, time_expr)}(v({_delay_expr(c)}))")
-    parts.append(f"X_{_factor_label(term.driver, time_expr)}(v(t))")
-    return " ".join(parts)
-
-
-def render(d: DelayEquationDescriptor, fmt: str = "text") -> str:
-    """Deterministic rendering; rows ordered by interval left endpoint."""
-    if fmt == "json":
-        return json.dumps(d.to_json(), indent=2)
-    if fmt == "text":
-        lines = []
-        for seg in d.segments:
-            time_expr = seg.theta.pretty() if isinstance(seg.theta, AffineMap) else "theta(t)"
-            interval = f"t in [{_endpoint_json(seg.lo)}, {_endpoint_json(seg.hi)}]"
-            rate = seg.constant_rate()
-            if not seg.terms:
-                lines.append(f"v'(t) = 0,  {interval}")
-                continue
-            body = " + ".join(_term_text(t, time_expr) for t in seg.terms)
-            if rate is not None:
-                lines.append(f"({format_rational(1 / rate)}) v'(t) = {body},  {interval}")
-            else:
-                lines.append(f"v'(t) = rate(t) * [{body}],  {interval}")
-        return "\n".join(lines)
-    if fmt == "latex":
-        rows = []
-        for seg in d.segments:
-            time_expr = seg.theta.pretty() if isinstance(seg.theta, AffineMap) else r"\theta(t)"
-            interval = (
-                rf"t \in \left[{_latex_frac(seg.lo)}, {_latex_frac(seg.hi)}\right]"
-            )
-            rate = seg.constant_rate()
-            if not seg.terms:
-                rows.append(rf"\dot v(t) = 0, & {interval} \\")
-                continue
-            body = r" + ".join(_term_latex(t, time_expr) for t in seg.terms)
-            if rate is not None:
-                rows.append(rf"{_latex_frac(1 / rate)}\,\dot v(t) = {body}, & {interval} \\")
-            else:
-                rows.append(rf"\dot v(t) = \rho(t)\left[{body}\right], & {interval} \\")
-        return "\n".join([r"\begin{array}{ll}"] + rows + [r"\end{array}"])
-    raise ValueError(f"unknown render format {fmt!r}")
 
 
 def _latex_frac(x) -> str:
@@ -250,11 +197,60 @@ def _latex_frac(x) -> str:
     return f"{float(x):g}"
 
 
-def _term_latex(term: DelayTermSpec, time_expr: str) -> str:
-    parts = []
-    if term.coeff != 1.0:
-        parts.append(f"{term.coeff:g}")
-    for c in term.coefficients:
-        parts.append(rf"F^{{{c.factor.copy + 1}}}_{{{time_expr}}}\bigl(v({_delay_expr(c)})\bigr)")
-    parts.append(rf"X_{{F^{{{term.driver.copy + 1}}}_{{{time_expr}}}}}(v(t))")
-    return r"\, ".join(parts)
+# Per format: the chord time of a segment whose theta is not affine, a
+# number, the interval, the row of a segment with no terms, with a constant
+# rate and with a varying one, a delayed factor, the driving field, the
+# separator of a term's parts, and the lines before and after the rows.
+_TEMPLATES = {
+    "text": {
+        "theta": "theta(t)",
+        "frac": lambda x: str(_endpoint_json(x)),
+        "interval": "t in [{lo}, {hi}]",
+        "zero": "v'(t) = 0,  {interval}",
+        "constant": "({inv_rate}) v'(t) = {body},  {interval}",
+        "varying": "v'(t) = rate(t) * [{body}],  {interval}",
+        "delayed": "F{copy}[{time}](v({delay}))",
+        "driver": "X_F{copy}[{time}](v(t))",
+        "sep": " ",
+        "around": ([], []),
+    },
+    "latex": {
+        "theta": r"\theta(t)",
+        "frac": _latex_frac,
+        "interval": r"t \in \left[{lo}, {hi}\right]",
+        "zero": r"\dot v(t) = 0, & {interval} \\",
+        "constant": r"{inv_rate}\,\dot v(t) = {body}, & {interval} \\",
+        "varying": r"\dot v(t) = \rho(t)\left[{body}\right], & {interval} \\",
+        "delayed": r"F^{{{copy}}}_{{{time}}}\bigl(v({delay})\bigr)",
+        "driver": r"X_{{F^{{{copy}}}_{{{time}}}}}(v(t))",
+        "sep": r"\, ",
+        "around": ([r"\begin{array}{ll}"], [r"\end{array}"]),
+    },
+}
+
+
+def _term(term: DelayTermSpec, time: str, tpl: dict) -> str:
+    parts = [f"{term.coeff:g}"] if term.coeff != 1.0 else []
+    parts += [tpl["delayed"].format(copy=c.factor.copy + 1, time=time, delay=_delay_expr(c)) for c in term.coefficients]
+    parts.append(tpl["driver"].format(copy=term.driver.copy + 1, time=time))
+    return tpl["sep"].join(parts)
+
+
+def render(d: DelayEquationDescriptor, fmt: str = "text") -> str:
+    """Deterministic rendering; rows ordered by interval left endpoint."""
+    if fmt == "json":
+        return json.dumps(d.to_json(), indent=2)
+    if fmt not in _TEMPLATES:
+        raise ValueError(f"unknown render format {fmt!r}")
+    tpl = _TEMPLATES[fmt]
+    rows = []
+    for seg in d.segments:
+        time = seg.theta.pretty() if isinstance(seg.theta, AffineMap) else tpl["theta"]
+        interval = tpl["interval"].format(lo=tpl["frac"](seg.lo), hi=tpl["frac"](seg.hi))
+        body = " + ".join(_term(t, time, tpl) for t in seg.terms)
+        rate = seg.constant_rate()
+        kind = "zero" if not seg.terms else "varying" if rate is None else "constant"
+        inv_rate = "" if rate is None else tpl["frac"](1 / rate)
+        rows.append(tpl[kind].format(interval=interval, body=body, inv_rate=inv_rate))
+    before, after = tpl["around"]
+    return "\n".join(before + rows + after)

@@ -27,32 +27,29 @@ TWO_PI = 2.0 * np.pi
 # spatial parts
 
 
-def is_integer(x) -> bool:
-    """An int, or a float with an integer value; bools do not count."""
-    return not isinstance(x, bool) and (isinstance(x, (int, np.integer)) or isinstance(x, float) and x.is_integer())
-
-
 # the largest |freq| or exponent: integral floats up to it are exact, and
 # so are the float and int64 tables compiled from them
 MAX_INTEGER = 2**53
 
 
-def _integer(x, what: str, minimum: int = -MAX_INTEGER) -> int:
-    """x as an int; raises on a fraction or on x outside [minimum,
-    MAX_INTEGER], so nothing is truncated or clamped into range."""
-    if not is_integer(x):
+def _integer(x, what: str, minimum: int = -MAX_INTEGER, maximum: float = MAX_INTEGER) -> int:
+    """x as an int; raises unless x is an int or an integral float (bools do
+    not count) in [minimum, maximum], so nothing is truncated or clamped into
+    range.  The one integer rule of Hamiltonians and configs."""
+    integral = isinstance(x, (int, np.integer)) or isinstance(x, float) and x.is_integer()
+    if isinstance(x, bool) or not integral:
         raise ValueError(f"{what}: {x!r} is not an integer")
-    if not minimum <= x <= MAX_INTEGER:
-        raise ValueError(f"{what}: {x!r} is outside [{minimum}, {MAX_INTEGER}]")
+    if not minimum <= x <= maximum:
+        raise ValueError(f"{what}: {x!r} is outside [{minimum}, {maximum}]")
     return int(x)
 
 
-def _finite(what: str, **values) -> None:
-    """Raises unless every value is a finite real number, naming it by what
-    and its key; bools do not count."""
-    for key, x in values.items():
-        if isinstance(x, bool) or not isinstance(x, Real) or not math.isfinite(x):
-            raise ValueError(f"{what} {key} must be a finite number, got {x!r}")
+def _finite(x, what: str):
+    """x, unless it is not a finite real number; bools do not count.  The
+    one finite-number rule of Hamiltonians and configs."""
+    if isinstance(x, bool) or not isinstance(x, Real) or not math.isfinite(x):
+        raise ValueError(f"{what} must be a finite number, got {x!r}")
+    return x
 
 
 def _integers(values, what: str, minimum: int = -MAX_INTEGER) -> tuple[int, ...]:
@@ -73,7 +70,8 @@ class TrigSpatial:
     phase: float = 0.0
 
     def __post_init__(self):
-        _finite("trig", amp=self.amp, phase=self.phase)
+        for key in ("amp", "phase"):
+            _finite(getattr(self, key), f"trig {key}")
         object.__setattr__(self, "freq", _integers(self.freq, "trig freq"))
 
     def to_json(self):
@@ -88,7 +86,7 @@ class PolySpatial:
 
     def __post_init__(self):
         for c, _ in self.terms:
-            _finite("poly", coefficient=c)
+            _finite(c, "poly coefficient")
         object.__setattr__(
             self, "terms", tuple((float(c), _integers(es, "poly exponents", minimum=0)) for c, es in self.terms)
         )
@@ -102,7 +100,7 @@ class ConstSpatial:
     value_const: float = 1.0
 
     def __post_init__(self):
-        _finite("const", value=self.value_const)
+        _finite(self.value_const, "const value")
 
     def to_json(self):
         return {"kind": "const", "value": self.value_const}
@@ -117,7 +115,7 @@ class ConstTime:
     value_const: float = 1.0
 
     def __post_init__(self):
-        _finite("const time", value=self.value_const)
+        _finite(self.value_const, "const time value")
 
     def __call__(self, t):
         return self.value_const * np.ones_like(np.asarray(t, float))
@@ -136,7 +134,8 @@ class TrigTime:
     offset: float = 0.0
 
     def __post_init__(self):
-        _finite("trig time", amp=self.amp, phase=self.phase, offset=self.offset)
+        for key in ("amp", "phase", "offset"):
+            _finite(getattr(self, key), f"trig time {key}")
         object.__setattr__(self, "freq", _integer(self.freq, "trig time freq"))
 
     def __call__(self, t):
@@ -155,7 +154,8 @@ class BumpTime:
     height: float = 1.0
 
     def __post_init__(self):
-        _finite("bump", center=self.center, width=self.width, height=self.height)
+        for key in ("center", "width", "height"):
+            _finite(getattr(self, key), f"bump {key}")
         if self.width <= 0:
             raise ValueError(f"bump width must be > 0, got {self.width!r}")
 
@@ -180,8 +180,10 @@ class TabulatedTime:
     values: tuple
 
     def __post_init__(self):
+        if not self.values:
+            raise ValueError("tabulated values must hold at least one number")
         for x in self.values:
-            _finite("tabulated", value=x)
+            _finite(x, "tabulated value")
         from scipy.interpolate import CubicSpline
 
         vals = np.asarray(self.values, float)
@@ -251,7 +253,7 @@ class Factor:
 
     @staticmethod
     def from_json(data: dict) -> "Factor":
-        return Factor(data["copy"] - 1, spatial_from_json(data["space"]), time_from_json(data["time"]))
+        return Factor(_integer(data["copy"], "copy", 1) - 1, spatial_from_json(data["space"]), time_from_json(data["time"]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -263,7 +265,7 @@ class StructuredHamiltonian:
 
     def __post_init__(self):
         for i, (c, _) in enumerate(self.terms, 1):
-            _finite(f"term {i}:", coeff=c)
+            _finite(c, f"term {i}: coeff")
         object.__setattr__(
             self, "terms", tuple((float(c), tuple(fs)) for c, fs in self.terms)
         )

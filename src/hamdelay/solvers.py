@@ -23,6 +23,7 @@ import numpy as np
 
 from .geometry import LevelStructure, build_level, embed_diagonal_params
 from .transforms import DiscreteCurve, TransformChain, phi_chain
+from .hamiltonians import _finite, _integer
 from .hamiltonians import vector_field  # noqa: F401 (perfbench/tracing.py patches it here)
 from .delaygen import DelayEquationDescriptor, rhs_eval, rhs_plan
 
@@ -43,23 +44,26 @@ def aligned_steps(target: int, denominator: int) -> int:
     return denominator * math.ceil(target / denominator)
 
 
+# the finite-difference step of every Newton Jacobian, and the condition
+# number above which a Newton matrix counts as singular and a solution as
+# degenerate
+FD_STEP = 1e-6
+COND_LIMIT = 1e12
+
+
 @dataclass(frozen=True)
 class NewtonConfig:
     max_iter: int = 50
     tol: float = 1e-10
-    fd_step: float = 1e-6
     min_damping: float = 2.0**-20
-    cond_limit: float = 1e12
 
     def __post_init__(self):
-        if isinstance(self.max_iter, bool) or not isinstance(self.max_iter, int) or self.max_iter < 1:
-            raise ValueError(f"newton max_iter must be an integer >= 1, got {self.max_iter!r}")
-        for name in ("tol", "fd_step", "min_damping", "cond_limit"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"newton {name} must be finite and positive, got {value!r}")
+        object.__setattr__(self, "max_iter", _integer(self.max_iter, "newton.max_iter", 1))
+        for name in ("tol", "min_damping"):
+            if not _finite(getattr(self, name), f"newton.{name}") > 0:
+                raise ValueError(f"newton.{name} must be > 0, got {getattr(self, name)!r}")
         if self.min_damping > 1:
-            raise ValueError(f"newton min_damping must be at most 1 (the full step), got {self.min_damping!r}")
+            raise ValueError(f"newton.min_damping must be at most 1 (the full step), got {self.min_damping!r}")
 
 
 @dataclass(frozen=True)
@@ -85,7 +89,7 @@ class Chord:
 
     @property
     def degenerate(self) -> bool:
-        return not np.isfinite(self.jac_cond) or self.jac_cond > 1e12
+        return not np.isfinite(self.jac_cond) or self.jac_cond > COND_LIMIT
 
 
 @dataclass(frozen=True)
@@ -473,7 +477,6 @@ def _newton_batch(system, seeds: np.ndarray, newton: NewtonConfig):
     stored (seeds, traj) pairs, traj of shape (row_path[0], len(seeds),
     *row_path[1:]).
     """
-    h = newton.fd_step
     rungs = np.ldexp(1.0, -np.arange(1, 1075))  # down to 2^-1074, below any positive min_damping
     rungs = rungs[rungs >= newton.min_damping]
 
@@ -486,7 +489,7 @@ def _newton_batch(system, seeds: np.ndarray, newton: NewtonConfig):
         p = np.array(seeds, dtype=float)
         dim = p.shape[1]
         paths = buffer(len(p))
-        r, jac = system.linearize(p, h, paths)
+        r, jac = system.linearize(p, FD_STEP, paths)
         has_jac = np.ones(len(p), dtype=bool)  # jac[i] is the Jacobian at p[i]
         status = np.full(len(p), _RUNNING, dtype=int)
         conds = np.full(len(p), np.nan)
@@ -501,14 +504,14 @@ def _newton_batch(system, seeds: np.ndarray, newton: NewtonConfig):
                 break
             stale = active[~has_jac[active]]
             if len(stale):
-                jac[stale] = system.linearize(p[stale], h, values=False)[1]
+                jac[stale] = system.linearize(p[stale], FD_STEP, values=False)[1]
             jac_a = jac[active]
             finite = _finite_rows(jac_a)
             status[active[~finite]] = _DIVERGED
             active, jac_a = active[finite], jac_a[finite]
             mat, rhs = system.condense(jac_a, r[active])
             conds[active] = np.linalg.cond(mat)
-            solvable = np.isfinite(conds[active]) & (conds[active] <= newton.cond_limit)
+            solvable = np.isfinite(conds[active]) & (conds[active] <= COND_LIMIT)
             status[active[~solvable]] = _SINGULAR
             active, jac_a = active[solvable], jac_a[solvable]
             step_rows, solved = _solve_stack(mat[solvable], rhs[solvable])
@@ -520,7 +523,7 @@ def _newton_batch(system, seeds: np.ndarray, newton: NewtonConfig):
             base_norm = np.linalg.norm(r[active], axis=1)
             trials = _wrap_params(system.space, p[active] - step_rows)
             paths = buffer(len(trials))
-            r_try, jac_try = system.linearize(trials, h, paths)
+            r_try, jac_try = system.linearize(trials, FD_STEP, paths)
             better = np.linalg.norm(r_try, axis=1) < base_norm
             took = active[better]
             p[took], r[took], jac[took] = trials[better], r_try[better], jac_try[better]
@@ -680,15 +683,17 @@ def solve_chord(
 
 
 def _seed_grid(level: LevelStructure, grid: GridSpec) -> np.ndarray:
-    dim = _flat_dim(level)
+    """The k^P points, k = points_per_dim, over the P diagonal parameters in
+    meshgrid's "ij" order: row i holds on axis j the j-th base-k digit of i."""
+    dim, k = _flat_dim(level), grid.points_per_dim
     if level.space.topology == "torus":
-        axes = [np.linspace(0.0, 1.0, grid.points_per_dim, endpoint=False) for _ in range(dim)]
+        axes = np.tile(np.linspace(0.0, 1.0, k, endpoint=False), (dim, 1))
     else:
         if grid.bounds is None or len(grid.bounds) != dim:
             raise ValueError("plane enumeration needs explicit bounds per parameter")
-        axes = [np.linspace(lo, hi, grid.points_per_dim) for lo, hi in grid.bounds]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=-1)
+        axes = np.array([np.linspace(lo, hi, k) for lo, hi in grid.bounds])
+    digits = np.arange(k**dim)[:, None] // k ** np.arange(dim - 1, -1, -1) % k
+    return axes[np.arange(dim), digits]
 
 
 DEDUP_TOL = 1e-5
@@ -930,7 +935,7 @@ def solve_periodic_delay(
     for _ in range(newton.max_iter):
         if converged:
             break
-        jac = colloc.jacobian(u, r, newton.fd_step)
+        jac = colloc.jacobian(u, r, FD_STEP)
         if not (np.all(np.isfinite(r)) and np.all(np.isfinite(jac.data))):
             return SolveFailure("diverged", float(np.max(np.abs(r))), "non-finite residual or Jacobian")
         try:
@@ -970,7 +975,7 @@ class FixedPoint:
 
     @property
     def degenerate(self) -> bool:
-        return not np.isfinite(self.jac_cond) or self.jac_cond > 1e12
+        return not np.isfinite(self.jac_cond) or self.jac_cond > COND_LIMIT
 
 
 def flow_fixed_points(

@@ -168,3 +168,15 @@ def equals_mod1(a: AffineMap, b) -> bool:
     """Whether the exact affine time maps a and b agree mod 1: the same
     slope, and intercepts an integer apart."""
     return isinstance(b, AffineMap) and a.slope == b.slope and (a.intercept - b.intercept).denominator == 1
+
+
+def seed_grid(level: LevelStructure, grid) -> np.ndarray:
+    """The multistart seed grid as np.meshgrid builds it: one axis per
+    diagonal parameter, the first varying slowest ("ij" indexing)."""
+    dim = 2 ** (level.level - 1) * level.space.dim
+    if level.space.topology == "torus":
+        axes = [np.linspace(0.0, 1.0, grid.points_per_dim, endpoint=False) for _ in range(dim)]
+    else:
+        axes = [np.linspace(lo, hi, grid.points_per_dim) for lo, hi in grid.bounds]
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return np.stack([m.ravel() for m in mesh], axis=-1)

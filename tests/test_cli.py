@@ -366,6 +366,9 @@ def test_bad_override_is_config_error(flag, value, tmp_path, capsys):
         ("space", "half_dim", True),
         ("space", "half_dim", 0),
         ("chain", "steps", [{"kind": "affine_r", "r": "1/0"}]),
+        ("newton", "fd_step", 1e-6),
+        ("newton", "cond_limit", 1e12),
+        ("newton", "max_iter", True),
     ],
 )
 def test_bad_config_value_is_config_error(section, key, value, tmp_path, capsys):
@@ -599,6 +602,11 @@ def test_bad_tolerance_is_config_error(key, value, tmp_path, capsys):
         ("bounds", {"betti_sum": None}),
         ("bounds", [["betti_sum", 4]]),
         ("tolerances", [1e-4]),
+        ("grid", []),
+        ("integrator", 5),
+        ("hamiltonian", []),
+        ("action", []),
+        ("newton", "x"),
     ],
 )
 def test_bad_bounds_or_tolerances_section_is_config_error(section, value, tmp_path, capsys):
@@ -630,11 +638,13 @@ def test_valid_tolerances_and_bounds_pass_through():
         {
             "tolerances": {"delay_residual": 1e-13, "route_distance": 1, "verify_nodes": 64.0},
             "bounds": {"cuplength_plus_1": 0, "betti_sum": 4.0},
+            "newton": {"max_iter": 12.0},
         }
     )
     assert cfg.tolerances == {"delay_residual": 1e-13, "route_distance": 1, "verify_nodes": 64}
     assert cfg.bounds == {"cuplength_plus_1": 0, "betti_sum": 4}
     assert isinstance(cfg.tolerances["verify_nodes"], int) and isinstance(cfg.bounds["betti_sum"], int)
+    assert cfg.newton.max_iter == 12 and isinstance(cfg.newton.max_iter, int)
 
 
 @pytest.mark.parametrize(
@@ -730,15 +740,17 @@ def test_plane_roundtrip_needs_no_seed_bounds(tmp_path, capsys):
 def _edit_first_factor(tmp_path, preset, key, value):
     """The preset with one field of its first base factor replaced: a key of
     the spatial part, "exponents" or "coefficient" for the first monomial's,
-    "space" or "time" for the whole part, or "coeff" for the term's."""
+    "space" or "time" for the whole part, "copy" for the factor's copy, or
+    "coeff" for the term's."""
     from importlib import resources
 
     cfg = json.loads(resources.files("hamdelay.presets").joinpath(f"{preset}.json").read_text())
-    term = cfg["hamiltonian"]["base"]["terms"][0]
+    h = cfg["hamiltonian"]
+    term = h["base" if h["kind"] == "lift" else "structured"]["terms"][0]
     factor = term["factors"][0]
     if key in ("exponents", "coefficient"):
         factor["space"]["terms"][0][1 if key == "exponents" else 0] = value
-    elif key in ("space", "time"):
+    elif key in ("space", "time", "copy"):
         factor[key] = value
     elif key == "coeff":
         term[key] = value
@@ -782,13 +794,16 @@ def _edit_first_factor(tmp_path, preset, key, value):
         ("torus-morse-n1", "time", {"kind": "bump", "width": 0.0}),
         ("torus-morse-n1", "time", {"kind": "bump", "width": -0.25}),
         ("torus-morse-n1", "time", {"kind": "tabulated", "values": [0.1, NAN, 0.3]}),
+        ("torus-morse-n1", "time", {"kind": "tabulated", "values": []}),
+        ("product-T4", "copy", 1.5),
+        ("torus-morse-n1", "copy", True),
     ],
 )
 def test_malformed_factor_is_config_error(preset, key, value, tmp_path, capsys):
     """A fractional, negative, huge, scalar or wrongly sized freq or
     exponent list, a fractional or huge time freq, a non-finite or
-    non-numeric spatial or time-profile number, or a bump of no width
-    stops the run before any work, naming the factor; none is truncated,
+    non-numeric spatial or time-profile number, a bump of no width, an
+    empty tabulated profile, or a fractional or bool copy stops the run before any work, naming the factor; none is truncated,
     clamped or broadcast into a valid one."""
     code = run(["chords", "--config", _edit_first_factor(tmp_path, preset, key, value), "--out", str(tmp_path / "o")])
     captured = capsys.readouterr()
@@ -796,3 +811,43 @@ def test_malformed_factor_is_config_error(preset, key, value, tmp_path, capsys):
     assert captured.err.startswith("config error: term 1 factor 1: ")
     assert captured.out == ""
     assert not (tmp_path / "o").exists()
+
+
+def _level7_config(tmp_path):
+    """Seven halving steps on T^2 with K = 0: 2^6 * 2 = 128 diagonal parameters."""
+    path = tmp_path / "level7.json"
+    path.write_text(json.dumps({"chain": {"steps": [{"kind": "halving"}] * 7}, "integrator": {"steps": 128}}))
+    return str(path)
+
+
+def test_seed_grid_over_64_parameters_runs(tmp_path, capsys):
+    """One seed over 128 parameters: the seed grid is built without a
+    128-dimensional meshgrid, which numpy cannot make."""
+    assert run(["chords", "--config", _level7_config(tmp_path), "--grid", "1", "--out", str(tmp_path / "o")]) == 0
+    assert "chords found:" in capsys.readouterr().out
+
+
+def test_seed_count_beyond_max_nodes_is_config_error(tmp_path, capsys):
+    """2 points over 128 parameters are 2^128 seeds: a config error naming
+    grid.points_per_dim before any array is built."""
+    code = run(["chords", "--config", _level7_config(tmp_path), "--grid", "2", "--out", str(tmp_path / "o")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("config error: grid.points_per_dim") and captured.out == ""
+    assert not (tmp_path / "o").exists()
+
+
+def test_action_without_gap_is_a_finding(tmp_path, capsys):
+    """A 4-node loop does not lift at level 2 (loop 0) and misses the
+    level-3 breakpoints: each (level, loop, N) without a gap is reported
+    and the sweep exits 1 with a finding, not a traceback."""
+    from importlib import resources
+
+    cfg = json.loads(resources.files("hamdelay.presets").joinpath("action-sweep.json").read_text())
+    cfg["action"]["sweep"] = [4, 8]
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert run(["action", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+    out = capsys.readouterr().out
+    assert "no gap: lift does not close around the matching cycle" in out
+    assert "FINDING: no gap at (level, loop, N) [(2, 0, 4), (3, 0, 4), (3, 1, 4)]" in out

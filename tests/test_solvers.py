@@ -315,6 +315,25 @@ def _preset_problem(name, steps, grid):
     return ham, build_level(cfg.space, cfg.chain.level), GridSpec(grid), IntegratorConfig(steps)
 
 
+@pytest.mark.parametrize(
+    "name",
+    ["torus-morse-n1", "product-T4", "plane-oscillator", "product-1423", "sum-n2", "rr-chain-13", "product-n3-full", "zero-K"],
+)
+@pytest.mark.parametrize("points", [None, 1, 3])
+def test_seed_grid_matches_meshgrid_oracle(name, points):
+    """The digit-built seed grid is the meshgrid one, row for row and bit
+    for bit, at the preset's grid and at 1 and 3 points per parameter."""
+    from tests.oracles import seed_grid
+
+    data = json.loads(resources.files("hamdelay.presets").joinpath(f"{name}.json").read_text())
+    cfg = ExperimentConfig.from_dict(data)
+    lev = build_level(cfg.space, cfg.chain.level)
+    spec = cfg.grid if points is None else GridSpec(points, cfg.grid.bounds)
+    got = _seed_grid(lev, spec)
+    assert got.shape == (spec.points_per_dim ** solvers._flat_dim(lev), solvers._flat_dim(lev))
+    assert np.array_equal(got, seed_grid(lev, spec))
+
+
 # small torus-morse-n1 and sum-n2 instances; Newton capped so stuck level-2 seeds stay cheap
 BATCH_CASES = [("torus-morse-n1", 32, 4), ("sum-n2", 8, 2)]
 BATCH_NEWTON = NewtonConfig(max_iter=12, min_damping=2.0**-8)
@@ -453,12 +472,12 @@ def _newton_sequential(resid_fn, wrap_fn, seeds, newton, final_lam=None):
             active = np.flatnonzero(status == RUNNING)
             if len(active) == 0:
                 break
-            jac = fd_jacobians(p[active], newton.fd_step)
+            jac = fd_jacobians(p[active], solvers.FD_STEP)
             finite = np.all(np.isfinite(jac), axis=(1, 2))
             status[active[~finite]] = DIVERGED
             active, jac = active[finite], jac[finite]
             conds[active] = np.linalg.cond(jac)
-            solvable = np.isfinite(conds[active]) & (conds[active] <= newton.cond_limit)
+            solvable = np.isfinite(conds[active]) & (conds[active] <= solvers.COND_LIMIT)
             status[active[~solvable]] = SINGULAR
             active, jac = active[solvable], jac[solvable]
             step_rows, solved = _solve_stack(jac, r[active])
@@ -486,7 +505,7 @@ def _newton_sequential(resid_fn, wrap_fn, seeds, newton, final_lam=None):
         status[status == RUNNING] = STUCK
         fresh = np.flatnonzero((status == CONVERGED) & ~np.isfinite(conds))
         if len(fresh):
-            jac = fd_jacobians(p[fresh], newton.fd_step)
+            jac = fd_jacobians(p[fresh], solvers.FD_STEP)
             finite = np.all(np.isfinite(jac), axis=(1, 2))
             conds[fresh[finite]] = np.linalg.cond(jac[finite])
         return p, r, status, conds
@@ -1157,7 +1176,7 @@ def test_grouped_jacobian_matches_dense_oracle(case, torus, rng):
     colloc = _PeriodicCollocation(make(), torus, n)
     u = rng.random(n * torus.dim)
     r = colloc.resid(u)
-    fd = NewtonConfig().fd_step
+    fd = solvers.FD_STEP
     dense = _dense_fd_jacobian(colloc.resid, u, r, fd)
     grouped = colloc.jacobian(u, r, fd)
     # every entry bitwise the dense one, and no nonzero outside the pattern
@@ -1213,7 +1232,7 @@ def test_periodic_solver_zero_descriptor_singular_through_splu(torus):
     u = seed.samples[:32, 0, :].reshape(-1)
     r = colloc.resid(u)
     with pytest.raises(RuntimeError):
-        splu(colloc.jacobian(u, r, NewtonConfig().fd_step))
+        splu(colloc.jacobian(u, r, solvers.FD_STEP))
     out = solve_periodic_delay(d, seed)
     assert isinstance(out, SolveFailure) and out.reason == "singular-jacobian"
 
