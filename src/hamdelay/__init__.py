@@ -9,20 +9,16 @@ back to periodic delay orbits, and verifies the action-functional and
 orbit-count relations between the two pictures.
 """
 
-from .geometry import PhaseSpace, LevelStructure, build_level, wrapped_difference
+from .geometry import PhaseSpace, LevelStructure, build_level
 from .transforms import (
     AffineMap,
     MonotoneSplineMap,
     ReparamPair,
     TransformChain,
     DiscreteCurve,
-    psi_step,
-    phi_step,
     psi_chain,
     phi_chain,
-    segment_table,
     copy_time_map,
-    copy_time_map_printed,
     compare_tau_tables,
     delayed_time,
     resample,
@@ -47,7 +43,6 @@ from .action import (
     unwrap_loop,
     loop_area,
     action_loop,
-    action_report,
     chord_area,
     action_chord,
     pushforward_gap,
@@ -67,7 +62,6 @@ from .solvers import (
     pullback_chord,
     delay_residual,
     solve_periodic_delay,
-    flow_fixed_points,
 )
 
 __version__ = "0.1.0"

@@ -121,15 +121,3 @@ def pushforward_gap(ham, loop: DiscreteCurve, chain: TransformChain, variant: st
     gaps = tuple(abs((-area - _h_quadrature(lift(ham, chain, variant=v), w.samples, ts)) - base) for v in names)
     return gaps[0] if isinstance(variant, str) else gaps
 
-
-def action_report(ham, loop: DiscreteCurve) -> dict:
-    """JSON-ready action breakdown for one loop."""
-    lifted, winding = unwrap_loop(loop)
-    area = loop_area(loop)
-    pert = _h_quadrature(ham, loop.samples, loop.times())
-    return {
-        "action": -area - pert,
-        "area_term": area,
-        "perturbation_term": pert,
-        "winding": winding.tolist(),
-    }

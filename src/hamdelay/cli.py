@@ -166,9 +166,14 @@ class ExperimentConfig:
 
     def aligned_nodes(self, n: int) -> int:
         """Smallest node count >= n that puts every breakpoint of an affine
-        chain on a node; n itself for other chains.  A chain whose breakpoint
-        denominators lift the count above MAX_NODES is a config error."""
-        nodes = aligned_steps(n, self.chain.grid_denominator()) if self.chain.is_affine else n
+        chain on a node; n itself for other chains, whose breakpoints must
+        then lie on its nodes.  A grid that misses a breakpoint, or breakpoint
+        denominators that lift the count above MAX_NODES, is a config error."""
+        if not self.chain.is_affine:
+            with _config_errors():
+                self.chain.table.nodes(n)
+            return n
+        nodes = aligned_steps(n, self.chain.grid_denominator())
         if nodes > MAX_NODES:
             raise ConfigError(f"the chain's breakpoints need {nodes} grid nodes, more than {MAX_NODES}")
         return nodes

@@ -35,15 +35,14 @@ from .transforms import (
 
 @dataclass(frozen=True, eq=False)
 class DelayCoefficient:
-    """One delayed prefactor: the factor of copy m read at delta(t)."""
+    """One delayed prefactor: the factor of copy m read at delta(t) mod 1."""
 
     factor: Factor
     delay: object
-    mod1: bool = True
 
     def to_json(self):
         delay = self.delay.to_json() if hasattr(self.delay, "to_json") else {"kind": "numeric"}
-        return {"factor": self.factor.to_json(), "delay": delay, "mod1": self.mod1}
+        return {"factor": self.factor.to_json(), "delay": delay, "mod1": True}
 
 
 @dataclass(frozen=True, eq=False)

@@ -4,7 +4,7 @@ The base space is the plane R^{2d} or the torus R^{2d}/Z^{2d} with the
 standard symplectic form.  Level n of the tower is the 2^n-fold product
 carrying the alternating sign vector, and the two Lagrangian boundary
 diagonals are stored purely combinatorially, as perfect matchings on the
-copy indices.  All indices are 0-based in code; JSON uses 1-based pairs.
+copy indices.  All indices are 0-based.
 """
 
 from __future__ import annotations
@@ -74,10 +74,6 @@ class PhaseSpace:
         return s
 
 
-def wrapped_difference(space: PhaseSpace, a, b):
-    return space.wrapped_difference(a, b)
-
-
 @dataclass(frozen=True)
 class LevelStructure:
     """Product level M^{2^n} with sign vector and boundary matchings.
@@ -96,10 +92,6 @@ class LevelStructure:
     def copies(self) -> int:
         return 2**self.level
 
-    @property
-    def signs(self) -> np.ndarray:
-        return np.array(self.sign_vector, dtype=float)
-
     def matching(self, which) -> tuple[tuple[int, int], ...]:
         if which in (0, "0"):
             return self.matching0
@@ -111,36 +103,17 @@ class LevelStructure:
         """Matched pairs as a read-only (pairs, 2) index array, the one form
         the package reads them in: matching 0 or 1, or for "tot" copy 0
         against every other."""
-        key = "tot" if which in ("tot", "total") else which
-        index = self._pair_index.get(key)
+        index = self._pair_index.get(which)
         if index is None:
-            pairs = [(0, j) for j in range(1, self.copies)] if key == "tot" else self.matching(which)
+            pairs = [(0, j) for j in range(1, self.copies)] if which == "tot" else self.matching(which)
             index = np.array(pairs, dtype=np.intp).reshape(-1, 2)
             index.flags.writeable = False
-            self._pair_index[key] = index
+            self._pair_index[which] = index
         return index
 
     @cached_property
     def _pair_index(self) -> dict:
         return {}
-
-    def to_json(self) -> dict:
-        return {
-            "level": self.level,
-            "signs": list(self.sign_vector),
-            "matching0": [[a + 1, b + 1] for a, b in self.matching0],
-            "matching1": [[a + 1, b + 1] for a, b in self.matching1],
-        }
-
-    @staticmethod
-    def from_json(space: PhaseSpace, data: dict) -> "LevelStructure":
-        return LevelStructure(
-            space=space,
-            level=data["level"],
-            sign_vector=tuple(data["signs"]),
-            matching0=tuple((a - 1, b - 1) for a, b in data["matching0"]),
-            matching1=tuple((a - 1, b - 1) for a, b in data["matching1"]),
-        )
 
 
 @lru_cache(maxsize=None)
@@ -182,7 +155,7 @@ def embed_diagonal_params(level: LevelStructure, which, params) -> np.ndarray:
     if level.level < 1:
         raise ValueError("diagonal parametrization needs level >= 1")
     params = np.asarray(params, dtype=float)
-    if which in ("tot", "total"):
+    if which == "tot":
         raise ValueError("the total diagonal has no pair parametrization")
     pairs = level.pair_index(which)
     if params.shape[-2:] != (len(pairs), level.space.dim):

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import LevelStructure, build_level, embed_diagonal_params
+from .geometry import LevelStructure, embed_diagonal_params
 from .transforms import DiscreteCurve, TransformChain, phi_chain
 from .hamiltonians import _finite, _integer
 from .hamiltonians import vector_field  # noqa: F401 (perfbench/tracing.py patches it here)
@@ -960,84 +960,6 @@ def solve_periodic_delay(
     nodes = u.reshape(n, space.dim)
     samples = np.vstack([nodes, nodes[:1]])[:, None, :]
     return DiscreteCurve(space, 0, space.normalize(samples), True, d.breakpoints())
-
-
-# ---------------------------------------------------------------------------
-# baseline oracle: fixed points of the time-1 flow on the base space
-
-
-@dataclass(eq=False)
-class FixedPoint:
-    point: np.ndarray
-    residual_norm: float
-    jac_cond: float
-    loop: DiscreteCurve | None = None
-
-    @property
-    def degenerate(self) -> bool:
-        return not np.isfinite(self.jac_cond) or self.jac_cond > COND_LIMIT
-
-
-def flow_fixed_points(
-    ham,
-    space,
-    grid_n: int = 64,
-    newton: NewtonConfig = NewtonConfig(),
-    integ: IntegratorConfig = IntegratorConfig(),
-) -> OrbitSet:
-    """Scans the torus for fixed points of the time-1 flow map of a base
-    Hamiltonian, polishing local minima of the displacement with Newton;
-    the fixed points are the _distinct set of the converged points."""
-    if space.topology != "torus":
-        raise ValueError("the fixed-point scan needs a compact (torus) base")
-    level0 = build_level(space, 0)
-    axes = [np.linspace(0.0, 1.0, grid_n, endpoint=False) for _ in range(space.dim)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=-1)
-    stage = _stage(ham, level0)
-
-    def displacement(flat, path=None):
-        z = flat[:, None, :]
-        return space.wrapped_difference(_rk4(stage, z, integ.n_steps, path), z).reshape(len(flat), -1)
-
-    norms = np.max(np.abs(displacement(pts)), axis=1).reshape([grid_n] * space.dim)
-    trivial_fraction = float(np.mean(norms <= 1e-12))
-    if trivial_fraction > 0.1:
-        return OrbitSet(
-            (),
-            True,
-            DEDUP_TOL,
-            {"grid": grid_n, "trivial_fraction": trivial_fraction, "note": "flow map is identity at scale"},
-        )
-    candidates = _grid_local_minima(norms)
-    if not candidates:
-        return OrbitSet((), False, DEDUP_TOL, {"grid": grid_n, "candidates": 0})
-    seeds = np.array([[axes[i][idx[i]] for i in range(space.dim)] for idx in candidates])
-    system = _SquareSystem(displacement, space, (integ.n_steps + 1, 1, space.dim))
-    ps, rs, status, conds, stored = _newton_batch(system, seeds, newton)
-    converged = np.flatnonzero(status == _CONVERGED)
-    paths = _accepted_paths(ham, level0, converged, ps[converged, None, :], stored, integ)
-    found = [
-        FixedPoint(ps[i], float(np.max(np.abs(rs[i]))), float(conds[i]), DiscreteCurve(space, 0, path.samples, True))
-        for i, path in zip(converged, paths)
-    ]
-    kept = _distinct(space, found, lambda fp: fp.point, lambda fp: fp.point, (space.dim,))[0]
-    degenerate = any(fp.degenerate for fp in kept)
-    return OrbitSet(
-        tuple(kept),
-        degenerate,
-        DEDUP_TOL,
-        {"grid": grid_n, "candidates": len(candidates), "trivial_fraction": trivial_fraction},
-    )
-
-
-def _grid_local_minima(norms: np.ndarray) -> list[tuple]:
-    """Indices of grid points not exceeded by any axis neighbor (periodic)."""
-    mask = np.ones_like(norms, dtype=bool)
-    for axis in range(norms.ndim):
-        for shift in (1, -1):
-            mask &= norms <= np.roll(norms, shift, axis=axis)
-    return [tuple(idx) for idx in np.argwhere(mask)]
 
 
 # ---------------------------------------------------------------------------

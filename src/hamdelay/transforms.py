@@ -404,9 +404,6 @@ class SegmentTable:
     def __getitem__(self, copy: int) -> SegmentEntry:
         return self.entries[copy]
 
-    def __len__(self) -> int:
-        return len(self.entries)
-
     def by_interval(self) -> list[SegmentEntry]:
         return sorted(self.entries, key=lambda e: float(e.lo))
 
@@ -460,10 +457,6 @@ def _build_segment_table(chain: TransformChain) -> SegmentTable:
     return SegmentTable(tuple(entries))
 
 
-def segment_table(chain: TransformChain) -> SegmentTable:
-    return chain.table
-
-
 def copy_time_map(chain: TransformChain, copy: int):
     """tau_copy = theta_copy^{-1}: the base-loop time read at chord time s."""
     return chain.table[copy].theta.inverse()
@@ -490,13 +483,6 @@ def printed_time_maps(n: int) -> list[AffineMap]:
         second = [AffineMap(-m.slope / 2, 1 - m.intercept / 2) for m in maps]
         maps = first + second
     return maps
-
-
-def copy_time_map_printed(n: int, copy: int) -> AffineMap:
-    """One copy's map from printed_time_maps(n)."""
-    if not 0 <= copy < 2**n:
-        raise ValueError("copy index out of range")
-    return printed_time_maps(n)[copy]
 
 
 def compare_tau_tables(n: int) -> list[dict]:
@@ -841,48 +827,16 @@ def _check_boundary(curve: DiscreteCurve, tol: float = BOUNDARY_TOL) -> None:
 # transforms on sampled curves
 
 
-def psi_step(pair: ReparamPair, curve: DiscreteCurve) -> DiscreteCurve:
-    """One step up: out(t) = (curve(alpha(t)), curve(beta(t)))."""
-    _check_boundary(curve)
-    n = curve.n_intervals
-    copies = curve.copies
-    jobs = [(pair.alpha, j, 0, n) for j in range(copies)] + [(pair.beta, j, 0, n) for j in range(copies)]
-    out = np.stack(_map_on_nodes(curve, n, jobs), axis=1)
-    pieces = [(0, pair.tau, pair.alpha.inverse()), (pair.tau, 1, pair.beta.inverse())]
-    bps = _image_breakpoints(pieces, curve.breakpoints)
-    return DiscreteCurve(curve.space, curve.level + 1, curve.space.normalize(out), False, bps)
-
-
-def _image_breakpoints(pieces, breakpoints, extra=()) -> tuple:
+def _image_breakpoints(pieces, breakpoints) -> tuple:
     """Interior images of breakpoints under piecewise time maps, sorted: each
     (lo, hi, tmap) piece maps the breakpoints within [lo, hi], exactly for a
     rational breakpoint under an affine map.  The one breakpoint-image rule."""
-    out = set(extra)
+    out = set()
     for b in breakpoints:
         for lo, hi, tmap in pieces:
             if float(lo) - 1e-12 <= float(b) <= float(hi) + 1e-12:
                 out.add(tmap(b if tmap.is_affine and isinstance(b, Fraction) else float(b)))
     return tuple(sorted({b for b in out if 1e-12 < float(b) < 1 - 1e-12}, key=float))
-
-
-def phi_step(pair: ReparamPair, curve: DiscreteCurve) -> DiscreteCurve:
-    """One step down, gluing the two copy blocks at tau."""
-    n = curve.n_intervals
-    half = curve.copies // 2
-    if curve.level < 1:
-        raise ValueError("phi_step needs a curve at level >= 1")
-    gap = curve.space.distance(curve.samples[-1, :half], curve.samples[-1, half:])
-    if gap > BOUNDARY_TOL:
-        raise ValueError(f"endpoint gluing mismatch {gap:.3e} exceeds tol {BOUNDARY_TOL:.1e}")
-    (ktau,) = _validate_grid(n, [pair.tau])
-    ainv, binv = pair.alpha.inverse(), pair.beta.inverse()
-    jobs = [(ainv, j, 0, ktau) for j in range(half)] + [(binv, j + half, ktau, n) for j in range(half)]
-    blocks = _map_on_nodes(curve, n, jobs)
-    # the node at tau reads the later block
-    out = np.concatenate([np.stack(blocks[:half], axis=1)[:-1], np.stack(blocks[half:], axis=1)])
-    bps = _image_breakpoints([(0, 1, pair.alpha), (0, 1, pair.beta)], curve.breakpoints, extra=(pair.tau,))
-    is_loop = curve.level == 1
-    return DiscreteCurve(curve.space, curve.level - 1, curve.space.normalize(out), is_loop, bps)
 
 
 def psi_chain(chain: TransformChain, loop: DiscreteCurve) -> DiscreteCurve:

@@ -4,19 +4,34 @@ The package evaluates every Hamiltonian through its compiled program and
 reads matched pairs through one index gather; these are the per-object
 forms: spatial parts and factors one at a time, the complex structure J,
 central differences of the value, the delay right-hand side by a loop over
-segments, terms and factors, and the diagonal maps pair by pair.  The
-test-only inverses and invariants of the geometry and the time maps live
-here too.
+segments, terms and factors, the diagonal maps pair by pair, the one-step
+transforms Psi and Phi that the chain transforms compose, and the
+fixed-point scan of the time-1 flow that the chord counts are checked
+against.  The test-only inverses and invariants of the geometry and the
+time maps live here too.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
+from hamdelay import solvers
 from hamdelay.delaygen import DelayEquationDescriptor
-from hamdelay.geometry import DIAG_TOL, LevelStructure, on_diagonal
+from hamdelay.geometry import DIAG_TOL, LevelStructure, build_level, on_diagonal
 from hamdelay.hamiltonians import FIELD_SIGN, TWO_PI, ConstSpatial, PolySpatial, TrigSpatial
-from hamdelay.transforms import AffineMap, DiscreteCurve
+from hamdelay.solvers import COND_LIMIT, DEDUP_TOL, IntegratorConfig, NewtonConfig, OrbitSet
+from hamdelay.transforms import (
+    BOUNDARY_TOL,
+    AffineMap,
+    DiscreteCurve,
+    ReparamPair,
+    _check_boundary,
+    _image_breakpoints,
+    _map_on_nodes,
+    _validate_grid,
+)
 
 
 def spatial_value(s, z):
@@ -83,7 +98,7 @@ def fd_gradient_oracle(ham, level, z, t, h: float = 1e-5):
             zp[..., j, i] += h
             zm[..., j, i] -= h
             g[..., j, i] = (ham.value(zp, t) - ham.value(zm, t)) / (2 * h)
-    return hamiltonian_field(g) * level.signs[:, None]
+    return hamiltonian_field(g) * np.array(level.sign_vector, float)[:, None]
 
 
 def rhs_eval_oracle(d: DelayEquationDescriptor, loop, t):
@@ -180,3 +195,112 @@ def seed_grid(level: LevelStructure, grid) -> np.ndarray:
         axes = [np.linspace(lo, hi, grid.points_per_dim) for lo, hi in grid.bounds]
     mesh = np.meshgrid(*axes, indexing="ij")
     return np.stack([m.ravel() for m in mesh], axis=-1)
+
+
+def psi_step(pair: ReparamPair, curve: DiscreteCurve) -> DiscreteCurve:
+    """One step up: out(t) = (curve(alpha(t)), curve(beta(t)))."""
+    _check_boundary(curve)
+    n = curve.n_intervals
+    copies = curve.copies
+    jobs = [(pair.alpha, j, 0, n) for j in range(copies)] + [(pair.beta, j, 0, n) for j in range(copies)]
+    out = np.stack(_map_on_nodes(curve, n, jobs), axis=1)
+    pieces = [(0, pair.tau, pair.alpha.inverse()), (pair.tau, 1, pair.beta.inverse())]
+    bps = _image_breakpoints(pieces, curve.breakpoints)
+    return DiscreteCurve(curve.space, curve.level + 1, curve.space.normalize(out), False, bps)
+
+
+def phi_step(pair: ReparamPair, curve: DiscreteCurve) -> DiscreteCurve:
+    """One step down, gluing the two copy blocks at tau."""
+    n = curve.n_intervals
+    half = curve.copies // 2
+    if curve.level < 1:
+        raise ValueError("phi_step needs a curve at level >= 1")
+    gap = curve.space.distance(curve.samples[-1, :half], curve.samples[-1, half:])
+    if gap > BOUNDARY_TOL:
+        raise ValueError(f"endpoint gluing mismatch {gap:.3e} exceeds tol {BOUNDARY_TOL:.1e}")
+    (ktau,) = _validate_grid(n, [pair.tau])
+    ainv, binv = pair.alpha.inverse(), pair.beta.inverse()
+    jobs = [(ainv, j, 0, ktau) for j in range(half)] + [(binv, j + half, ktau, n) for j in range(half)]
+    blocks = _map_on_nodes(curve, n, jobs)
+    # the node at tau reads the later block
+    out = np.concatenate([np.stack(blocks[:half], axis=1)[:-1], np.stack(blocks[half:], axis=1)])
+    bps = {pair.tau} | set(_image_breakpoints([(0, 1, pair.alpha), (0, 1, pair.beta)], curve.breakpoints))
+    bps = tuple(sorted(bps, key=float))
+    is_loop = curve.level == 1
+    return DiscreteCurve(curve.space, curve.level - 1, curve.space.normalize(out), is_loop, bps)
+
+
+@dataclass(eq=False)
+class FixedPoint:
+    point: np.ndarray
+    residual_norm: float
+    jac_cond: float
+    loop: DiscreteCurve | None = None
+
+    @property
+    def degenerate(self) -> bool:
+        return not np.isfinite(self.jac_cond) or self.jac_cond > COND_LIMIT
+
+
+def flow_fixed_points(
+    ham,
+    space,
+    grid_n: int = 64,
+    newton: NewtonConfig = NewtonConfig(),
+    integ: IntegratorConfig = IntegratorConfig(),
+) -> OrbitSet:
+    """Scans the torus for fixed points of the time-1 flow map of a base
+    Hamiltonian, polishing local minima of the displacement with Newton;
+    the fixed points are the distinct set of the converged points.  Newton
+    is called through the solvers module, so a test that patches
+    solvers._newton_batch sees this scan too."""
+    if space.topology != "torus":
+        raise ValueError("the fixed-point scan needs a compact (torus) base")
+    level0 = build_level(space, 0)
+    axes = [np.linspace(0.0, 1.0, grid_n, endpoint=False) for _ in range(space.dim)]
+    mesh = np.meshgrid(*axes, indexing="ij")
+    pts = np.stack([m.ravel() for m in mesh], axis=-1)
+    stage = solvers._stage(ham, level0)
+
+    def displacement(flat, path=None):
+        z = flat[:, None, :]
+        return space.wrapped_difference(solvers._rk4(stage, z, integ.n_steps, path), z).reshape(len(flat), -1)
+
+    norms = np.max(np.abs(displacement(pts)), axis=1).reshape([grid_n] * space.dim)
+    trivial_fraction = float(np.mean(norms <= 1e-12))
+    if trivial_fraction > 0.1:
+        return OrbitSet(
+            (),
+            True,
+            DEDUP_TOL,
+            {"grid": grid_n, "trivial_fraction": trivial_fraction, "note": "flow map is identity at scale"},
+        )
+    candidates = _grid_local_minima(norms)
+    if not candidates:
+        return OrbitSet((), False, DEDUP_TOL, {"grid": grid_n, "candidates": 0})
+    seeds = np.array([[axes[i][idx[i]] for i in range(space.dim)] for idx in candidates])
+    system = solvers._SquareSystem(displacement, space, (integ.n_steps + 1, 1, space.dim))
+    ps, rs, status, conds, stored = solvers._newton_batch(system, seeds, newton)
+    converged = np.flatnonzero(status == solvers._CONVERGED)
+    paths = solvers._accepted_paths(ham, level0, converged, ps[converged, None, :], stored, integ)
+    found = [
+        FixedPoint(ps[i], float(np.max(np.abs(rs[i]))), float(conds[i]), DiscreteCurve(space, 0, path.samples, True))
+        for i, path in zip(converged, paths)
+    ]
+    kept = solvers._distinct(space, found, lambda fp: fp.point, lambda fp: fp.point, (space.dim,))[0]
+    degenerate = any(fp.degenerate for fp in kept)
+    return OrbitSet(
+        tuple(kept),
+        degenerate,
+        DEDUP_TOL,
+        {"grid": grid_n, "candidates": len(candidates), "trivial_fraction": trivial_fraction},
+    )
+
+
+def _grid_local_minima(norms: np.ndarray) -> list[tuple]:
+    """Indices of grid points not exceeded by any axis neighbor (periodic)."""
+    mask = np.ones_like(norms, dtype=bool)
+    for axis in range(norms.ndim):
+        for shift in (1, -1):
+            mask &= norms <= np.roll(norms, shift, axis=axis)
+    return [tuple(idx) for idx in np.argwhere(mask)]

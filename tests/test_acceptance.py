@@ -20,7 +20,6 @@ from hamdelay.transforms import (
     phi_chain,
     psi_chain,
     resample,
-    segment_table,
     sup_distance,
 )
 from hamdelay.hamiltonians import (
@@ -41,13 +40,12 @@ from hamdelay.solvers import (
     NewtonConfig,
     delay_residual,
     enumerate_chords,
-    flow_fixed_points,
     integrate,
     pullback_chord,
     solve_periodic_delay,
 )
 from hamdelay.cli import _random_base_hamiltonian, _random_trig_loop
-from tests.oracles import equals_mod1, fd_gradient_oracle, union_graph_is_single_cycle
+from tests.oracles import equals_mod1, fd_gradient_oracle, flow_fixed_points, union_graph_is_single_cycle
 from tests.test_transforms import trig_loop_fn
 
 TORUS = PhaseSpace(1, "torus")

@@ -17,7 +17,6 @@ from hamdelay.action import (
     NonContractibleError,
     action_chord,
     action_loop,
-    action_report,
     chord_area,
     chord_lifts,
     loop_area,
@@ -272,16 +271,6 @@ def test_level_zero_chain_is_identity(torus, rng):
     from hamdelay.transforms import phi_chain
 
     assert phi_chain(ch, v) is v
-
-
-def test_action_report_fields(torus, rng):
-    f = trig_loop_fn(rng, scale=0.2)
-    v = DiscreteCurve.from_function(torus, f, 128)
-    H = StructuredHamiltonian(0, ((1.0, (Factor(0, ConstSpatial(1.5)),)),))
-    rep = action_report(H, v)
-    assert set(rep) == {"action", "area_term", "perturbation_term", "winding"}
-    assert rep["winding"] == [0, 0]
-    assert abs(rep["action"] - (-rep["area_term"] - rep["perturbation_term"])) < 1e-15
 
 
 def test_chord_criticality(torus):

@@ -851,3 +851,44 @@ def test_action_without_gap_is_a_finding(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "no gap: lift does not close around the matching cycle" in out
     assert "FINDING: no gap at (level, loop, N) [(2, 0, 4), (3, 0, 4), (3, 1, 4)]" in out
+
+
+def _spline_chain_config(tmp_path):
+    """torus-morse-n1 on a one-step spline chain, whose breakpoint 0.4 is a
+    node of an n-interval grid only when 5 divides n."""
+    from importlib import resources
+
+    cfg = json.loads(resources.files("hamdelay.presets").joinpath("torus-morse-n1.json").read_text())
+    cfg["chain"] = {
+        "steps": [{"kind": "spline", "alpha": [[0, 0], [0.5, 0.2], [1, 0.4]], "beta": [[0, 1], [0.5, 0.7], [1, 0.4]]}]
+    }
+    path = tmp_path / "spline.json"
+    path.write_text(json.dumps(cfg))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "argv,nodes",
+    [
+        (["chords", "--steps", "64", "--grid", "2"], 64),
+        (["roundtrip"], 384),
+        (["verify", "--steps", "80", "--grid", "2"], 512),
+    ],
+)
+def test_misaligned_spline_grid_is_config_error(argv, nodes, tmp_path, capsys):
+    """A non-affine chain's grid is not rounded up to its breakpoints: a
+    step, roundtrip or verify node count that misses one is a config error
+    before any output is written."""
+    code = run([*argv, "--config", _spline_chain_config(tmp_path), "--out", str(tmp_path / "o")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == f"config error: grid is misaligned: breakpoint 0.4 is not one of {nodes} nodes\n"
+    assert captured.out == ""
+    assert not (tmp_path / "o").exists()
+
+
+def test_aligned_spline_grid_runs(tmp_path, capsys):
+    """80 steps put the spline chain's breakpoint 0.4 on node 32."""
+    assert run(["chords", "--steps", "80", "--config", _spline_chain_config(tmp_path), "--out", str(tmp_path / "o")]) == 0
+    assert "chords found: 4" in capsys.readouterr().out
+    assert (tmp_path / "o" / "loop_003.csv").exists()

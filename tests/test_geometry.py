@@ -3,12 +3,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from hamdelay.geometry import (
-    LevelStructure,
     PhaseSpace,
     build_level,
     embed_diagonal_params,
     on_diagonal,
-    wrapped_difference,
 )
 from hamdelay.solvers import _end_residual
 from tests.oracles import (
@@ -71,15 +69,15 @@ def test_matching_pair_counts():
 
 
 def test_wrapped_difference_examples(torus, plane):
-    assert np.allclose(wrapped_difference(plane, [1.0, 0.0], [0.0, 0.0]), [1.0, 0.0])
-    assert np.allclose(wrapped_difference(torus, [0.9, 0.0], [0.1, 0.0]), [-0.2, 0.0])
-    assert np.allclose(wrapped_difference(torus, [0.3, 0.6], [0.3, 0.6]), [0.0, 0.0])
+    assert np.allclose(plane.wrapped_difference([1.0, 0.0], [0.0, 0.0]), [1.0, 0.0])
+    assert np.allclose(torus.wrapped_difference([0.9, 0.0], [0.1, 0.0]), [-0.2, 0.0])
+    assert np.allclose(torus.wrapped_difference([0.3, 0.6], [0.3, 0.6]), [0.0, 0.0])
 
 
 @given(st.lists(st.floats(-5, 5), min_size=2, max_size=2))
 def test_wrapped_difference_range(vals):
     torus = PhaseSpace(1, "torus")
-    d = wrapped_difference(torus, vals, [0.0, 0.0])
+    d = torus.wrapped_difference(vals, [0.0, 0.0])
     assert np.all(d > -0.5 - 1e-12) and np.all(d <= 0.5 + 1e-12)
 
 
@@ -190,15 +188,6 @@ def test_reduce_rejects_off_diagonal(torus):
     p = np.array([[0.1, 0.1], [0.5, 0.5]])
     with pytest.raises(ValueError):
         reduce_diagonal_params(lv, 0, p)
-
-
-def test_json_roundtrip(torus):
-    lv = build_level(torus, 3)
-    data = lv.to_json()
-    assert data["matching1"][0] == [1, 5]
-    back = LevelStructure.from_json(torus, data)
-    assert back.matching0 == lv.matching0
-    assert back.sign_vector == lv.sign_vector
 
 
 def test_unwrap_crosses_the_torus_seam(torus):

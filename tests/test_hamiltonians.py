@@ -24,7 +24,7 @@ from hamdelay.hamiltonians import (
     lift,
     vector_field,
 )
-from hamdelay.transforms import copy_time_map, copy_time_map_printed, psi_chain
+from hamdelay.transforms import copy_time_map, printed_time_maps, psi_chain
 from tests.oracles import factor_grad, factor_value, fd_gradient_oracle, hamiltonian_field, spatial_grad, spatial_value
 
 
@@ -239,7 +239,7 @@ def test_lift_matches_copy_sum_oracle(rng):
     std2, r13 = TransformChain.standard(2), TransformChain.affine([Fr(1, 3)])
     cases = [
         (std2, "derived", [copy_time_map(std2, m) for m in range(4)]),
-        (std2, "printed", [copy_time_map_printed(2, m) for m in range(4)]),
+        (std2, "printed", printed_time_maps(2)),
         (r13, "derived", [copy_time_map(r13, m) for m in range(2)]),
     ]
     for chain, variant, taus in cases:

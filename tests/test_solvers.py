@@ -37,7 +37,6 @@ from hamdelay.solvers import (
     aligned_steps,
     delay_residual,
     enumerate_chords,
-    flow_fixed_points,
     integrate,
     pullback_chord,
     shoot_residual,
@@ -56,6 +55,7 @@ from hamdelay.solvers import (
     _solve_seeds,
     _solve_stack,
 )
+from tests.oracles import flow_fixed_points
 
 
 def morse_base(eps=0.05):

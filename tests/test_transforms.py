@@ -15,17 +15,14 @@ from hamdelay.transforms import (
     _map_on_nodes,
     compare_tau_tables,
     copy_time_map,
-    copy_time_map_printed,
     delayed_time,
     phi_chain,
-    phi_step,
     psi_chain,
-    psi_step,
+    printed_time_maps,
     resample,
-    segment_table,
     sup_distance,
 )
-from tests.oracles import equals_mod1
+from tests.oracles import equals_mod1, phi_step, psi_step
 
 
 def trig_loop_fn(rng, dim=2, scale=0.3):
@@ -139,7 +136,7 @@ def test_spline_pair_rejects_flat_endpoint():
 
 
 def test_segment_table_n1():
-    tab = segment_table(TransformChain.standard(1))
+    tab = TransformChain.standard(1).table
     e1, e2 = tab.by_interval()
     assert (e1.copy, e1.lo, e1.hi) == (0, 0, Fr(1, 2))
     assert e1.theta == AffineMap(2, 0)
@@ -149,7 +146,7 @@ def test_segment_table_n1():
 
 
 def test_segment_table_n2_matches_two_step_pullback():
-    tab = segment_table(TransformChain.standard(2))
+    tab = TransformChain.standard(2).table
     order = [(e.copy, e.theta) for e in tab.by_interval()]
     assert order == [
         (0, AffineMap(4, 0)),
@@ -173,7 +170,7 @@ def test_segment_table_invariants_rational(rs):
 def _check_table_invariants(chain):
     space = PhaseSpace(1, "plane")
     level = build_level(space, chain.level)
-    tab = segment_table(chain)
+    tab = chain.table
     entries = tab.by_interval()
     # tiling with disjoint interiors
     assert entries[0].lo == 0 and entries[-1].hi == 1
@@ -209,8 +206,8 @@ def test_copy_time_maps_standard():
 
 
 def test_printed_variant_table():
-    assert copy_time_map_printed(2, 1) == AffineMap(Fr(-1, 4), Fr(1, 2))
-    assert copy_time_map_printed(3, 5) == AffineMap(Fr(1, 8), Fr(3, 4))
+    assert printed_time_maps(2)[1] == AffineMap(Fr(-1, 4), Fr(1, 2))
+    assert printed_time_maps(3)[5] == AffineMap(Fr(1, 8), Fr(3, 4))
     rows = compare_tau_tables(3)
     mismatched = [r["copy"] for r in rows if not r["match"]]
     assert mismatched == [2, 4, 5, 7]
@@ -226,14 +223,14 @@ def test_compare_tau_tables_builds_printed_maps_once(monkeypatch):
     monkeypatch.setattr(transforms, "printed_time_maps", lambda n: calls.append(n) or build(n))
     rows = compare_tau_tables(6)
     assert calls == [6]
-    assert [r["printed"] for r in rows] == build(6) == [copy_time_map_printed(6, j) for j in range(64)]
+    assert [r["printed"] for r in rows] == build(6)
     assert [r["copy"] for r in rows] == list(range(1, 65))
 
 
 def test_derived_and_printed_agree_as_sets():
     for n in (2, 3):
         derived = {(m.slope, m.intercept) for m in (copy_time_map(TransformChain.standard(n), j) for j in range(2**n))}
-        printed = {(m.slope, m.intercept) for m in (copy_time_map_printed(n, j) for j in range(2**n))}
+        printed = {(m.slope, m.intercept) for m in printed_time_maps(n)}
         assert derived == printed
 
 
@@ -543,7 +540,7 @@ def test_vectorized_sampling_needs_one_row_per_node(torus):
 def test_copy_time_map_consistency_with_table():
     """tau_m inverts theta_m to machine precision at a thousand points."""
     ch = TransformChain.affine([Fr(1, 3), Fr(2, 5)])
-    tab = segment_table(ch)
+    tab = ch.table
     for e in tab.entries:
         tau = copy_time_map(ch, e.copy)
         ss = np.linspace(0, 1, 1000)
@@ -554,13 +551,13 @@ def test_copy_time_map_consistency_with_table():
 def test_chain_json_roundtrip():
     ch = TransformChain.affine([Fr(1, 3), Fr(2, 5)])
     back = TransformChain.from_json(ch.to_json())
-    assert segment_table(back).to_json() == segment_table(ch).to_json()
+    assert back.table.to_json() == ch.table.to_json()
     std = TransformChain.standard(2)
     assert TransformChain.from_json(std.to_json()).is_standard()
 
 
 def test_segment_table_json_exact_rationals():
-    tab = segment_table(TransformChain.affine([Fr(1, 3), Fr(2, 5)]))
+    tab = TransformChain.affine([Fr(1, 3), Fr(2, 5)]).table
     data = tab.to_json()
     first = data["segments"][0]
     assert first["interval"] == ["0", "2/15"]
@@ -572,7 +569,7 @@ def test_two_step_table_thetas_are_composed_inverses():
     r1, r2 = Fr(1, 3), Fr(2, 5)
     a1, b1 = AffineMap(r1), AffineMap(r1 - 1, 1)
     a2, b2 = AffineMap(r2), AffineMap(r2 - 1, 1)
-    tab = segment_table(TransformChain.affine([r1, r2]))
+    tab = TransformChain.affine([r1, r2]).table
     assert tab[0].theta == a2.inverse().compose(a1.inverse())
     assert tab[1].theta == a2.inverse().compose(b1.inverse())
     assert tab[2].theta == b2.inverse().compose(a1.inverse())
