@@ -371,7 +371,9 @@ class _Compiled:
     may change sign, which compares equal).  Every contraction is an
     elementwise product and a sum in index order (no BLAS, no numpy
     reduction over slots), so a row's result does not depend on the batch
-    it rides in.  stage(signs) is that kernel on one row block.
+    it rides in: the one block-wide choice, full or trimmed polynomial
+    derivative sums, moves at most the sign of an exact zero.  stage(signs)
+    is that kernel on one row block.
     """
 
     def __init__(self, ham: "StructuredHamiltonian", dim: int):
@@ -398,17 +400,18 @@ class _Compiled:
         monos = []
         for s in poly:
             monos.append(parts[s].terms if isinstance(parts[s], PolySpatial) else ((parts[s].value_const, (0,) * dim),))
-        # (monomial, slot, ...) tables, zero-padded to the widest polynomial;
-        # d/dz_i of c z^e is (c e_i) z^(e - 1_i), zero exponents get coefficient 0
-        width = max((len(m) for m in monos), default=0)
+        # (monomial, slot, ...) tables, zero-padded to the widest polynomial
+        # and at least one monomial wide; d/dz_i of c z^e is (c e_i)
+        # z^(e - 1_i), zero exponents get coefficient 0
+        width = max([1] + [len(m) for m in monos])
         coeff = np.zeros((width, len(poly)))
         exp = np.zeros((width, len(poly), dim), dtype=int)
         for p, m in enumerate(monos):
             for w, (c, es) in enumerate(m):
                 coeff[w, p], exp[w, p] = c, es
-        self.mono_coeff, self.mono_exp = coeff[..., None], exp[..., None]
-        self.deriv_coeff = (coeff[..., None] * exp)[..., None]
-        self.deriv_exp = np.maximum(exp[:, :, None, :] - np.eye(dim, dtype=int), 0)[..., None]
+        self.monomials = self.sums(coeff, exp) if len(poly) else None
+        self.deriv_coeff = coeff[..., None] * exp
+        self.deriv_exp = np.maximum(exp[:, :, None, :] - np.eye(dim, dtype=int), 0)
 
         # gradient coefficient per slot: the term's, times -2 pi amp for trig
         self.term_coeff = np.array([c for c, _ in ham.terms], dtype=float)[:, None]
@@ -485,7 +488,7 @@ class _Compiled:
         if ph is not None:
             np.multiply(self.amp, np.cos(ph), out=v[:nt])
         if len(self.poly_copy):
-            v[nt:n, 0] = _sum0(self.mono_coeff * np.prod(zc[self.poly_copy] ** self.mono_exp, axis=2))
+            self.monomials(zc, v[nt:n, 0])
         v[n] = 1.0
         v *= w
         return v
@@ -508,8 +511,13 @@ class _Compiled:
     def stage(self, signs=None):
         """The field kernel, frame(signs) bound: block(zc, weights) maps a
         C-ordered copy array (copies, dim, rows) and its rows' columns of a
-        weight table to the field there, (copies, dim, rows)."""
-        direction, dcoeff, dexp = self.frame(signs)
+        weight table to the field there, (copies, dim, rows).  A block reads
+        the trimmed derivative sums when its sum of squares is below limit^2
+        (NaN is not), else the full ones: a coordinate not below the limit
+        squares to at least limit^2, rounded, and a sum of non-negative terms
+        is at least each of them in any order of adds."""
+        direction, full, trimmed, limit = self.frame(signs)
+        guarded, bound = limit < math.inf, limit * limit
         nt, n = self.n_trig, self.n_slots
         first, *rest = self.ranks
 
@@ -524,7 +532,7 @@ class _Compiled:
             if ph is not None:
                 np.multiply(np.sin(ph), direction, out=g[:nt])
             if len(self.poly_copy):
-                g[nt:n] = _sum0(dcoeff * np.prod(zc[self.poly_copy][:, None] ** dexp, axis=3))
+                (full if guarded and not np.vdot(zc, zc) < bound else trimmed)(zc, g[nt:n])
             g[:n] *= scale
             g[n] = 0.0
             out = g[first]
@@ -535,29 +543,99 @@ class _Compiled:
         return block
 
     def frame(self, signs):
-        """Trig direction table and polynomial derivative coefficients and
-        exponents: the gradient's for signs None, else with the J column
-        roll, FIELD_SIGN and the level's signs folded in."""
+        """Trig direction table, the full and the trimmed polynomial
+        derivative sums and the trimmed sums' limit (see _trim; None, None
+        and inf without polynomial slots): the gradient's for signs None,
+        else with the J column roll, FIELD_SIGN and the level's signs folded
+        in; multiplying by +-1 is exact."""
         frame = self.frames.get(signs)
         if frame is None:
-            frame = (self.freq, self.deriv_coeff, self.deriv_exp)
+            direction, dcoeff, dexp = self.freq, self.deriv_coeff, self.deriv_exp
             if signs is not None:
                 half = self.dim // 2
                 cols = np.roll(np.arange(self.dim), half)  # J: (g_x, g_y) -> (-g_y, g_x)
                 sign = FIELD_SIGN * np.asarray(signs, float)[:, None] * np.repeat([-1.0, 1.0], half)
-                # C order like the gradient's tables: ufuncs keep their
-                # operands' layout, and the layout decides the order in which
-                # _sum0 adds one-row slices
-                frame = tuple(
-                    np.ascontiguousarray(a)
-                    for a in (
-                        self.freq[:, cols] * sign[self.trig_copy, :, None],
-                        self.deriv_coeff[:, :, cols] * sign[self.poly_copy, :, None],
-                        self.deriv_exp[:, :, cols],
-                    )
-                )
+                direction = self.freq[:, cols] * sign[self.trig_copy, :, None]
+                dcoeff = self.deriv_coeff[:, :, cols] * sign[self.poly_copy]
+                dexp = self.deriv_exp[:, :, cols]
+            frame = (direction, None, None, math.inf)
+            if len(self.poly_copy):
+                trimmed, trimmed_exp, limit = _trim(dcoeff, dexp)
+                frame = (direction, self.sums(dcoeff, dexp), self.sums(trimmed, trimmed_exp), limit)
             self.frames[signs] = frame
         return frame
+
+    def sums(self, coeff: np.ndarray, exp: np.ndarray) -> "_MonomialSums":
+        """The sums of a coefficient table (monomial, slot, ...) and its
+        exponent table (monomial, slot, ..., dim) over the polynomial slots,
+        each entry reading its slot's copy."""
+        first = (self.poly_copy * self.dim).reshape((-1,) + (1,) * (coeff.ndim - 2))
+        return _MonomialSums(coeff, exp, np.broadcast_to(first, coeff.shape), self.copies * self.dim)
+
+
+def _trim(coeff: np.ndarray, exp: np.ndarray) -> tuple:
+    """The trimmed form of a derivative table (monomial, slot, column) and
+    the limit below which it is exact.  It reads every zero-coefficient
+    entry as 0 * 1 and keeps per (slot, column) its other entries in order,
+    then as few of those 0 * 1 as the widest (slot, column) needs.  That
+    drops the entries that are 0 by structure, such as d(y^2)/dx, and their
+    pow calls.  Where every product it drops is finite, it moves a sum only
+    by +-0 (an exact zero may change sign, which compares equal).  The limit
+    is 2^k, k = 1023 // d for the largest total degree d of a
+    zero-coefficient entry, inf without one of degree >= 1: with every
+    |z_i| < 2^k, each factor |z_i|^e_i rounds to at most 2^(k e_i) and a
+    product to at most 2^1023, so no dropped product overflows."""
+    zero = coeff == 0
+    degree = exp.sum(-1)[zero]
+    limit = 2.0 ** (1023 // int(degree.max())) if degree.any() else math.inf
+    order = np.argsort(zero, axis=0, kind="stable")  # per (slot, column): nonzero entries first
+    keep = max(1, int((~zero).sum(0).max(initial=0)))
+    exp = np.where(zero[..., None], 0, exp)
+    return np.take_along_axis(coeff, order, 0)[:keep], np.take_along_axis(exp, order[..., None], 0)[:keep], limit
+
+
+class _MonomialSums:
+    """sum_w c[w] prod_i z_i^e[w, i] over a table of coefficients (W, *shape)
+    and exponent vectors (W, *shape, dim), each entry reading the
+    coordinates of one copy of a block (copies, dim, rows).
+
+    One exact product rule: an exponent 0 reads 1.0 and an exponent 1 the
+    coordinate, which is what pow gives for every number, inf and NaN
+    included; only exponents >= 2 call pow.  An entry's factors other than
+    1.0 multiply in coordinate order, the sequential product np.prod forms
+    with its exact factors 1.0 left out.  The sum adds the entries in index
+    order like _sum0; a table of one entry gives its term itself, so an
+    exact zero keeps its sign."""
+
+    def __init__(self, coeff: np.ndarray, exp: np.ndarray, first: np.ndarray, n_rows: int):
+        self.coeff = [c[..., None] for c in coeff]
+        # the rows of a block's source table: its coordinates, then 1.0, then
+        # the powers, one per distinct (coordinate, exponent >= 2)
+        powers: dict = {}
+        factors = [
+            [r + i if e == 1 else n_rows + 1 + powers.setdefault((r + i, e), len(powers)) for i, e in enumerate(es) if e]
+            for es, r in zip(exp.reshape(-1, exp.shape[-1]).tolist(), first.ravel().tolist())
+        ]
+        index = _padded(factors, n_rows, 1)  # short entries end in the 1.0 row
+        self.index = [col.reshape(coeff.shape) for col in index.T]
+        self.extended = bool((index >= n_rows).any())
+        # two powers at least: numpy computes x ** e for a one-element
+        # exponent e by its own fast path, not by pow
+        pairs = list(powers) * (2 if len(powers) == 1 else 1)
+        self.pow_rows = np.array([r for r, _ in pairs], dtype=int)
+        self.pow_exp = np.array([e for _, e in pairs], dtype=int)[:, None]
+
+    def __call__(self, zc: np.ndarray, out: np.ndarray) -> None:
+        """Writes the sums at the block zc, (*shape, rows), into out."""
+        src = zc.reshape(-1, zc.shape[-1])
+        if self.extended:
+            src = np.concatenate((src, np.ones((1, src.shape[1])), src[self.pow_rows] ** self.pow_exp))
+        p = src[self.index[0]]  # the products, (W, *shape, rows)
+        for index in self.index[1:]:
+            p *= src[index]
+        np.multiply(self.coeff[0], p[0], out)
+        for w in range(1, len(p)):
+            out += self.coeff[w] * p[w]
 
 
 def _padded(lists, pad: int, min_width: int) -> np.ndarray:

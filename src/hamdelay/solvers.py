@@ -708,17 +708,16 @@ def _order_key(values) -> tuple:
     return tuple(np.round(v / DEDUP_TOL).tolist() + v.tolist())
 
 
-def _distinct(space, found: list, key, value, shape: tuple):
-    """The distinct set of the solutions found: in the order of
-    _order_key(key(x)), each x is kept unless value(x), of shape shape,
-    lies within DEDUP_TOL of the value of a solution kept before it.
-    Returns the kept solutions and the stack of their values."""
-    kept, values = [], np.empty((0,) + shape)
-    for x in sorted(found, key=lambda x: _order_key(key(x))):
-        if np.all(space.distances(value(x), values) > DEDUP_TOL):
-            values = np.concatenate([values, value(x)[None]])
-            kept.append(x)
-    return kept, values
+def _distinct(space, params: np.ndarray, values: np.ndarray) -> list[int]:
+    """The distinct set of the solutions found, given their parameters and
+    their values stacked along axis 0: in the order of _order_key(params[i]),
+    solution i is kept unless values[i] lies within DEDUP_TOL of the value of
+    a solution kept before it.  Returns the kept indices in that order."""
+    kept: list[int] = []
+    for i in sorted(range(len(params)), key=lambda i: _order_key(params[i])):
+        if np.all(space.distances(values[i], values[kept]) > DEDUP_TOL):
+            kept.append(i)
+    return kept
 
 
 def enumerate_chords(
@@ -742,8 +741,9 @@ def enumerate_chords(
             chords.append(result)
         else:
             failures[result.reason] = failures.get(result.reason, 0) + 1
-    shape = (integ.n_steps + 1, level.copies, level.space.dim)
-    kept, kept_paths = _distinct(level.space, chords, lambda c: c.params, lambda c: c.path.samples, shape)
+    paths = np.array([c.path.samples for c in chords])
+    order = _distinct(level.space, np.array([c.params for c in chords]), paths)
+    kept, kept_paths = [chords[i] for i in order], paths[order]
     singular_fraction = failures["singular-jacobian"] / max(len(seeds), 1)
     separations = [level.space.distances(kept_paths[i], kept_paths[i + 1 :]) for i in range(len(kept) - 1)]
     min_separation = float(np.concatenate(separations).min()) if separations else math.inf

@@ -45,7 +45,8 @@ def format_rational(q: Fraction) -> str:
 
 @dataclass(frozen=True)
 class AffineMap:
-    """Exact affine time map t -> slope*t + intercept with rational data."""
+    """Exact affine time map t -> slope*t + intercept with rational data;
+    float times read the float slope and intercept, converted once."""
 
     slope: Fraction
     intercept: Fraction = Fraction(0)
@@ -55,6 +56,7 @@ class AffineMap:
         object.__setattr__(self, "intercept", _as_fraction(self.intercept))
         if self.slope == 0:
             raise ValueError("time maps must be strictly monotone (slope != 0)")
+        object.__setattr__(self, "_floats", (float(self.slope), float(self.intercept)))
 
     @property
     def is_affine(self) -> bool:
@@ -63,14 +65,13 @@ class AffineMap:
     def __call__(self, t):
         if isinstance(t, Fraction):
             return self.slope * t + self.intercept
-        t = np.asarray(t, dtype=float)
-        out = float(self.slope) * t + float(self.intercept)
+        slope, intercept = self._floats
+        out = slope * np.asarray(t, dtype=float) + intercept
         return float(out) if out.ndim == 0 else out
 
     def deriv(self, t):
-        t = np.asarray(t, dtype=float)
-        out = np.full(t.shape, float(self.slope))
-        return float(self.slope) if out.ndim == 0 else out
+        slope = self._floats[0]
+        return slope if np.ndim(t) == 0 else np.full(np.shape(t), slope)
 
     def inverse(self) -> "AffineMap":
         return AffineMap(1 / self.slope, -self.intercept / self.slope)

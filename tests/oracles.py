@@ -287,7 +287,7 @@ def flow_fixed_points(
         FixedPoint(ps[i], float(np.max(np.abs(rs[i]))), float(conds[i]), DiscreteCurve(space, 0, path.samples, True))
         for i, path in zip(converged, paths)
     ]
-    kept = solvers._distinct(space, found, lambda fp: fp.point, lambda fp: fp.point, (space.dim,))[0]
+    kept = [found[i] for i in solvers._distinct(space, ps[converged], ps[converged])]
     degenerate = any(fp.degenerate for fp in kept)
     return OrbitSet(
         tuple(kept),

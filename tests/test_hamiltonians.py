@@ -593,15 +593,23 @@ def _assert_matches_scatter(K, lev, z, t):
 
 def _scatter_cases(K, lev, rng):
     """Batches of 1 and 81 rows, one row without a batch axis, a (2, 3)
-    batch, float and per-row t, and rows holding +-inf."""
+    batch, float and per-row t; rows holding +-inf or NaN, and rows in the
+    overflow band, whose coordinates are finite but whose squares (1e160)
+    or fourth powers (1e80) overflow; and each of those rows as a one-row
+    batch."""
     z = rng.uniform(-1.0, 1.0, (81, lev.copies, lev.space.dim))
     z[5, 0, 0], z[17, -1, -1], z[40] = np.inf, -np.inf, np.inf
+    z[23, 0, -1], z[61] = np.nan, np.nan
+    z[29, 0, 0], z[30, -1, -1], z[33] = 1e160, -1e160, 1e160
+    z[47, 0, -1], z[48, -1, 0], z[52] = 1e80, -1e80, -1e80
     ts = rng.random(81)
     for rows in (slice(0, 1), slice(0, 81)):
         _assert_matches_scatter(K, lev, z[rows], 0.37)
         _assert_matches_scatter(K, lev, z[rows], ts[rows])
     _assert_matches_scatter(K, lev, z[3], 0.61)
     _assert_matches_scatter(K, lev, z[:6].reshape(2, 3, lev.copies, -1), ts[:6].reshape(2, 3))
+    for row in (5, 17, 23, 29, 30, 47, 48):
+        _assert_matches_scatter(K, lev, z[row : row + 1], ts[row : row + 1])
 
 
 @pytest.mark.parametrize("block_elements", [hamiltonians.BLOCK_ELEMENTS, 64], ids=["one-block", "many-blocks"])
@@ -617,7 +625,11 @@ def test_field_matches_scatter_oracle_on_presets(name, block_elements, monkeypat
 def test_field_matches_scatter_oracle_on_wide_and_empty_copies(block_elements, torus, plane, monkeypatch):
     """Level 2 with a copy of 12 slots, trig, poly and const slots
     interleaved within copies, a copy of one slot and an empty copy, terms
-    of up to three factors; and a plane Hamiltonian of poly slots alone."""
+    of up to three factors; a plane Hamiltonian of poly slots alone; the
+    lifted quartic x^4 + y^4 and cubic x^3 + xy/2; and monomials of up to
+    four factors on a 4-dimensional plane."""
+    from tests.test_solvers import quartic_plane_K
+
     monkeypatch.setattr(hamiltonians, "BLOCK_ELEMENTS", block_elements)
     rng = np.random.default_rng(12)
     poly = PolySpatial(((0.3, (2, 1)), (-0.7, (0, 3)), (1.1, (1, 0))))
@@ -636,6 +648,12 @@ def test_field_matches_scatter_oracle_on_wide_and_empty_copies(block_elements, t
     P = StructuredHamiltonian(1, ((0.5, (Factor(0, poly), Factor(1, square))), (2.0, (Factor(1, poly),))))
     _scatter_cases(P, build_level(plane, 1), rng)
     _scatter_cases(StructuredHamiltonian(1, ()), build_level(torus, 1), rng)
+    _scatter_cases(quartic_plane_K(), build_level(plane, 1), rng)
+    cubic = StructuredHamiltonian(0, ((1.0, (Factor(0, PolySpatial(((1.0, (3, 0)), (0.5, (1, 1))))),)),))
+    _scatter_cases(lift(cubic, TransformChain.standard(1)), build_level(plane, 1), rng)
+    wide = PolySpatial(((0.7, (2, 1, 3, 1)), (-0.4, (0, 2, 0, 1)), (1.3, (1, 0, 0, 0))))
+    terms = ((0.6, (Factor(0, wide), Factor(1, PolySpatial(((0.9, (1, 1, 1, 0)),))))), (1.1, (Factor(1, wide),)))
+    _scatter_cases(StructuredHamiltonian(1, terms), build_level(PhaseSpace(2, "plane"), 1), rng)
 
 
 @given(_hamiltonians(), st.sampled_from([(), (1,), (81,), (2, 3)]), st.booleans(), st.integers(0, 2**32 - 1))
