@@ -14,6 +14,7 @@ import math
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import cache
 from importlib import resources
 from pathlib import Path
 
@@ -478,7 +479,9 @@ def cmd_roundtrip(args) -> int:
     return 0
 
 
-def main(argv=None) -> int:
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process."""
     parser = argparse.ArgumentParser(prog="hamdelay", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -499,8 +502,12 @@ def main(argv=None) -> int:
     p_tau.add_argument("--level", type=int, required=True)
     p_tau.add_argument("--copy", type=int, default=None, help="1-based copy index (default: all)")
     sub.add_parser("roundtrip", parents=[common], help="transform round-trip check")
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
+    # looked up at call time, so a patched cmd_* is the handler that runs
     try:
         handler = {
             "delaygen": cmd_delaygen,

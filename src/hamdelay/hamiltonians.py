@@ -11,6 +11,7 @@ its time through its copy time map, weighted by that map's rate.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 from numbers import Real
@@ -372,8 +373,12 @@ class _Compiled:
     elementwise product and a sum in index order (no BLAS, no numpy
     reduction over slots), so a row's result does not depend on the batch
     it rides in: the one block-wide choice, full or trimmed polynomial
-    derivative sums, moves at most the sign of an exact zero.  stage(signs)
-    is that kernel on one row block.
+    derivative sums, moves at most the sign of an exact zero.  stage(signs,
+    rows) is that kernel bound to blocks of a row count (_Kernel); the
+    program keeps the last two kernels bound per frame, a batch's full
+    blocks and its tail, which repeated calls at those row counts share
+    (the sweeps of a Newton solve, rhs_eval at the nodes of a periodic
+    solve).
     """
 
     def __init__(self, ham: "StructuredHamiltonian", dim: int):
@@ -390,12 +395,20 @@ class _Compiled:
         self.profiles = tuple(factors[i][1].time for i in order)
         self.sweep_table = (None, None)  # the last RK4 sweep table, by its times' bytes
         self.frames: dict = {}
+        self.kernels: dict = {}  # per frame, the last two kernels bound, by row count
 
         trig, poly = range(nt), range(nt, n)
         self.trig_copy, self.poly_copy = self.copy[:nt], self.copy[nt:]
         self.freq = np.array([parts[s].freq for s in trig], dtype=float).reshape(len(trig), dim, 1)
         self.amp = np.array([parts[s].amp for s in trig], dtype=float)[:, None, None]
         self.phase = np.array([parts[s].phase for s in trig], dtype=float)[:, None, None]
+        # the phases read zc[trig_read]: the view of copies c0 .. c1 - 1
+        # against (c1 - c0, k, dim, rows) constants when those copies hold
+        # k trig slots each and no other copy holds one, else a gather
+        span = _copy_span(self.trig_copy)
+        self.trig_read, self.trig_shape = self.trig_copy, (nt,)
+        if span is not None:
+            self.trig_read, self.trig_shape = (slice(*span[:2]), None), (span[1] - span[0], span[2])
 
         monos = []
         for s in poly:
@@ -409,9 +422,13 @@ class _Compiled:
         for p, m in enumerate(monos):
             for w, (c, es) in enumerate(m):
                 coeff[w, p], exp[w, p] = c, es
-        self.monomials = self.sums(coeff, exp) if len(poly) else None
         self.deriv_coeff = coeff[..., None] * exp
-        self.deriv_exp = np.maximum(exp[:, :, None, :] - np.eye(dim, dtype=int), 0)
+        if len(poly):
+            # the index tables of every frame: the roll only permutes their columns
+            deriv_exp = np.maximum(exp[:, :, None, :] - np.eye(dim, dtype=int), 0)
+            self.mono_coeff, self.monomials = coeff, self.sums(exp)
+            self.trim_order, self.trim_keep, trimmed_exp, self.trim_limit = _trim(self.deriv_coeff, deriv_exp)
+            self.deriv_sums, self.trimmed_sums = self.sums(deriv_exp), self.sums(trimmed_exp)
 
         # gradient coefficient per slot: the term's, times -2 pi amp for trig
         self.term_coeff = np.array([c for c, _ in ham.terms], dtype=float)[:, None]
@@ -429,11 +446,19 @@ class _Compiled:
         self.slots = _padded(members, n, 1)
         others = _padded([[j for j in members[term[s]] if j != s] for s in range(n)], n, 0)
         self.others = list(others.T)
-        # rank j: each copy's j-th slot in term order, the pad past its last
+        # rank j: each copy's j-th slot in term order, the pad past its last;
+        # when copies c0 .. c1 - 1 hold k slots each, rank j of copy c being
+        # slot (c - c0) k + j, and the others none, the ranks are views of
+        # the slot array and the other copies read +0.0
         by_copy = [[] for _ in range(ham.copies)]
         for i, (_, f) in enumerate(factors):
             by_copy[f.copy].append(slot_of[i])
-        self.ranks = list(_padded(by_copy, n, 1).T)
+        ranks = _padded(by_copy, n, 1)
+        self.ranks = list(ranks.T)
+        span = _copy_span(self.copy)
+        if span is not None and not np.array_equal(ranks[span[0] : span[1]], np.arange(n).reshape(span[1] - span[0], -1)):
+            span = None
+        self.rank_span = span
         self.block = max(1, BLOCK_ELEMENTS // ((n + 1) * dim))
 
     def table(self, times: np.ndarray) -> tuple:
@@ -446,12 +471,13 @@ class _Compiled:
         w = np.stack([p(times) for p in self.profiles] + [np.ones(times.shape)])[:, None]
         return w, self.grad_coeff * w[:-1]
 
-    def blockwise(self, z, t, fn, tail: tuple, grad: bool = False) -> np.ndarray:
-        """fn(zc, w) over row blocks of z (..., copies, dim), zc a batch-last
-        block (copies, dim, rows) and w the weights of its rows, the pair
-        (weights, gradient weights) with grad; fn returns (*tail, rows) and
-        the result has shape (..., *tail).  t is a weight table, or a float
-        or per-row times that it is built at."""
+    def blockwise(self, z, t, signs, fn, tail: tuple) -> np.ndarray:
+        """fn(kernel, zc, weights) over row blocks of z (..., copies, dim):
+        zc a batch-last block (copies, dim, rows), kernel stage(signs) bound
+        to its row count and weights the (weights, gradient weights)
+        columns of its rows; fn returns (*tail, rows) and the result has
+        shape (..., *tail).  t is a weight table, or a float or per-row
+        times that it is built at."""
         lead = z.shape[:-2]
         zb = z.reshape(-1, *z.shape[-2:])
         if not isinstance(t, tuple):
@@ -461,19 +487,137 @@ class _Compiled:
         rows_first = (len(tail),) + tuple(range(len(tail)))
         out = np.empty((len(zb),) + tail)
         for lo in range(0, len(zb), self.block):
+            zc = np.ascontiguousarray(zb[lo : lo + self.block].transpose(1, 2, 0))
             wb = tuple(a[..., lo : lo + self.block] for a in t) if per_row else t
-            out[lo : lo + self.block] = fn(
-                np.ascontiguousarray(zb[lo : lo + self.block].transpose(1, 2, 0)), wb if grad else wb[0]
-            ).transpose(rows_first)
+            out[lo : lo + self.block] = fn(self.stage(signs, zc.shape[-1]), zc, wb).transpose(rows_first)
         return out.reshape(lead + tail)
+
+    def value(self, z, t):
+        return self.blockwise(z, t, None, lambda kernel, zc, w: kernel.value(zc, w[0]), ())
+
+    def field(self, z, t, signs=None):
+        """grad H at z of shape (..., copies, dim); given a level's sign
+        vector, the signed field eps_j * FIELD_SIGN * J grad_j H instead."""
+        return self.blockwise(z, t, signs, lambda kernel, zc, w: kernel(zc, w), (self.copies, self.dim))
+
+    def stage(self, signs, rows: int) -> "_Kernel":
+        """The kernel of frame(signs) bound to blocks of rows rows: one of
+        the last two bound for the frame if it has that row count, else a
+        new one, which replaces the older."""
+        kernels = self.kernels.setdefault(signs, {})
+        kernel = kernels.get(rows)
+        if kernel is None:
+            if len(kernels) == 2:
+                del kernels[next(iter(kernels))]
+            kernel = kernels[rows] = _Kernel(self, self.frame(signs), rows)
+        return kernel
+
+    def frame(self, signs):
+        """Trig direction table and the full and the trimmed polynomial
+        derivative sums, each a pair (sums, coefficient table) (None, None
+        without polynomial slots): the gradient's for signs None, else with
+        the J column roll, FIELD_SIGN and the level's signs folded in;
+        multiplying by +-1 is exact.  The index tables come from the
+        program, permuted by the roll."""
+        frame = self.frames.get(signs)
+        if frame is None:
+            direction, dcoeff, cols = self.freq, self.deriv_coeff, None
+            if signs is not None:
+                half = self.dim // 2
+                cols = np.roll(np.arange(self.dim), half)  # J: (g_x, g_y) -> (-g_y, g_x)
+                sign = FIELD_SIGN * np.asarray(signs, float)[:, None] * np.repeat([-1.0, 1.0], half)
+                direction = self.freq[:, cols] * sign[self.trig_copy, :, None]
+                dcoeff = self.deriv_coeff[:, :, cols] * sign[self.poly_copy]
+            frame = (direction, None, None)
+            if len(self.poly_copy):
+                order = self.trim_order if cols is None else self.trim_order[:, :, cols]
+                trimmed = np.take_along_axis(dcoeff, order, 0)[: self.trim_keep]
+                frame = (direction, (self.deriv_sums.permuted(cols), dcoeff), (self.trimmed_sums.permuted(cols), trimmed))
+            self.frames[signs] = frame
+        return frame
+
+    def sums(self, exp: np.ndarray) -> "_MonomialSums":
+        """The sums of an exponent table (monomial, slot, ..., dim) over the
+        polynomial slots, each entry reading its slot's copy."""
+        first = (self.poly_copy * self.dim).reshape((-1,) + (1,) * (exp.ndim - 3))
+        return _MonomialSums(exp, np.broadcast_to(first, exp.shape[:-1]), self.copies * self.dim)
+
+
+def _rowwise(a: np.ndarray, rows: int) -> np.ndarray:
+    """A constant a of shape (..., 1) repeated C-ordered to (..., rows)."""
+    if rows == 1:
+        return a
+    out = np.empty(a.shape[:-1] + (rows,))
+    out[...] = a
+    return out
+
+
+def _copy_span(copies: np.ndarray):
+    """(c0, c1, k) when the slot copies run c0 .. c1 - 1 in order, k slots
+    each, so a slot array reshapes to (c1 - c0, k, ...); else None."""
+    if not len(copies) or copies[-1] < copies[0]:
+        return None
+    c0, c1 = int(copies[0]), int(copies[-1]) + 1
+    k = len(copies) // (c1 - c0)
+    return (c0, c1, k) if np.array_equal(copies, np.repeat(np.arange(c0, c1), k)) else None
+
+
+class _Kernel:
+    """The kernel of a program and frame bound to row blocks of one size:
+    every per-slot constant is broadcast C-ordered to (..., rows) and the
+    scratch arrays are allocated here once, so a call runs same-shape
+    ufuncs with out=, each product and sum with the operands and in the
+    order of the slot expressions it replaces.  value gives the Hamiltonian,
+    a call the field of the frame.
+
+    The calls write the bound arrays, so a kernel serves one block at a
+    time, and each call writes every scratch entry it reads, except the pad
+    value 1 and the pad gradient 0 set here: a weight table's pad row is 1,
+    so v *= w keeps the one, and nothing writes the other.  A kernel copies
+    the program tables it reads and holds no reference to the program,
+    which keeps it: that cycle would keep a spent Hamiltonian's arrays until
+    the cyclic collector ran."""
+
+    def __init__(self, prog: _Compiled, frame, rows: int):
+        n, nt, dim = prog.n_slots, prog.n_trig, prog.dim
+        self.n, self.nt, self.dim, self.copies = n, nt, dim, prog.copies
+        self.trig_read, self.others, self.ranks, self.rank_span = prog.trig_read, prog.others, prog.ranks, prog.rank_span
+        self.slots, self.term_coeff = prog.slots, prog.term_coeff
+        self.v = np.empty((n + 1, 1, rows))
+        self.v[n] = 1.0
+        if nt:
+            self.freq = _rowwise(prog.freq, rows).reshape(prog.trig_shape + (dim, rows))
+            self.p = np.empty(self.freq.shape)
+            self.ph, self.wave = np.empty((nt, 1, rows)), np.empty((nt, 1, rows))
+            self.phase, self.amp = _rowwise(prog.phase, rows), _rowwise(prog.amp, rows)
+        if len(prog.poly_copy):
+            self.monomials = prog.monomials.bind(prog.mono_coeff, rows)
+        direction, full, trimmed = frame
+        self.g = np.empty((n + 1, dim, rows))
+        self.g[n] = 0.0
+        self.scale = np.empty((n, 1, rows)) if prog.others else None
+        self.direction = _rowwise(direction, rows)
+        # a block reads the trimmed derivative sums when its sum of squares
+        # is below limit^2 (NaN is not), else the full ones: a coordinate
+        # not below the limit squares to at least limit^2, rounded, and a
+        # sum of non-negative terms is at least each of them in any order;
+        # with no limit (inf) the full sums are never read
+        self.trimmed = None
+        if trimmed is not None:
+            self.trimmed, self.bound = trimmed[0].bind(trimmed[1], rows), prog.trim_limit * prog.trim_limit
+            self.full = full[0].bind(full[1], rows) if prog.trim_limit < math.inf else None
+        if prog.rank_span is not None:
+            c0, c1, k = prog.rank_span
+            self.ranked = self.g[:n].reshape(c1 - c0, k, dim, rows)
 
     def phases(self, zc):
         """Trig slot phases (slots, 1, rows) of the copy array (copies, dim,
         rows), None without trig slots."""
-        if not len(self.trig_copy):
+        if not self.nt:
             return None
-        p = zc[self.trig_copy] * self.freq
-        ph = p[:, :1] + p[:, 1:2]
+        np.multiply(zc[self.trig_read], self.freq, out=self.p)
+        p, ph = self.p.reshape(self.nt, self.dim, -1), self.ph
+        np.add(p[:, :1], p[:, 1:2], out=ph)
         for i in range(2, self.dim):
             ph += p[:, i : i + 1]
         ph *= TWO_PI
@@ -483,121 +627,92 @@ class _Compiled:
     def values(self, zc, ph, w) -> np.ndarray:
         """Slot values times their time weights, (S + 1, 1, rows) ending in
         the pad 1."""
-        nt, n = self.n_trig, self.n_slots
-        v = np.empty((n + 1, 1, zc.shape[-1]))
+        nt, n = self.nt, self.n
+        v = self.v
         if ph is not None:
-            np.multiply(self.amp, np.cos(ph), out=v[:nt])
-        if len(self.poly_copy):
+            np.multiply(self.amp, np.cos(ph, out=self.wave), out=v[:nt])
+        if nt < n:
             self.monomials(zc, v[nt:n, 0])
-        v[n] = 1.0
         v *= w
         return v
 
-    def value(self, z, t):
-        def block(zc, w):
-            v = self.values(zc, self.phases(zc), w)[:, 0]
-            terms = self.term_coeff * v[self.slots[:, 0]]
-            for j in range(1, self.slots.shape[1]):
-                terms = terms * v[self.slots[:, j]]
-            return _sum0(terms)
+    def value(self, zc, w) -> np.ndarray:
+        """The Hamiltonian at zc, (rows,)."""
+        v = self.values(zc, self.phases(zc), w)[:, 0]
+        terms = self.term_coeff * v[self.slots[:, 0]]
+        for j in range(1, self.slots.shape[1]):
+            terms = terms * v[self.slots[:, j]]
+        return _sum0(terms)
 
-        return self.blockwise(z, t, block, ())
-
-    def field(self, z, t, signs=None):
-        """grad H at z of shape (..., copies, dim); given a level's sign
-        vector, the signed field eps_j * FIELD_SIGN * J grad_j H instead."""
-        return self.blockwise(z, t, self.stage(signs), (self.copies, self.dim), grad=True)
-
-    def stage(self, signs=None):
-        """The field kernel, frame(signs) bound: block(zc, weights) maps a
-        C-ordered copy array (copies, dim, rows) and its rows' columns of a
-        weight table to the field there, (copies, dim, rows).  A block reads
-        the trimmed derivative sums when its sum of squares is below limit^2
-        (NaN is not), else the full ones: a coordinate not below the limit
-        squares to at least limit^2, rounded, and a sum of non-negative terms
-        is at least each of them in any order of adds."""
-        direction, full, trimmed, limit = self.frame(signs)
-        guarded, bound = limit < math.inf, limit * limit
-        nt, n = self.n_trig, self.n_slots
-        first, *rest = self.ranks
-
-        def block(zc, weights):
-            w, scale = weights
-            ph = self.phases(zc)
-            if self.others:
-                v = self.values(zc, ph, w)
-                for col in self.others:
-                    scale = scale * v[col]
-            g = np.empty((n + 1, self.dim, zc.shape[-1]))
-            if ph is not None:
-                np.multiply(np.sin(ph), direction, out=g[:nt])
-            if len(self.poly_copy):
-                (full if guarded and not np.vdot(zc, zc) < bound else trimmed)(zc, g[nt:n])
+    def __call__(self, zc, weights, out=None) -> np.ndarray:
+        """The field at a C-ordered copy array zc (copies, dim, rows), given
+        its rows' columns of a weight table, written into out (a new array
+        if None) and returned."""
+        nt, n = self.nt, self.n
+        w, scale = weights
+        ph = self.phases(zc)
+        if self.others:
+            v = self.values(zc, ph, w)
+            scale = np.multiply(scale, v[self.others[0]], out=self.scale)
+            for col in self.others[1:]:
+                scale *= v[col]
+        g = self.g
+        if ph is not None:
+            np.multiply(np.sin(ph, out=self.wave), self.direction, out=g[:nt])
+        if self.trimmed is not None:
+            (self.full if self.full is not None and not np.vdot(zc, zc) < self.bound else self.trimmed)(zc, g[nt:n])
+        out = np.empty(zc.shape) if out is None else out
+        if self.rank_span is None:
             g[:n] *= scale
-            g[n] = 0.0
-            out = g[first]
-            for src in rest:
+            np.take(g, self.ranks[0], axis=0, out=out, mode="clip")
+            for src in self.ranks[1:]:
                 out += g[src]
             return out
-
-        return block
-
-    def frame(self, signs):
-        """Trig direction table, the full and the trimmed polynomial
-        derivative sums and the trimmed sums' limit (see _trim; None, None
-        and inf without polynomial slots): the gradient's for signs None,
-        else with the J column roll, FIELD_SIGN and the level's signs folded
-        in; multiplying by +-1 is exact."""
-        frame = self.frames.get(signs)
-        if frame is None:
-            direction, dcoeff, dexp = self.freq, self.deriv_coeff, self.deriv_exp
-            if signs is not None:
-                half = self.dim // 2
-                cols = np.roll(np.arange(self.dim), half)  # J: (g_x, g_y) -> (-g_y, g_x)
-                sign = FIELD_SIGN * np.asarray(signs, float)[:, None] * np.repeat([-1.0, 1.0], half)
-                direction = self.freq[:, cols] * sign[self.trig_copy, :, None]
-                dcoeff = self.deriv_coeff[:, :, cols] * sign[self.poly_copy]
-                dexp = self.deriv_exp[:, :, cols]
-            frame = (direction, None, None, math.inf)
-            if len(self.poly_copy):
-                trimmed, trimmed_exp, limit = _trim(dcoeff, dexp)
-                frame = (direction, self.sums(dcoeff, dexp), self.sums(trimmed, trimmed_exp), limit)
-            self.frames[signs] = frame
-        return frame
-
-    def sums(self, coeff: np.ndarray, exp: np.ndarray) -> "_MonomialSums":
-        """The sums of a coefficient table (monomial, slot, ...) and its
-        exponent table (monomial, slot, ..., dim) over the polynomial slots,
-        each entry reading its slot's copy."""
-        first = (self.poly_copy * self.dim).reshape((-1,) + (1,) * (coeff.ndim - 2))
-        return _MonomialSums(coeff, exp, np.broadcast_to(first, coeff.shape), self.copies * self.dim)
+        c0, c1, k = self.rank_span
+        if k == 1:  # a copy's gradient is its one slot's
+            np.multiply(g[:n], scale, out=out[c0:c1])
+        else:
+            g[:n] *= scale
+            ranked, copies = self.ranked, out[c0:c1]
+            np.add(ranked[:, 0], ranked[:, 1], out=copies)
+            for j in range(2, k):
+                copies += ranked[:, j]
+        if c0:
+            out[:c0] = 0.0
+        if c1 < self.copies:
+            out[c1:] = 0.0
+        return out
 
 
 def _trim(coeff: np.ndarray, exp: np.ndarray) -> tuple:
-    """The trimmed form of a derivative table (monomial, slot, column) and
-    the limit below which it is exact.  It reads every zero-coefficient
-    entry as 0 * 1 and keeps per (slot, column) its other entries in order,
-    then as few of those 0 * 1 as the widest (slot, column) needs.  That
-    drops the entries that are 0 by structure, such as d(y^2)/dx, and their
-    pow calls.  Where every product it drops is finite, it moves a sum only
-    by +-0 (an exact zero may change sign, which compares equal).  The limit
-    is 2^k, k = 1023 // d for the largest total degree d of a
-    zero-coefficient entry, inf without one of degree >= 1: with every
-    |z_i| < 2^k, each factor |z_i|^e_i rounds to at most 2^(k e_i) and a
-    product to at most 2^1023, so no dropped product overflows."""
+    """The trimmed form of a derivative table (monomial, slot, column): the
+    order along the monomials that puts per (slot, column) the
+    nonzero-coefficient entries first, the entries to keep, the trimmed
+    exponent table and the limit below which it is exact.  It reads every
+    zero-coefficient entry as 0 * 1 and keeps per (slot, column) its other
+    entries in order, then as few of those 0 * 1 as the widest (slot,
+    column) needs.  That drops the entries that are 0 by structure, such as
+    d(y^2)/dx, and their pow calls.  Where every product it drops is finite,
+    it moves a sum only by +-0 (an exact zero may change sign, which
+    compares equal).  The limit is 2^k, k = 1023 // d for the largest total
+    degree d of a zero-coefficient entry, inf without one of degree >= 1:
+    with every |z_i| < 2^k, each factor |z_i|^e_i rounds to at most 2^(k
+    e_i) and a product to at most 2^1023, so no dropped product overflows.
+    Folding signs and rolling columns keeps which coefficients are zero, so
+    one order serves every frame."""
     zero = coeff == 0
     degree = exp.sum(-1)[zero]
     limit = 2.0 ** (1023 // int(degree.max())) if degree.any() else math.inf
     order = np.argsort(zero, axis=0, kind="stable")  # per (slot, column): nonzero entries first
     keep = max(1, int((~zero).sum(0).max(initial=0)))
     exp = np.where(zero[..., None], 0, exp)
-    return np.take_along_axis(coeff, order, 0)[:keep], np.take_along_axis(exp, order[..., None], 0)[:keep], limit
+    return order, keep, np.take_along_axis(exp, order[..., None], 0)[:keep], limit
 
 
 class _MonomialSums:
-    """sum_w c[w] prod_i z_i^e[w, i] over a table of coefficients (W, *shape)
-    and exponent vectors (W, *shape, dim), each entry reading the
-    coordinates of one copy of a block (copies, dim, rows).
+    """sum_w c[w] prod_i z_i^e[w, i] over a table of exponent vectors (W,
+    *shape, dim), each entry reading the coordinates of one copy of a block
+    (copies, dim, rows), and a coefficient table (W, *shape) given to bind.
 
     One exact product rule: an exponent 0 reads 1.0 and an exponent 1 the
     coordinate, which is what pow gives for every number, inf and NaN
@@ -607,8 +722,8 @@ class _MonomialSums:
     order like _sum0; a table of one entry gives its term itself, so an
     exact zero keeps its sign."""
 
-    def __init__(self, coeff: np.ndarray, exp: np.ndarray, first: np.ndarray, n_rows: int):
-        self.coeff = [c[..., None] for c in coeff]
+    def __init__(self, exp: np.ndarray, first: np.ndarray, n_rows: int):
+        self.n_rows = n_rows
         # the rows of a block's source table: its coordinates, then 1.0, then
         # the powers, one per distinct (coordinate, exponent >= 2)
         powers: dict = {}
@@ -617,7 +732,7 @@ class _MonomialSums:
             for es, r in zip(exp.reshape(-1, exp.shape[-1]).tolist(), first.ravel().tolist())
         ]
         index = _padded(factors, n_rows, 1)  # short entries end in the 1.0 row
-        self.index = [col.reshape(coeff.shape) for col in index.T]
+        self.index = [col.reshape(exp.shape[:-1]) for col in index.T]
         self.extended = bool((index >= n_rows).any())
         # two powers at least: numpy computes x ** e for a one-element
         # exponent e by its own fast path, not by pow
@@ -625,17 +740,41 @@ class _MonomialSums:
         self.pow_rows = np.array([r for r, _ in pairs], dtype=int)
         self.pow_exp = np.array([e for _, e in pairs], dtype=int)[:, None]
 
-    def __call__(self, zc: np.ndarray, out: np.ndarray) -> None:
-        """Writes the sums at the block zc, (*shape, rows), into out."""
-        src = zc.reshape(-1, zc.shape[-1])
-        if self.extended:
-            src = np.concatenate((src, np.ones((1, src.shape[1])), src[self.pow_rows] ** self.pow_exp))
-        p = src[self.index[0]]  # the products, (W, *shape, rows)
-        for index in self.index[1:]:
-            p *= src[index]
-        np.multiply(self.coeff[0], p[0], out)
-        for w in range(1, len(p)):
-            out += self.coeff[w] * p[w]
+    def permuted(self, cols) -> "_MonomialSums":
+        """These sums with the last entry axis permuted by cols (None: as is)."""
+        if cols is None:
+            return self
+        out = copy.copy(self)
+        out.index = [index[..., cols] for index in self.index]
+        return out
+
+    def bind(self, coeff: np.ndarray, rows: int):
+        """sums(zc, out), writing the sums with coefficients coeff at a block
+        zc of rows rows into out (*shape, rows); the coefficient rows and
+        the scratch arrays are made here once."""
+        n_rows, index, pow_rows, pow_exp = self.n_rows, self.index, self.pow_rows, self.pow_exp
+        coeff = _rowwise(coeff[..., None], rows)
+        p, factor = np.empty(coeff.shape), np.empty(coeff.shape)  # the products and one factor of each
+        src = np.empty((n_rows + 1 + len(pow_rows), rows)) if self.extended else None
+        if src is not None:
+            src[n_rows] = 1.0
+
+        def sums(zc: np.ndarray, out: np.ndarray) -> None:
+            s = zc.reshape(n_rows, rows)
+            if src is not None:
+                src[:n_rows] = s
+                np.power(src[pow_rows], pow_exp, out=src[n_rows + 1 :])
+                s = src
+            # the indices are in range: mode "clip" only skips the buffered
+            # output that "raise" makes
+            np.take(s, index[0], axis=0, out=p, mode="clip")
+            for i in index[1:]:
+                np.multiply(p, np.take(s, i, axis=0, out=factor, mode="clip"), out=p)
+            np.multiply(coeff[0], p[0], out=out)
+            for w in range(1, len(p)):
+                out += np.multiply(coeff[w], p[w], out=factor[0])
+
+        return sums
 
 
 def _padded(lists, pad: int, min_width: int) -> np.ndarray:

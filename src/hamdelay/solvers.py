@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -134,11 +135,12 @@ class OrbitSet:
 
 def _stage(ham, level: LevelStructure):
     """The RK4 stage of the signed field of ham on level: its compiled
-    program and that program's field kernel for the level's signs."""
+    program and the binder of that program's field kernel for the level's
+    signs, rows -> kernel bound to blocks of that many rows."""
     if ham.level != level.level:
         raise ValueError("Hamiltonian level does not match the level structure")
     prog = ham._program(level.space.dim)
-    return prog, prog.stage(level.sign_vector)
+    return prog, partial(prog.stage, level.sign_vector)
 
 
 # Stage times one weight table of an RK4 sweep holds at most: longer sweeps
@@ -156,9 +158,13 @@ def _rk4(stage, z0: np.ndarray, n_steps: int, path: np.ndarray | None = None, st
     per (step, stage time, distinct start step), TABLE_SIZE columns at most;
     a row reads its start step's columns.  The program keeps the last table
     built, which the sweeps of one Newton solve share.  Blocks of at most
-    prog.block rows are swept batch-last, a stage one kernel call."""
-    prog, kernel = stage
+    prog.block rows are swept batch-last, a stage one call of the kernel
+    bound to the block's row count.  The stage sums are formed in place, in
+    buffers allocated once per sweep, each with the operands and in the
+    rounding order of z + (h / 2) k and z + (h / 6) (k1 + 2 k2 + 2 k3 + k4)."""
+    prog, bind = stage
     h = 1.0 / n_steps
+    half, sixth = 0.5 * h, h / 6.0
     z0 = np.asarray(z0, dtype=float)
     batch = z0.reshape(-1, *z0.shape[-2:])
     if not len(batch):
@@ -169,7 +175,11 @@ def _rk4(stage, z0: np.ndarray, n_steps: int, path: np.ndarray | None = None, st
     count = n_steps if steps is None else steps
     span = max(1, TABLE_SIZE // (3 * len(first)))  # steps per table
     blocks = range(0, len(batch), prog.block)
-    zs = [np.ascontiguousarray(batch[lo : lo + prog.block].transpose(1, 2, 0)) for lo in blocks]
+    zs = [batch[lo : lo + prog.block].transpose(1, 2, 0).copy() for lo in blocks]
+    bound = {}  # per block row count: the kernel, k1 .. k4, the stage point and the step sum
+    for z in zs:
+        if z.shape[-1] not in bound:
+            bound[z.shape[-1]] = bind(z.shape[-1]), *(np.empty(z.shape) for _ in range(6))
     if keep:
         path[0] = batch[:keep]
     for i0 in range(0, count, span):
@@ -179,27 +189,36 @@ def _rk4(stage, z0: np.ndarray, n_steps: int, path: np.ndarray | None = None, st
         if prog.sweep_table[0] != times.tobytes():
             prog.sweep_table = (times.tobytes(), prog.table(times))
         w, scale = prog.sweep_table[1]
+        if len(first) == 1:  # one column for all rows
+            columns = [(w[..., j : j + 1], scale[..., j : j + 1]) for j in range(len(times))]
         for b, lo in enumerate(blocks):
             z = zs[b]
+            kernel, k1, k2, k3, k4, u, acc = bound[z.shape[-1]]
             kept = max(0, min(lo + prog.block, keep) - lo)  # rows of this block the path keeps
             cols = col[lo : lo + prog.block]
 
             def weights(j):
-                if len(first) == 1:  # one column for all rows
-                    return w[..., j : j + 1], scale[..., j : j + 1]
+                if len(first) == 1:
+                    return columns[j]
                 return np.take(w, j * len(first) + cols, axis=2), np.take(scale, j * len(first) + cols, axis=2)
 
             for i in range(i0, i1):
                 j = 3 * (i - i0)
-                k1 = kernel(z, weights(j))
                 w_mid = weights(j + 1)
-                k2 = kernel(z + 0.5 * h * k1, w_mid)
-                k3 = kernel(z + 0.5 * h * k2, w_mid)
-                k4 = kernel(z + h * k3, weights(j + 2))
-                z = z + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+                kernel(z, weights(j), k1)
+                np.add(z, np.multiply(k1, half, out=u), out=u)
+                kernel(u, w_mid, k2)
+                np.add(z, np.multiply(k2, half, out=u), out=u)
+                kernel(u, w_mid, k3)
+                np.add(z, np.multiply(k3, h, out=u), out=u)
+                kernel(u, weights(j + 2), k4)
+                np.add(k1, np.multiply(k2, 2.0, out=acc), out=acc)
+                acc += np.multiply(k3, 2.0, out=u)
+                acc += k4
+                acc *= sixth
+                z += acc
                 if kept:
                     path[i + 1, lo : lo + kept] = z[..., :kept].transpose(2, 0, 1)
-            zs[b] = z
     return np.concatenate([z.transpose(2, 0, 1) for z in zs]).reshape(z0.shape)
 
 

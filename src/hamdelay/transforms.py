@@ -726,10 +726,12 @@ class UniformSpline:
 class CurveInterpolant:
     """Cubic interpolation per smooth segment, torus-aware.  Evaluations
     return the locally lifted representative, continuous within each
-    segment; callers that store samples normalize them."""
+    segment; callers that store samples normalize them.  It keeps no
+    reference to its curve, which caches it: that cycle would keep the
+    curve's samples and the spline table until the cyclic collector ran."""
 
     def __init__(self, curve: DiscreteCurve):
-        self.curve = curve
+        self.is_loop = curve.is_loop
         n = curve.n_intervals
         inner = sorted({float(b) for b in curve.breakpoints} - {0.0, 1.0})
         bounds = [0.0] + inner + [1.0]
@@ -745,7 +747,7 @@ class CurveInterpolant:
         """Values at float times t, shape (len(t), copies, dim), or (len(t),
         dim) when copy gives each time the copy to read."""
         t = np.atleast_1d(np.asarray(t, dtype=float))
-        if self.curve.is_loop:
+        if self.is_loop:
             t = np.where(t == 1.0, 1.0, np.mod(t, 1.0))
         return self._spline(np.clip(t, 0.0, 1.0), copy)
 

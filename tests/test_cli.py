@@ -145,6 +145,21 @@ def test_tau_command(capsys):
     assert "MISMATCH" not in capsys.readouterr().out.splitlines()[0]
 
 
+def test_main_reuses_one_parser_and_calls_patched_handlers(monkeypatch, capsys):
+    """main parses every call with the one parser of the process and looks
+    its handler up at call time, so a patched cmd_* is the one that runs;
+    usage errors still exit 2."""
+    calls = []
+    monkeypatch.setattr(cli, "cmd_tau", lambda args: calls.append((args.level, args.copy)) or 0)
+    assert run(["tau", "--level", "2"]) == 0
+    assert run(["tau", "--level", "3", "--copy", "1"]) == 0
+    assert calls == [(2, None), (3, 1)]
+    assert cli._parser() is cli._parser()
+    with pytest.raises(SystemExit) as exc:
+        run(["tau"])
+    assert exc.value.code == 2 and "--level" in capsys.readouterr().err
+
+
 def test_roundtrip_command(capsys):
     assert run(["roundtrip", "--preset", "product-1423", "--seed", "5"]) == 0
     out = capsys.readouterr().out

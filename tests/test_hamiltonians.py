@@ -621,6 +621,21 @@ def test_field_matches_scatter_oracle_on_presets(name, block_elements, monkeypat
     _scatter_cases(cfg.structured_hamiltonian(), build_level(cfg.space, cfg.chain.level), np.random.default_rng(7))
 
 
+def wide_and_empty_copies():
+    """A level-2 Hamiltonian on dim 2: a copy of 12 slots, trig, poly and
+    const slots interleaved within copies, a copy of one slot and an empty
+    copy, terms of up to three factors."""
+    poly = PolySpatial(((0.3, (2, 1)), (-0.7, (0, 3)), (1.1, (1, 0))))
+    trig = [TrigSpatial(0.2 + 0.05 * k, (k % 3 - 1, (k + 1) % 2), 0.1 * k) for k in range(12)]
+    terms = [(0.4 + 0.1 * k, (Factor(0, trig[k], TrigTime(0.3, k % 2 + 1, 0.1, 1.0)),)) for k in range(9)]
+    terms += [
+        (0.9, (Factor(0, poly), Factor(2, trig[9]), Factor(3, ConstSpatial(1.7), BumpTime(0.4, 0.3)))),
+        (-0.5, (Factor(3, trig[10]), Factor(0, ConstSpatial(0.6)))),
+        (0.25, (Factor(0, trig[11]), Factor(3, poly))),
+    ]
+    return StructuredHamiltonian(2, tuple(terms))
+
+
 @pytest.mark.parametrize("block_elements", [hamiltonians.BLOCK_ELEMENTS, 64], ids=["one-block", "many-blocks"])
 def test_field_matches_scatter_oracle_on_wide_and_empty_copies(block_elements, torus, plane, monkeypatch):
     """Level 2 with a copy of 12 slots, trig, poly and const slots
@@ -632,18 +647,11 @@ def test_field_matches_scatter_oracle_on_wide_and_empty_copies(block_elements, t
 
     monkeypatch.setattr(hamiltonians, "BLOCK_ELEMENTS", block_elements)
     rng = np.random.default_rng(12)
-    poly = PolySpatial(((0.3, (2, 1)), (-0.7, (0, 3)), (1.1, (1, 0))))
-    trig = [TrigSpatial(0.2 + 0.05 * k, (k % 3 - 1, (k + 1) % 2), 0.1 * k) for k in range(12)]
-    terms = [(0.4 + 0.1 * k, (Factor(0, trig[k], TrigTime(0.3, k % 2 + 1, 0.1, 1.0)),)) for k in range(9)]
-    terms += [
-        (0.9, (Factor(0, poly), Factor(2, trig[9]), Factor(3, ConstSpatial(1.7), BumpTime(0.4, 0.3)))),
-        (-0.5, (Factor(3, trig[10]), Factor(0, ConstSpatial(0.6)))),
-        (0.25, (Factor(0, trig[11]), Factor(3, poly))),
-    ]
-    K = StructuredHamiltonian(2, tuple(terms))
+    K = wide_and_empty_copies()
     prog = K._program(2)
     assert np.bincount(prog.copy, minlength=4).tolist() == [12, 0, 1, 3]
     _scatter_cases(K, build_level(torus, 2), rng)
+    poly = PolySpatial(((0.3, (2, 1)), (-0.7, (0, 3)), (1.1, (1, 0))))
     square = PolySpatial(((1.0, (0, 2)),))
     P = StructuredHamiltonian(1, ((0.5, (Factor(0, poly), Factor(1, square))), (2.0, (Factor(1, poly),))))
     _scatter_cases(P, build_level(plane, 1), rng)
@@ -654,6 +662,24 @@ def test_field_matches_scatter_oracle_on_wide_and_empty_copies(block_elements, t
     wide = PolySpatial(((0.7, (2, 1, 3, 1)), (-0.4, (0, 2, 0, 1)), (1.3, (1, 0, 0, 0))))
     terms = ((0.6, (Factor(0, wide), Factor(1, PolySpatial(((0.9, (1, 1, 1, 0)),))))), (1.1, (Factor(1, wide),)))
     _scatter_cases(StructuredHamiltonian(1, terms), build_level(PhaseSpace(2, "plane"), 1), rng)
+
+
+@pytest.mark.parametrize(
+    "name,span",
+    [("torus-morse-n1", (0, 2, 2)), ("product-T4", (0, 2, 2)), ("sum-n2", (0, 4, 1)), ("rr-chain-13", (1, 3, 1)), ("plane-oscillator", (0, 2, 1))],
+)
+def test_copy_major_layouts_read_views(name, span):
+    """Where copies c0 .. c1 - 1 hold k slots each, the kernel reads the
+    phases and sums the ranks through views, (c0, c1, k); the wide program
+    with an empty copy keeps both gathers."""
+    data = json.loads(resources.files("hamdelay.presets").joinpath(f"{name}.json").read_text())
+    cfg = ExperimentConfig.from_dict(data)
+    prog = cfg.structured_hamiltonian()._program(cfg.space.dim)
+    assert prog.rank_span == span
+    if prog.n_trig:
+        assert prog.trig_read == (slice(span[0], span[1]), None) and prog.trig_shape == (span[1] - span[0], span[2])
+    wide = wide_and_empty_copies()._program(2)
+    assert wide.rank_span is None and isinstance(wide.trig_read, np.ndarray)
 
 
 @given(_hamiltonians(), st.sampled_from([(), (1,), (81,), (2, 3)]), st.booleans(), st.integers(0, 2**32 - 1))

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 from scipy.sparse.linalg import splu
 
 from hamdelay.geometry import PhaseSpace, build_level, embed_diagonal_params
@@ -23,6 +24,7 @@ from hamdelay.hamiltonians import (
     TrigSpatial,
     TrigTime,
     lift,
+    vector_field,
 )
 from hamdelay import solvers
 from hamdelay.cli import ExperimentConfig
@@ -56,6 +58,7 @@ from hamdelay.solvers import (
     _solve_stack,
 )
 from tests.oracles import flow_fixed_points
+from tests.test_hamiltonians import _hamiltonians, wide_and_empty_copies
 
 
 def morse_base(eps=0.05):
@@ -217,6 +220,74 @@ def test_rk4_sweep_tables(rng, monkeypatch):
     assert calls == [48]
     solvers._rk4(stage, z0, 16, None, np.array([0, 4, 4, 8, 0]), 4)
     assert calls == [48, 36]
+
+
+@given(st.one_of(_hamiltonians(), st.builds(wide_and_empty_copies)), st.integers(0, 2**32 - 1))
+def test_rk4_sweep_matches_oracle_on_drawn_programs(ham, seed):
+    """Drawn programs, and the level-2 one with a wide and an empty copy,
+    swept over batches of 1, 7 and block + 5 rows (two row blocks), each
+    holding a +-inf and a NaN coordinate: end states and kept paths are
+    bitwise the stage-per-call oracle's, at float times over the whole grid
+    and from per-row start steps, NaN where it has NaN.  A kernel bound to
+    one row count must not make a row depend on its batch.  (Which NaN a
+    numpy loop returns for two NaN operands depends on where the element
+    falls, vector body or scalar tail, so NaN sign and payload follow the
+    layout, which the batch-last sweep and the rows-first oracle do not
+    share.)"""
+    lev = build_level(PhaseSpace(1, "torus"), ham.level)
+    rng = np.random.default_rng(seed)
+    for rows in (1, 7, ham._program(2).block + 5):
+        z0 = rng.uniform(-1.0, 1.0, (rows, lev.copies, 2))
+        z0[rng.integers(rows), rng.integers(lev.copies), 0] = rng.choice([np.inf, -np.inf])
+        z0[rng.integers(rows), rng.integers(lev.copies), 1] = np.nan
+        for start, steps in ((0, None), (rng.integers(0, 4, rows), 2)):
+            keep = min(rows, 3)
+            paths = [np.empty((5 if steps is None else 3, keep, lev.copies, 2)) for _ in range(2)]
+            with np.errstate(invalid="ignore", over="ignore"):
+                got = solvers._rk4(solvers._stage(ham, lev), z0, 4, paths[0], start, steps)
+                want = _rk4_oracle(ham, lev, z0, 4, paths[1], start, steps)
+            for a, b in ((got, want), *zip(*paths)):
+                assert np.where(np.isnan(a), np.nan, a).tobytes() == np.where(np.isnan(b), np.nan, b).tobytes()
+
+
+@pytest.mark.parametrize("name", PRESETS)
+def test_sweeps_of_other_row_counts_match_a_fresh_program(name, rng):
+    """Sweeps and field calls of 80, 20 and then 80 rows on one program are
+    each bitwise what a fresh program gives: no scratch array of a kernel
+    bound to one row count carries over to the next."""
+    ham, lev, _, _ = _preset_problem(name, 16, 1)
+    stage = solvers._stage(ham, lev)
+    for rows in (80, 20, 80):
+        z0 = rng.random((rows, lev.copies, lev.space.dim))
+        fresh = _preset_problem(name, 16, 1)[0]
+        paths = [np.empty((17, 3) + z0.shape[1:]) for _ in range(2)]
+        end = solvers._rk4(stage, z0, 16, paths[0])
+        assert end.tobytes() == solvers._rk4(solvers._stage(fresh, lev), z0, 16, paths[1]).tobytes()
+        assert paths[0].tobytes() == paths[1].tobytes()
+        assert vector_field(ham, lev, z0, 0.3).tobytes() == vector_field(fresh, lev, z0, 0.3).tobytes()
+
+
+def test_swept_hamiltonian_and_its_curves_are_freed_without_the_cyclic_collector(torus, rng):
+    """A Hamiltonian whose program holds bound kernels, and an integrated
+    curve that holds its interpolant, are freed as soon as the last
+    reference goes: no reference cycle keeps their arrays until the cyclic
+    collector runs, which would raise a long run's peak memory."""
+    import gc
+    import weakref
+
+    lev = build_level(torus, 1)
+    gc.collect()
+    gc.disable()
+    try:
+        ham = product_T4()
+        curve = integrate(ham, lev, rng.random((lev.copies, 2)), IntegratorConfig(16))
+        vector_field(ham, lev, rng.random((5, lev.copies, 2)), 0.3)
+        curve.interpolant().evaluate(np.array([0.25]))
+        refs = weakref.ref(ham), weakref.ref(ham._program(2)), weakref.ref(curve)
+        del ham, curve
+        assert [ref() for ref in refs] == [None] * 3
+    finally:
+        gc.enable()
 
 
 def test_shoot_residual_zero_k(torus, rng):
