@@ -371,14 +371,17 @@ class _Compiled:
     multiplying by +-1 is exact, so folding moves no value (an exact zero
     may change sign, which compares equal).  Every contraction is an
     elementwise product and a sum in index order (no BLAS, no numpy
-    reduction over slots), so a row's result does not depend on the batch
-    it rides in: the one block-wide choice, full or trimmed polynomial
-    derivative sums, moves at most the sign of an exact zero.  stage(signs,
-    rows) is that kernel bound to blocks of a row count (_Kernel); the
-    program keeps the last two kernels bound per frame, a batch's full
-    blocks and its tail, which repeated calls at those row counts share
-    (the sweeps of a Newton solve, rhs_eval at the nodes of a periodic
-    solve).
+    reduction over slots), so every non-NaN result of a row does not depend
+    on the batch it rides in: the one block-wide choice, full or trimmed
+    polynomial derivative sums, moves at most the sign of an exact zero.  A
+    NaN's sign and payload follow the memory layout (which operand's NaN a
+    numpy loop returns depends on where the element falls), so they can
+    differ between batches.  stage(signs, rows) is that kernel bound to
+    blocks of a row count (_Kernel), and a kernel's bind(zc, out) the stage
+    of one block's input and output arrays; the program keeps the last two
+    kernels per frame, a batch's full blocks and its tail, which repeated
+    calls at those row counts share (the sweeps of a Newton solve, rhs_eval
+    at the nodes of a periodic solve).
     """
 
     def __init__(self, ham: "StructuredHamiltonian", dim: int):
@@ -471,13 +474,12 @@ class _Compiled:
         w = np.stack([p(times) for p in self.profiles] + [np.ones(times.shape)])[:, None]
         return w, self.grad_coeff * w[:-1]
 
-    def blockwise(self, z, t, signs, fn, tail: tuple) -> np.ndarray:
-        """fn(kernel, zc, weights) over row blocks of z (..., copies, dim):
-        zc a batch-last block (copies, dim, rows), kernel stage(signs) bound
-        to its row count and weights the (weights, gradient weights)
-        columns of its rows; fn returns (*tail, rows) and the result has
-        shape (..., *tail).  t is a weight table, or a float or per-row
-        times that it is built at."""
+    def blockwise(self, z, t, signs, tail: tuple) -> np.ndarray:
+        """The kernel of stage(signs) over row blocks of z (..., copies,
+        dim), called once per block on the (weights, gradient weights)
+        columns of its rows: the Hamiltonian for tail (), else the field,
+        tail (copies, dim).  The result has shape (..., *tail).  t is a
+        weight table, or a float or per-row times that it is built at."""
         lead = z.shape[:-2]
         zb = z.reshape(-1, *z.shape[-2:])
         if not isinstance(t, tuple):
@@ -487,18 +489,18 @@ class _Compiled:
         rows_first = (len(tail),) + tuple(range(len(tail)))
         out = np.empty((len(zb),) + tail)
         for lo in range(0, len(zb), self.block):
-            zc = np.ascontiguousarray(zb[lo : lo + self.block].transpose(1, 2, 0))
+            rows = zb[lo : lo + self.block]
             wb = tuple(a[..., lo : lo + self.block] for a in t) if per_row else t
-            out[lo : lo + self.block] = fn(self.stage(signs, zc.shape[-1]), zc, wb).transpose(rows_first)
+            out[lo : lo + self.block] = self.stage(signs, len(rows))(rows, wb, not tail).transpose(rows_first)
         return out.reshape(lead + tail)
 
     def value(self, z, t):
-        return self.blockwise(z, t, None, lambda kernel, zc, w: kernel.value(zc, w[0]), ())
+        return self.blockwise(z, t, None, ())
 
     def field(self, z, t, signs=None):
         """grad H at z of shape (..., copies, dim); given a level's sign
         vector, the signed field eps_j * FIELD_SIGN * J grad_j H instead."""
-        return self.blockwise(z, t, signs, lambda kernel, zc, w: kernel(zc, w), (self.copies, self.dim))
+        return self.blockwise(z, t, signs, (self.copies, self.dim))
 
     def stage(self, signs, rows: int) -> "_Kernel":
         """The kernel of frame(signs) bound to blocks of rows rows: one of
@@ -564,29 +566,33 @@ def _copy_span(copies: np.ndarray):
 
 class _Kernel:
     """The kernel of a program and frame bound to row blocks of one size:
-    every per-slot constant is broadcast C-ordered to (..., rows) and the
-    scratch arrays are allocated here once, so a call runs same-shape
-    ufuncs with out=, each product and sum with the operands and in the
-    order of the slot expressions it replaces.  value gives the Hamiltonian,
-    a call the field of the frame.
+    every per-slot constant is broadcast C-ordered to (..., rows), and the
+    scratch arrays and their views are made here once.  bind(zc, out) binds
+    it to a block's input and output arrays and returns the stage, whose
+    calls run same-shape ufuncs with out=, each product and sum with the
+    operands and in the order of the slot expressions it replaces.
 
-    The calls write the bound arrays, so a kernel serves one block at a
+    The stages write the kernel's arrays, so a kernel serves one block at a
     time, and each call writes every scratch entry it reads, except the pad
     value 1 and the pad gradient 0 set here: a weight table's pad row is 1,
-    so v *= w keeps the one, and nothing writes the other.  A kernel copies
-    the program tables it reads and holds no reference to the program,
-    which keeps it: that cycle would keep a spent Hamiltonian's arrays until
-    the cyclic collector ran."""
+    so v *= w keeps the one, and nothing writes the other.  A kernel and its
+    stages copy the program tables they read and hold no reference to the
+    program or to the kernel, which keep them: such a cycle would keep a
+    spent Hamiltonian's arrays until the cyclic collector ran."""
 
     def __init__(self, prog: _Compiled, frame, rows: int):
         n, nt, dim = prog.n_slots, prog.n_trig, prog.dim
         self.n, self.nt, self.dim, self.copies = n, nt, dim, prog.copies
         self.trig_read, self.others, self.ranks, self.rank_span = prog.trig_read, prog.others, prog.ranks, prog.rank_span
         self.slots, self.term_coeff = prog.slots, prog.term_coeff
+        self.two_pi = np.array(TWO_PI)  # a 0-d operand: numpy converts a float on every call
         self.v = np.empty((n + 1, 1, rows))
         self.v[n] = 1.0
         if nt:
-            self.freq = _rowwise(prog.freq, rows).reshape(prog.trig_shape + (dim, rows))
+            # the products freq_i z_i coordinate-major, (dim, *trig_shape,
+            # rows): each coordinate's are one contiguous operand of the sum
+            freq = _rowwise(prog.freq, rows).reshape(prog.trig_shape + (dim, rows))
+            self.freq = np.ascontiguousarray(np.moveaxis(freq, -2, 0))
             self.p = np.empty(self.freq.shape)
             self.ph, self.wave = np.empty((nt, 1, rows)), np.empty((nt, 1, rows))
             self.phase, self.amp = _rowwise(prog.phase, rows), _rowwise(prog.amp, rows)
@@ -595,93 +601,129 @@ class _Kernel:
         direction, full, trimmed = frame
         self.g = np.empty((n + 1, dim, rows))
         self.g[n] = 0.0
-        self.scale = np.empty((n, 1, rows)) if prog.others else None
+        if prog.others:
+            self.scale, self.cofactor = np.empty((n, 1, rows)), np.empty((n, 1, rows))
         self.direction = _rowwise(direction, rows)
         # a block reads the trimmed derivative sums when its sum of squares
         # is below limit^2 (NaN is not), else the full ones: a coordinate
         # not below the limit squares to at least limit^2, rounded, and a
         # sum of non-negative terms is at least each of them in any order;
         # with no limit (inf) the full sums are never read
-        self.trimmed = None
+        self.trimmed = self.full = None
         if trimmed is not None:
             self.trimmed, self.bound = trimmed[0].bind(trimmed[1], rows), prog.trim_limit * prog.trim_limit
             self.full = full[0].bind(full[1], rows) if prog.trim_limit < math.inf else None
-        if prog.rank_span is not None:
-            c0, c1, k = prog.rank_span
-            self.ranked = self.g[:n].reshape(c1 - c0, k, dim, rows)
-
-    def phases(self, zc):
-        """Trig slot phases (slots, 1, rows) of the copy array (copies, dim,
-        rows), None without trig slots."""
-        if not self.nt:
-            return None
-        np.multiply(zc[self.trig_read], self.freq, out=self.p)
-        p, ph = self.p.reshape(self.nt, self.dim, -1), self.ph
-        np.add(p[:, :1], p[:, 1:2], out=ph)
-        for i in range(2, self.dim):
-            ph += p[:, i : i + 1]
-        ph *= TWO_PI
-        ph += self.phase
-        return ph
-
-    def values(self, zc, ph, w) -> np.ndarray:
-        """Slot values times their time weights, (S + 1, 1, rows) ending in
-        the pad 1."""
-        nt, n = self.nt, self.n
-        v = self.v
-        if ph is not None:
-            np.multiply(self.amp, np.cos(ph, out=self.wave), out=v[:nt])
-        if nt < n:
-            self.monomials(zc, v[nt:n, 0])
-        v *= w
-        return v
-
-    def value(self, zc, w) -> np.ndarray:
-        """The Hamiltonian at zc, (rows,)."""
-        v = self.values(zc, self.phases(zc), w)[:, 0]
-        terms = self.term_coeff * v[self.slots[:, 0]]
-        for j in range(1, self.slots.shape[1]):
-            terms = terms * v[self.slots[:, j]]
-        return _sum0(terms)
-
-    def __call__(self, zc, weights, out=None) -> np.ndarray:
-        """The field at a C-ordered copy array zc (copies, dim, rows), given
-        its rows' columns of a weight table, written into out (a new array
-        if None) and returned."""
-        nt, n = self.nt, self.n
-        w, scale = weights
-        ph = self.phases(zc)
-        if self.others:
-            v = self.values(zc, ph, w)
-            scale = np.multiply(scale, v[self.others[0]], out=self.scale)
-            for col in self.others[1:]:
-                scale *= v[col]
-        g = self.g
-        if ph is not None:
-            np.multiply(np.sin(ph, out=self.wave), self.direction, out=g[:nt])
-        if self.trimmed is not None:
-            (self.full if self.full is not None and not np.vdot(zc, zc) < self.bound else self.trimmed)(zc, g[nt:n])
-        out = np.empty(zc.shape) if out is None else out
-        if self.rank_span is None:
-            g[:n] *= scale
-            np.take(g, self.ranks[0], axis=0, out=out, mode="clip")
-            for src in self.ranks[1:]:
-                out += g[src]
-            return out
-        c0, c1, k = self.rank_span
-        if k == 1:  # a copy's gradient is its one slot's
-            np.multiply(g[:n], scale, out=out[c0:c1])
+        if prog.rank_span is None:
+            self.gathered = np.empty((self.copies, dim, rows))
         else:
-            g[:n] *= scale
-            ranked, copies = self.ranked, out[c0:c1]
-            np.add(ranked[:, 0], ranked[:, 1], out=copies)
-            for j in range(2, k):
-                copies += ranked[:, j]
-        if c0:
-            out[:c0] = 0.0
-        if c1 < self.copies:
-            out[c1:] = 0.0
-        return out
+            c0, c1, k = prog.rank_span
+            ranked = self.g[:n].reshape(c1 - c0, k, dim, rows)
+            self.ranked = [ranked[:, j] for j in range(k)]
+        self.stages: dict = {}  # by value and block shape: an input array and the stage bound to it
+
+    def __call__(self, block, weights, value: bool = False) -> np.ndarray:
+        """The field (copies, dim, rows), or the Hamiltonian (rows,) given
+        value, at rows-first rows block (rows, copies, dim) and their
+        weight columns.  block is copied batch-last into an input array of
+        the kernel; that array and the stage bound to it, with an output
+        array for the field, are made on first use and kept for later
+        calls."""
+        key = value, block.shape
+        if key not in self.stages:
+            zc = np.empty(block.shape[1:] + block.shape[:1])
+            self.stages[key] = zc, self.bind(zc, None if value else np.empty(zc.shape))
+        zc, stage = self.stages[key]
+        np.copyto(zc, block.transpose(1, 2, 0))
+        return stage(*weights)
+
+    def bind(self, zc, out=None, then=()):
+        """The stage at a C-ordered copy array zc (copies, dim, rows), a
+        function stage(w, scale) of its rows' columns of a weight table.
+        Given out, a call writes the field of the frame there, then runs
+        each ufunc call (f, a, b, c) of then as f(a, b, c), and returns out;
+        without out it returns the Hamiltonian, (rows,).  Every view a call
+        reads or writes is made here, and out's copies outside the copy span
+        are zeroed here; a call writes only the span.  The trimmed or full
+        polynomial derivative sums are chosen per call."""
+        n, nt, dim = self.n, self.nt, self.dim
+        v, g, others, slots, term_coeff = self.v, self.g, self.others, self.slots, self.term_coeff
+        value, two_pi = out is None, self.two_pi
+        freq = p = ph = wave = phase = amp = direction = read = trig_index = gathered_trig = v_trig = g_trig = None
+        p0 = p1 = p_rest = ph_sum = None
+        if nt:
+            freq, p, ph, wave, phase, amp, direction = self.freq, self.p, self.ph, self.wave, self.phase, self.amp, self.direction
+            p0, p1, p_rest, ph_sum = p[0], p[1], p[2:], ph.reshape(p[0].shape)
+            v_trig, g_trig = v[:nt], g[:nt]
+            if isinstance(self.trig_read, tuple):
+                read = np.moveaxis(zc[self.trig_read], -2, 0)
+            else:
+                trig_index, gathered_trig = self.trig_read, np.empty((nt, dim, zc.shape[-1]))
+                read = np.moveaxis(gathered_trig, -2, 0)
+        mono = self.monomials(zc, v[nt:n, 0]) if nt < n and (value or others) else None
+        scale_out = cofactor = None
+        if others and not value:
+            scale_out, cofactor = self.scale, self.cofactor
+        trimmed = full = bound = None
+        if self.trimmed is not None and not value:
+            trimmed, bound = self.trimmed(zc, g[nt:n]), self.bound
+            full = self.full(zc, g[nt:n]) if self.full is not None else None
+        gn, ranks, gathered, ranked, span = g[:n], self.ranks, None, None, None
+        if not value:
+            if self.rank_span is None:
+                gathered = self.gathered
+            else:
+                c0, c1, k = self.rank_span
+                ranked, span = self.ranked, out[c0:c1]
+                out[:c0] = 0.0
+                out[c1:] = 0.0
+
+        def stage(w, scale):
+            if nt:
+                if trig_index is not None:
+                    zc.take(trig_index, axis=0, out=gathered_trig, mode="clip")
+                np.multiply(read, freq, out=p)
+                np.add(p0, p1, out=ph_sum)
+                for col in p_rest:
+                    np.add(ph_sum, col, out=ph_sum)
+                np.multiply(ph, two_pi, out=ph)
+                np.add(ph, phase, out=ph)
+            if value or others:
+                if nt:
+                    np.multiply(amp, np.cos(ph, out=wave), out=v_trig)
+                if mono is not None:
+                    mono()
+                np.multiply(v, w, out=v)
+                if value:
+                    terms = term_coeff * v[slots[:, 0], 0]
+                    for j in range(1, slots.shape[1]):
+                        terms = terms * v[slots[:, j], 0]
+                    return _sum0(terms)
+                # mode "clip" only skips the buffered output that "raise"
+                # makes: every index is in range
+                scale = np.multiply(scale, v.take(others[0], axis=0, out=cofactor, mode="clip"), out=scale_out)
+                for col in others[1:]:
+                    scale *= v.take(col, axis=0, out=cofactor, mode="clip")
+            if nt:
+                np.multiply(np.sin(ph, out=wave), direction, out=g_trig)
+            if trimmed is not None:
+                (full if full is not None and not np.vdot(zc, zc) < bound else trimmed)()
+            if ranked is None:
+                np.multiply(gn, scale, out=gn)
+                g.take(ranks[0], axis=0, out=out, mode="clip")
+                for src in ranks[1:]:
+                    np.add(out, g.take(src, axis=0, out=gathered, mode="clip"), out=out)
+            elif len(ranked) == 1:  # a copy's gradient is its one slot's
+                np.multiply(gn, scale, out=span)
+            else:
+                np.multiply(gn, scale, out=gn)
+                np.add(ranked[0], ranked[1], out=span)
+                for rank in ranked[2:]:
+                    np.add(span, rank, out=span)
+            for f, a, b, c in then:
+                f(a, b, c)
+            return out
+
+        return stage
 
 
 def _trim(coeff: np.ndarray, exp: np.ndarray) -> tuple:
@@ -734,8 +776,8 @@ class _MonomialSums:
         index = _padded(factors, n_rows, 1)  # short entries end in the 1.0 row
         self.index = [col.reshape(exp.shape[:-1]) for col in index.T]
         self.extended = bool((index >= n_rows).any())
-        # two powers at least: numpy computes x ** e for a one-element
-        # exponent e by its own fast path, not by pow
+        # two powers at least: np.power, with out= too, computes x ** e for a
+        # one-element exponent e by its own fast path, not by pow
         pairs = list(powers) * (2 if len(powers) == 1 else 1)
         self.pow_rows = np.array([r for r, _ in pairs], dtype=int)
         self.pow_exp = np.array([e for _, e in pairs], dtype=int)[:, None]
@@ -749,32 +791,40 @@ class _MonomialSums:
         return out
 
     def bind(self, coeff: np.ndarray, rows: int):
-        """sums(zc, out), writing the sums with coefficients coeff at a block
-        zc of rows rows into out (*shape, rows); the coefficient rows and
-        the scratch arrays are made here once."""
+        """at(zc, out) -> sums(): sums() writes the sums with coefficients
+        coeff at a block zc (copies, dim, rows) into out (*shape, rows).  The
+        coefficient rows, the scratch arrays and their views are made here
+        once, the views of zc and out by at."""
         n_rows, index, pow_rows, pow_exp = self.n_rows, self.index, self.pow_rows, self.pow_exp
         coeff = _rowwise(coeff[..., None], rows)
         p, factor = np.empty(coeff.shape), np.empty(coeff.shape)  # the products and one factor of each
-        src = np.empty((n_rows + 1 + len(pow_rows), rows)) if self.extended else None
-        if src is not None:
+        first, later, spare = (coeff[0], p[0]), [(coeff[w], p[w]) for w in range(1, len(p))], factor[0]
+        src = coords = pows = bases = None
+        if self.extended:
+            src = np.empty((n_rows + 1 + len(pow_rows), rows))
             src[n_rows] = 1.0
+            coords, pows, bases = src[:n_rows], src[n_rows + 1 :], np.empty((len(pow_rows), rows))
 
-        def sums(zc: np.ndarray, out: np.ndarray) -> None:
+        def at(zc: np.ndarray, out: np.ndarray):
             s = zc.reshape(n_rows, rows)
-            if src is not None:
-                src[:n_rows] = s
-                np.power(src[pow_rows], pow_exp, out=src[n_rows + 1 :])
-                s = src
-            # the indices are in range: mode "clip" only skips the buffered
-            # output that "raise" makes
-            np.take(s, index[0], axis=0, out=p, mode="clip")
-            for i in index[1:]:
-                np.multiply(p, np.take(s, i, axis=0, out=factor, mode="clip"), out=p)
-            np.multiply(coeff[0], p[0], out=out)
-            for w in range(1, len(p)):
-                out += np.multiply(coeff[w], p[w], out=factor[0])
+            table = s if src is None else src
 
-        return sums
+            def sums() -> None:
+                if src is not None:
+                    coords[...] = s
+                    np.power(s.take(pow_rows, axis=0, out=bases, mode="clip"), pow_exp, out=pows)
+                # the indices are in range: mode "clip" only skips the
+                # buffered output that "raise" makes
+                table.take(index[0], axis=0, out=p, mode="clip")
+                for i in index[1:]:
+                    np.multiply(p, table.take(i, axis=0, out=factor, mode="clip"), out=p)
+                np.multiply(*first, out=out)
+                for c, pw in later:
+                    np.add(out, np.multiply(c, pw, out=spare), out=out)
+
+            return sums
+
+        return at
 
 
 def _padded(lists, pad: int, min_width: int) -> np.ndarray:

@@ -158,13 +158,16 @@ def _rk4(stage, z0: np.ndarray, n_steps: int, path: np.ndarray | None = None, st
     per (step, stage time, distinct start step), TABLE_SIZE columns at most;
     a row reads its start step's columns.  The program keeps the last table
     built, which the sweeps of one Newton solve share.  Blocks of at most
-    prog.block rows are swept batch-last, a stage one call of the kernel
-    bound to the block's row count.  The stage sums are formed in place, in
-    buffers allocated once per sweep, each with the operands and in the
-    rounding order of z + (h / 2) k and z + (h / 6) (k1 + 2 k2 + 2 k3 + k4)."""
+    prog.block rows are swept batch-last.  Each block binds the kernel of
+    its row count to four stages once per sweep, z -> k1, u -> k2, u -> k3
+    and u -> k4, in buffers allocated once per sweep; each stage ends in its
+    stage sum, u = z + (h / 2) k or z + h k, the last in the step sum z +=
+    (h / 6) (k1 + 2 k2 + 2 k3 + k4), each with the operands and in the
+    rounding order of those expressions.  A step is four stage calls."""
     prog, bind = stage
     h = 1.0 / n_steps
-    half, sixth = 0.5 * h, h / 6.0
+    # the stage sums' factors as 0-d operands: numpy converts a float on every call
+    full, half, sixth, two = (np.array(c) for c in (h, 0.5 * h, h / 6.0, 2.0))
     z0 = np.asarray(z0, dtype=float)
     batch = z0.reshape(-1, *z0.shape[-2:])
     if not len(batch):
@@ -177,9 +180,21 @@ def _rk4(stage, z0: np.ndarray, n_steps: int, path: np.ndarray | None = None, st
     blocks = range(0, len(batch), prog.block)
     zs = [batch[lo : lo + prog.block].transpose(1, 2, 0).copy() for lo in blocks]
     bound = {}  # per block row count: the kernel, k1 .. k4, the stage point and the step sum
+    stages = []  # per block: its four stages
     for z in zs:
         if z.shape[-1] not in bound:
             bound[z.shape[-1]] = bind(z.shape[-1]), *(np.empty(z.shape) for _ in range(6))
+        kernel, k1, k2, k3, k4, u, acc = bound[z.shape[-1]]
+        step_sum = (
+            (np.multiply, k2, two, acc), (np.add, k1, acc, acc), (np.multiply, k3, two, u), (np.add, acc, u, acc),
+            (np.add, acc, k4, acc), (np.multiply, acc, sixth, acc), (np.add, z, acc, z),
+        )
+        stages.append((
+            kernel.bind(z, k1, ((np.multiply, k1, half, u), (np.add, z, u, u))),
+            kernel.bind(u, k2, ((np.multiply, k2, half, u), (np.add, z, u, u))),
+            kernel.bind(u, k3, ((np.multiply, k3, full, u), (np.add, z, u, u))),
+            kernel.bind(u, k4, step_sum),
+        ))
     if keep:
         path[0] = batch[:keep]
     for i0 in range(0, count, span):
@@ -189,36 +204,31 @@ def _rk4(stage, z0: np.ndarray, n_steps: int, path: np.ndarray | None = None, st
         if prog.sweep_table[0] != times.tobytes():
             prog.sweep_table = (times.tobytes(), prog.table(times))
         w, scale = prog.sweep_table[1]
+        columns = None
         if len(first) == 1:  # one column for all rows
             columns = [(w[..., j : j + 1], scale[..., j : j + 1]) for j in range(len(times))]
         for b, lo in enumerate(blocks):
-            z = zs[b]
-            kernel, k1, k2, k3, k4, u, acc = bound[z.shape[-1]]
+            s1, s2, s3, s4 = stages[b]
             kept = max(0, min(lo + prog.block, keep) - lo)  # rows of this block the path keeps
+            if kept:
+                rows, dst = zs[b][..., :kept].transpose(2, 0, 1), path[:, lo : lo + kept]
             cols = col[lo : lo + prog.block]
 
             def weights(j):
-                if len(first) == 1:
-                    return columns[j]
-                return np.take(w, j * len(first) + cols, axis=2), np.take(scale, j * len(first) + cols, axis=2)
+                return w.take(j * len(first) + cols, axis=2), scale.take(j * len(first) + cols, axis=2)
 
             for i in range(i0, i1):
                 j = 3 * (i - i0)
-                w_mid = weights(j + 1)
-                kernel(z, weights(j), k1)
-                np.add(z, np.multiply(k1, half, out=u), out=u)
-                kernel(u, w_mid, k2)
-                np.add(z, np.multiply(k2, half, out=u), out=u)
-                kernel(u, w_mid, k3)
-                np.add(z, np.multiply(k3, h, out=u), out=u)
-                kernel(u, weights(j + 2), k4)
-                np.add(k1, np.multiply(k2, 2.0, out=acc), out=acc)
-                acc += np.multiply(k3, 2.0, out=u)
-                acc += k4
-                acc *= sixth
-                z += acc
+                if columns is None:
+                    at_t, at_mid, at_end = weights(j), weights(j + 1), weights(j + 2)
+                else:
+                    at_t, at_mid, at_end = columns[j : j + 3]
+                s1(*at_t)
+                s2(*at_mid)
+                s3(*at_mid)
+                s4(*at_end)
                 if kept:
-                    path[i + 1, lo : lo + kept] = z[..., :kept].transpose(2, 0, 1)
+                    dst[i + 1] = rows
     return np.concatenate([z.transpose(2, 0, 1) for z in zs]).reshape(z0.shape)
 
 

@@ -664,6 +664,39 @@ def test_field_matches_scatter_oracle_on_wide_and_empty_copies(block_elements, t
     _scatter_cases(StructuredHamiltonian(1, terms), build_level(PhaseSpace(2, "plane"), 1), rng)
 
 
+def test_one_power_tables_match_scatter_oracle_and_pow(plane):
+    """Polynomials whose tables hold one distinct power, x^2 + y at level 0
+    and lifted and x^3 (whose trimmed derivative table holds x^2 alone), at
+    1, 7 and block + 5 rows, with rows in the overflow band and NaN rows:
+    field and gradient are bitwise the scatter oracle's, and the value is
+    elementwise x ** e with an exponent operand of x's shape, NaN compared as
+    NaN.  np.power squares for an exponent operand of one element by its own
+    fast path, whose last bit can differ from that of every larger operand,
+    so a lone power row must not give it one."""
+    x2y = StructuredHamiltonian(0, ((1.0, (Factor(0, PolySpatial(((1.0, (2, 0)), (1.0, (0, 1))))),)),))
+    x3 = StructuredHamiltonian(0, ((1.0, (Factor(0, PolySpatial(((1.0, (3, 0)),))),)),))
+    rng = np.random.default_rng(5)
+    for K, e in ((x2y, 2), (lift(x2y, TransformChain.standard(1)), 2), (x3, 3)):
+        lev = build_level(plane, K.level)
+        prog = K._program(2)
+        weights = prog.table(np.array([0.37]))[0][:-1, 0, 0]  # per copy: one slot each
+        z = rng.uniform(-1.0, 1.0, (prog.block + 5, lev.copies, 2))
+        z[1, 0, 0], z[2, -1, 0], z[3, 0, 1] = 1e160, -1e80, np.nan
+        z[4] = np.nan
+        for batch in (z[:1], z[1:2], z[3:4], z[4:5], z[:7], z):
+            _assert_matches_scatter(K, lev, batch, 0.37)
+            x, y = batch[..., 0], batch[..., 1]
+            with np.errstate(over="ignore", invalid="ignore"):
+                monomials = x ** np.full(x.shape, float(e))
+                if e == 2:
+                    monomials = monomials + y
+                want = monomials[:, 0] * weights[0]
+                for c in range(1, lev.copies):
+                    want = want + monomials[:, c] * weights[c]
+                got = K.value(batch, 0.37)
+            assert np.array_equal(got, want, equal_nan=True)
+
+
 @pytest.mark.parametrize(
     "name,span",
     [("torus-morse-n1", (0, 2, 2)), ("product-T4", (0, 2, 2)), ("sum-n2", (0, 4, 1)), ("rr-chain-13", (1, 3, 1)), ("plane-oscillator", (0, 2, 1))],

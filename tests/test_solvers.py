@@ -250,6 +250,34 @@ def test_rk4_sweep_matches_oracle_on_drawn_programs(ham, seed):
                 assert np.where(np.isnan(a), np.nan, a).tobytes() == np.where(np.isnan(b), np.nan, b).tobytes()
 
 
+def test_rk4_sweep_crossing_the_trim_limit_matches_oracle(plane):
+    """The trimmed or full derivative table is chosen per stage call, not
+    when a sweep binds its stages.  x^2 + a y has the limit 2^511: rows
+    that start below it and run out along x (x' = a) cross it partway
+    through the sweep, and past 2^512 the dropped 0 * x^2 of d/dy is NaN.
+    End states and kept paths are the stage-per-call oracle's, NaN compared
+    as NaN, at one row and at 5 rows of one block."""
+    rate = 2e154
+    ham = StructuredHamiltonian(0, ((1.0, (Factor(0, PolySpatial(((1.0, (2, 0)), (rate, (0, 1))))),)),))
+    lev = build_level(plane, 0)
+    limit = ham._program(2).trim_limit
+    assert limit == 2.0**511
+    z0 = np.array([[1e153, 0.0], [5e152, 0.1], [-1e153, 0.0], [0.3, -0.2], [2e153, 0.5]])[:, None, :]
+    for rows in (1, 5):
+        z = z0[:rows]
+        assert np.vdot(z, z) < limit * limit
+        paths = [np.empty((9, rows, 1, 2)) for _ in range(2)]
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = solvers._rk4(solvers._stage(ham, lev), z, 8, paths[0])
+            want = _rk4_oracle(ham, lev, z, 8, paths[1])
+            squares = np.sum(paths[1] ** 2, axis=(1, 2, 3))
+        for a, b in ((got, want), *zip(*paths)):
+            assert np.where(np.isnan(a), np.nan, a).tobytes() == np.where(np.isnan(b), np.nan, b).tobytes()
+        # the sweep crossed the limit with finite rows, and went NaN later
+        assert (np.isfinite(squares) & (squares >= limit * limit)).any()
+        assert np.isnan(want).any()
+
+
 @pytest.mark.parametrize("name", PRESETS)
 def test_sweeps_of_other_row_counts_match_a_fresh_program(name, rng):
     """Sweeps and field calls of 80, 20 and then 80 rows on one program are
