@@ -554,6 +554,13 @@ def _rowwise(a: np.ndarray, rows: int) -> np.ndarray:
     return out
 
 
+def _coordinate_major(a: np.ndarray) -> np.ndarray:
+    """The view of a (..., dim, rows) with the coordinate axis first, as
+    np.moveaxis(a, -2, 0) gives it, without that call's axis checks."""
+    m = a.ndim
+    return a.transpose((m - 2, *range(m - 2), m - 1))
+
+
 def _copy_span(copies: np.ndarray):
     """(c0, c1, k) when the slot copies run c0 .. c1 - 1 in order, k slots
     each, so a slot array reshapes to (c1 - c0, k, ...); else None."""
@@ -591,8 +598,7 @@ class _Kernel:
         if nt:
             # the products freq_i z_i coordinate-major, (dim, *trig_shape,
             # rows): each coordinate's are one contiguous operand of the sum
-            freq = _rowwise(prog.freq, rows).reshape(prog.trig_shape + (dim, rows))
-            self.freq = np.ascontiguousarray(np.moveaxis(freq, -2, 0))
+            self.freq = _rowwise(_coordinate_major(prog.freq.reshape(prog.trig_shape + (dim, 1))), rows)
             self.p = np.empty(self.freq.shape)
             self.ph, self.wave = np.empty((nt, 1, rows)), np.empty((nt, 1, rows))
             self.phase, self.amp = _rowwise(prog.phase, rows), _rowwise(prog.amp, rows)
@@ -655,10 +661,10 @@ class _Kernel:
             p0, p1, p_rest, ph_sum = p[0], p[1], p[2:], ph.reshape(p[0].shape)
             v_trig, g_trig = v[:nt], g[:nt]
             if isinstance(self.trig_read, tuple):
-                read = np.moveaxis(zc[self.trig_read], -2, 0)
+                read = _coordinate_major(zc[self.trig_read])
             else:
                 trig_index, gathered_trig = self.trig_read, np.empty((nt, dim, zc.shape[-1]))
-                read = np.moveaxis(gathered_trig, -2, 0)
+                read = _coordinate_major(gathered_trig)
         mono = self.monomials(zc, v[nt:n, 0]) if nt < n and (value or others) else None
         scale_out = cofactor = None
         if others and not value:
@@ -776,11 +782,8 @@ class _MonomialSums:
         index = _padded(factors, n_rows, 1)  # short entries end in the 1.0 row
         self.index = [col.reshape(exp.shape[:-1]) for col in index.T]
         self.extended = bool((index >= n_rows).any())
-        # two powers at least: np.power, with out= too, computes x ** e for a
-        # one-element exponent e by its own fast path, not by pow
-        pairs = list(powers) * (2 if len(powers) == 1 else 1)
-        self.pow_rows = np.array([r for r, _ in pairs], dtype=int)
-        self.pow_exp = np.array([e for _, e in pairs], dtype=int)[:, None]
+        self.pow_rows = np.array([r for r, _ in powers], dtype=int)
+        self.pow_exp = np.array([e for _, e in powers], dtype=float)[:, None]
 
     def permuted(self, cols) -> "_MonomialSums":
         """These sums with the last entry axis permuted by cols (None: as is)."""
@@ -804,6 +807,10 @@ class _MonomialSums:
             src = np.empty((n_rows + 1 + len(pow_rows), rows))
             src[n_rows] = 1.0
             coords, pows, bases = src[:n_rows], src[n_rows + 1 :], np.empty((len(pow_rows), rows))
+            # an exponent of the powers' own shape: np.power squares by its
+            # own fast path, not by pow, where it reads the exponent with
+            # stride 0 (a one-element exponent; a one-column one at some sizes)
+            pow_exp = np.ascontiguousarray(np.broadcast_to(pow_exp, bases.shape))
 
         def at(zc: np.ndarray, out: np.ndarray):
             s = zc.reshape(n_rows, rows)

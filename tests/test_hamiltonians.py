@@ -666,17 +666,31 @@ def test_field_matches_scatter_oracle_on_wide_and_empty_copies(block_elements, t
 
 def test_one_power_tables_match_scatter_oracle_and_pow(plane):
     """Polynomials whose tables hold one distinct power, x^2 + y at level 0
-    and lifted and x^3 (whose trimmed derivative table holds x^2 alone), at
-    1, 7 and block + 5 rows, with rows in the overflow band and NaN rows:
-    field and gradient are bitwise the scatter oracle's, and the value is
-    elementwise x ** e with an exponent operand of x's shape, NaN compared as
-    NaN.  np.power squares for an exponent operand of one element by its own
-    fast path, whose last bit can differ from that of every larger operand,
-    so a lone power row must not give it one."""
-    x2y = StructuredHamiltonian(0, ((1.0, (Factor(0, PolySpatial(((1.0, (2, 0)), (1.0, (0, 1))))),)),))
-    x3 = StructuredHamiltonian(0, ((1.0, (Factor(0, PolySpatial(((1.0, (3, 0)),))),)),))
+    and lifted and x^3 (whose trimmed derivative table holds x^2 alone),
+    and x^2 + y^2 with two, at 1, 7 and block + 5 rows, with rows in the
+    overflow band and NaN rows: field and gradient are bitwise the scatter
+    oracle's, and the value is elementwise x ** e with an exponent operand
+    of x's shape, NaN compared as NaN.  np.power squares by its own fast
+    path where it reads the exponent with stride 0, which it does for a
+    one-element exponent (and for a one-column one past 4096 rows, numpy
+    2.4), and that last bit can differ from pow's, so the kernel gives it
+    an exponent of the powers' own shape."""
+
+    def poly(*monomials):
+        return StructuredHamiltonian(0, ((1.0, (Factor(0, PolySpatial(tuple((1.0, e) for e in monomials))),)),))
+
+    def power(a, e):
+        return a ** np.full(a.shape, float(e))
+
+    x2y = poly((2, 0), (0, 1))
+    cases = (
+        (x2y, lambda x, y: power(x, 2) + y),
+        (lift(x2y, TransformChain.standard(1)), lambda x, y: power(x, 2) + y),
+        (poly((3, 0)), lambda x, y: power(x, 3)),
+        (poly((2, 0), (0, 2)), lambda x, y: power(x, 2) + power(y, 2)),
+    )
     rng = np.random.default_rng(5)
-    for K, e in ((x2y, 2), (lift(x2y, TransformChain.standard(1)), 2), (x3, 3)):
+    for K, monomials in cases:
         lev = build_level(plane, K.level)
         prog = K._program(2)
         weights = prog.table(np.array([0.37]))[0][:-1, 0, 0]  # per copy: one slot each
@@ -685,14 +699,11 @@ def test_one_power_tables_match_scatter_oracle_and_pow(plane):
         z[4] = np.nan
         for batch in (z[:1], z[1:2], z[3:4], z[4:5], z[:7], z):
             _assert_matches_scatter(K, lev, batch, 0.37)
-            x, y = batch[..., 0], batch[..., 1]
             with np.errstate(over="ignore", invalid="ignore"):
-                monomials = x ** np.full(x.shape, float(e))
-                if e == 2:
-                    monomials = monomials + y
-                want = monomials[:, 0] * weights[0]
+                m = monomials(batch[..., 0], batch[..., 1])
+                want = m[:, 0] * weights[0]
                 for c in range(1, lev.copies):
-                    want = want + monomials[:, c] * weights[c]
+                    want = want + m[:, c] * weights[c]
                 got = K.value(batch, 0.37)
             assert np.array_equal(got, want, equal_nan=True)
 
