@@ -11,6 +11,8 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
+import re
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -22,6 +24,7 @@ import numpy as np
 
 from .geometry import MAX_LEVEL, MAX_NODES, PhaseSpace, build_level
 from .transforms import (
+    BOUNDARY_TOL,
     DiscreteCurve,
     TransformChain,
     compare_tau_tables,
@@ -39,8 +42,10 @@ from .solvers import (
     NewtonConfig,
     SolveFailure,
     aligned_steps,
+    chord_csv_table,
     delay_residual,
     enumerate_chords,
+    loop_csv_table,
     pullback_chord,
     solve_periodic_delay,
     stencil_segments,
@@ -202,6 +207,16 @@ class ExperimentConfig:
                 for x in pair:
                     _finite(x, "grid.bounds entry")
 
+    def check_newton_tol(self) -> None:
+        """A chord is pulled back only when its path ends on the end diagonal
+        within transforms.BOUNDARY_TOL, and Newton stops at a residual of
+        newton.tol, so a larger newton.tol is a config error."""
+        if self.newton.tol > BOUNDARY_TOL:
+            raise ConfigError(
+                f"newton.tol {self.newton.tol:g} exceeds the pullback's boundary tolerance {BOUNDARY_TOL:g}: "
+                "a chord solved to it need not end on the end diagonal"
+            )
+
     def torus_bounds(self) -> dict:
         """Orbit-count lower bounds; torus defaults derive from the dimension."""
         out = dict(self.bounds)
@@ -249,6 +264,21 @@ def _parse_steps(text: str) -> int:
     return int(text)
 
 
+# the chord and loop files of cmd_chords, chord_000.csv, loop_000.csv, ...
+_SET_CSV = re.compile(r"(?:chord|loop)_([0-9]+)\.csv")
+
+
+def _remove_stale_csvs(out: Path, count: int) -> None:
+    """Removes what an earlier, larger chord set left in out: the regular
+    files named chord_<digits>.csv or loop_<digits>.csv whose index is at
+    least count, and nothing else."""
+    with os.scandir(out) as entries:
+        for entry in entries:
+            m = _SET_CSV.fullmatch(entry.name)
+            if m and int(m[1]) >= count and entry.is_file(follow_symlinks=False):
+                os.unlink(entry.path)
+
+
 def _outdir(args) -> Path:
     out = Path(args.out)
     try:
@@ -279,18 +309,24 @@ def cmd_chords(args) -> int:
     if cfg.chain.level < 1:
         raise ConfigError("chord enumeration needs a chain of length >= 1")
     cfg.check_seed_bounds()
+    cfg.check_newton_tol()
     ham = cfg.structured_hamiltonian()
     level = build_level(cfg.space, cfg.chain.level)
     steps = cfg.aligned_nodes(cfg.integrator.n_steps)
     out = _outdir(args)
     orbits = enumerate_chords(ham, level, cfg.grid, cfg.newton, IntegratorConfig(steps))
-    (out / "orbitset.json").write_text(orbits.to_json() + "\n")
-    for i, chord in enumerate(orbits.members):
-        write_chord_csv(out / f"chord_{i:03d}.csv", chord)
-        loop = pullback_chord(chord, cfg.chain)
-        write_loop_csv(out / f"loop_{i:03d}.csv", loop)
+    summary = orbits.to_json()
+    (out / "orbitset.json").write_text(summary + "\n")
+    # the chords of a set share their grid, so one line table serves each kind
+    loops = pullback_chord(orbits.members, cfg.chain)
+    if loops:
+        chord_table, loop_table = chord_csv_table(orbits.members[0].path), loop_csv_table(loops[0])
+    for i, (chord, loop) in enumerate(zip(orbits.members, loops)):
+        write_chord_csv(out / f"chord_{i:03d}.csv", chord, chord_table)
+        write_loop_csv(out / f"loop_{i:03d}.csv", loop, loop_table)
+    _remove_stale_csvs(out, len(loops))
     print(f"chords found: {orbits.count()}  (degenerate: {orbits.degenerate})")
-    print(orbits.to_json())
+    print(summary)
     if orbits.degenerate:
         print("degenerate instance: bounds check skipped")
         return 0
@@ -307,6 +343,7 @@ def cmd_verify(args) -> int:
     if cfg.chain.level < 1:
         raise ConfigError("verification needs a chain of length >= 1")
     cfg.check_seed_bounds()
+    cfg.check_newton_tol()
     ham = cfg.structured_hamiltonian()
     level = build_level(cfg.space, cfg.chain.level)
     descriptor = generate(ham, cfg.chain)
@@ -323,8 +360,7 @@ def cmd_verify(args) -> int:
     print(f"verifying {orbits.count()} chords (delay residual tol {tol_res:g}, route tol {tol_dist:g})")
     worst_res, worst_dist = 0.0, 0.0
     rows = []
-    for i, chord in enumerate(orbits.members):
-        loop = pullback_chord(chord, cfg.chain)
+    for i, loop in enumerate(pullback_chord(orbits.members, cfg.chain)):
         res = delay_residual(descriptor, loop)
         seed = resample(loop, n_verify)
         sol = solve_periodic_delay(descriptor, seed, NewtonConfig(tol=1e-9))

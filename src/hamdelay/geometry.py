@@ -18,7 +18,6 @@ MAX_LEVEL = 12
 # the largest step or node count a config may ask for: every time grid is
 # allocated per row, so larger grids exhaust memory instead of failing cleanly
 MAX_NODES = 2**20
-DIAG_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -136,17 +135,6 @@ def build_level(space: PhaseSpace, n: int) -> LevelStructure:
         signs = signs + tuple(-s for s in signs)
         m0, m1 = new_m0, new_m1
     return LevelStructure(space, n, signs, m0, m1)
-
-
-def on_diagonal(level: LevelStructure, which, p, tol: float = DIAG_TOL) -> bool:
-    """True iff every matched pair of copies coincides up to tol (sup norm);
-    which is 0, 1, or "tot", which compares all copies."""
-    p = np.asarray(p, dtype=float)
-    if p.shape != (level.copies, level.space.dim):
-        raise ValueError(f"expected point of shape {(level.copies, level.space.dim)}")
-    pairs = p[level.pair_index(which)]  # (pairs, 2, dim)
-    gaps = np.abs(level.space.wrapped_difference(pairs[:, 0], pairs[:, 1])).max(axis=1)
-    return not np.any(gaps > tol)
 
 
 def embed_diagonal_params(level: LevelStructure, which, params) -> np.ndarray:

@@ -795,9 +795,13 @@ def enumerate_chords(
 # pullback and delay-equation residuals
 
 
-def pullback_chord(chord: Chord, chain: TransformChain) -> DiscreteCurve:
-    """Pulls the chord back to a periodic loop; breakpoints are marked."""
-    return phi_chain(chain, chord.path)
+def pullback_chord(chords, chain: TransformChain):
+    """Pulls the chord back to a periodic loop; breakpoints are marked.  A
+    sequence of chords of one set gives the list of their loops, from one
+    phi_chain call over their paths."""
+    if isinstance(chords, Chord):
+        return phi_chain(chain, chords.path)
+    return phi_chain(chain, [c.path for c in chords])
 
 
 def _one_sided_derivatives(loop: DiscreteCurve, k0: int, k1: int) -> np.ndarray:
@@ -995,27 +999,44 @@ def solve_periodic_delay(
 # output formats
 
 
-def write_loop_csv(path, loop: DiscreteCurve) -> None:
-    """Base-loop CSV: t,coord_index,value."""
-    heads = [f"{i}," for i in range(loop.space.dim)]
-    _write_csv(path, "t,coord_index,value", heads, loop.times(), loop.samples[:, 0])
+def loop_csv_table(loop: DiscreteCurve) -> str:
+    """The line table of base-loop CSVs on the loop's grid (see _csv_table)."""
+    return _csv_table("t,coord_index,value", [f"{i}," for i in range(loop.space.dim)], loop.times())
 
 
-def write_chord_csv(path, chord: Chord) -> None:
-    """Chord CSV: t,copy,coord_index,value (copies 1-based)."""
-    curve = chord.path
+def chord_csv_table(curve: DiscreteCurve) -> str:
+    """The line table of chord CSVs on the path's grid and copies (see _csv_table)."""
     heads = [f"{j},{i}," for j in range(1, curve.copies + 1) for i in range(curve.space.dim)]
-    _write_csv(path, "t,copy,coord_index,value", heads, curve.times(), curve.samples)
+    return _csv_table("t,copy,coord_index,value", heads, curve.times())
 
 
-def _write_csv(path, header: str, heads: list, times: np.ndarray, samples: np.ndarray) -> None:
-    """The header, then for each time t and sample row the lines t,head,value
-    over heads and the row's values in C order: t to 12 significant digits,
-    values to 17.  Lines end in CR LF, the csv module's terminator; no field
-    needs quotes.  The file is written in one call."""
+def write_loop_csv(path, loop: DiscreteCurve, table: str | None = None) -> None:
+    """Base-loop CSV: t,coord_index,value; table, from loop_csv_table, is
+    built once for a set of loops on one grid."""
+    _write_csv(path, loop_csv_table(loop) if table is None else table, loop.samples[:, 0])
+
+
+def write_chord_csv(path, chord: Chord, table: str | None = None) -> None:
+    """Chord CSV: t,copy,coord_index,value (copies 1-based); table, from
+    chord_csv_table, is built once for a set of chords on one grid."""
+    curve = chord.path
+    _write_csv(path, chord_csv_table(curve) if table is None else table, curve.samples)
+
+
+def _csv_table(header: str, heads: list, times: np.ndarray) -> str:
+    """A CSV file as one format string: the header, then for each time t and
+    each head the line t,head,value with a {:.17g} field for the value, t to
+    12 significant digits.  Lines end in CR LF, the csv module's terminator;
+    no field needs quotes."""
     lines = [header + "\r\n"]
-    for t, row in zip(times.tolist(), samples.reshape(len(samples), -1).tolist()):
+    for t in times.tolist():
         t = f"{t:.12g},"
-        lines += [f"{t}{head}{v:.17g}\r\n" for head, v in zip(heads, row)]
+        lines += [f"{t}{head}{{:.17g}}\r\n" for head in heads]
+    return "".join(lines)
+
+
+def _write_csv(path, table: str, samples: np.ndarray) -> None:
+    """Fills the table with the samples' values in C order and writes the
+    file in one call."""
     with open(path, "w", newline="") as fh:
-        fh.write("".join(lines))
+        fh.write(table.format(*samples.ravel().tolist()))

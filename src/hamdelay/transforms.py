@@ -17,7 +17,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .geometry import MAX_LEVEL, PhaseSpace, build_level, on_diagonal
+from .geometry import MAX_LEVEL, PhaseSpace, build_level
 
 BOUNDARY_TOL = 1e-6
 SPLINE_INVERSE_TOL = 1e-12
@@ -752,78 +752,118 @@ class CurveInterpolant:
         return self._spline(np.clip(t, 0.0, 1.0), copy)
 
 
-def _map_on_nodes(curve: DiscreteCurve, n_out: int, jobs) -> list:
-    """Reads the curve on output nodes for every job (tmap, copy, k0, k1):
-    curve_copy(tmap(k/n_out)) for k = k0..k1, one (k1 - k0 + 1, dim) block
-    per job, from one array expression and one interpolant call.
+class _NodePlan:
+    """Where output nodes read a curve of n_in intervals and `copies`
+    copies, built once from the jobs (tmap, copy, k0, k1): curve_copy(tmap(k
+    / n_out)) for k = k0..k1, from one array expression.  rows picks and
+    orders the output rows among the jobs' rows (all, in job order, by
+    default).  apply reads every curve of a stack that shares the grid.
 
     An affine map (ps/qs) t + pi/qi sends node k to num_k / den, with
     num_k = ps*qi*k + pi*qs*n_out and den = qs*qi*n_out.  Node k hits input
     node num_k*n_in // den when the remainder is zero and then copies the
     stored sample bitwise (a loop wraps hits outside [0, n_in]); a miss, or
-    any node of another map, is read from the interpolant.  The rows are
-    int64 when every |num_k|*n_in < 2^62 and every |num_k|, den < 2^53, else
-    Python ints in an object array: both floor like divmod, and dividing
-    integers below 2^53 as floats is correctly rounded, so every hit and
-    miss time is the exact rational one.
+    any node of another map, is read from the curve's interpolant.  The rows
+    are int64 when every |num_k|*n_in < 2^62 and every |num_k|, den < 2^53,
+    else Python ints in an object array: both floor like divmod, and
+    dividing integers below 2^53 as floats is correctly rounded, so every
+    hit and miss time is the exact rational one.  Other maps are evaluated
+    on each job's whole node range, as a spline inverse's bisection stops on
+    its whole batch.
     """
-    n_in = curve.n_intervals
-    params, sizes, starts, bound, den_max = [], [], [0], 0, 1
-    for tmap, copy, k0, k1 in jobs:
-        # per job: a, b, den, the node shift k - row, the copy and an affine flag
-        if tmap.is_affine:
-            ps, qs = tmap.slope.numerator, tmap.slope.denominator
-            pi, qi = tmap.intercept.numerator, tmap.intercept.denominator
-            a, b, den = ps * qi, pi * qs * n_out, qs * qi * n_out
-            bound = max(bound, abs(a) * max(k1, 1) + abs(b))  # >= |a|, |b| and every |num_k|
-            den_max = max(den_max, den)
-            params.append((a, b, den, k0 - starts[-1], copy, 1))
+
+    def __init__(self, n_in: int, copies: int, is_loop: bool, n_out: int, jobs, rows=None):
+        params, sizes, starts, bound, den_max = [], [], [0], 0, 1
+        for tmap, copy, k0, k1 in jobs:
+            # per job: a, b, den, the node shift k - row, the copy and an affine flag
+            if tmap.is_affine:
+                ps, qs = tmap.slope.numerator, tmap.slope.denominator
+                pi, qi = tmap.intercept.numerator, tmap.intercept.denominator
+                a, b, den = ps * qi, pi * qs * n_out, qs * qi * n_out
+                bound = max(bound, abs(a) * max(k1, 1) + abs(b))  # >= |a|, |b| and every |num_k|
+                den_max = max(den_max, den)
+                params.append((a, b, den, k0 - starts[-1], copy, 1))
+            else:
+                params.append((0, 0, 1, k0 - starts[-1], copy, 0))
+            sizes.append(k1 - k0 + 1)
+            starts.append(starts[-1] + sizes[-1])
+        dtype = np.int64 if bound * n_in < 2**62 and bound < 2**53 and den_max < 2**53 else object
+        a, b, den, shift, copy, affine = np.repeat(np.array(params, dtype=dtype), sizes, axis=0).T
+        num = a * (np.arange(starts[-1], dtype=dtype) + shift) + b
+        scaled = num * n_in
+        node, rem = scaled // den, scaled % den  # np.divmod has no object loop
+        is_hit = (rem == 0) & (affine == 1)
+        outside = (node < 0) | (node > n_in)
+        if is_loop:
+            np.remainder(node, n_in, out=node, where=outside)
         else:
-            params.append((0, 0, 1, k0 - starts[-1], copy, 0))
-        sizes.append(k1 - k0 + 1)
-        starts.append(starts[-1] + sizes[-1])
-    dtype = np.int64 if bound * n_in < 2**62 and bound < 2**53 and den_max < 2**53 else object
-    a, b, den, shift, copy, affine = np.repeat(np.array(params, dtype=dtype), sizes, axis=0).T
-    num = a * (np.arange(starts[-1], dtype=dtype) + shift) + b
-    scaled = num * n_in
-    node, rem = scaled // den, scaled % den  # np.divmod has no object loop
-    is_hit = (rem == 0) & (affine == 1)
-    outside = (node < 0) | (node > n_in)
-    if curve.is_loop:
-        np.remainder(node, n_in, out=node, where=outside)
-    else:
-        is_hit &= ~outside
-    ts = np.asarray(num / den, dtype=float)
-    for (tmap, _, k0, k1), lo, hi in zip(jobs, starts, starts[1:]):
-        if not tmap.is_affine:
-            ts[lo:hi] = tmap(np.linspace(0.0, 1.0, n_out + 1)[k0 : k1 + 1])
-    copy = copy.astype(np.intp)
-    out = np.empty((starts[-1], curve.space.dim))
-    out[is_hit] = curve.samples[node[is_hit].astype(np.intp), copy[is_hit]]
-    miss = ~is_hit
-    if miss.any():
-        out[miss] = curve.space.normalize(curve.interpolant().evaluate(ts[miss], copy[miss]))
-    return [out[lo:hi] for lo, hi in zip(starts, starts[1:])]
+            is_hit &= ~outside
+        rows = slice(None) if rows is None else rows
+        is_hit = is_hit[rows]
+        self.rows = len(is_hit)
+        if is_hit.all():  # every row reads a stored sample
+            self.hit_rows = None
+            self.index = (node.astype(np.intp) * copies + copy.astype(np.intp))[rows]
+            return
+        ts = np.asarray(num / den, dtype=float)
+        for (tmap, _, k0, k1), lo, hi in zip(jobs, starts, starts[1:]):
+            if not tmap.is_affine:
+                ts[lo:hi] = tmap(np.linspace(0.0, 1.0, n_out + 1)[k0 : k1 + 1])
+        node, copy, ts = node[rows], copy[rows], ts[rows]
+        miss = ~is_hit
+        self.hit_rows, self.miss_rows = np.flatnonzero(is_hit), np.flatnonzero(miss)
+        self.index = node[is_hit].astype(np.intp) * copies + copy[is_hit].astype(np.intp)
+        self.miss_ts, self.miss_copy = ts[miss], copy[miss].astype(np.intp)
+
+    def apply(self, curves, samples: np.ndarray) -> np.ndarray:
+        """Values (B, rows, dim) of the curves at the plan's rows, not
+        normalized; samples is their (B, n_in + 1, copies, dim) stack.  The
+        hits are one gather over the stack, bitwise the stored samples."""
+        flat = samples.reshape(len(samples), -1, samples.shape[-1])
+        hits = np.take(flat, self.index, axis=1)
+        if self.hit_rows is None:
+            return hits
+        out = np.empty((len(samples), self.rows, samples.shape[-1]))
+        out[:, self.hit_rows] = hits
+        for b, curve in enumerate(curves):
+            out[b, self.miss_rows] = curve.interpolant().evaluate(self.miss_ts, self.miss_copy)
+        return out
+
+
+def _node_major(jobs: int, n: int) -> np.ndarray:
+    """The rows that order jobs of n + 1 nodes each node by node, so that a
+    plan's output reads (n + 1, jobs) in C order."""
+    return np.arange(jobs * (n + 1)).reshape(jobs, n + 1).T.ravel()
 
 
 # ---------------------------------------------------------------------------
 # boundary-condition checks
 
 
-def _check_boundary(curve: DiscreteCurve, tol: float = BOUNDARY_TOL) -> None:
-    space = curve.space
-    if curve.level == 0:
-        if not curve.is_loop:
+def _check_boundary(space: PhaseSpace, level: int, is_loop: bool, samples: np.ndarray, tol: float = BOUNDARY_TOL) -> None:
+    """Boundary conditions of a stack (B, n + 1, copies, dim) of curves at
+    one level, reported for the first curve that fails: a level-0 loop
+    closes up to tol, a path starts and ends on its diagonals, every matched
+    pair within tol in the sup norm."""
+    if level == 0:
+        if not is_loop:
             raise ValueError("level-0 curves must be loops")
-        gap = space.distance(curve.samples[-1], curve.samples[0])
-        if gap > tol:
-            raise ValueError(f"loop fails to close: gap {gap:.3e} exceeds tol {tol:.1e}")
+        gaps = np.abs(space.wrapped_difference(samples[:, -1], samples[:, 0])).max(axis=(1, 2))
+        bad = np.flatnonzero(gaps > tol)
+        if bad.size:
+            raise ValueError(f"loop fails to close: gap {gaps[bad[0]]:.3e} exceeds tol {tol:.1e}")
         return
-    level = build_level(space, curve.level)
-    if not on_diagonal(level, 0, curve.samples[0], tol=tol):
-        raise ValueError("path start is not on the start diagonal")
-    if not on_diagonal(level, 1, curve.samples[-1], tol=tol):
-        raise ValueError("path end is not on the end diagonal")
+    lv = build_level(space, level)
+    off = []  # per diagonal, which curves have a pair apart by more than tol
+    for which, node in ((0, 0), (1, -1)):
+        pairs = lv.pair_index(which)
+        ends = samples[:, node]
+        gaps = np.abs(space.wrapped_difference(ends[:, pairs[:, 0]], ends[:, pairs[:, 1]])).max(axis=-1)
+        off.append((gaps > tol).any(axis=-1))
+    bad = np.flatnonzero(off[0] | off[1])
+    if bad.size:
+        side = "start" if off[0][bad[0]] else "end"
+        raise ValueError(f"path {side} is not on the {side} diagonal")
 
 
 # ---------------------------------------------------------------------------
@@ -850,37 +890,53 @@ def psi_chain(chain: TransformChain, loop: DiscreteCurve) -> DiscreteCurve:
         return loop
     if loop.level != 0:
         raise ValueError("psi_chain starts from a level-0 loop")
-    _check_boundary(loop)
+    samples = loop.samples[None]
+    _check_boundary(loop.space, 0, loop.is_loop, samples)
     table = chain.table
     n = loop.n_intervals
     table.nodes(n)  # raises on a misaligned grid
-    out = np.stack(_map_on_nodes(loop, n, [(e.theta.inverse(), 0, 0, n) for e in table.entries]), axis=1)
+    jobs = [(e.theta.inverse(), 0, 0, n) for e in table.entries]
+    out = _NodePlan(n, 1, True, n, jobs, _node_major(len(jobs), n)).apply([loop], samples)
     bps = _image_breakpoints([(e.lo, e.hi, e.theta) for e in table.entries], loop.breakpoints)
-    return DiscreteCurve(loop.space, chain.level, loop.space.normalize(out), False, bps)
+    return DiscreteCurve(loop.space, chain.level, loop.space.normalize(out.reshape(n + 1, len(jobs), -1)), False, bps)
 
 
-def phi_chain(chain: TransformChain, path: DiscreteCurve) -> DiscreteCurve:
-    """Full pullback of a path to a loop, segment by segment."""
-    if chain.level == 0:
-        return path
-    if path.level != chain.level:
+def phi_chain(chain: TransformChain, paths):
+    """Full pullback of a path to a loop, segment by segment.  A list of
+    paths that share their space and grid gives the list of their loops,
+    from one node plan, one gather and one boundary check over their stack."""
+    if isinstance(paths, DiscreteCurve):
+        return phi_chain(chain, [paths])[0]
+    if chain.level == 0 or not paths:
+        return list(paths)
+    first = paths[0]
+    if any(p.level != chain.level for p in paths):
         raise ValueError("path level does not match the chain")
-    _check_boundary(path)
-    n = path.n_intervals
+    if any(p.space != first.space or p.samples.shape != first.samples.shape for p in paths):
+        raise ValueError("the paths of one pullback must share their space and grid")
+    # a lone path is read in place; a set is stacked once
+    samples = first.samples[None] if len(paths) == 1 else np.stack([p.samples for p in paths])
+    space = first.space
+    _check_boundary(space, chain.level, False, samples)
+    n = first.n_intervals
     table = chain.table
     nodes = table.nodes(n)  # the entries tile [0, 1]
     jobs = [(e.theta, e.copy, k0, k1) for e, k0, k1 in zip(table.by_interval(), nodes, nodes[1:])]
-    blocks = _map_on_nodes(path, n, jobs)
-    # a node on a breakpoint reads the later block
-    out = np.concatenate([b[:-1] for b in blocks[:-1]] + [blocks[-1]])[:, None, :]
-    return DiscreteCurve(path.space, 0, path.space.normalize(out), True, tuple(table.breakpoints()[1:-1]))
+    # node k of segment j is row k + j of the jobs: a node on a breakpoint
+    # reads the later segment
+    ks = np.arange(n + 1)
+    rows = ks + np.searchsorted(nodes[1:-1], ks, side="right")
+    out = space.normalize(_NodePlan(n, first.copies, False, n, jobs, rows).apply(paths, samples))
+    bps = tuple(table.breakpoints()[1:-1])
+    return [DiscreteCurve(space, 0, loop[:, None, :], True, bps) for loop in out]
 
 
 def resample(curve: DiscreteCurve, n_new: int) -> DiscreteCurve:
     """Resamples onto n_new intervals; coinciding nodes are copied bitwise."""
     _validate_grid(n_new, curve.breakpoints)
     jobs = [(AffineMap(1, 0), j, 0, n_new) for j in range(curve.copies)]
-    out = np.stack(_map_on_nodes(curve, n_new, jobs), axis=1)
+    plan = _NodePlan(curve.n_intervals, curve.copies, curve.is_loop, n_new, jobs, _node_major(curve.copies, n_new))
+    out = plan.apply([curve], curve.samples[None]).reshape(n_new + 1, curve.copies, -1)
     return DiscreteCurve(curve.space, curve.level, curve.space.normalize(out), curve.is_loop, curve.breakpoints)
 
 

@@ -5,10 +5,11 @@ reads matched pairs through one index gather; these are the per-object
 forms: spatial parts and factors one at a time, the complex structure J,
 central differences of the value, the delay right-hand side by a loop over
 segments, terms and factors, the diagonal maps pair by pair, the one-step
-transforms Psi and Phi that the chain transforms compose, and the
-fixed-point scan of the time-1 flow that the chord counts are checked
-against.  The test-only inverses and invariants of the geometry and the
-time maps live here too.
+transforms Psi and Phi that the chain transforms compose, the per-curve
+node mapping, boundary check and pullback Phi^n that the set pullback is
+checked against, and the fixed-point scan of the time-1 flow that the
+chord counts are checked against.  The test-only inverses and invariants
+of the geometry and the time maps live here too.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 
 from hamdelay import solvers
 from hamdelay.delaygen import DelayEquationDescriptor
-from hamdelay.geometry import DIAG_TOL, LevelStructure, build_level, on_diagonal
+from hamdelay.geometry import LevelStructure, build_level
 from hamdelay.hamiltonians import FIELD_SIGN, TWO_PI, ConstSpatial, PolySpatial, TrigSpatial
 from hamdelay.solvers import COND_LIMIT, DEDUP_TOL, IntegratorConfig, NewtonConfig, OrbitSet
 from hamdelay.transforms import (
@@ -27,9 +28,8 @@ from hamdelay.transforms import (
     AffineMap,
     DiscreteCurve,
     ReparamPair,
-    _check_boundary,
+    TransformChain,
     _image_breakpoints,
-    _map_on_nodes,
     _validate_grid,
 )
 
@@ -129,6 +129,20 @@ def rhs_eval_oracle(d: DelayEquationDescriptor, loop, t):
     return out[0] if scalar else out
 
 
+DIAG_TOL = 1e-9
+
+
+def on_diagonal(level: LevelStructure, which, p, tol: float = DIAG_TOL) -> bool:
+    """True iff every matched pair of copies coincides up to tol (sup norm);
+    which is 0, 1, or "tot", which compares all copies."""
+    p = np.asarray(p, dtype=float)
+    if p.shape != (level.copies, level.space.dim):
+        raise ValueError(f"expected point of shape {(level.copies, level.space.dim)}")
+    pairs = p[level.pair_index(which)]  # (pairs, 2, dim)
+    gaps = np.abs(level.space.wrapped_difference(pairs[:, 0], pairs[:, 1])).max(axis=1)
+    return not np.any(gaps > tol)
+
+
 def embed_diagonal_params_oracle(level: LevelStructure, which, params):
     """embed_diagonal_params pair by pair: both copies of matched pair i
     take params[..., i, :]."""
@@ -197,13 +211,92 @@ def seed_grid(level: LevelStructure, grid) -> np.ndarray:
     return np.stack([m.ravel() for m in mesh], axis=-1)
 
 
+def map_on_nodes(curve: DiscreteCurve, n_out: int, jobs) -> list:
+    """Reads the curve on output nodes for every job (tmap, copy, k0, k1):
+    curve_copy(tmap(k/n_out)) for k = k0..k1, one (k1 - k0 + 1, dim) block
+    per job, from one array expression and one interpolant call; hits (an
+    affine map landing exactly on an input node) copy the stored sample, a
+    loop wrapping hits outside [0, n_in]."""
+    n_in = curve.n_intervals
+    params, sizes, starts, bound, den_max = [], [], [0], 0, 1
+    for tmap, copy, k0, k1 in jobs:
+        if tmap.is_affine:
+            ps, qs = tmap.slope.numerator, tmap.slope.denominator
+            pi, qi = tmap.intercept.numerator, tmap.intercept.denominator
+            a, b, den = ps * qi, pi * qs * n_out, qs * qi * n_out
+            bound = max(bound, abs(a) * max(k1, 1) + abs(b))
+            den_max = max(den_max, den)
+            params.append((a, b, den, k0 - starts[-1], copy, 1))
+        else:
+            params.append((0, 0, 1, k0 - starts[-1], copy, 0))
+        sizes.append(k1 - k0 + 1)
+        starts.append(starts[-1] + sizes[-1])
+    dtype = np.int64 if bound * n_in < 2**62 and bound < 2**53 and den_max < 2**53 else object
+    a, b, den, shift, copy, affine = np.repeat(np.array(params, dtype=dtype), sizes, axis=0).T
+    num = a * (np.arange(starts[-1], dtype=dtype) + shift) + b
+    scaled = num * n_in
+    node, rem = scaled // den, scaled % den
+    is_hit = (rem == 0) & (affine == 1)
+    outside = (node < 0) | (node > n_in)
+    if curve.is_loop:
+        np.remainder(node, n_in, out=node, where=outside)
+    else:
+        is_hit &= ~outside
+    ts = np.asarray(num / den, dtype=float)
+    for (tmap, _, k0, k1), lo, hi in zip(jobs, starts, starts[1:]):
+        if not tmap.is_affine:
+            ts[lo:hi] = tmap(np.linspace(0.0, 1.0, n_out + 1)[k0 : k1 + 1])
+    copy = copy.astype(np.intp)
+    out = np.empty((starts[-1], curve.space.dim))
+    out[is_hit] = curve.samples[node[is_hit].astype(np.intp), copy[is_hit]]
+    miss = ~is_hit
+    if miss.any():
+        out[miss] = curve.space.normalize(curve.interpolant().evaluate(ts[miss], copy[miss]))
+    return [out[lo:hi] for lo, hi in zip(starts, starts[1:])]
+
+
+def check_boundary(curve: DiscreteCurve, tol: float = BOUNDARY_TOL) -> None:
+    """The boundary conditions of one curve: a level-0 loop closes, a path
+    starts and ends on its diagonals, pair by pair through on_diagonal."""
+    space = curve.space
+    if curve.level == 0:
+        if not curve.is_loop:
+            raise ValueError("level-0 curves must be loops")
+        gap = space.distance(curve.samples[-1], curve.samples[0])
+        if gap > tol:
+            raise ValueError(f"loop fails to close: gap {gap:.3e} exceeds tol {tol:.1e}")
+        return
+    level = build_level(space, curve.level)
+    if not on_diagonal(level, 0, curve.samples[0], tol=tol):
+        raise ValueError("path start is not on the start diagonal")
+    if not on_diagonal(level, 1, curve.samples[-1], tol=tol):
+        raise ValueError("path end is not on the end diagonal")
+
+
+def phi_chain_oracle(chain: TransformChain, path: DiscreteCurve) -> DiscreteCurve:
+    """The pullback Phi^n of one path to a loop, segment by segment."""
+    if chain.level == 0:
+        return path
+    if path.level != chain.level:
+        raise ValueError("path level does not match the chain")
+    check_boundary(path)
+    n = path.n_intervals
+    table = chain.table
+    nodes = table.nodes(n)
+    jobs = [(e.theta, e.copy, k0, k1) for e, k0, k1 in zip(table.by_interval(), nodes, nodes[1:])]
+    blocks = map_on_nodes(path, n, jobs)
+    # a node on a breakpoint reads the later block
+    out = np.concatenate([b[:-1] for b in blocks[:-1]] + [blocks[-1]])[:, None, :]
+    return DiscreteCurve(path.space, 0, path.space.normalize(out), True, tuple(table.breakpoints()[1:-1]))
+
+
 def psi_step(pair: ReparamPair, curve: DiscreteCurve) -> DiscreteCurve:
     """One step up: out(t) = (curve(alpha(t)), curve(beta(t)))."""
-    _check_boundary(curve)
+    check_boundary(curve)
     n = curve.n_intervals
     copies = curve.copies
     jobs = [(pair.alpha, j, 0, n) for j in range(copies)] + [(pair.beta, j, 0, n) for j in range(copies)]
-    out = np.stack(_map_on_nodes(curve, n, jobs), axis=1)
+    out = np.stack(map_on_nodes(curve, n, jobs), axis=1)
     pieces = [(0, pair.tau, pair.alpha.inverse()), (pair.tau, 1, pair.beta.inverse())]
     bps = _image_breakpoints(pieces, curve.breakpoints)
     return DiscreteCurve(curve.space, curve.level + 1, curve.space.normalize(out), False, bps)
@@ -221,7 +314,7 @@ def phi_step(pair: ReparamPair, curve: DiscreteCurve) -> DiscreteCurve:
     (ktau,) = _validate_grid(n, [pair.tau])
     ainv, binv = pair.alpha.inverse(), pair.beta.inverse()
     jobs = [(ainv, j, 0, ktau) for j in range(half)] + [(binv, j + half, ktau, n) for j in range(half)]
-    blocks = _map_on_nodes(curve, n, jobs)
+    blocks = map_on_nodes(curve, n, jobs)
     # the node at tau reads the later block
     out = np.concatenate([np.stack(blocks[:half], axis=1)[:-1], np.stack(blocks[half:], axis=1)])
     bps = {pair.tau} | set(_image_breakpoints([(0, 1, pair.alpha), (0, 1, pair.beta)], curve.breakpoints))

@@ -202,6 +202,42 @@ def test_chords_zero_k_degenerate_skips_bounds(tmp_path, capsys):
     assert "bounds check skipped" in out
 
 
+@pytest.mark.parametrize("command", ["chords", "verify"])
+def test_newton_tol_above_boundary_tol_is_config_error(command, tmp_path, capsys):
+    """A chord solved to a newton.tol above the pullback's boundary
+    tolerance need not end on its diagonal, so the pullback would raise;
+    both commands reject the config up front, naming both numbers."""
+    from importlib import resources
+
+    cfg = json.loads(resources.files("hamdelay.presets").joinpath("torus-morse-n1.json").read_text())
+    cfg["newton"] = {"tol": 1e-3}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    code = run([command, "--config", str(path), "--steps", "64", "--grid", "3", "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("config error: newton.tol 0.001 exceeds") and "1e-06" in err
+    assert not (tmp_path / "o" / "orbitset.json").exists()
+
+
+def test_chords_removes_only_the_stale_csvs_of_a_larger_set(tmp_path, capsys):
+    """A smaller chord set written into the directory of a larger one
+    removes the chord and loop CSVs past its count, and nothing else."""
+    out = tmp_path / "out"
+    assert run(["chords", "--preset", "product-T4", "--steps", "32", "--grid", "4", "--out", str(out)]) == 0
+    assert (out / "chord_007.csv").exists() and (out / "loop_007.csv").exists()
+    kept = ["chord_x.csv", "loop_007.txt", "chord_1.csv.bak", "notes.csv", "chord_010.csv"]
+    for name in kept[:-1]:
+        (out / name).write_text("keep\n")
+    (out / "chord_010.csv").mkdir()  # not a regular file
+    assert run(["chords", "--preset", "torus-morse-n1", "--steps", "32", "--grid", "2", "--out", str(out)]) == 0
+    count = json.loads((out / "orbitset.json").read_text())["count"]
+    assert count == 4
+    sets = [f"{kind}_{i:03d}.csv" for kind in ("chord", "loop") for i in range(count)]
+    assert sorted(f.name for f in out.iterdir()) == sorted(["orbitset.json", *sets, *kept])
+    assert all((out / name).read_text() == "keep\n" for name in kept[:-1])
+
+
 def test_verify_morse(tmp_path, capsys):
     code = run([
         "verify", "--preset", "torus-morse-n1", "--out", str(tmp_path),

@@ -6,12 +6,12 @@ from hamdelay.geometry import (
     PhaseSpace,
     build_level,
     embed_diagonal_params,
-    on_diagonal,
 )
 from hamdelay.solvers import _end_residual
 from tests.oracles import (
     embed_diagonal_params_oracle,
     end_residual_oracle,
+    on_diagonal,
     reduce_diagonal_params,
     union_graph_is_single_cycle,
 )

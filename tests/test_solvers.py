@@ -14,7 +14,7 @@ from hypothesis import given, strategies as st
 from scipy.sparse.linalg import splu
 
 from hamdelay.geometry import PhaseSpace, build_level, embed_diagonal_params
-from hamdelay.transforms import DiscreteCurve, TransformChain, resample, sup_distance
+from hamdelay.transforms import DiscreteCurve, TransformChain, phi_chain, resample, sup_distance
 from hamdelay.hamiltonians import (
     ConstSpatial,
     ConstTime,
@@ -57,7 +57,7 @@ from hamdelay.solvers import (
     _solve_seeds,
     _solve_stack,
 )
-from tests.oracles import flow_fixed_points
+from tests.oracles import check_boundary, flow_fixed_points, phi_chain_oracle
 from tests.test_hamiltonians import _hamiltonians, wide_and_empty_copies
 
 
@@ -1449,6 +1449,101 @@ def test_csv_writers_match_csv_module_oracle(level, tmp_path, plane, rng):
     assert got == (tmp_path / "want.csv").read_bytes()
     assert b",-0\r\n" in got and b",1e-300\r\n" in got
     assert b",0.30000000000000004\r\n" in got and got.endswith(b"\r\n") and b"\n1," in got
+
+
+def _set_config(name: str) -> dict:
+    """A packaged preset, or "spline-chain": torus-morse-n1 on a one-step
+    spline chain, whose breakpoint 0.4 is a node of 80 steps; no time map of
+    it is affine, so every pulled-back node reads the path's interpolant."""
+    preset = "torus-morse-n1" if name == "spline-chain" else name
+    data = json.loads(resources.files("hamdelay.presets").joinpath(f"{preset}.json").read_text())
+    if name == "spline-chain":
+        alpha, beta = [[0, 0], [0.5, 0.2], [1, 0.4]], [[0, 1], [0.5, 0.7], [1, 0.4]]
+        data["chain"] = {"steps": [{"kind": "spline", "alpha": alpha, "beta": beta}]}
+    return data
+
+
+def _chord_set(name: str, steps: int, grid):
+    """The chain and the kept chords of `chords --steps steps --grid grid`
+    (the config's grid for None) on the named config."""
+    cfg = ExperimentConfig.from_dict(_set_config(name))
+    level = build_level(cfg.space, cfg.chain.level)
+    spec = cfg.grid if grid is None else GridSpec(grid, cfg.grid.bounds)
+    integ = IntegratorConfig(cfg.aligned_nodes(steps))
+    return cfg.chain, enumerate_chords(cfg.structured_hamiltonian(), level, spec, cfg.newton, integ).members
+
+
+# the halving chain at level 2, the r = 1/3 chain, the level-3 tower and the
+# spline chain, whose pullbacks read only the interpolants
+CHORD_SETS = [("sum-n2", 64, 2), ("rr-chain-13", 18, 2), ("product-n3-full", 64, 2), ("spline-chain", 80, None)]
+
+
+@pytest.mark.parametrize("name,steps,grid", CHORD_SETS)
+def test_set_pullback_matches_per_path_oracle(name, steps, grid):
+    """Pulling a chord set back in one call gives, path by path, bitwise
+    the loops of the per-curve pullback, and so do a set of one and a lone
+    chord; an empty set gives no loop."""
+    chain, chords = _chord_set(name, steps, grid)
+    assert len(chords) >= 4
+    want = [phi_chain_oracle(chain, c.path) for c in chords]
+    one_by_one = [pullback_chord(c, chain) for c in chords]
+    sets_of_one = [pullback_chord([c], chain)[0] for c in chords]
+    for got in (pullback_chord(chords, chain), one_by_one, sets_of_one):
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert (g.level, g.is_loop, g.breakpoints) == (w.level, w.is_loop, w.breakpoints)
+            assert g.samples.shape == w.samples.shape and g.samples.tobytes() == w.samples.tobytes()
+    assert pullback_chord([], chain) == []
+
+
+def _off_diagonal(path: DiscreteCurve, nodes) -> DiscreteCurve:
+    """The path with copy 0 moved by 1e-5 at the given nodes."""
+    samples = path.samples.copy()
+    samples[list(nodes), 0] = np.mod(samples[list(nodes), 0] + 1e-5, 1.0)
+    return DiscreteCurve(path.space, path.level, samples, False)
+
+
+@pytest.mark.parametrize("nodes,side", [((0,), "start"), ((-1,), "end"), ((0, -1), "start")])
+def test_set_pullback_rejects_an_off_diagonal_path(nodes, side):
+    """One path off its start or end diagonal, or both, sinks the set with
+    the per-curve check's message, wherever it sits in the set; of two
+    such paths the first one in the set is reported."""
+    chain, chords = _chord_set("sum-n2", 64, 2)
+    paths = [c.path for c in chords]
+    bad = _off_diagonal(paths[2], nodes)
+    message = f"path {side} is not on the {side} diagonal"
+    with pytest.raises(ValueError) as want:
+        check_boundary(bad)
+    assert str(want.value) == message
+    for at in (0, 2, len(paths)):
+        with pytest.raises(ValueError) as got:
+            phi_chain(chain, paths[:at] + [bad] + paths[at:])
+        assert str(got.value) == message
+    other = _off_diagonal(paths[3], (-1,) if side == "start" else (0,))
+    with pytest.raises(ValueError) as got:
+        phi_chain(chain, [paths[0], bad, paths[1], other])
+    assert str(got.value) == message
+
+
+@pytest.mark.parametrize("name,steps,grid", [("sum-n2", 8, 2), ("spline-chain", 80, None)])
+def test_chords_out_directory_matches_csv_module_oracles(name, steps, grid, tmp_path):
+    """Every chord and loop file that `chords` writes is byte-identical to
+    the csv module's file of the same chord and of its per-curve pullback."""
+    from hamdelay.cli import main
+
+    (tmp_path / "cfg.json").write_text(json.dumps(_set_config(name)))
+    argv = ["chords", "--config", str(tmp_path / "cfg.json"), "--steps", str(steps), "--out", str(tmp_path / "got")]
+    assert main(argv + ([] if grid is None else ["--grid", str(grid)])) == 0
+    chain, chords = _chord_set(name, steps, grid)
+    want = tmp_path / "want"
+    want.mkdir()
+    for i, chord in enumerate(chords):
+        _write_chord_csv_oracle(want / f"chord_{i:03d}.csv", chord)
+        _write_loop_csv_oracle(want / f"loop_{i:03d}.csv", phi_chain_oracle(chain, chord.path))
+    written = sorted(f.name for f in (tmp_path / "got").iterdir() if f.suffix == ".csv")
+    assert written == sorted(f.name for f in want.iterdir()) and len(written) == 2 * len(chords) >= 8
+    for f in written:
+        assert (tmp_path / "got" / f).read_bytes() == (want / f).read_bytes(), f
 
 
 def test_orbitset_summary_json(torus):

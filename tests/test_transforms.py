@@ -12,7 +12,7 @@ from hamdelay.transforms import (
     ReparamPair,
     TransformChain,
     UniformSpline,
-    _map_on_nodes,
+    _NodePlan,
     compare_tau_tables,
     copy_time_map,
     delayed_time,
@@ -437,8 +437,17 @@ def test_resample_convergence(torus, rng):
 # array paths against their per-node oracles
 
 
+def _map_on_nodes(curve, n_out, jobs):
+    """The node plan of the jobs applied to the one curve, normalized as
+    the transforms store it, in one block per job."""
+    plan = _NodePlan(curve.n_intervals, curve.copies, curve.is_loop, n_out, jobs)
+    out = curve.space.normalize(plan.apply([curve], curve.samples[None])[0])
+    ends = np.cumsum([k1 - k0 + 1 for _, _, k0, k1 in jobs])
+    return np.split(out, ends[:-1])
+
+
 def _map_on_nodes_loop(curve, tmap, n_out, copy, k0=0, k1=None):
-    """The per-node Python-int loop that the affine branch of _map_on_nodes
+    """The per-node Python-int loop that the affine branch of the node plan
     replaced; kept as its oracle."""
     k1 = n_out if k1 is None else k1
     n_in = curve.n_intervals
